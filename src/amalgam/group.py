@@ -6,16 +6,31 @@ top of it live syllable decomposition, reduced and normal forms, cyclically
 reduced forms, the principal-system solver, the regular/singular classifier,
 and the partial conjugacy-search decider.  Undecided is a first-class
 outcome: the decider halts with a verdict only on inputs it can certify.
+
+The normal-form sweep runs on plain letter tuples: syllables are
+(side, factor letters) pairs, coset representatives come from tracing the
+folded C graph, and carries cross the amalgamation through one letter-tuple
+memo.  `Word` is the API boundary; the sweep builds `Word`s only for the
+returned form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
 from .stallings import GeneratingTuple, build, pullback
-from .words import Alphabet, Word, free_conjugacy, identity, substitute
+from .words import (
+    Alphabet,
+    Word,
+    free_conjugacy,
+    identity,
+    letters_inverse,
+    letters_product,
+    substitute,
+)
 
 
 class InvalidPresentationError(ValueError):
@@ -152,6 +167,13 @@ class AmalgamContext:
         self.malnormal_a = graph_ca.is_malnormal()
         self.malnormal_b = graph_cb.is_malnormal()
         self.cache: dict = {}
+        # union letter -> side and factor letter, for the syllable split
+        off = len(alphabet_a)
+        union = [lt for i in range(1, len(self.union_alphabet) + 1) for lt in (i, -i)]
+        self._letter_side = {lt: self.side_of_letter(lt) for lt in union}
+        self._factor_letter = {
+            lt: lt if abs(lt) <= off else lt - off if lt > 0 else lt + off for lt in union
+        }
 
     # --- sides and alphabets -------------------------------------------------
 
@@ -175,26 +197,31 @@ class AmalgamContext:
             tuple(lt + off if lt > 0 else lt - off for lt in w.letters),
         )
 
-    def _factor_word(self, side: str, union_letters: Sequence[int]) -> Word:
-        off = 0 if side == "A" else len(self.alphabet_a)
-        return Word._make(
-            self.factor_alphabet(side),
-            tuple(lt - off if lt > 0 else lt + off for lt in union_letters),
-        )
-
     # --- transfer through the amalgamation ----------------------------------
 
-    def transfer_word(self, side: str, w: Word) -> Word:
-        """phi (A to B) or psi (B to A) of a C-element, via the C-basis table."""
-        key = ("xfer", side, w.letters)
+    def transfer_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
+        """phi (A to B) or psi (B to A) of a C-element, via the C-basis table.
+
+        This is the one transfer memo: ("xfer", side, letters) maps to the
+        image's letter tuple in ctx.cache.
+        """
+        key = ("xfer", side, letters)
         hit = self.cache.get(key)
         if hit is None:
             graph = self.graph_c(side)
             images = self.phi_images if side == "A" else self.psi_images
-            expr = graph.express_in_basis(w)
-            hit = substitute(expr, images, self.factor_alphabet(self.other(side)))
+            expr = graph.express_in_basis(Word._make(graph.alphabet, letters))
+            hit = substitute(expr, images, self.factor_alphabet(self.other(side))).letters
             self.cache[key] = hit
         return hit
+
+    def transfer_word(self, side: str, w: Word) -> Word:
+        """transfer_letters on a Word over the factor alphabet of `side`."""
+        if w.alphabet != self.factor_alphabet(side):
+            raise ValueError("word over wrong alphabet")
+        return Word._make(
+            self.factor_alphabet(self.other(side)), self.transfer_letters(side, w.letters)
+        )
 
     def in_c(self, side: str, w: Word) -> bool:
         return self.graph_c(side).contains(w)
@@ -266,31 +293,23 @@ def build_context(
 # --- syllables and reduced forms ---------------------------------------------
 
 
-def syllable_decompose(ctx: AmalgamContext, raw: Word) -> list[Syllable]:
-    """Maximal alternating factor blocks of a word over the union alphabet."""
+def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
+    """Maximal alternating factor blocks of a union word as (side, factor letters)."""
     if raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
-    out: list[Syllable] = []
-    block: list[int] = []
-    side = ""
-    for lt in raw.letters:
-        s = ctx.side_of_letter(lt)
-        if s != side and block:
-            out.append(Syllable(side, ctx._factor_word(side, block)))
-            block = []
-        side = s
-        block.append(lt)
-    if block:
-        out.append(Syllable(side, ctx._factor_word(side, block)))
-    return out
+    factor_letter = ctx._factor_letter.__getitem__
+    return [
+        (side, tuple(map(factor_letter, block)))
+        for side, block in groupby(raw.letters, key=ctx._letter_side.__getitem__)
+    ]
 
 
-def _transfer_by_generators(ctx: AmalgamContext, side: str, w: Word) -> Word:
-    """Transfer a C-element by rewriting it over the given generators."""
-    graph = ctx.graph_c(side)
-    images = [v for _, v in ctx.pairs] if side == "A" else [u for u, _ in ctx.pairs]
-    expr = graph.express_in_generators(w)
-    return substitute(expr, images, ctx.factor_alphabet(ctx.other(side)))
+def syllable_decompose(ctx: AmalgamContext, raw: Word) -> list[Syllable]:
+    """Maximal alternating factor blocks of a word over the union alphabet."""
+    return [
+        Syllable(side, Word._make(ctx.factor_alphabet(side), letters))
+        for side, letters in _split(ctx, raw)
+    ]
 
 
 def _squash(sylls: list[Syllable]) -> list[Syllable]:
@@ -320,7 +339,7 @@ def reduced_form(ctx: AmalgamContext, syllables: Sequence[Syllable]) -> ReducedF
         if len(sylls) == 1:
             head = s.word if s.side == "A" else ctx.transfer_word("B", s.word)
             return ReducedForm("A", head, ())
-        moved = _transfer_by_generators(ctx, s.side, s.word)
+        moved = ctx.transfer_word(s.side, s.word)
         repl = [Syllable(ctx.other(s.side), moved)] if moved else []
         sylls = _squash(sylls[:idx] + repl + sylls[idx + 1 :])
     head_side = sylls[0].side if sylls else "A"
@@ -349,13 +368,12 @@ def _check_policy(ctx: AmalgamContext, policy: RepPolicy) -> None:
         )
 
 
-def _adversarial_rep(side: str, rep: Word, p: int) -> Optional[Word]:
+def _adversarial_rep(side: str, rep: tuple[int, ...], p: int) -> Optional[tuple[int, ...]]:
     # A side: canonical rep d a^(pm) gets representative b^(-pm) d a^(pm);
     # B side: canonical rep z y^(pm) gets representative x^(-pm) z y^(pm).
-    ls = rep.letters
-    if len(ls) < 2 or ls[0] != 3:
+    if len(rep) < 2 or rep[0] != 3:
         return None
-    tail = ls[1:]
+    tail = rep[1:]
     run = 1 if side == "A" else 2
     if any(abs(lt) != run for lt in tail):
         return None
@@ -366,17 +384,18 @@ def _adversarial_rep(side: str, rep: Word, p: int) -> Optional[Word]:
     if j % p != 0:
         return None
     swap = 2 if side == "A" else 1
-    return Word(rep.alphabet, (-sign * swap,) * abs(j) + (3,) + tail)
+    return (-sign * swap,) * abs(j) + (3,) + tail
 
 
 def _rep(
-    ctx: AmalgamContext, side: str, w: Word, policy: RepPolicy
-) -> tuple[Word, Word]:
-    rep, head = ctx.graph_c(side).coset_rep(w)
+    ctx: AmalgamContext, side: str, w: tuple[int, ...], policy: RepPolicy
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rep, head) with w = head * rep, head in C, rep chosen by the policy."""
+    rep, head = ctx.graph_c(side).graph.coset_rep(w)
     if policy.kind == "paper-ex1" and rep:
         rep2 = _adversarial_rep(side, rep, policy.p)
         if rep2 is not None:
-            return rep2, w * ~rep2
+            return rep2, letters_product(w, letters_inverse(rep2))
     return rep, head
 
 
@@ -393,40 +412,34 @@ def normal_form(
     given, records its length after every step.
     """
     _check_policy(ctx, policy)
-    sylls = syllable_decompose(ctx, raw)
-    done: list[Syllable] = []
-    carry_side = "A"
-    carry = identity(ctx.alphabet_a)
-    for s in reversed(sylls):
-        if carry:
-            moved = (
-                carry if carry_side == s.side else ctx.transfer_word(carry_side, carry)
-            )
-            w = s.word * moved
-        else:
-            w = s.word
-        rep, head = _rep(ctx, s.side, w, policy)
+    done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
+    carry_side, carry = "A", ()
+    for side, word in reversed(_split(ctx, raw)):
+        if carry and carry_side != side:
+            carry = ctx.transfer_letters(carry_side, carry)
+        rep, head = _rep(ctx, side, letters_product(word, carry), policy)
         if rep:
-            if done and done[0].side == s.side:
-                merged = rep * done.pop(0).word
-                rep2, head2 = _rep(ctx, s.side, merged, policy)
-                head = head * head2
-                if rep2:
-                    done.insert(0, Syllable(s.side, rep2))
-            else:
-                done.insert(0, Syllable(s.side, rep))
-        carry_side, carry = s.side, head
+            if done and done[-1][0] == side:
+                rep, head2 = _rep(ctx, side, letters_product(rep, done.pop()[1]), policy)
+                head = letters_product(head, head2)
+            if rep:
+                done.append((side, rep))
+        carry_side, carry = side, head
         if trace is not None:
             trace.append(len(carry))
-    target = done[0].side if done else "A"
-    if carry_side != target:
-        carry = (
-            ctx.transfer_word(carry_side, carry)
-            if carry
-            else identity(ctx.factor_alphabet(target))
-        )
-    assert ctx.in_c(target, carry), "normal-form head escaped C"
-    return NormalForm(target, carry, tuple(done))
+    target = done[-1][0] if done else "A"
+    if carry and carry_side != target:
+        carry = ctx.transfer_letters(carry_side, carry)
+    graph = ctx.graph_c(target).graph
+    assert graph.reads_loop(carry, graph.base), "normal-form head escaped C"
+    return NormalForm(
+        target,
+        Word._make(ctx.factor_alphabet(target), carry),
+        tuple(
+            Syllable(side, Word._make(ctx.factor_alphabet(side), rep))
+            for side, rep in reversed(done)
+        ),
+    )
 
 
 def form_to_word(ctx: AmalgamContext, nf: NormalForm | ReducedForm) -> Word:
@@ -486,9 +499,10 @@ def cyclic_form(
         side = first.side
         w = last.word * head * first.word
         conj = conj * ~ctx.to_union(side, last.word)
-        rep, head2 = _rep(ctx, side, w, policy)
-        head_side, head = side, head2
-        sylls = ([Syllable(side, rep)] if rep else []) + sylls[1:-1]
+        rep, head2 = _rep(ctx, side, w.letters, policy)
+        alphabet = ctx.factor_alphabet(side)
+        head_side, head = side, Word._make(alphabet, head2)
+        sylls = ([Syllable(side, Word._make(alphabet, rep))] if rep else []) + sylls[1:-1]
     if not sylls and head_side != "A":
         head = ctx.transfer_word(head_side, head) if head else identity(ctx.alphabet_a)
         head_side = "A"
@@ -828,45 +842,3 @@ def conjugacy_search(
         None,
         "both representatives are singular and C is malnormal in neither factor",
     )
-
-
-def _reduced_words(alphabet: Alphabet, max_len: int):
-    """All freely reduced words of length <= max_len, by length then letters."""
-    n = len(alphabet)
-    order = [lt for i in range(1, n + 1) for lt in (i, -i)]
-    frontier: list[tuple[int, ...]] = [()]
-    yield Word(alphabet, ())
-    for _ in range(max_len):
-        nxt = []
-        for ls in frontier:
-            for lt in order:
-                if ls and ls[-1] == -lt:
-                    continue
-                ext = ls + (lt,)
-                nxt.append(ext)
-                yield Word(alphabet, ext)
-        frontier = nxt
-
-
-def brute_conjugacy_oracle(
-    ctx: AmalgamContext, u: Word, v: Word, bound: int
-) -> Optional[Word]:
-    """Search all conjugators z with |z| <= bound; sound but incomplete.
-
-    Meets in the middle: z = z1 z2 works iff ~z1 u z1 equals z2 v ~z2, so both
-    halves only need length ceil(bound/2).
-    """
-    half_r = bound // 2
-    half_l = bound - half_r
-    right: dict[NormalForm, Word] = {}
-    for z2 in _reduced_words(ctx.union_alphabet, half_r):
-        key = normal_form(ctx, z2 * v * ~z2)
-        right.setdefault(key, z2)
-    for z1 in _reduced_words(ctx.union_alphabet, half_l):
-        key = normal_form(ctx, ~z1 * u * z1)
-        z2 = right.get(key)
-        if z2 is not None:
-            z = z1 * z2
-            assert normal_form(ctx, ~z * u * z) == normal_form(ctx, v)
-            return z
-    return None

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, identity, substitute
+from .words import Alphabet, Word, identity, letters_inverse, letters_product, substitute
 
 
 class NotAMemberError(ValueError):
@@ -269,6 +269,28 @@ class SubgroupGraph:
             self._tree_words[state] = cached
         return cached
 
+    def coset_rep(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Split a reduced letter tuple as head * rep, head in the subgroup.
+
+        rep is treePath(p) * s for p the state reached by the longest
+        traceable prefix and s the untraceable suffix; it depends only on the
+        coset, is freely reduced (the geodesic never ends with the inverse of
+        the stuck letter), and |rep| <= |letters|.
+        """
+        fwd, back = self.fwd, self.back
+        s = self.base
+        i = 0
+        for lt in letters:
+            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+            if hit is None:
+                break
+            s = hit[0]
+            i += 1
+        path = self.tree_path_letters(s)
+        if not path:
+            return letters[i:], letters[:i]
+        return path + letters[i:], letters_product(letters[:i], letters_inverse(path))
+
     def tree_path(self, state: int) -> Word:
         return Word._make(self.alphabet, self.tree_path_letters(state))
 
@@ -347,28 +369,11 @@ class GeneratingTuple:
         return self.graph.reads_loop(w.letters, self.graph.base)
 
     def coset_rep(self, w: Word) -> tuple[Word, Word]:
-        """Split w = head * rep with head in the subgroup and rep canonical.
-
-        rep is treePath(p) * s for p the state reached by the longest
-        traceable prefix and s the untraceable suffix; it depends only on the
-        coset, is freely reduced, and |rep| <= |w|.
-        """
+        """Split w = head * rep with head in the subgroup and rep canonical."""
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
-        g = self.graph
-        s = g.base
-        i = 0
-        for lt in w.letters:
-            t = g.step(s, lt)
-            if t is None:
-                break
-            s = t
-            i += 1
-        # the geodesic never ends with the inverse of the stuck letter, so
-        # this concatenation is already reduced
-        rep = Word._make(self.alphabet, g.tree_path_letters(s) + w.letters[i:])
-        head = w * ~rep
-        return rep, head
+        rep, head = self.graph.coset_rep(w.letters)
+        return Word._make(self.alphabet, rep), Word._make(self.alphabet, head)
 
     def _ensure_basis(self) -> None:
         if self._basis is not None:

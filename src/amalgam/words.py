@@ -10,6 +10,7 @@ error rather than a coercion.
 from __future__ import annotations
 
 import re
+from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -82,6 +83,23 @@ def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def letters_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two freely reduced letter tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    k = 0
+    na, nb = len(a), len(b)
+    while k < na and k < nb and a[na - 1 - k] == -b[k]:
+        k += 1
+    return a[: na - k] + b[k:] if k else a + b
+
+
+def letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(a)))
+
+
 class Word:
     """Freely reduced word; the constructor reduces its input."""
 
@@ -137,19 +155,14 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._require_same_alphabet(other)
-        a, b = self.letters, other.letters
-        if not a:
+        if not self.letters:
             return other
-        if not b:
+        if not other.letters:
             return self
-        k = 0
-        na, nb = len(a), len(b)
-        while k < na and k < nb and a[na - 1 - k] == -b[k]:
-            k += 1
-        return Word._make(self.alphabet, a[: na - k] + b[k:])
+        return Word._make(self.alphabet, letters_product(self.letters, other.letters))
 
     def __invert__(self) -> "Word":
-        return Word._make(self.alphabet, tuple(-lt for lt in reversed(self.letters)))
+        return Word._make(self.alphabet, letters_inverse(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -236,7 +249,7 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
         img = images[abs(lt) - 1]
         if img.alphabet != target:
             raise ValueError("substitution image over wrong alphabet")
-        seq = img.letters if lt > 0 else tuple(-x for x in reversed(img.letters))
+        seq = img.letters if lt > 0 else letters_inverse(img.letters)
         for x in seq:
             if out and out[-1] == -x:
                 pop()

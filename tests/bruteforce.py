@@ -2,13 +2,16 @@
 
 Everything here works by enumeration and free reduction only, so it never
 shares a code path with the machinery it checks (beyond plain word algebra
-and graph tracing).
+and graph tracing).  The conjugacy oracle is the exception: it compares
+normal forms, so it checks the conjugacy decider, not the word problem.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Optional
 
+from amalgam.group import AmalgamContext, NormalForm, normal_form
 from amalgam.stallings import GeneratingTuple
 from amalgam.words import Alphabet, Word, identity
 
@@ -68,3 +71,27 @@ def generated_elements(generators: list[Word], max_factors: int) -> set[Word]:
 
 def coset_members(subgroup_elems: list[Word], rep: Word) -> set[Word]:
     return {h * rep for h in subgroup_elems}
+
+
+def brute_conjugacy_oracle(
+    ctx: AmalgamContext, u: Word, v: Word, bound: int
+) -> Optional[Word]:
+    """Search all conjugators z with |z| <= bound; sound but incomplete.
+
+    Meets in the middle: z = z1 z2 works iff ~z1 u z1 equals z2 v ~z2, so both
+    halves only need length ceil(bound/2).
+    """
+    half_r = bound // 2
+    half_l = bound - half_r
+    right: dict[NormalForm, Word] = {}
+    for z2 in reduced_words(ctx.union_alphabet, half_r):
+        key = normal_form(ctx, z2 * v * ~z2)
+        right.setdefault(key, z2)
+    for z1 in reduced_words(ctx.union_alphabet, half_l):
+        key = normal_form(ctx, ~z1 * u * z1)
+        z2 = right.get(key)
+        if z2 is not None:
+            z = z1 * z2
+            assert normal_form(ctx, ~z * u * z) == normal_form(ctx, v)
+            return z
+    return None

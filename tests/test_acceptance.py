@@ -16,7 +16,6 @@ from amalgam.fixtures import example_one_context, example_two_context, malnormal
 from amalgam.group import (
     CANONICAL,
     RepPolicy,
-    brute_conjugacy_oracle,
     classify,
     conjugacy_search,
     cyclic_form,
@@ -27,7 +26,7 @@ from amalgam.group import (
 )
 from amalgam.words import Word, parse_word
 
-from bruteforce import reduced_words, subgroup_elements
+from bruteforce import brute_conjugacy_oracle, reduced_words, subgroup_elements
 from conftest import random_reduced
 from test_group import insert_relator
 

@@ -1,15 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.cosetalg import cardinality
-from amalgam.fixtures import example_one_context, malnormal_context
+from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import (
     CANONICAL,
     InvalidPresentationError,
     RepPolicy,
     Syllable,
-    brute_conjugacy_oracle,
     build_context,
     classify,
     conjugacy_search,
@@ -21,9 +22,9 @@ from amalgam.group import (
     reduced_form,
     syllable_decompose,
 )
-from amalgam.words import Alphabet, Word, parse_word
+from amalgam.words import Alphabet, Word, format_word, parse_word
 
-from bruteforce import subgroup_elements
+from bruteforce import brute_conjugacy_oracle, subgroup_elements
 from conftest import random_member, random_reduced
 
 ADVERSARIAL = RepPolicy.paper_example_one(2)
@@ -196,6 +197,95 @@ def test_normal_form_policies_agree_up_to_representatives(ex1):
         b = normal_form(ex1, word, ADVERSARIAL)
         assert a.syllable_length == b.syllable_length
         assert normal_form(ex1, form_to_word(ex1, b)) == a
+
+
+# (z d)^m x under paper-ex1:2: the carry doubles at every step and the head is
+# x^(4^m); the canonical policy keeps it at length <= 1.
+BLOWUP_PINS = [
+    (1, [1, 2, 4], "x^4"),
+    (2, [1, 2, 4, 8, 16], "x^16"),
+    (3, [1, 2, 4, 8, 16, 32, 64], "x^64"),
+    (4, [1, 2, 4, 8, 16, 32, 64, 128, 256], "x^256"),
+]
+
+
+@pytest.mark.parametrize("m, adversarial_trace, head", BLOWUP_PINS)
+def test_normal_form_example_one_pinned_traces(ex1, m, adversarial_trace, head):
+    word = up(ex1, "z d") ** m * up(ex1, "x")
+    trace = []
+    nf = normal_form(ex1, word, ADVERSARIAL, trace=trace)
+    assert trace == adversarial_trace
+    assert (nf.head_side, format_word(nf.head)) == ("B", head)
+    assert [format_word(s.word) for s in nf.syllables[-2:]] == ["x^-4 z y^4", "b^-2 d a^2"]
+    trace = []
+    nf = normal_form(ex1, word, trace=trace)
+    assert trace == [1] + [0] * (2 * m)
+    assert (nf.head_side, format_word(nf.head)) == ("B", "")
+    assert [format_word(s.word) for s in nf.syllables] == ["z", "d"] * (m - 1) + ["z", "d a^2"]
+
+
+# --- kernel properties on the fixtures (Hypothesis) ---------------------------
+
+KERNEL_CONTEXTS = {
+    "ex1": (example_one_context(2), RepPolicy.paper_example_one(2)),
+    "ex1(p=3)": (example_one_context(3), RepPolicy.paper_example_one(3)),
+    "ex2": (example_two_context(2), None),
+}
+# the adversarial head grows as p^(2m) in the syllable count; keep it small
+ADVERSARIAL_MAX_LEN = 10
+
+
+def union_words(ctx, max_size=24):
+    n = len(ctx.union_alphabet)
+    letters = [lt for i in range(1, n + 1) for lt in (i, -i)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(
+        lambda ls: Word(ctx.union_alphabet, ls)
+    )
+
+
+def kernel_policies(name, word):
+    adversarial = KERNEL_CONTEXTS[name][1]
+    if adversarial is None or len(word) > ADVERSARIAL_MAX_LEN:
+        return (CANONICAL,)
+    return (CANONICAL, adversarial)
+
+
+@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_form_invariant_under_relators_and_cancellations(name, data):
+    ctx = KERNEL_CONTEXTS[name][0]
+    word = data.draw(union_words(ctx, ADVERSARIAL_MAX_LEN))
+    letters = list(word.letters)
+    n = len(ctx.union_alphabet)
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(0, len(letters)))
+        if data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(ctx.pairs))
+            rel = ctx.to_union("A", u) * ~ctx.to_union("B", v)
+            insert = (rel if data.draw(st.booleans()) else ~rel).letters
+        else:
+            lt = data.draw(st.integers(1, n)) * data.draw(st.sampled_from((1, -1)))
+            insert = (lt, -lt)
+        letters[pos:pos] = insert
+    noisy = Word(ctx.union_alphabet, letters)
+    for policy in kernel_policies(name, word):
+        assert normal_form(ctx, noisy, policy) == normal_form(ctx, word, policy)
+
+
+@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_a_fixed_point_and_equals_its_input(name, data):
+    ctx = KERNEL_CONTEXTS[name][0]
+    word = data.draw(union_words(ctx))
+    for policy in kernel_policies(name, word):
+        nf = normal_form(ctx, word, policy)
+        spelled = form_to_word(ctx, nf)
+        assert normal_form(ctx, spelled, policy) == nf
+        # equality in G, decided by the reduced form, which uses no coset reps
+        rf = reduced_form(ctx, syllable_decompose(ctx, spelled * ~word))
+        assert rf.syllable_length == 0 and rf.head.is_identity()
 
 
 # --- cyclic forms ----------------------------------------------------------------

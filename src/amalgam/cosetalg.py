@@ -84,7 +84,7 @@ def shift(ctx: "AmalgamContext", d: CosetOfC, p: Word, q: Word) -> Optional[Cose
 def _cached_conjugate(
     ctx: "AmalgamContext", g: GeneratingTuple, z: Word
 ) -> GeneratingTuple:
-    key = ("conj", g.graph.canonical_key(), tuple(w.letters for w in g.generators), z.letters)
+    key = ("conj", g.graph.canonical_key(), z.letters)
     cache = ctx.cache
     if key not in cache:
         cache[key] = g.conjugate(z)

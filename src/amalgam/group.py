@@ -33,6 +33,10 @@ from .words import (
 )
 
 
+class VerificationError(AssertionError):
+    """A computed certificate failed its own check; this is a bug, not bad input."""
+
+
 class InvalidPresentationError(ValueError):
     """The generator pairing does not extend to an isomorphism of C."""
 
@@ -706,9 +710,8 @@ def cr_membership(
 def _assemble_and_verify(
     ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy
 ) -> Word:
-    assert normal_form(ctx, ~z * u * z, policy) == normal_form(ctx, v, policy), (
-        "conjugator failed verification"
-    )
+    if normal_form(ctx, ~z * u * z, policy) != normal_form(ctx, v, policy):
+        raise VerificationError("conjugator failed verification")
     return z
 
 

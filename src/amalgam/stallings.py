@@ -7,11 +7,24 @@ breadth-first geodesic tree fixed by a deterministic tie-break (smallest
 letter index, sign + before -), so coset representatives and the free basis
 are stable across runs.
 
-Membership witnesses over the original generators are produced by lifting a
-basepoint loop backwards through the recorded folding history to the
-subdivided rose: each elementary fold merges two equally labeled edges, and a
-path lifts through one fold by choosing either preimage edge and inserting a
-label-trivial connector at merged-vertex mismatches.
+`SubgroupGraph` has one constructor: a folded edge map and a basepoint,
+trimmed to core-plus-base by `_trim` and renumbered along the tree.  Three
+constructions feed it.  `build` folds the subdivided rose on the given
+generators.  `pullback` passes on the (base, base) component of the product
+of two graphs, which is folded because both factors are.
+`GeneratingTuple.conjugate` reads z from the basepoint as far as it goes,
+attaches a fresh path for the rest and moves the basepoint to its end, which
+needs no folding because z is reduced.  The Stallings graph of a subgroup is
+unique as a pointed graph, so the direct constructions give exactly the
+graph that folding any generating set of the same subgroup would give.
+
+Only `build` records a folding history.  Membership witnesses over its
+generators are produced by lifting a basepoint loop backwards through that
+history to the subdivided rose: each elementary fold merges two equally
+labeled edges, and a path lifts through one fold by choosing either preimage
+edge and inserting a label-trivial connector at merged-vertex mismatches.  A
+tuple made directly from a graph is generated by the graph's free basis and
+has no history, so its witnesses are read off the basis edges.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ class FoldRecord:
 
 
 class _Folding:
-    """Mutable builder: subdivided rose, folding with history, core trim."""
+    """Mutable builder: subdivided rose and folding with history."""
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -151,48 +164,48 @@ class _Folding:
                         queue.append(w)
                         queued.add(w)
 
-    def trim(self) -> set[int]:
-        """Remove hanging trees away from the basepoint; return live edge ids."""
-        live = set(self.ends)
-        degree: dict[int, int] = {v: 0 for v in self.inc}
-        for eid in live:
-            s, d = self.ends[eid]
-            degree[s] += 1
-            degree[d] += 1
-        queue = deque(v for v, deg in degree.items() if deg <= 1 and v != self.base)
-        dead_verts = set()
-        while queue:
-            v = queue.popleft()
-            if v in dead_verts:
+
+Edges = dict[int, tuple[int, int, int]]  # eid -> (src, positive letter, dst)
+
+
+def _trim(edges: Edges, base: int) -> Edges:
+    """Core-plus-base: drop hanging trees away from the basepoint."""
+    inc: dict[int, list[int]] = {}
+    for eid, (s, _, d) in edges.items():
+        inc.setdefault(s, []).append(eid)
+        inc.setdefault(d, []).append(eid)
+    degree = {v: len(es) for v, es in inc.items()}
+    live = dict(edges)
+    leaves = [v for v, k in degree.items() if k <= 1 and v != base]
+    while leaves:
+        for eid in inc[leaves.pop()]:
+            hit = live.pop(eid, None)
+            if hit is None:
                 continue
-            dead_verts.add(v)
-            for eid in list(self.inc[v] & live):
-                live.discard(eid)
-                s, d = self.ends[eid]
-                for w in (s, d):
-                    degree[w] -= 1
-                    if degree[w] <= 1 and w != self.base and w not in dead_verts:
-                        queue.append(w)
-        return live
+            for w in (hit[0], hit[2]):
+                degree[w] -= 1
+                if degree[w] == 1 and w != base:
+                    leaves.append(w)
+    return live
 
 
 class SubgroupGraph:
     """Immutable folded core-plus-base automaton with its geodesic tree."""
 
-    def __init__(self, alphabet: Alphabet, folding: _Folding, live: set[int]):
+    def __init__(self, alphabet: Alphabet, edges: Edges, base: int):
+        """Trim a folded, connected edge map at `base` and renumber it along the tree."""
         self.alphabet = alphabet
         n = len(alphabet)
+        live = _trim(edges, base)
         raw_fwd: dict[tuple[int, int], tuple[int, int]] = {}
         raw_back: dict[tuple[int, int], tuple[int, int]] = {}
-        for eid in live:
-            s, d = folding.ends[eid]
-            lab = folding.labels[eid]
+        for eid, (s, lab, d) in live.items():
             raw_fwd[(s, lab)] = (d, eid)
             raw_back[(d, lab)] = (s, eid)
         assert len(raw_fwd) == len(live) == len(raw_back), "graph is not folded"
         # breadth-first renumbering doubles as geodesic tree construction
-        old_of = [folding.base]
-        new_of = {folding.base: 0}
+        old_of = [base]
+        new_of = {base: 0}
         tree: list[Optional[tuple[int, int, int]]] = [None]  # (parent, slet, eid)
         tree_eids: set[int] = set()
         i = 0
@@ -221,7 +234,6 @@ class SubgroupGraph:
             (new_of[d], lab): (new_of[s], eid)
             for (d, lab), (s, eid) in raw_back.items()
         }
-        self._new_of = new_of
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
         self._diameter: Optional[int] = None
@@ -337,27 +349,36 @@ class SubgroupGraph:
 
 
 class GeneratingTuple:
-    """A subgroup graph bundled with the generators it was built from."""
+    """A subgroup graph bundled with the generators it was built from.
+
+    Without generators it is the tuple of a graph made directly: generated
+    by the graph's free basis, one marked edge per basis element, and no
+    folding history.
+    """
 
     def __init__(
         self,
         graph: SubgroupGraph,
-        generators: tuple[Word, ...],
-        t_alphabet: Alphabet,
-        final_ends: dict[int, tuple[int, int]],
-        history: list[FoldRecord],
-        marked: dict[int, tuple[int, int]],
+        generators: Optional[tuple[Word, ...]] = None,
+        final_ends: Optional[dict[int, tuple[int, int]]] = None,
+        history: Sequence[FoldRecord] = (),
+        marked: Optional[dict[int, tuple[int, int]]] = None,
     ):
         self.graph = graph
-        self.generators = generators
-        self.t_alphabet = t_alphabet
-        self._final_ends = final_ends
-        self._history = history
-        self._marked = marked
         self._basis: Optional[tuple[Word, ...]] = None
         self._basis_alphabet: Optional[Alphabet] = None
         self._basis_index: Optional[dict[int, int]] = None
         self._transversal: Optional[tuple[Word, ...]] = None
+        if generators is None:
+            generators = self.basis()
+            marked = {eid: (bi, 1) for eid, bi in self._basis_index.items()}
+        self.generators = generators
+        self.t_alphabet = Alphabet(
+            tuple(f"t{i + 1}" for i in range(len(generators))) or ("t1",)
+        )
+        self._final_ends = final_ends or {}
+        self._history = history
+        self._marked = marked
 
     @property
     def alphabet(self) -> Alphabet:
@@ -387,12 +408,11 @@ class GeneratingTuple:
         basis = []
         index = {}
         for bi, (s, lab, d, eid) in enumerate(non_tree):
+            # reduced: the tree edge into s or d never shares the slot of a non-tree edge
             basis.append(
-                Word(
+                Word._make(
                     self.alphabet,
-                    g.tree_path_letters(s)
-                    + (lab,)
-                    + tuple(-lt for lt in reversed(g.tree_path_letters(d))),
+                    g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d)),
                 )
             )
             index[eid] = bi
@@ -414,19 +434,26 @@ class GeneratingTuple:
 
     def express_in_basis(self, w: Word) -> Word:
         """Word over the basis alphabet whose substitution reduces to w."""
-        if not self.contains(w):
-            raise NotAMemberError(f"{w!r} is not in the subgroup")
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over wrong alphabet")
         self._ensure_basis()
         g = self.graph
+        index = self._basis_index
         out = []
         s = g.base
         for lt in w.letters:
-            t, eid, direction = g.step_edge(s, lt)
-            bi = self._basis_index.get(eid)
+            hit = g.step_edge(s, lt)
+            if hit is None:
+                raise NotAMemberError(f"{w!r} is not in the subgroup")
+            s, eid, direction = hit
+            bi = index.get(eid)
             if bi is not None:
                 out.append(direction * (bi + 1))
-            s = t
-        return Word(self._basis_alphabet, out)
+        if s != g.base:
+            raise NotAMemberError(f"{w!r} is not in the subgroup")
+        # a reduced loop never crosses a non-tree edge and straight back, so
+        # its basis word is reduced too
+        return Word._make(self._basis_alphabet, tuple(out))
 
     def express_in_generators(self, w: Word) -> Word:
         """Word over the t-alphabet whose substitution by the generators is w.
@@ -465,10 +492,28 @@ class GeneratingTuple:
         return expr
 
     def conjugate(self, z: Word) -> "GeneratingTuple":
-        """Automaton of the conjugate subgroup ~z * H * z."""
+        """Automaton of the conjugate subgroup ~z * H * z.
+
+        z is read from the basepoint as far as the graph allows and a fresh
+        path spells the rest; the basepoint moves to its end.  The path folds
+        with nothing: its first letter is unreadable where it starts, and z
+        is reduced.
+        """
         if z.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
-        return build([~z * g * z for g in self.generators], self.alphabet)
+        g = self.graph
+        edges = {eid: (s, lab, d) for (s, lab), (d, eid) in g.fwd.items()}
+        s, i = g.base, 0
+        for lt in z.letters:
+            t = g.step(s, lt)
+            if t is None:
+                break
+            s, i = t, i + 1
+        v, eid = g.nstates, max(edges, default=-1) + 1
+        for lt in z.letters[i:]:
+            edges[eid] = (s, lt, v) if lt > 0 else (v, -lt, s)
+            s, v, eid = v, v + 1, eid + 1
+        return GeneratingTuple(SubgroupGraph(self.alphabet, edges, s))
 
     def conjugacy_into(self, w: Word) -> Optional[tuple[Word, Word]]:
         """Find h in the subgroup and z with ~z * h * z == w, else None.
@@ -672,91 +717,38 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
         last_eid, last_dir = steps[-1]
         marked[last_eid] = (gi, last_dir)
     folding.fold_all()
-    live = folding.trim()
-    graph = SubgroupGraph(alphabet, folding, live)
-    t_names = tuple(f"t{i + 1}" for i in range(len(gens))) or ("t1",)
+    edges = {eid: (s, folding.labels[eid], d) for eid, (s, d) in folding.ends.items()}
     final_ends = {eid: (s, d) for eid, (s, d) in folding.ends.items()}
-    return GeneratingTuple(
-        graph, gens, Alphabet(t_names), final_ends, folding.history, marked
-    )
+    graph = SubgroupGraph(alphabet, edges, folding.base)
+    return GeneratingTuple(graph, gens, final_ends, folding.history, marked)
 
 
 def pullback(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
-    """Automaton of the intersection: core of the (base, base) product component."""
+    """Automaton of the intersection: the (base, base) product component.
+
+    The product of two folded graphs is folded, so its edges go straight to
+    the graph constructor, which trims them to core-plus-base.
+    """
     if g1.alphabet != g2.alphabet:
         raise ValueError("pullback over mixed alphabets")
-    alphabet = g1.alphabet
-    nlet = len(alphabet)
+    nlet = len(g1.alphabet)
     a, b = g1.graph, g2.graph
-    start = (a.base, b.base)
-    ids = {start: 0}
-    order = [start]
-    fwd: dict[tuple[int, int], int] = {}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        pid = ids[(p, q)]
+    order = [(a.base, b.base)]
+    ids = {order[0]: 0}
+    edges: Edges = {}
+    for pid, (p, q) in enumerate(order):  # order grows while it is scanned
         for lab in range(1, nlet + 1):
             for slet in (lab, -lab):
                 tp_ = a.step(p, slet)
                 tq = b.step(q, slet)
                 if tp_ is None or tq is None:
                     continue
-                key = (tp_, tq)
-                if key not in ids:
-                    ids[key] = len(order)
-                    order.append(key)
-                    queue.append(key)
-                tid = ids[key]
+                tid = ids.setdefault((tp_, tq), len(order))
+                if tid == len(order):
+                    order.append((tp_, tq))
                 if slet > 0:
-                    fwd[(pid, lab)] = tid
-                else:
-                    fwd[(tid, lab)] = pid
-    # trim to core-plus-base
-    live = set(fwd)
-    degree: dict[int, int] = {i: 0 for i in range(len(order))}
-    for (s, _), d in fwd.items():
-        degree[s] += 1
-        degree[d] += 1
-    changed = True
-    while changed:
-        changed = False
-        for (s, lab), d in list(fwd.items()):
-            if ((s, lab)) not in fwd:
-                continue
-            for v in set((s, d)):
-                if v != 0 and degree[v] <= 1:
-                    del fwd[(s, lab)]
-                    degree[s] -= 1
-                    degree[d] -= 1
-                    changed = True
-                    break
-    # spanning tree over the surviving product graph, then a free basis
-    back = {(d, lab): s for (s, lab), d in fwd.items()}
-    tree_letters: dict[int, tuple[int, ...]] = {0: ()}
-    tree_edges: set[tuple[int, int]] = set()
-    bfs = deque([0])
-    while bfs:
-        v = bfs.popleft()
-        for lab in range(1, nlet + 1):
-            for table, sign in ((fwd, 1), (back, -1)):
-                w = table.get((v, lab))
-                if w is None or w in tree_letters:
-                    continue
-                tree_letters[w] = tree_letters[v] + (sign * lab,)
-                tree_edges.add((v, lab) if sign > 0 else (w, lab))
-                bfs.append(w)
-    basis = []
-    for (s, lab), d in sorted(fwd.items()):
-        if (s, lab) in tree_edges or s not in tree_letters or d not in tree_letters:
-            continue
-        basis.append(
-            Word(
-                alphabet,
-                tree_letters[s] + (lab,) + tuple(-lt for lt in reversed(tree_letters[d])),
-            )
-        )
-    return build(basis, alphabet)
+                    edges[len(edges)] = (pid, lab, tid)
+    return GeneratingTuple(SubgroupGraph(g1.alphabet, edges, 0))
 
 
 def _coset_automaton(g: GeneratingTuple, rep: Word):

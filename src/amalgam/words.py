@@ -203,19 +203,6 @@ def generator(alphabet: Alphabet, index: int, sign: int = 1) -> Word:
     return Word(alphabet, (letter(index, sign),))
 
 
-def free_reduce(raw: Sequence[int], alphabet: Alphabet) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(alphabet, raw)
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return ~u
-
-
 def free_conjugacy(u: Word, v: Word) -> Optional[Word]:
     """Find z with ~z * u * z == v in the free group, or None.
 

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amalgam
 from amalgam.cosetalg import cardinality
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import (
@@ -500,6 +504,31 @@ def test_conjugacy_constructed_pairs(ex1):
             done += 1
         else:
             done += 1
+
+
+def test_wrong_conjugator_fails_verification_under_optimize():
+    # python -O strips assert statements; the conjugator check must still raise
+    code = "\n".join((
+        "if __debug__: raise SystemExit('not running under -O')",
+        "from amalgam import VerificationError",
+        "from amalgam.fixtures import example_one_context",
+        "from amalgam.group import CANONICAL, _assemble_and_verify",
+        "from amalgam.words import parse_word",
+        "ctx = example_one_context(2)",
+        "a, b = (parse_word(t, ctx.union_alphabet) for t in ('a', 'b'))",
+        "try:",
+        "    _assemble_and_verify(ctx, a, a, b, CANONICAL)",
+        "except VerificationError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('a wrong conjugator passed verification')",
+    ))
+    src = os.path.dirname(os.path.dirname(amalgam.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_conjugacy_rotation_example(ex1):

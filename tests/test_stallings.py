@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.stallings import (
     NotAMemberError,
@@ -141,6 +143,8 @@ def test_express_requires_membership():
         g.express_in_generators(w("a"))
     with pytest.raises(NotAMemberError):
         g.express_in_basis(w("d"))
+    with pytest.raises(NotAMemberError):
+        g.express_in_basis(w("a"))  # traces, but ends off the basepoint
 
 
 def test_express_in_generators_spec_values():
@@ -189,6 +193,28 @@ def test_conjugate_graph_examples():
     meet = pullback(g2.conjugate(w("a")), g2)
     assert meet.contains(w("a^2"))
     assert not meet.contains(w("a^-1 b a"))
+
+
+letters = st.integers(min_value=-3, max_value=3).filter(bool)
+generating_lists = st.lists(st.lists(letters, min_size=1, max_size=6), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generating_lists, generating_lists, st.lists(letters, max_size=8))
+def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters):
+    # conjugate and pullback build their graphs without folding; the Stallings
+    # graph of a subgroup is unique, so folding a generating set must agree
+    g1 = build([Word(F, ls) for ls in gens1], F)
+    g2 = build([Word(F, ls) for ls in gens2], F)
+    z = Word(F, z_letters)
+    conj = g1.conjugate(z)
+    conj.graph.check_folded()
+    folded = build([~z * x * z for x in g1.generators], F)
+    assert conj.graph.canonical_key() == folded.graph.canonical_key()
+    meet = pullback(g1, g2)
+    meet.graph.check_folded()
+    assert all(g1.contains(b) and g2.contains(b) for b in meet.basis())
+    assert meet.graph.canonical_key() == build(meet.basis(), F).graph.canonical_key()
 
 
 def test_coset_intersection_examples():

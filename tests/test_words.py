@@ -9,7 +9,6 @@ from amalgam.words import (
     WordSyntaxError,
     format_word,
     free_conjugacy,
-    free_reduce,
     identity,
     parse_word,
     substitute,
@@ -39,9 +38,9 @@ def test_alphabet_validation():
 
 
 def test_free_reduce_examples():
-    assert free_reduce((1, -1, 2), F) == w("b")
-    assert free_reduce((), F) == w("")
-    assert free_reduce((1, 2, -2, 1), F) == w("a^2")
+    assert Word(F, (1, -1, 2)) == w("b")
+    assert Word(F, ()) == w("")
+    assert Word(F, (1, 2, -2, 1)) == w("a^2")
 
 
 def test_letter_range_checked():

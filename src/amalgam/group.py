@@ -24,6 +24,7 @@ from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
 from .stallings import GeneratingTuple, build, pullback
 from .words import (
     Alphabet,
+    VerificationError,
     Word,
     free_conjugacy,
     identity,
@@ -31,10 +32,6 @@ from .words import (
     letters_product,
     substitute,
 )
-
-
-class VerificationError(AssertionError):
-    """A computed certificate failed its own check; this is a bug, not bad input."""
 
 
 class InvalidPresentationError(ValueError):
@@ -435,7 +432,8 @@ def normal_form(
     if carry and carry_side != target:
         carry = ctx.transfer_letters(carry_side, carry)
     graph = ctx.graph_c(target).graph
-    assert graph.reads_loop(carry, graph.base), "normal-form head escaped C"
+    if not graph.reads_loop(carry, graph.base):
+        raise VerificationError("normal-form head escaped C")
     return NormalForm(
         target,
         Word._make(ctx.factor_alphabet(target), carry),
@@ -513,7 +511,8 @@ def cyclic_form(
     form = NormalForm(head_side, head, tuple(sylls))
     result = CyclicForm(form, conj, certified)
     check = normal_form(ctx, conj * form_to_word(ctx, form) * ~conj, policy)
-    assert check == nf, "cyclic reduction lost the conjugacy class"
+    if check != nf:
+        raise VerificationError("cyclic reduction lost the conjugacy class")
     return result
 
 
@@ -539,7 +538,8 @@ def _cyclic_perms(
         for s in form.syllables[:j]:
             word = word * ctx.to_union(s.side, s.word)
         pi = normal_form(ctx, word, policy)
-        assert pi.syllable_length == k
+        if pi.syllable_length != k:
+            raise VerificationError("cyclic permutation changed the syllable length")
         out.append((prefix, pi))
     return out
 
@@ -584,7 +584,8 @@ def principal_system_solve(
         if e.side != p.side:
             e = transfer(ctx, e)
         e = shift(ctx, e, ~p.word, p2.word)
-        assert e is not None, "back-substitution left C"
+        if e is None:
+            raise VerificationError("back-substitution left C")
     ctx.cache[key] = e
     return e
 
@@ -600,7 +601,8 @@ def _propagate_solution(
             cur = ctx.transfer_word(cur_side, cur)
             cur_side = p.side
         cur = p.word * cur * ~p2.word
-        assert ctx.in_c(cur_side, cur), "principal solution left C"
+        if not ctx.in_c(cur_side, cur):
+            raise VerificationError("principal solution left C")
     return cur
 
 
@@ -622,7 +624,8 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         if hit is not None:
             return hit
         e = principal_system_solve(ctx, nf, nf)
-        assert e is not None and e.contains(identity(e.rep.alphabet))
+        if e is None or not e.contains(identity(e.rep.alphabet)):
+            raise VerificationError("principal system of a form with itself lost the identity")
         if cardinality(e).is_infinite:
             wit = e.subgroup.basis()[0]
             report = RegularityReport(
@@ -748,7 +751,8 @@ def _solve_with_regular(
         if e is None:
             continue
         card = cardinality(e)
-        assert not card.is_infinite, "regular element with non-unique solution"
+        if card.is_infinite:
+            raise VerificationError("regular element with non-unique solution")
         c = card.element
         c_k = _propagate_solution(ctx, g_star, pi_j, c, e.side)
         side1 = g_star.syllables[0].side

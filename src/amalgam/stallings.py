@@ -18,47 +18,43 @@ needs no folding because z is reduced.  The Stallings graph of a subgroup is
 unique as a pointed graph, so the direct constructions give exactly the
 graph that folding any generating set of the same subgroup would give.
 
-Only `build` records a folding history.  Membership witnesses over its
-generators are produced by lifting a basepoint loop backwards through that
-history to the subdivided rose: each elementary fold merges two equally
-labeled edges, and a path lifts through one fold by choosing either preimage
-edge and inserting a label-trivial connector at merged-vertex mismatches.  A
-tuple made directly from a graph is generated by the graph's free basis and
-has no history, so its witnesses are read off the basis edges.
+Membership witnesses over the generators are read off the graph itself.
+`build` writes t_i on the closing edge of loop i of the subdivided rose and
+keeps the edge words consistent while it folds (Kapovich-Myasnikov): before
+a vertex is merged away, a gauge at it makes the two folded edges' words
+equal, and a dropped parallel edge differs from the kept one only by a
+relation among the generators.  A basepoint loop then multiplies the words
+on its edges to a word over the generators.  A tuple made directly from a
+graph is generated by the graph's free basis, with t_j on non-tree edge j.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, identity, letters_inverse, letters_product, substitute
+from .words import (
+    Alphabet,
+    VerificationError,
+    Word,
+    identity,
+    letters_inverse,
+    letters_product,
+    substitute,
+)
 
 
 class NotAMemberError(ValueError):
     """Witness requested for a word outside the subgroup."""
 
 
-@dataclass(frozen=True, slots=True)
-class FoldRecord:
-    """One elementary fold: `dead` was merged into `kept`.
-
-    Endpoint pairs are as they stood immediately before the fold; `rewrites`
-    lists the (edge, slot) endpoint references that were renamed from the dead
-    vertex to the kept vertex, so the fold can be undone exactly.
-    """
-
-    kept: int
-    dead: int
-    kept_ends: tuple[int, int]
-    dead_ends: tuple[int, int]
-    merged: Optional[tuple[int, int]]  # (kept vertex, dead vertex)
-    rewrites: tuple[tuple[int, int], ...]
-
-
 class _Folding:
-    """Mutable builder: subdivided rose and folding with history."""
+    """Mutable builder: subdivided rose and folding with generator words on edges.
+
+    Each edge carries a word over the t-alphabet.  Every basepoint loop
+    multiplies the words along it (inverted on backward edges) to a word
+    whose substitution by the generators is the loop's label.
+    """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -66,9 +62,9 @@ class _Folding:
         self.nverts = 1
         self.ends: dict[int, list[int]] = {}  # eid -> [src, dst]
         self.labels: dict[int, int] = {}  # eid -> positive letter
+        self.words: dict[int, tuple[int, ...]] = {}  # eid -> t-letters
         self.inc: dict[int, set[int]] = {0: set()}
         self.next_eid = 0
-        self.history: list[FoldRecord] = []
 
     def new_vertex(self) -> int:
         v = self.nverts
@@ -76,28 +72,28 @@ class _Folding:
         self.inc[v] = set()
         return v
 
-    def add_edge(self, src: int, lab: int, dst: int) -> int:
+    def add_edge(self, src: int, lab: int, dst: int, word: tuple[int, ...] = ()) -> int:
         eid = self.next_eid
         self.next_eid += 1
         self.ends[eid] = [src, dst]
         self.labels[eid] = lab
+        self.words[eid] = word
         self.inc[src].add(eid)
         self.inc[dst].add(eid)
         return eid
 
-    def add_loop(self, letters: Sequence[int]) -> list[tuple[int, int]]:
-        """Attach a subdivided loop at the basepoint spelling `letters`."""
-        steps: list[tuple[int, int]] = []
+    def add_loop(self, letters: Sequence[int], t: int) -> None:
+        """Attach a subdivided loop at the basepoint spelling generator t's letters."""
         cur = self.base
         last = len(letters) - 1
         for j, lt in enumerate(letters):
             nxt = self.base if j == last else self.new_vertex()
+            word = (t,) if j == last else ()
             if lt > 0:
-                steps.append((self.add_edge(cur, lt, nxt), 1))
+                self.add_edge(cur, lt, nxt, word)
             else:
-                steps.append((self.add_edge(nxt, -lt, cur), -1))
+                self.add_edge(nxt, -lt, cur, letters_inverse(word))
             cur = nxt
-        return steps
 
     def _find_foldable(self, v: int) -> Optional[tuple[int, int]]:
         seen: dict[tuple[int, int], int] = {}
@@ -115,38 +111,46 @@ class _Folding:
         return None
 
     def _fold(self, e: int, f: int) -> list[int]:
+        """Merge the dead edge into the kept one; returns the vertices to revisit.
+
+        Parallel edges: the dead one is dropped; its word and the kept one's
+        substitute to the same element, the label between the same ends.
+        Otherwise the far ends merge, the dead vertex b (never the base) into
+        a.  First a gauge g at b, applied to every edge at b (end: w -> w g,
+        start: w -> ~g w), makes the two words equal; a basepoint loop leaves
+        b right after each visit, so its product only gains g ~g there.
+        """
         kept, dead = (e, f) if e < f else (f, e)
-        ke = tuple(self.ends[kept])
-        de = tuple(self.ends[dead])
-        if ke[0] == de[0] and self.labels[kept] == self.labels[dead]:
-            pair = (ke[1], de[1])
-        else:
-            pair = (ke[0], de[0])
-        merged = None
-        if pair[0] != pair[1]:
-            a, b = pair
-            if b == self.base:
-                a, b = b, a
-            merged = (a, b)
-        # retire the dead edge before renaming vertices
+        ke, de = self.ends[kept], self.ends.pop(dead)
+        slot = 1 if ke[0] == de[0] else 0  # the ends that may differ
         self.inc[de[0]].discard(dead)
         self.inc[de[1]].discard(dead)
-        del self.ends[dead]
-        rewrites: list[tuple[int, int]] = []
+        wd, wk = self.words.pop(dead), self.words[kept]
         touched = [ke[0], ke[1]]
-        if merged is not None:
-            a, b = merged
-            for eid in sorted(self.inc[b]):
-                for slot in (0, 1):
-                    if self.ends[eid][slot] == b:
-                        self.ends[eid][slot] = a
-                        rewrites.append((eid, slot))
+        a, b = ke[slot], de[slot]
+        if a != b:
+            if b == self.base:
+                a, b = b, a
+                wk, wd = wd, wk  # wd is now the word of the edge that meets b
+            if slot:
+                g = letters_product(letters_inverse(wd), wk)
+            else:
+                g = letters_product(wd, letters_inverse(wk))
+            for eid in self.inc[b]:
+                ends = self.ends[eid]
+                if g:
+                    word = self.words[eid]
+                    if ends[1] == b:
+                        word = letters_product(word, g)
+                    if ends[0] == b:
+                        word = letters_product(letters_inverse(g), word)
+                    self.words[eid] = word
+                for i in (0, 1):
+                    if ends[i] == b:
+                        ends[i] = a
             self.inc[a] |= self.inc[b]
             del self.inc[b]
             touched.append(a)
-        self.history.append(
-            FoldRecord(kept, dead, ke, de, merged, tuple(rewrites))
-        )
         return [v for v in touched if v in self.inc]
 
     def fold_all(self) -> None:
@@ -202,7 +206,8 @@ class SubgroupGraph:
         for eid, (s, lab, d) in live.items():
             raw_fwd[(s, lab)] = (d, eid)
             raw_back[(d, lab)] = (s, eid)
-        assert len(raw_fwd) == len(live) == len(raw_back), "graph is not folded"
+        if not len(raw_fwd) == len(live) == len(raw_back):
+            raise VerificationError("graph is not folded")
         # breadth-first renumbering doubles as geodesic tree construction
         old_of = [base]
         new_of = {base: 0}
@@ -333,36 +338,22 @@ class SubgroupGraph:
             )
         return self._key
 
-    def check_folded(self) -> None:
-        seen = set()
-        for (s, lab) in self.fwd:
-            assert (s, lab) not in seen
-            seen.add((s, lab))
-        # foldedness of inverse edges is determinism of `back`, which holds by
-        # construction (dict); degrees of non-base states must be >= 2
-        degree = [0] * self.nstates
-        for (s, _), (d, _) in self.fwd.items():
-            degree[s] += 1
-            degree[d] += 1
-        for v in range(1, self.nstates):
-            assert degree[v] >= 2, f"state {v} not in core"
-
 
 class GeneratingTuple:
     """A subgroup graph bundled with the generators it was built from.
 
-    Without generators it is the tuple of a graph made directly: generated
-    by the graph's free basis, one marked edge per basis element, and no
-    folding history.
+    `edge_words` maps edge ids to words over the t-alphabet (absent means
+    empty): multiplied along a basepoint loop, they give a word whose
+    substitution by the generators is the loop's label.  Without generators
+    it is the tuple of a graph made directly: generated by the graph's free
+    basis, with non-tree edge j labeled t_j.
     """
 
     def __init__(
         self,
         graph: SubgroupGraph,
         generators: Optional[tuple[Word, ...]] = None,
-        final_ends: Optional[dict[int, tuple[int, int]]] = None,
-        history: Sequence[FoldRecord] = (),
-        marked: Optional[dict[int, tuple[int, int]]] = None,
+        edge_words: Optional[dict[int, tuple[int, ...]]] = None,
     ):
         self.graph = graph
         self._basis: Optional[tuple[Word, ...]] = None
@@ -371,14 +362,12 @@ class GeneratingTuple:
         self._transversal: Optional[tuple[Word, ...]] = None
         if generators is None:
             generators = self.basis()
-            marked = {eid: (bi, 1) for eid, bi in self._basis_index.items()}
+            edge_words = {eid: (bi + 1,) for eid, bi in self._basis_index.items()}
         self.generators = generators
         self.t_alphabet = Alphabet(
             tuple(f"t{i + 1}" for i in range(len(generators))) or ("t1",)
         )
-        self._final_ends = final_ends or {}
-        self._history = history
-        self._marked = marked
+        self._edge_words = edge_words or {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -458,38 +447,30 @@ class GeneratingTuple:
     def express_in_generators(self, w: Word) -> Word:
         """Word over the t-alphabet whose substitution by the generators is w.
 
-        The basepoint loop of w is lifted backwards through the folding
-        history to the subdivided rose and read off against one marked edge
-        per generator circle.
+        The product of the edge words along the basepoint loop of w, each
+        inverted where the loop crosses its edge backwards.
         """
-        if not self.contains(w):
-            raise NotAMemberError(f"{w!r} is not in the subgroup")
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over wrong alphabet")
         g = self.graph
-        path: list[tuple[int, int]] = []
+        words = self._edge_words
+        out: list[int] = []
         s = g.base
         for lt in w.letters:
-            t, eid, direction = g.step_edge(s, lt)
-            path.append((eid, direction))
-            s = t
-        ends = {eid: list(pair) for eid, pair in self._final_ends.items()}
-        base = 0
-        for rec in reversed(self._history):
-            if rec.merged is not None:
-                b = rec.merged[1]
-                for eid, slot in rec.rewrites:
-                    ends[eid][slot] = b
-            ends[rec.dead] = list(rec.dead_ends)
-            ends[rec.kept] = list(rec.kept_ends)
-            if rec.merged is not None:
-                path = _lift_path(path, rec, ends, base)
-        out = []
-        for eid, direction in path:
-            mark = self._marked.get(eid)
-            if mark is not None:
-                gi, mdir = mark
-                out.append((gi + 1) * (direction * mdir))
-        expr = Word(self.t_alphabet, out)
-        return expr
+            hit = g.step_edge(s, lt)
+            if hit is None:
+                raise NotAMemberError(f"{w!r} is not in the subgroup")
+            s, eid, direction = hit
+            word = words.get(eid)
+            if word:
+                for t in word if direction > 0 else letters_inverse(word):
+                    if out and out[-1] == -t:
+                        out.pop()
+                    else:
+                        out.append(t)
+        if s != g.base:
+            raise NotAMemberError(f"{w!r} is not in the subgroup")
+        return Word._make(self.t_alphabet, tuple(out))
 
     def conjugate(self, z: Word) -> "GeneratingTuple":
         """Automaton of the conjugate subgroup ~z * H * z.
@@ -536,7 +517,8 @@ class GeneratingTuple:
                     h = tp * Word(self.alphabet, rot) * ~tp
                     prefix = Word(self.alphabet, core.letters[:r])
                     z = tp * ~prefix * ~u
-                    assert ~z * h * z == w
+                    if ~z * h * z != w:
+                        raise VerificationError("conjugacy_into witness failed verification")
                     return h, z
         return None
 
@@ -555,9 +537,18 @@ class GeneratingTuple:
         if g.is_trivial():
             self._transversal = (one,)
             return self._transversal
+        # the product's edges pair equally labeled edges of the two factors
         n = g.nstates
-        nlet = len(self.alphabet)
-        parent = list(range(n * n))
+        by_letter: dict[int, list[tuple[int, int]]] = {}
+        for (s, lab), (d, _) in g.fwd.items():
+            by_letter.setdefault(lab, []).append((s, d))
+        edges = [
+            (p * n + q, tp_ * n + tq)
+            for pairs in by_letter.values()
+            for p, tp_ in pairs
+            for q, tq in pairs
+        ]
+        parent = {x: x for edge in edges for x in edge}
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -565,22 +556,14 @@ class GeneratingTuple:
                 x = parent[x]
             return x
 
-        edges: list[tuple[int, int]] = []
-        for p in range(n):
-            for q in range(n):
-                for lab in range(1, nlet + 1):
-                    tp_ = g.step(p, lab)
-                    tq = g.step(q, lab)
-                    if tp_ is None or tq is None:
-                        continue
-                    a, b = p * n + q, tp_ * n + tq
-                    edges.append((a, b))
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+        for a, b in edges:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
         nverts: dict[int, int] = {}
-        for x in range(n * n):
-            nverts[find(x)] = nverts.get(find(x), 0) + 1
+        for x in parent:
+            r = find(x)
+            nverts[r] = nverts.get(r, 0) + 1
         nedges: dict[int, int] = {}
         for a, _ in edges:
             r = find(a)
@@ -644,58 +627,6 @@ class GeneratingTuple:
         return self.z_set_witness(c) is not None
 
 
-def _lift_path(
-    path: list[tuple[int, int]],
-    rec: FoldRecord,
-    ends: dict[int, list[int]],
-    base: int,
-) -> list[tuple[int, int]]:
-    """Rewrite a post-fold edge path into a pre-fold one (same label word)."""
-
-    def start_of(eid: int, direction: int) -> int:
-        s, d = ends[eid]
-        return s if direction > 0 else d
-
-    def end_of(eid: int, direction: int) -> int:
-        s, d = ends[eid]
-        return d if direction > 0 else s
-
-    if rec.kept_ends[0] == rec.dead_ends[0]:
-        pts = (rec.kept_ends[1], rec.dead_ends[1])
-        conn = {
-            pts[0]: ((rec.kept, -1), (rec.dead, 1)),
-            pts[1]: ((rec.dead, -1), (rec.kept, 1)),
-        }
-    else:
-        pts = (rec.kept_ends[0], rec.dead_ends[0])
-        conn = {
-            pts[0]: ((rec.kept, 1), (rec.dead, -1)),
-            pts[1]: ((rec.dead, 1), (rec.kept, -1)),
-        }
-
-    out: list[tuple[int, int]] = []
-    cur = base
-
-    def connect_to(target: int) -> None:
-        nonlocal cur
-        for step in conn[cur]:
-            out.append(step)
-            cur = end_of(*step)
-        assert cur == target, "connector failed to bridge the merged vertices"
-
-    for eid, direction in path:
-        cands = (eid, rec.dead) if eid == rec.kept else (eid,)
-        chosen = next((c for c in cands if start_of(c, direction) == cur), None)
-        if chosen is None:
-            connect_to(start_of(cands[0], direction))
-            chosen = next(c for c in cands if start_of(c, direction) == cur)
-        out.append((chosen, direction))
-        cur = end_of(chosen, direction)
-    if cur != base:
-        connect_to(base)
-    return out
-
-
 def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> GeneratingTuple:
     """Fold the rose on the given generators into the core automaton.
 
@@ -711,16 +642,12 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
         if g.alphabet != alphabet:
             raise ValueError("generators over mixed alphabets")
     folding = _Folding(alphabet)
-    marked: dict[int, tuple[int, int]] = {}
     for gi, g in enumerate(gens):
-        steps = folding.add_loop(g.letters)
-        last_eid, last_dir = steps[-1]
-        marked[last_eid] = (gi, last_dir)
+        folding.add_loop(g.letters, gi + 1)
     folding.fold_all()
     edges = {eid: (s, folding.labels[eid], d) for eid, (s, d) in folding.ends.items()}
-    final_ends = {eid: (s, d) for eid, (s, d) in folding.ends.items()}
-    graph = SubgroupGraph(alphabet, edges, folding.base)
-    return GeneratingTuple(graph, gens, final_ends, folding.history, marked)
+    words = {eid: word for eid, word in folding.words.items() if word}
+    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), gens, words)
 
 
 def pullback(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
@@ -818,7 +745,8 @@ def coset_intersection(
         node, slet = parents[node]
         letters.append(slet)
     h = Word(alphabet, tuple(reversed(letters)))
-    assert K.contains(h * ~a) and L.contains(h * ~b)
+    if not (K.contains(h * ~a) and L.contains(h * ~b)):
+        raise VerificationError("coset intersection witness failed verification")
     return pullback(K, L), h
 
 

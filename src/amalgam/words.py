@@ -17,6 +17,10 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 
+class VerificationError(AssertionError):
+    """A computed certificate failed its own check; this is a bug, not bad input."""
+
+
 class Alphabet:
     """Ordered collection of distinct generator names with stable indices."""
 
@@ -220,7 +224,8 @@ def free_conjugacy(u: Word, v: Word) -> Optional[Word]:
         if cu.rotation(i) == cv:
             prefix = Word(u.alphabet, cu.letters[:i])
             z = zu * prefix * ~zv
-            assert ~z * u * z == v
+            if ~z * u * z != v:
+                raise VerificationError("free conjugator failed verification")
             return z
     return None
 

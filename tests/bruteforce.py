@@ -12,7 +12,7 @@ from itertools import product
 from typing import Optional
 
 from amalgam.group import AmalgamContext, NormalForm, normal_form
-from amalgam.stallings import GeneratingTuple
+from amalgam.stallings import GeneratingTuple, SubgroupGraph
 from amalgam.words import Alphabet, Word, identity
 
 
@@ -95,3 +95,19 @@ def brute_conjugacy_oracle(
             assert normal_form(ctx, ~z * u * z) == normal_form(ctx, v)
             return z
     return None
+
+
+def check_folded(graph: SubgroupGraph) -> None:
+    """Assert that a graph is a folded core-plus-base automaton."""
+    seen = set()
+    for (s, lab) in graph.fwd:
+        assert (s, lab) not in seen
+        seen.add((s, lab))
+    # foldedness of inverse edges is determinism of `back`, which holds by
+    # construction (dict); degrees of non-base states must be >= 2
+    degree = [0] * graph.nstates
+    for (s, _), (d, _) in graph.fwd.items():
+        degree[s] += 1
+        degree[d] += 1
+    for v in range(1, graph.nstates):
+        assert degree[v] >= 2, f"state {v} not in core"

@@ -82,6 +82,30 @@ def test_build_context_rejects_bad_pairing():
     assert err.value.index in (1, 2)
 
 
+def test_build_context_rejects_by_the_reverse_pairing():
+    # a -> x, b -> x is a homomorphism C_A -> C_B, but x has one preimage
+    x = Alphabet(("a", "b"))
+    y = Alphabet(("x", "y"))
+    with pytest.raises(InvalidPresentationError) as err:
+        build_context(x, y, [(Word(x, (1,)), Word(y, (1,))),
+                             (Word(x, (2,)), Word(y, (1,)))])
+    assert "reverse pairing" in str(err.value)
+    assert err.value.index in (1, 2)
+
+
+def test_build_context_accepts_a_redundant_generator():
+    # a^2 = x^2 is implied by a = x; its loop folds onto the loop of a
+    x = Alphabet(("a", "b"))
+    y = Alphabet(("x", "y"))
+    ctx = build_context(x, y, [(parse_word("a", x), parse_word("x", y)),
+                               (parse_word("a^2", x), parse_word("x^2", y)),
+                               (parse_word("b", x), parse_word("y", y))])
+    for u_text, v_text in (("a", "x"), ("b", "y"), ("a^-2 b a", "x^-2 y x")):
+        u, v = parse_word(u_text, x), parse_word(v_text, y)
+        assert ctx.transfer_word("A", u) == v
+        assert ctx.transfer_word("B", v) == u
+
+
 def test_build_context_accepts_non_basis_generators():
     x = Alphabet(("a", "b"))
     y = Alphabet(("x", "y"))

@@ -109,8 +109,12 @@ def cardinality(d: Optional[CosetOfC]) -> Cardinality:
 
 
 def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
-    """Move the coset to the other side through the amalgamation isomorphism."""
-    side2 = "B" if d.side == "A" else "A"
-    gens = [ctx.transfer_word(d.side, b) for b in d.subgroup.basis()]
-    rep = ctx.transfer_word(d.side, d.rep)
-    return _canonical(side2, build(gens, ctx.factor_alphabet(side2)), rep)
+    """Move the coset to the other side through the amalgamation isomorphism (cached)."""
+    key = ("transfer", d.key())
+    cache = ctx.cache
+    if key not in cache:
+        side2 = "B" if d.side == "A" else "A"
+        gens = [ctx.transfer_word(d.side, b) for b in d.subgroup.basis()]
+        rep = ctx.transfer_word(d.side, d.rep)
+        cache[key] = _canonical(side2, build(gens, ctx.factor_alphabet(side2)), rep)
+    return cache[key]

@@ -11,7 +11,9 @@ The normal-form sweep runs on plain letter tuples: syllables are
 (side, factor letters) pairs, coset representatives come from tracing the
 folded C graph, and carries cross the amalgamation through one letter-tuple
 memo.  `Word` is the API boundary; the sweep builds `Word`s only for the
-returned form.
+returned form.  Cyclic forms and cyclic permutations run on the same
+letter-tuple sweep: a single pass of the carry through the syllables yields
+every cyclic permutation without normalising the rotated words again.
 """
 
 from __future__ import annotations
@@ -191,12 +193,12 @@ class AmalgamContext:
     def side_of_letter(self, union_letter: int) -> str:
         return "A" if abs(union_letter) <= len(self.alphabet_a) else "B"
 
-    def to_union(self, side: str, w: Word) -> Word:
+    def union_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
         off = 0 if side == "A" else len(self.alphabet_a)
-        return Word._make(
-            self.union_alphabet,
-            tuple(lt + off if lt > 0 else lt - off for lt in w.letters),
-        )
+        return tuple(lt + off if lt > 0 else lt - off for lt in letters)
+
+    def to_union(self, side: str, w: Word) -> Word:
+        return Word._make(self.union_alphabet, self.union_letters(side, w.letters))
 
     # --- transfer through the amalgamation ----------------------------------
 
@@ -434,13 +436,18 @@ def normal_form(
     graph = ctx.graph_c(target).graph
     if not graph.reads_loop(carry, graph.base):
         raise VerificationError("normal-form head escaped C")
+    return _form(ctx, target, carry, reversed(done))
+
+
+def _form(
+    ctx: AmalgamContext, head_side: str, head: tuple[int, ...], sylls: Iterable[tuple]
+) -> NormalForm:
+    """The NormalForm of a head and (side, factor letters) syllables."""
+    alphabet = ctx.factor_alphabet
     return NormalForm(
-        target,
-        Word._make(ctx.factor_alphabet(target), carry),
-        tuple(
-            Syllable(side, Word._make(ctx.factor_alphabet(side), rep))
-            for side, rep in reversed(done)
-        ),
+        head_side,
+        Word._make(alphabet(head_side), head),
+        tuple(Syllable(side, Word._make(alphabet(side), w)) for side, w in sylls),
     )
 
 
@@ -468,47 +475,35 @@ def cyclic_form(
     guaranteed cyclically reduced when its length exceeds 1.
     """
     nf = normal_form(ctx, raw, policy)
-    conj = identity(ctx.union_alphabet)
-    head_side, head, sylls = nf.head_side, nf.head, list(nf.syllables)
-    certified = True
-    while True:
-        if sylls and head_side != sylls[0].side:
-            head = (
-                ctx.transfer_word(head_side, head)
-                if head
-                else identity(ctx.factor_alphabet(sylls[0].side))
-            )
-            head_side = sylls[0].side
-        k = len(sylls)
-        if k == 0:
-            break
-        if k == 1:
-            if not allow_cmsp:
-                certified = False
-                break
-            side = sylls[0].side
-            w_full = head * sylls[0].word
-            hit = ctx.graph_c(side).conjugacy_into(w_full)
-            if hit is None:
-                break
+    conj = ()  # union letters until the form is built
+    head_side, head = nf.head_side, nf.head.letters
+    sylls = [(s.side, s.word.letters) for s in nf.syllables]
+    # while the outer syllables share a side, fold the last one into the head
+    while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
+        (side, first), last = sylls[0], sylls[-1][1]
+        if head and head_side != side:
+            head = ctx.transfer_letters(head_side, head)
+        conj = letters_product(conj, ctx.union_letters(side, letters_inverse(last)))
+        rep, head = _rep(ctx, side, letters_product(letters_product(last, head), first), policy)
+        head_side = side
+        sylls = ([(side, rep)] if rep else []) + sylls[1:-1]
+    if sylls and head_side != sylls[0][0]:
+        head = ctx.transfer_letters(head_side, head) if head else ()
+        head_side = sylls[0][0]
+    certified = allow_cmsp or len(sylls) != 1
+    if len(sylls) == 1 and allow_cmsp:
+        side, word = sylls[0]
+        w_full = Word._make(ctx.factor_alphabet(side), letters_product(head, word))
+        hit = ctx.graph_c(side).conjugacy_into(w_full)
+        if hit is not None:
             target, z = hit
-            conj = conj * ~ctx.to_union(side, z)
-            head_side, head, sylls = side, target, []
-            break
-        first, last = sylls[0], sylls[-1]
-        if first.side != last.side:
-            break
-        side = first.side
-        w = last.word * head * first.word
-        conj = conj * ~ctx.to_union(side, last.word)
-        rep, head2 = _rep(ctx, side, w.letters, policy)
-        alphabet = ctx.factor_alphabet(side)
-        head_side, head = side, Word._make(alphabet, head2)
-        sylls = ([Syllable(side, Word._make(alphabet, rep))] if rep else []) + sylls[1:-1]
+            conj = letters_product(conj, ctx.union_letters(side, letters_inverse(z.letters)))
+            head_side, head, sylls = side, target.letters, []
     if not sylls and head_side != "A":
-        head = ctx.transfer_word(head_side, head) if head else identity(ctx.alphabet_a)
+        head = ctx.transfer_letters(head_side, head) if head else ()
         head_side = "A"
-    form = NormalForm(head_side, head, tuple(sylls))
+    form = _form(ctx, head_side, head, sylls)
+    conj = Word._make(ctx.union_alphabet, conj)
     result = CyclicForm(form, conj, certified)
     check = normal_form(ctx, conj * form_to_word(ctx, form) * ~conj, policy)
     if check != nf:
@@ -522,25 +517,35 @@ def _cyclic_perms(
     """All cyclic permutations pi_j of a cyclically reduced normal form.
 
     Each entry is (w_j, pi_j) with form = w_j * pi_j * ~w_j, where w_j is the
-    head followed by the first j syllables.
+    head followed by the first j syllables.  For form = h s_1 ... s_k the
+    normal form of s_{j+1} ... s_k h s_1 ... s_j keeps s_1 ... s_j and has
+    syllables r_{j+1} ... r_k before them and head c_{j+1}, where
+    (r_i, c_i) = _rep(s_i * c_{i+1}) and c_{k+1} = h: one right-to-left sweep
+    of the carry yields every permutation.
     """
-    k = form.syllable_length
-    out = []
-    head_u = ctx.to_union(form.head_side, form.head)
-    for j in range(k):
-        prefix = head_u
-        for s in form.syllables[:j]:
-            prefix = prefix * ctx.to_union(s.side, s.word)
-        word = identity(ctx.union_alphabet)
-        for s in form.syllables[j:]:
-            word = word * ctx.to_union(s.side, s.word)
-        word = word * head_u
-        for s in form.syllables[:j]:
-            word = word * ctx.to_union(s.side, s.word)
-        pi = normal_form(ctx, word, policy)
-        if pi.syllable_length != k:
+    sylls = form.syllables
+    reps: list[Syllable] = []  # r_i for i = 1, ..., k
+    heads: list[Word] = []  # c_i for i = 1, ..., k
+    carry_side, carry = form.head_side, form.head.letters
+    for s in reversed(sylls):
+        if carry and carry_side != s.side:
+            carry = ctx.transfer_letters(carry_side, carry)
+        rep, carry = _rep(ctx, s.side, letters_product(s.word.letters, carry), policy)
+        carry_side = s.side
+        if not rep:
             raise VerificationError("cyclic permutation changed the syllable length")
-        out.append((prefix, pi))
+        graph = ctx.graph_c(s.side).graph
+        if not graph.reads_loop(carry, graph.base):
+            raise VerificationError("normal-form head escaped C")
+        alphabet = ctx.factor_alphabet(s.side)
+        reps.insert(0, Syllable(s.side, Word._make(alphabet, rep)))
+        heads.insert(0, Word._make(alphabet, carry))
+    out = []
+    prefix = ctx.union_letters(form.head_side, form.head.letters)
+    for j, s in enumerate(sylls):
+        pi = NormalForm(reps[j].side, heads[j], tuple(reps[j:]) + sylls[:j])
+        out.append((Word._make(ctx.union_alphabet, prefix), pi))
+        prefix = letters_product(prefix, ctx.union_letters(s.side, s.word.letters))
     return out
 
 
@@ -722,29 +727,26 @@ def _solve_with_regular(
     ctx: AmalgamContext,
     u: Word,
     v: Word,
-    cf_u: CyclicForm,
-    cf_v: CyclicForm,
+    perms_u: list[tuple[Word, NormalForm]],
+    perms_v: list[tuple[Word, NormalForm]],
     policy: RepPolicy,
 ) -> Optional[ConjugacyOutcome]:
     """Decide conjugacy when some cyclic permutation of u's form is regular.
 
-    Returns None when no permutation of u's form is regular; otherwise a
-    definite outcome.  A regular permutation admits at most one principal
-    solution, which must also satisfy the closing constraint c_g c_k = c c_g'.
+    perms_u and perms_v list (conjugator * w_j, pi_j) for the cyclically
+    reduced forms of u and v.  Returns None when no pi_j of u is regular;
+    otherwise a definite outcome.  A regular permutation admits at most one
+    principal solution, which must also satisfy c_g c_k = c c_g'.
     """
     reg = next(
-        (
-            (prefix, pi)
-            for prefix, pi in _cyclic_perms(ctx, cf_u.form, policy)
-            if _classify_nf(ctx, pi).is_regular
-        ),
+        ((prefix, pi) for prefix, pi in perms_u if _classify_nf(ctx, pi).is_regular),
         None,
     )
     if reg is None:
         return None
     u_prefix, g_star = reg
     sides = g_star.sides()
-    for w_j, pi_j in _cyclic_perms(ctx, cf_v.form, policy):
+    for w_j, pi_j in perms_v:
         if pi_j.sides() != sides:
             continue
         e = principal_system_solve(ctx, g_star, pi_j)
@@ -760,7 +762,7 @@ def _solve_with_regular(
         if g_star.head * c_k != c_on_1 * pi_j.head:
             continue
         c_union = ctx.to_union(e.side, c)
-        z = cf_u.conjugator * u_prefix * c_union * ~w_j * ~cf_v.conjugator
+        z = u_prefix * c_union * ~w_j
         return ConjugacyOutcome(
             "conjugate", _assemble_and_verify(ctx, u, v, z, policy)
         )
@@ -801,10 +803,15 @@ def conjugacy_search(
         z = cf_u.conjugator * ctx.to_union(su.side, z_f) * ~cf_v.conjugator
         return ConjugacyOutcome("conjugate", _assemble_and_verify(ctx, u, v, z, policy))
     if k >= 2:
-        out = _solve_with_regular(ctx, u, v, cf_u, cf_v, policy)
+        # each form's permutations, with its conjugator, once per query
+        perms_u, perms_v = (
+            [(cf.conjugator * w, pi) for w, pi in _cyclic_perms(ctx, cf.form, policy)]
+            for cf in (cf_u, cf_v)
+        )
+        out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy)
         if out is not None:
             return out
-        out = _solve_with_regular(ctx, v, u, cf_v, cf_u, policy)
+        out = _solve_with_regular(ctx, v, u, perms_v, perms_u, policy)
         if out is not None:
             if out.tag == "conjugate":
                 z = ~out.conjugator

@@ -346,7 +346,7 @@ class GeneratingTuple:
     empty): multiplied along a basepoint loop, they give a word whose
     substitution by the generators is the loop's label.  Without generators
     it is the tuple of a graph made directly: generated by the graph's free
-    basis, with non-tree edge j labeled t_j.
+    basis, with non-tree edge j labeled t_j, both computed on first use.
     """
 
     def __init__(
@@ -360,14 +360,19 @@ class GeneratingTuple:
         self._basis_alphabet: Optional[Alphabet] = None
         self._basis_index: Optional[dict[int, int]] = None
         self._transversal: Optional[tuple[Word, ...]] = None
-        if generators is None:
-            generators = self.basis()
-            edge_words = {eid: (bi + 1,) for eid, bi in self._basis_index.items()}
-        self.generators = generators
-        self.t_alphabet = Alphabet(
-            tuple(f"t{i + 1}" for i in range(len(generators))) or ("t1",)
-        )
+        self._generators = generators
         self._edge_words = edge_words or {}
+
+    @property
+    def generators(self) -> tuple[Word, ...]:
+        if self._generators is None:  # a graph-made tuple: its basis, on first use
+            self._generators = self.basis()
+            self._edge_words = {eid: (bi + 1,) for eid, bi in self._basis_index.items()}
+        return self._generators
+
+    @property
+    def t_alphabet(self) -> Alphabet:
+        return Alphabet(tuple(f"t{i + 1}" for i in range(len(self.generators))) or ("t1",))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -453,6 +458,7 @@ class GeneratingTuple:
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
         g = self.graph
+        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
         words = self._edge_words
         out: list[int] = []
         s = g.base
@@ -470,7 +476,7 @@ class GeneratingTuple:
                         out.append(t)
         if s != g.base:
             raise NotAMemberError(f"{w!r} is not in the subgroup")
-        return Word._make(self.t_alphabet, tuple(out))
+        return Word._make(t_alphabet, tuple(out))
 
     def conjugate(self, z: Word) -> "GeneratingTuple":
         """Automaton of the conjugate subgroup ~z * H * z.

@@ -2,8 +2,9 @@
 
 Everything here works by enumeration and free reduction only, so it never
 shares a code path with the machinery it checks (beyond plain word algebra
-and graph tracing).  The conjugacy oracle is the exception: it compares
-normal forms, so it checks the conjugacy decider, not the word problem.
+and graph tracing).  The conjugacy oracle and the cyclic permutations by
+definition are the exceptions: they call `normal_form`, so they check the
+conjugacy decider and the one-sweep permutations, not the word problem.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
-from amalgam.group import AmalgamContext, NormalForm, normal_form
+from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
 from amalgam.stallings import GeneratingTuple, SubgroupGraph
 from amalgam.words import Alphabet, Word, identity
 
@@ -95,6 +96,33 @@ def brute_conjugacy_oracle(
             assert normal_form(ctx, ~z * u * z) == normal_form(ctx, v)
             return z
     return None
+
+
+def cyclic_perms_by_definition(
+    ctx: AmalgamContext, form: NormalForm, policy: RepPolicy
+) -> list[tuple[Word, NormalForm]]:
+    """The cyclic permutations of a cyclically reduced form, spelled out.
+
+    Entry j is (w_j, normal_form(s_{j+1} ... s_k h s_1 ... s_j)) with w_j the
+    head h followed by the first j syllables s_1 ... s_j.
+    """
+    k = form.syllable_length
+    out = []
+    head_u = ctx.to_union(form.head_side, form.head)
+    for j in range(k):
+        prefix = head_u
+        for s in form.syllables[:j]:
+            prefix = prefix * ctx.to_union(s.side, s.word)
+        word = identity(ctx.union_alphabet)
+        for s in form.syllables[j:]:
+            word = word * ctx.to_union(s.side, s.word)
+        word = word * head_u
+        for s in form.syllables[:j]:
+            word = word * ctx.to_union(s.side, s.word)
+        pi = normal_form(ctx, word, policy)
+        assert pi.syllable_length == k, "cyclic permutation changed the syllable length"
+        out.append((prefix, pi))
+    return out
 
 
 def check_folded(graph: SubgroupGraph) -> None:

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from amalgam.cosetalg import CosetOfC, c_coset, cardinality, intersect, shift, transfer
+from amalgam.fixtures import example_one_context
+from amalgam.group import normal_form
 from amalgam.stallings import build, pullback
 from amalgam.words import Word, parse_word
 
 from bruteforce import reduced_words, subgroup_elements
-from conftest import random_member
+from conftest import random_member, random_reduced
 
 
 def wa(ctx, text):
@@ -186,3 +188,30 @@ def test_shift_chain_values_stay_cosets(ex1):
         for k in sub_elems:
             assert nxt.contains(k * nxt.rep)
         d = nxt
+
+
+def test_transfer_is_memoised_and_round_trips():
+    ctx = example_one_context(2)
+    fresh = example_one_context(2)
+    rng = random.Random(3)
+    chain = []
+    while len(chain) < 24:
+        nf = normal_form(ctx, random_reduced(rng, ctx.union_alphabet, rng.randint(3, 8)))
+        if nf.syllable_length < 2:
+            continue
+        # the principal-system chain of the form against itself never empties
+        d = c_coset(ctx, nf.syllables[-1].side)
+        for s in reversed(nf.syllables):
+            if d.side != s.side:
+                d = transfer(ctx, d)
+            d = shift(ctx, d, s.word, ~s.word)
+            chain.append(d)
+    for d in chain:
+        moved = transfer(ctx, d)
+        assert transfer(ctx, d) is moved
+        assert ctx.cache[("transfer", d.key())] is moved
+        twin = CosetOfC(d.side, build(d.subgroup.basis(), d.subgroup.alphabet), d.rep)
+        assert transfer(ctx, twin) is moved
+        fresh.cache.clear()
+        assert transfer(fresh, d).key() == moved.key()
+        assert transfer(ctx, moved).key() == d.key()

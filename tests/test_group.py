@@ -25,10 +25,11 @@ from amalgam.group import (
     principal_system_solve,
     reduced_form,
     syllable_decompose,
+    _cyclic_perms,
 )
 from amalgam.words import Alphabet, Word, format_word, parse_word
 
-from bruteforce import brute_conjugacy_oracle, subgroup_elements
+from bruteforce import brute_conjugacy_oracle, cyclic_perms_by_definition, subgroup_elements
 from conftest import random_member, random_reduced
 
 ADVERSARIAL = RepPolicy.paper_example_one(2)
@@ -352,6 +353,36 @@ def test_cyclic_form_wraps_syllables(ex1):
     assert cf.cyclic_length <= 2
     check = cf.conjugator * form_to_word(ex1, cf.form) * ~cf.conjugator
     assert normal_form(ex1, check) == normal_form(ex1, up(ex1, "d z d"))
+
+
+CYCLIC_CONTEXTS = {**KERNEL_CONTEXTS, "malnormal": (malnormal_context(), None)}
+
+
+@pytest.mark.parametrize("name", CYCLIC_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclic_perms_match_their_definition(name, data):
+    ctx, adversarial = CYCLIC_CONTEXTS[name]
+    # alternating factor blocks, so that most cyclic forms keep length >= 2
+    first = data.draw(st.integers(0, 1))
+    word = Word(ctx.union_alphabet, ())
+    for i in range(data.draw(st.integers(2, 6))):
+        side = "AB"[(first + i) % 2]
+        n = len(ctx.factor_alphabet(side))
+        block = data.draw(
+            st.lists(st.sampled_from([lt for j in range(1, n + 1) for lt in (j, -j)]),
+                     min_size=1, max_size=3)
+        )
+        word = word * ctx.to_union(side, Word(ctx.factor_alphabet(side), block))
+    policies = (CANONICAL,)
+    if adversarial is not None and len(word) <= ADVERSARIAL_MAX_LEN:
+        policies = (CANONICAL, adversarial)
+    for policy in policies:
+        form = cyclic_form(ctx, word, policy).form
+        if form.syllable_length >= 2:
+            assert _cyclic_perms(ctx, form, policy) == cyclic_perms_by_definition(
+                ctx, form, policy
+            )
 
 
 # --- principal systems ------------------------------------------------------------

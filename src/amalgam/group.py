@@ -7,18 +7,19 @@ reduced forms, the principal-system solver, the regular/singular classifier,
 and the partial conjugacy-search decider.  Undecided is a first-class
 outcome: the decider halts with a verdict only on inputs it can certify.
 
-The normal-form sweep runs on plain letter tuples: syllables are
-(side, factor letters) pairs, coset representatives come from tracing the
-folded C graph, and carries cross the amalgamation through one letter-tuple
-memo.  `Word` is the API boundary; the sweep builds `Word`s only for the
-returned form.  Cyclic forms and cyclic permutations run on the same
-letter-tuple sweep: a single pass of the carry through the syllables yields
-every cyclic permutation without normalising the rotated words again.
+The normal-form sweep runs on plain letter tuples: syllables are (side,
+factor letters) pairs, coset representatives come from tracing the folded
+C graph, and carries cross the amalgamation through one letter-tuple memo.
+`Word` is the API boundary: a `NormalForm` compares on its tuples and builds
+its `Word`s only when a caller reads `.head` or `.syllables`.  Cyclic forms
+run on the same tuples, and one pass of the carry through the syllables
+yields every cyclic permutation without normalising rotated words again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
@@ -50,20 +51,48 @@ class Syllable:
     word: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class NormalForm:
-    """head * s1 * ... * sn with head in C and alternating coset representatives."""
+    """head * s1 * ... * sn with head in C and alternating coset representatives.
+
+    Held as letter tuples and the (A, B) alphabets, None for an unused side;
+    `head` and `syllables` build their `Word`s on first read.
+    """
 
     head_side: str
-    head: Word
-    syllables: tuple[Syllable, ...]
+    head_letters: tuple[int, ...]
+    syllable_letters: tuple[tuple[str, tuple[int, ...]], ...]
+    _alphabets: tuple[Optional[Alphabet], Optional[Alphabet]]
+
+    def __init__(self, head_side: str, head: Word, syllables: Sequence[Syllable]):
+        syllables = tuple(syllables)
+        used = {s.side: s.word.alphabet for s in syllables} | {head_side: head.alphabet}
+        sylls = tuple((s.side, s.word.letters) for s in syllables)
+        self.__dict__.update(head=head, syllables=syllables)
+        self._fill(head_side, head.letters, sylls, (used.get("A"), used.get("B")))
+
+    def _fill(self, *values) -> None:
+        self.__dict__.update(zip(self.__dataclass_fields__, values))  # in field order
+
+    @cached_property
+    def head(self) -> Word:
+        return Word._make(self._alphabets["AB".index(self.head_side)], self.head_letters)
+
+    @cached_property
+    def syllables(self) -> tuple[Syllable, ...]:
+        alphabet = dict(zip("AB", self._alphabets))
+        return tuple(Syllable(s, Word._make(alphabet[s], w)) for s, w in self.syllable_letters)
 
     @property
     def syllable_length(self) -> int:
-        return len(self.syllables)
+        return len(self.syllable_letters)
 
     def sides(self) -> tuple[str, ...]:
-        return tuple(s.side for s in self.syllables)
+        return tuple(side for side, _ in self.syllable_letters)
+
+    def __repr__(self) -> str:
+        fields = f"head_side={self.head_side!r}, head={self.head!r}, syllables={self.syllables!r}"
+        return f"NormalForm({fields})"
 
 
 @dataclass(frozen=True)
@@ -157,6 +186,7 @@ class AmalgamContext:
     ):
         self.alphabet_a = alphabet_a
         self.alphabet_b = alphabet_b
+        self.factor_alphabets = (alphabet_a, alphabet_b)
         self.union_alphabet = Alphabet(alphabet_a.names + alphabet_b.names)
         self.pairs = pairs
         self.graph_ca = graph_ca
@@ -165,8 +195,6 @@ class AmalgamContext:
         self.psi_images = psi_images
         self.transversal_a = graph_ca.double_transversal()
         self.transversal_b = graph_cb.double_transversal()
-        self.z_graphs_a = {t: graph_ca.z_subgroup(t) for t in self.transversal_a[1:]}
-        self.z_graphs_b = {t: graph_cb.z_subgroup(t) for t in self.transversal_b[1:]}
         self.malnormal_a = graph_ca.is_malnormal()
         self.malnormal_b = graph_cb.is_malnormal()
         self.cache: dict = {}
@@ -364,42 +392,32 @@ def _is_example_one_fixture(ctx: AmalgamContext, p: int) -> bool:
     )
 
 
-def _check_policy(ctx: AmalgamContext, policy: RepPolicy) -> None:
-    if policy.kind == "paper-ex1" and not _is_example_one_fixture(ctx, policy.p):
-        raise ValueError(
-            "the adversarial policy is only defined for the worst-case fixture"
-        )
-
-
-def _adversarial_rep(side: str, rep: tuple[int, ...], p: int) -> Optional[tuple[int, ...]]:
-    # A side: canonical rep d a^(pm) gets representative b^(-pm) d a^(pm);
-    # B side: canonical rep z y^(pm) gets representative x^(-pm) z y^(pm).
-    if len(rep) < 2 or rep[0] != 3:
-        return None
-    tail = rep[1:]
-    run = 1 if side == "A" else 2
-    if any(abs(lt) != run for lt in tail):
-        return None
-    sign = 1 if tail[0] > 0 else -1
-    if any((lt > 0) != (sign > 0) for lt in tail):
-        return None
-    j = sign * len(tail)
-    if j % p != 0:
-        return None
-    swap = 2 if side == "A" else 1
-    return (-sign * swap,) * abs(j) + (3,) + tail
+def _coset_reps(ctx: AmalgamContext, policy: RepPolicy) -> dict:
+    """Side -> split w -> (rep, head) with w = head * rep, bound once per sweep."""
+    if policy.kind == "canonical":
+        return {"A": ctx.graph_ca.graph.coset_rep, "B": ctx.graph_cb.graph.coset_rep}
+    if not _is_example_one_fixture(ctx, policy.p):
+        raise ValueError("the adversarial policy is only defined for the worst-case fixture")
+    return {side: partial(_rep, ctx, side, p=policy.p) for side in "AB"}
 
 
 def _rep(
-    ctx: AmalgamContext, side: str, w: tuple[int, ...], policy: RepPolicy
+    ctx: AmalgamContext, side: str, w: tuple[int, ...], p: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(rep, head) with w = head * rep, head in C, rep chosen by the policy."""
+    """(rep, head) with w = head * rep, head in C, rep from the adversarial set.
+
+    A side: canonical rep d a^(pm) gets representative b^(-pm) d a^(pm);
+    B side: canonical rep z y^(pm) gets representative x^(-pm) z y^(pm).
+    """
     rep, head = ctx.graph_c(side).graph.coset_rep(w)
-    if policy.kind == "paper-ex1" and rep:
-        rep2 = _adversarial_rep(side, rep, policy.p)
-        if rep2 is not None:
-            return rep2, letters_product(w, letters_inverse(rep2))
-    return rep, head
+    run, swap = (1, 2) if side == "A" else (2, 1)
+    tail = rep[1:]
+    if rep[:1] != (3,) or not tail or abs(tail[0]) != run:
+        return rep, head
+    if tail.count(tail[0]) != len(tail) or len(tail) % p:
+        return rep, head
+    rep = (-swap if tail[0] > 0 else swap,) * len(tail) + (3,) + tail
+    return rep, letters_product(w, letters_inverse(rep))
 
 
 def normal_form(
@@ -414,16 +432,16 @@ def normal_form(
     across the amalgamation each time it moves past a syllable; `trace`, when
     given, records its length after every step.
     """
-    _check_policy(ctx, policy)
+    reps = _coset_reps(ctx, policy)
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
     carry_side, carry = "A", ()
     for side, word in reversed(_split(ctx, raw)):
         if carry and carry_side != side:
             carry = ctx.transfer_letters(carry_side, carry)
-        rep, head = _rep(ctx, side, letters_product(word, carry), policy)
+        rep, head = reps[side](letters_product(word, carry))
         if rep:
             if done and done[-1][0] == side:
-                rep, head2 = _rep(ctx, side, letters_product(rep, done.pop()[1]), policy)
+                rep, head2 = reps[side](letters_product(rep, done.pop()[1]))
                 head = letters_product(head, head2)
             if rep:
                 done.append((side, rep))
@@ -442,21 +460,28 @@ def normal_form(
 def _form(
     ctx: AmalgamContext, head_side: str, head: tuple[int, ...], sylls: Iterable[tuple]
 ) -> NormalForm:
-    """The NormalForm of a head and (side, factor letters) syllables."""
-    alphabet = ctx.factor_alphabet
-    return NormalForm(
-        head_side,
-        Word._make(alphabet(head_side), head),
-        tuple(Syllable(side, Word._make(alphabet(side), w)) for side, w in sylls),
-    )
+    """Trusted NormalForm constructor: a head and alternating (side, letters) syllables."""
+    sylls = tuple(sylls)
+    used = ctx.factor_alphabets
+    if len(sylls) < 2:  # one side: the head's, which is the syllable's
+        used = (used[0], None) if head_side == "A" else (None, used[1])
+    nf = object.__new__(NormalForm)
+    nf._fill(head_side, head, sylls, used)
+    return nf
+
+
+def _spell(ctx: AmalgamContext, head_side: str, head: tuple, sylls: Iterable[tuple]) -> tuple:
+    """Union letters of head * s_1 * ... * s_n, the s_i as (side, factor letters)."""
+    out = ctx.union_letters(head_side, head)
+    for side, w in sylls:
+        out = letters_product(out, ctx.union_letters(side, w))
+    return out
 
 
 def form_to_word(ctx: AmalgamContext, nf: NormalForm | ReducedForm) -> Word:
     """The normal form as a plain word over the union alphabet."""
-    w = ctx.to_union(nf.head_side, nf.head)
-    for s in nf.syllables:
-        w = w * ctx.to_union(s.side, s.word)
-    return w
+    sylls = ((s.side, s.word.letters) for s in nf.syllables)
+    return Word._make(ctx.union_alphabet, _spell(ctx, nf.head_side, nf.head.letters, sylls))
 
 
 # --- cyclically reduced forms --------------------------------------------------
@@ -475,16 +500,17 @@ def cyclic_form(
     guaranteed cyclically reduced when its length exceeds 1.
     """
     nf = normal_form(ctx, raw, policy)
+    reps = _coset_reps(ctx, policy)
     conj = ()  # union letters until the form is built
-    head_side, head = nf.head_side, nf.head.letters
-    sylls = [(s.side, s.word.letters) for s in nf.syllables]
+    head_side, head = nf.head_side, nf.head_letters
+    sylls = list(nf.syllable_letters)
     # while the outer syllables share a side, fold the last one into the head
     while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
         (side, first), last = sylls[0], sylls[-1][1]
         if head and head_side != side:
             head = ctx.transfer_letters(head_side, head)
         conj = letters_product(conj, ctx.union_letters(side, letters_inverse(last)))
-        rep, head = _rep(ctx, side, letters_product(letters_product(last, head), first), policy)
+        rep, head = reps[side](letters_product(letters_product(last, head), first))
         head_side = side
         sylls = ([(side, rep)] if rep else []) + sylls[1:-1]
     if sylls and head_side != sylls[0][0]:
@@ -503,57 +529,52 @@ def cyclic_form(
         head = ctx.transfer_letters(head_side, head) if head else ()
         head_side = "A"
     form = _form(ctx, head_side, head, sylls)
-    conj = Word._make(ctx.union_alphabet, conj)
-    result = CyclicForm(form, conj, certified)
-    check = normal_form(ctx, conj * form_to_word(ctx, form) * ~conj, policy)
-    if check != nf:
+    spelled = _spell(ctx, head_side, head, sylls)
+    spelled = letters_product(letters_product(conj, spelled), letters_inverse(conj))
+    if normal_form(ctx, Word._make(ctx.union_alphabet, spelled), policy) != nf:
         raise VerificationError("cyclic reduction lost the conjugacy class")
-    return result
+    return CyclicForm(form, Word._make(ctx.union_alphabet, conj), certified)
 
 
 def _cyclic_perms(
     ctx: AmalgamContext, form: NormalForm, policy: RepPolicy
-) -> list[tuple[Word, NormalForm]]:
+) -> list[tuple[tuple[int, ...], NormalForm]]:
     """All cyclic permutations pi_j of a cyclically reduced normal form.
 
-    Each entry is (w_j, pi_j) with form = w_j * pi_j * ~w_j, where w_j is the
-    head followed by the first j syllables.  For form = h s_1 ... s_k the
-    normal form of s_{j+1} ... s_k h s_1 ... s_j keeps s_1 ... s_j and has
-    syllables r_{j+1} ... r_k before them and head c_{j+1}, where
-    (r_i, c_i) = _rep(s_i * c_{i+1}) and c_{k+1} = h: one right-to-left sweep
-    of the carry yields every permutation.
+    Each entry is (w_j, pi_j) with form = w_j * pi_j * ~w_j, where w_j (in
+    union letters) is the head followed by the first j syllables.  For
+    form = h s_1 ... s_k the normal form of s_{j+1} ... s_k h s_1 ... s_j
+    keeps s_1 ... s_j and has syllables r_{j+1} ... r_k before them and head
+    c_{j+1}, where (r_i, c_i) = split(s_i * c_{i+1}) and c_{k+1} = h: one
+    right-to-left sweep of the carry yields every permutation.
     """
-    sylls = form.syllables
-    reps: list[Syllable] = []  # r_i for i = 1, ..., k
-    heads: list[Word] = []  # c_i for i = 1, ..., k
-    carry_side, carry = form.head_side, form.head.letters
-    for s in reversed(sylls):
-        if carry and carry_side != s.side:
+    reps = _coset_reps(ctx, policy)
+    sylls = form.syllable_letters
+    steps: list[tuple[tuple, tuple[int, ...]]] = []  # (r_i, c_i) for i = k, ..., 1
+    carry_side, carry = form.head_side, form.head_letters
+    for side, word in reversed(sylls):
+        if carry and carry_side != side:
             carry = ctx.transfer_letters(carry_side, carry)
-        rep, carry = _rep(ctx, s.side, letters_product(s.word.letters, carry), policy)
-        carry_side = s.side
+        rep, carry = reps[side](letters_product(word, carry))
+        carry_side = side
         if not rep:
             raise VerificationError("cyclic permutation changed the syllable length")
-        graph = ctx.graph_c(s.side).graph
+        graph = ctx.graph_c(side).graph
         if not graph.reads_loop(carry, graph.base):
             raise VerificationError("normal-form head escaped C")
-        alphabet = ctx.factor_alphabet(s.side)
-        reps.insert(0, Syllable(s.side, Word._make(alphabet, rep)))
-        heads.insert(0, Word._make(alphabet, carry))
+        steps.append(((side, rep), carry))
+    steps.reverse()
+    rotated = tuple(r for r, _ in steps)
     out = []
-    prefix = ctx.union_letters(form.head_side, form.head.letters)
-    for j, s in enumerate(sylls):
-        pi = NormalForm(reps[j].side, heads[j], tuple(reps[j:]) + sylls[:j])
-        out.append((Word._make(ctx.union_alphabet, prefix), pi))
-        prefix = letters_product(prefix, ctx.union_letters(s.side, s.word.letters))
+    prefix = ctx.union_letters(form.head_side, form.head_letters)
+    for j, (side, word) in enumerate(sylls):
+        pi = _form(ctx, side, steps[j][1], rotated[j:] + sylls[:j])
+        out.append((prefix, pi))
+        prefix = letters_product(prefix, ctx.union_letters(side, word))
     return out
 
 
 # --- principal systems ----------------------------------------------------------
-
-
-def _syll_key(nf: NormalForm) -> tuple:
-    return tuple((s.side, s.word.letters) for s in nf.syllables)
 
 
 def principal_system_solve(
@@ -571,7 +592,7 @@ def principal_system_solve(
         raise ValueError("principal systems need equal syllable lengths >= 1")
     if g.sides() != h.sides():
         return None
-    key = ("ps", _syll_key(g), _syll_key(h))
+    key = ("ps", g.syllable_letters, h.syllable_letters)
     if key in ctx.cache:
         return ctx.cache[key]
     ps = list(zip(g.syllables, h.syllables))
@@ -624,7 +645,7 @@ def classify(
 def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
     k = nf.syllable_length
     if k >= 2:
-        key = ("classify2", _syll_key(nf))
+        key = ("classify2", nf.syllable_letters)
         hit = ctx.cache.get(key)
         if hit is not None:
             return hit
@@ -645,12 +666,12 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         ctx.cache[key] = report
         return report
     if k == 1:
-        side = nf.syllables[0].side
-        w = nf.head * nf.syllables[0].word
-        key = ("classify1", side, w.letters)
+        side, word = nf.syllable_letters[0]
+        key = ("classify1", side, letters_product(nf.head_letters, word))
         hit = ctx.cache.get(key)
         if hit is not None:
             return hit
+        w = Word._make(ctx.factor_alphabet(side), key[2])
         graph = ctx.graph_c(side)
         meet = pullback(graph.conjugate(w), graph)
         if meet.graph.is_trivial():
@@ -664,7 +685,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
             )
         ctx.cache[key] = report
         return report
-    key = ("classify0", nf.head.letters)
+    key = ("classify0", nf.head_letters)
     hit = ctx.cache.get(key)
     if hit is not None:
         return hit
@@ -708,7 +729,8 @@ def cr_membership(
         return "not-cr", None
     for prefix, pi in _cyclic_perms(ctx, cf.form, policy):
         if _classify_nf(ctx, pi).is_regular:
-            return "cr>1", CyclicForm(pi, cf.conjugator * prefix, cf.certified)
+            conj = Word._make(ctx.union_alphabet, letters_product(cf.conjugator.letters, prefix))
+            return "cr>1", CyclicForm(pi, conj, cf.certified)
     return "not-cr", None
 
 
@@ -727,14 +749,14 @@ def _solve_with_regular(
     ctx: AmalgamContext,
     u: Word,
     v: Word,
-    perms_u: list[tuple[Word, NormalForm]],
-    perms_v: list[tuple[Word, NormalForm]],
+    perms_u: list[tuple[tuple[int, ...], NormalForm]],
+    perms_v: list[tuple[tuple[int, ...], NormalForm]],
     policy: RepPolicy,
 ) -> Optional[ConjugacyOutcome]:
     """Decide conjugacy when some cyclic permutation of u's form is regular.
 
-    perms_u and perms_v list (conjugator * w_j, pi_j) for the cyclically
-    reduced forms of u and v.  Returns None when no pi_j of u is regular;
+    perms_u and perms_v list (conjugator * w_j, pi_j), in union letters, for
+    the cyclically reduced forms of u and v.  Returns None when no pi_j of u is regular;
     otherwise a definite outcome.  A regular permutation admits at most one
     principal solution, which must also satisfy c_g c_k = c c_g'.
     """
@@ -761,8 +783,8 @@ def _solve_with_regular(
         c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
         if g_star.head * c_k != c_on_1 * pi_j.head:
             continue
-        c_union = ctx.to_union(e.side, c)
-        z = u_prefix * c_union * ~w_j
+        z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
+        z = Word._make(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
         return ConjugacyOutcome(
             "conjugate", _assemble_and_verify(ctx, u, v, z, policy)
         )
@@ -805,7 +827,8 @@ def conjugacy_search(
     if k >= 2:
         # each form's permutations, with its conjugator, once per query
         perms_u, perms_v = (
-            [(cf.conjugator * w, pi) for w, pi in _cyclic_perms(ctx, cf.form, policy)]
+            [(letters_product(cf.conjugator.letters, w), pi)
+             for w, pi in _cyclic_perms(ctx, cf.form, policy)]
             for cf in (cf_u, cf_v)
         )
         out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy)

@@ -241,6 +241,7 @@ class SubgroupGraph:
         }
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
+        self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
         self._diameter: Optional[int] = None
         self._key: Optional[tuple] = None
 
@@ -306,7 +307,11 @@ class SubgroupGraph:
         path = self.tree_path_letters(s)
         if not path:
             return letters[i:], letters[:i]
-        return path + letters[i:], letters_product(letters[:i], letters_inverse(path))
+        inverses = self._tree_inverses = self._tree_inverses or {}
+        inverse = inverses.get(s)
+        if inverse is None:
+            inverse = inverses[s] = letters_inverse(path)
+        return path + letters[i:], letters_product(letters[:i], inverse)
 
     def tree_path(self, state: int) -> Word:
         return Word._make(self.alphabet, self.tree_path_letters(state))
@@ -360,6 +365,7 @@ class GeneratingTuple:
         self._basis_alphabet: Optional[Alphabet] = None
         self._basis_index: Optional[dict[int, int]] = None
         self._transversal: Optional[tuple[Word, ...]] = None
+        self._z_graphs: Optional[dict[tuple[int, ...], GeneratingTuple]] = None
         self._generators = generators
         self._edge_words = edge_words or {}
 
@@ -617,11 +623,12 @@ class GeneratingTuple:
             return ts[0], one, one
         cb = self.express_in_basis(c)
         basis = self.basis()
+        zgraphs = self._z_graphs = self._z_graphs or {}  # t -> Z_t(H) over the basis alphabet
         for t in ts:
-            zt = self.z_subgroup(t)
-            zb = [self.express_in_basis(b) for b in zt.basis()]
-            zgraph = build(zb, self.basis_alphabet)
-            hit = zgraph.conjugacy_into(cb)
+            if t.letters not in zgraphs:
+                zb = [self.express_in_basis(b) for b in self.z_subgroup(t).basis()]
+                zgraphs[t.letters] = build(zb, self.basis_alphabet)
+            hit = zgraphs[t.letters].conjugacy_into(cb)
             if hit is not None:
                 hb, zb_conj = hit
                 target = substitute(hb, basis, self.alphabet)

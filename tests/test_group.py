@@ -13,6 +13,7 @@ from amalgam.fixtures import example_one_context, example_two_context, malnormal
 from amalgam.group import (
     CANONICAL,
     InvalidPresentationError,
+    NormalForm,
     RepPolicy,
     Syllable,
     build_context,
@@ -380,9 +381,72 @@ def test_cyclic_perms_match_their_definition(name, data):
     for policy in policies:
         form = cyclic_form(ctx, word, policy).form
         if form.syllable_length >= 2:
-            assert _cyclic_perms(ctx, form, policy) == cyclic_perms_by_definition(
-                ctx, form, policy
-            )
+            perms = [
+                (Word(ctx.union_alphabet, w), pi) for w, pi in _cyclic_perms(ctx, form, policy)
+            ]
+            assert perms == cyclic_perms_by_definition(ctx, form, policy)
+
+
+# --- normal forms as letter-tuple values -------------------------------------------
+
+
+def public_form(ctx, nf):
+    """The same form through the public constructor, from freshly built Words."""
+    return NormalForm(
+        nf.head_side,
+        Word(ctx.factor_alphabet(nf.head_side), nf.head_letters),
+        [Syllable(side, Word(ctx.factor_alphabet(side), w)) for side, w in nf.syllable_letters],
+    )
+
+
+@pytest.mark.parametrize("name", CYCLIC_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_forms_equal_publicly_constructed_forms(name, data):
+    ctx, adversarial = CYCLIC_CONTEXTS[name]
+    word = data.draw(union_words(ctx))
+    policies = (CANONICAL,)
+    if adversarial is not None and len(word) <= ADVERSARIAL_MAX_LEN:
+        policies = (CANONICAL, adversarial)
+    for policy in policies:
+        cyclic = cyclic_form(ctx, word, policy).form
+        forms = [normal_form(ctx, word, policy), cyclic]
+        if cyclic.syllable_length >= 2:
+            forms += [pi for _, pi in _cyclic_perms(ctx, cyclic, policy)]
+        for nf in forms:
+            public = public_form(ctx, nf)
+            # compared and hashed before nf has built any Word, and again after
+            assert nf == public and public == nf and hash(nf) == hash(public)
+            assert nf.head == public.head and nf.syllables == public.syllables
+            assert repr(nf) == repr(public)
+            assert nf == public and not nf != public and hash(nf) == hash(public)
+            assert (nf.syllable_length, nf.sides()) == (public.syllable_length, public.sides())
+
+
+def test_form_equality_reads_the_alphabets_and_the_head_side(ex1):
+    def renamed(names_a, names_b):
+        a, b = Alphabet(names_a), Alphabet(names_b)
+        pairs = [(Word(a, u.letters), Word(b, v.letters)) for u, v in ex1.pairs]
+        return build_context(a, b, pairs)
+
+    same = renamed(ex1.alphabet_a.names, ex1.alphabet_b.names)
+    other = renamed(("e", "f", "g"), ("p", "q", "r"))
+    other_b = renamed(ex1.alphabet_a.names, ("p", "q", "r"))
+    rng = random.Random(12)
+    for _ in range(120):
+        letters = random_reduced(rng, ex1.union_alphabet, rng.randint(0, 12)).letters
+        nf = normal_form(ex1, Word(ex1.union_alphabet, letters))
+        # renaming B alone changes only forms with a B syllable, as Word equality does
+        only_a = "B" not in nf.sides()
+        for ctx, equal in ((same, True), (other, False), (other_b, only_a)):
+            nf2 = normal_form(ctx, Word(ctx.union_alphabet, letters))
+            assert (nf == nf2, nf2 == nf, nf != nf2) == (equal, equal, not equal)
+            assert not equal or hash(nf) == hash(nf2)
+    # equal letters and alphabets, different head sides
+    sylls = (Syllable("B", wb(ex1, "z")), Syllable("A", wa(ex1, "d")))
+    form_a = NormalForm("A", wa(ex1, ""), sylls)
+    form_b = NormalForm("B", wb(ex1, ""), sylls)
+    assert form_a != form_b and form_b != form_a
 
 
 # --- principal systems ------------------------------------------------------------

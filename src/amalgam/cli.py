@@ -11,6 +11,7 @@ import json
 import random
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .group import (
     reduced_form,
     syllable_decompose,
 )
+from .stallings import SubgroupGraph
 from .words import Alphabet, Word, WordSyntaxError, format_word, parse_word
 
 EXIT_OK = 0
@@ -340,6 +342,24 @@ def _growth(trace: list[int]) -> list[float]:
     ]
 
 
+def diameter(graph: SubgroupGraph) -> int:
+    """Largest distance between two states, by a breadth-first search from each."""
+    best = 0
+    for start in range(graph.nstates):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for lab in range(1, len(graph.alphabet) + 1):
+                for slet in (lab, -lab):
+                    w = graph.step(v, slet)
+                    if w is not None and w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+        best = max(best, max(dist.values()))
+    return best
+
+
 def bench_paper_ex1(p: int, m: int) -> list[BenchReport]:
     """Run (z d)^m x through both policies, reporting per-step head lengths."""
     ctx = example_one_context(p)
@@ -347,6 +367,7 @@ def bench_paper_ex1(p: int, m: int) -> list[BenchReport]:
     d = Word(ctx.union_alphabet, (3,))
     x = Word(ctx.union_alphabet, (4,))
     w = (z * d) ** m * x
+    head_bound = len(w) + 2 * max(diameter(ctx.graph_ca.graph), diameter(ctx.graph_cb.graph))
     reports = []
     for policy in (RepPolicy.paper_example_one(p), CANONICAL):
         trace: list[int] = []
@@ -362,11 +383,7 @@ def bench_paper_ex1(p: int, m: int) -> list[BenchReport]:
                 _growth(trace),
                 elapsed,
                 len(nf.head),
-                {
-                    "input_length": len(w),
-                    "head_bound": len(w)
-                    + 2 * max(ctx.graph_ca.graph.diameter(), ctx.graph_cb.graph.diameter()),
-                },
+                {"input_length": len(w), "head_bound": head_bound},
             )
         )
     return reports

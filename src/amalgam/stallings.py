@@ -242,7 +242,6 @@ class SubgroupGraph:
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
         self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
-        self._diameter: Optional[int] = None
         self._key: Optional[tuple] = None
 
     @property
@@ -259,14 +258,6 @@ class SubgroupGraph:
     def step(self, state: int, slet: int) -> Optional[int]:
         hit = (self.fwd if slet > 0 else self.back).get((state, abs(slet)))
         return None if hit is None else hit[0]
-
-    def step_edge(self, state: int, slet: int) -> Optional[tuple[int, int, int]]:
-        """Return (next state, edge id, traversal direction) or None."""
-        if slet > 0:
-            hit = self.fwd.get((state, slet))
-            return None if hit is None else (hit[0], hit[1], 1)
-        hit = self.back.get((state, -slet))
-        return None if hit is None else (hit[0], hit[1], -1)
 
     def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
         s = start
@@ -316,24 +307,6 @@ class SubgroupGraph:
     def tree_path(self, state: int) -> Word:
         return Word._make(self.alphabet, self.tree_path_letters(state))
 
-    def diameter(self) -> int:
-        if self._diameter is None:
-            best = 0
-            for start in range(self.nstates):
-                dist = {start: 0}
-                queue = deque([start])
-                while queue:
-                    v = queue.popleft()
-                    for lab in range(1, len(self.alphabet) + 1):
-                        for slet in (lab, -lab):
-                            w = self.step(v, slet)
-                            if w is not None and w not in dist:
-                                dist[w] = dist[v] + 1
-                                queue.append(w)
-                best = max(best, max(dist.values()))
-            self._diameter = best
-        return self._diameter
-
     def canonical_key(self) -> tuple:
         if self._key is None:
             self._key = (
@@ -348,10 +321,12 @@ class GeneratingTuple:
     """A subgroup graph bundled with the generators it was built from.
 
     `edge_words` maps edge ids to words over the t-alphabet (absent means
-    empty): multiplied along a basepoint loop, they give a word whose
-    substitution by the generators is the loop's label.  Without generators
-    it is the tuple of a graph made directly: generated by the graph's free
-    basis, with non-tree edge j labeled t_j, both computed on first use.
+    empty), and ~eid to the inverse of the word of eid, which a loop reads
+    when it crosses the edge backwards.  Multiplied along a basepoint loop,
+    they give a word whose substitution by the generators is the loop's
+    label.  Without generators it is the tuple of a graph made directly:
+    generated by the graph's free basis, with non-tree edge j labeled t_j,
+    both computed on first use.
     """
 
     def __init__(
@@ -363,7 +338,7 @@ class GeneratingTuple:
         self.graph = graph
         self._basis: Optional[tuple[Word, ...]] = None
         self._basis_alphabet: Optional[Alphabet] = None
-        self._basis_index: Optional[dict[int, int]] = None
+        self._basis_words: Optional[dict[int, tuple[int, ...]]] = None  # (b_j,) on non-tree edges
         self._transversal: Optional[tuple[Word, ...]] = None
         self._z_graphs: Optional[dict[tuple[int, ...], GeneratingTuple]] = None
         self._generators = generators
@@ -373,7 +348,7 @@ class GeneratingTuple:
     def generators(self) -> tuple[Word, ...]:
         if self._generators is None:  # a graph-made tuple: its basis, on first use
             self._generators = self.basis()
-            self._edge_words = {eid: (bi + 1,) for eid, bi in self._basis_index.items()}
+            self._edge_words = self._basis_words
         return self._generators
 
     @property
@@ -406,7 +381,7 @@ class GeneratingTuple:
             if eid not in g.tree_eids
         )
         basis = []
-        index = {}
+        words = {}
         for bi, (s, lab, d, eid) in enumerate(non_tree):
             # reduced: the tree edge into s or d never shares the slot of a non-tree edge
             basis.append(
@@ -415,9 +390,9 @@ class GeneratingTuple:
                     g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d)),
                 )
             )
-            index[eid] = bi
+            words[eid], words[~eid] = (bi + 1,), (-bi - 1,)
         self._basis = tuple(basis)
-        self._basis_index = index
+        self._basis_words = words
         self._basis_alphabet = Alphabet(
             tuple(f"b{i + 1}" for i in range(len(basis))) or ("b1",)
         )
@@ -433,56 +408,46 @@ class GeneratingTuple:
         return self._basis_alphabet
 
     def express_in_basis(self, w: Word) -> Word:
-        """Word over the basis alphabet whose substitution reduces to w."""
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
+        """Word over the basis alphabet whose substitution reduces to w.
+
+        A reduced loop never crosses a non-tree edge and straight back, so the
+        walk over the basis edge words never cancels.
+        """
         self._ensure_basis()
-        g = self.graph
-        index = self._basis_index
-        out = []
-        s = g.base
-        for lt in w.letters:
-            hit = g.step_edge(s, lt)
-            if hit is None:
-                raise NotAMemberError(f"{w!r} is not in the subgroup")
-            s, eid, direction = hit
-            bi = index.get(eid)
-            if bi is not None:
-                out.append(direction * (bi + 1))
-        if s != g.base:
-            raise NotAMemberError(f"{w!r} is not in the subgroup")
-        # a reduced loop never crosses a non-tree edge and straight back, so
-        # its basis word is reduced too
-        return Word._make(self._basis_alphabet, tuple(out))
+        return Word._make(self._basis_alphabet, self._loop_word(w, self._basis_words))
 
     def express_in_generators(self, w: Word) -> Word:
-        """Word over the t-alphabet whose substitution by the generators is w.
+        """Word over the t-alphabet whose substitution by the generators is w."""
+        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
+        return Word._make(t_alphabet, self._loop_word(w, self._edge_words))
 
-        The product of the edge words along the basepoint loop of w, each
-        inverted where the loop crosses its edge backwards.
+    def _loop_word(self, w: Word, words: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """The reduced product of the edge words along the basepoint loop of w.
+
+        A loop crossing edge eid backwards reads words[~eid], the inverse of
+        words[eid]; an edge absent from `words` contributes nothing.
         """
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
         g = self.graph
-        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
-        words = self._edge_words
+        fwd, back = g.fwd, g.back
         out: list[int] = []
         s = g.base
         for lt in w.letters:
-            hit = g.step_edge(s, lt)
+            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
             if hit is None:
                 raise NotAMemberError(f"{w!r} is not in the subgroup")
-            s, eid, direction = hit
-            word = words.get(eid)
+            s, eid = hit
+            word = words.get(eid if lt > 0 else ~eid)
             if word:
-                for t in word if direction > 0 else letters_inverse(word):
+                for t in word:
                     if out and out[-1] == -t:
                         out.pop()
                     else:
                         out.append(t)
         if s != g.base:
             raise NotAMemberError(f"{w!r} is not in the subgroup")
-        return Word._make(t_alphabet, tuple(out))
+        return tuple(out)
 
     def conjugate(self, z: Word) -> "GeneratingTuple":
         """Automaton of the conjugate subgroup ~z * H * z.
@@ -537,10 +502,18 @@ class GeneratingTuple:
     def double_transversal(self) -> tuple[Word, ...]:
         """Double-coset representatives {t_i} with N*(H) the union of H t_i H.
 
-        Components of the product of the graph with itself carrying a
-        nontrivial loop each contribute treePath(p) * ~treePath(q); the
-        diagonal component is the empty word, listed first.  Duplicates are
-        pruned with the pairwise test H t H = H t' H iff Ht meets t'H.
+        The empty word comes first, then treePath(p) * ~treePath(q) for the
+        min-root (p, q) of every other component of the product of the graph
+        with itself that carries a cycle, sorted by length and letters.
+
+        Each such component is one double coset, and no two share one.  F acts
+        diagonally on H\\F x H\\F with one orbit per double coset, through
+        (Ha, Hb) -> H a ~b H, and the orbit's graph has a cycle exactly when
+        a ~b is in N*(H).  Every cycle of that infinite product projects to
+        cycles in each factor, which lie in the core of the graph of H.  So
+        the connected core of an orbit lies inside one finite component, and
+        two components that each carry a cycle lie in different orbits
+        (Kapovich-Myasnikov, J. Algebra 248, 2002, section 9).
         """
         if self._transversal is not None:
             return self._transversal
@@ -588,12 +561,7 @@ class GeneratingTuple:
             p, q = divmod(root, n)
             reps.append(g.tree_path(p) * ~g.tree_path(q))
         reps.sort(key=lambda w: (len(w), w.letters))
-        kept: list[Word] = [one]
-        for t in reps:
-            if any(_same_double_coset(self, t, t2) for t2 in kept):
-                continue
-            kept.append(t)
-        self._transversal = tuple(kept)
+        self._transversal = (one, *reps)
         return self._transversal
 
     def is_malnormal(self) -> bool:
@@ -602,10 +570,6 @@ class GeneratingTuple:
     def z_subgroup(self, t: Word) -> "GeneratingTuple":
         """Z_t(H) = {h in H : ~t h t in H} = H^{t^-1} meet H."""
         return pullback(self.conjugate(~t), self)
-
-    def in_generalized_normalizer(self, w: Word) -> bool:
-        """w in N*(H), i.e. H meet H^w is nontrivial."""
-        return not pullback(self.conjugate(w), self).graph.is_trivial()
 
     def z_set_witness(self, c: Word) -> Optional[tuple[Word, Word, Word]]:
         """If c lies in the Z-set, return (t, target, conjugator_in_H).
@@ -636,9 +600,6 @@ class GeneratingTuple:
                 return t, target, conj
         return None
 
-    def in_z_set(self, c: Word) -> bool:
-        return self.z_set_witness(c) is not None
-
 
 def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> GeneratingTuple:
     """Fold the rose on the given generators into the core automaton.
@@ -659,7 +620,10 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
         folding.add_loop(g.letters, gi + 1)
     folding.fold_all()
     edges = {eid: (s, folding.labels[eid], d) for eid, (s, d) in folding.ends.items()}
-    words = {eid: word for eid, word in folding.words.items() if word}
+    words = {}
+    for eid, word in folding.words.items():
+        if word:
+            words[eid], words[~eid] = word, letters_inverse(word)
     return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), gens, words)
 
 
@@ -761,9 +725,3 @@ def coset_intersection(
     if not (K.contains(h * ~a) and L.contains(h * ~b)):
         raise VerificationError("coset intersection witness failed verification")
     return pullback(K, L), h
-
-
-def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
-    """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
-    shifted = g.conjugate(~t2)
-    return coset_intersection(g, t, shifted, t2) is not None

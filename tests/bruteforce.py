@@ -5,6 +5,9 @@ shares a code path with the machinery it checks (beyond plain word algebra
 and graph tracing).  The conjugacy oracle and the cyclic permutations by
 definition are the exceptions: they call `normal_form`, so they check the
 conjugacy decider and the one-sweep permutations, not the word problem.
+`double_transversal_with_pruning` is the older double transversal, which
+re-checked every pair of candidates with `conjugate` and
+`coset_intersection`; it checks that no candidate ever needs pruning.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import product
 from typing import Optional
 
 from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
-from amalgam.stallings import GeneratingTuple, SubgroupGraph
+from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
 from amalgam.words import Alphabet, Word, identity
 
 
@@ -139,3 +142,68 @@ def check_folded(graph: SubgroupGraph) -> None:
         degree[d] += 1
     for v in range(1, graph.nstates):
         assert degree[v] >= 2, f"state {v} not in core"
+
+
+def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
+    """Double-coset representatives, candidates pruned pairwise.
+
+    Components of the product of the graph with itself carrying a
+    nontrivial loop each contribute treePath(p) * ~treePath(q); the
+    diagonal component is the empty word, listed first.  Duplicates are
+    pruned with the pairwise test H t H = H t' H iff Ht meets t'H.
+    """
+    graph = g.graph
+    one = identity(g.alphabet)
+    if graph.is_trivial():
+        return (one,)
+    # the product's edges pair equally labeled edges of the two factors
+    n = graph.nstates
+    by_letter: dict[int, list[tuple[int, int]]] = {}
+    for (s, lab), (d, _) in graph.fwd.items():
+        by_letter.setdefault(lab, []).append((s, d))
+    edges = [
+        (p * n + q, tp_ * n + tq)
+        for pairs in by_letter.values()
+        for p, tp_ in pairs
+        for q, tq in pairs
+    ]
+    parent = {x: x for edge in edges for x in edge}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    nverts: dict[int, int] = {}
+    for x in parent:
+        r = find(x)
+        nverts[r] = nverts.get(r, 0) + 1
+    nedges: dict[int, int] = {}
+    for a, _ in edges:
+        r = find(a)
+        nedges[r] = nedges.get(r, 0) + 1
+    diag = find(0)
+    reps = []
+    for root, ne in sorted(nedges.items()):
+        if root == diag or ne - nverts[root] + 1 < 1:
+            continue
+        p, q = divmod(root, n)
+        reps.append(graph.tree_path(p) * ~graph.tree_path(q))
+    reps.sort(key=lambda w: (len(w), w.letters))
+    kept: list[Word] = [one]
+    for t in reps:
+        if any(_same_double_coset(g, t, t2) for t2 in kept):
+            continue
+        kept.append(t)
+    return tuple(kept)
+
+
+def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
+    """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
+    shifted = g.conjugate(~t2)
+    return coset_intersection(g, t, shifted, t2) is not None

@@ -32,3 +32,35 @@ def test_normal_form_sweep_builds_no_words():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in WORD_BUILDERS
         ]
         assert not calls, f"{name} builds Word or Syllable objects at lines {calls}"
+
+
+
+GRAPH_CLASSES = ("SubgroupGraph", "GeneratingTuple")
+
+
+def _names_outside(node, skip):
+    """Attribute and variable names read under node, except inside skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Name):
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _names_outside(child, skip)
+
+
+def test_graph_classes_have_no_test_only_members():
+    # every public method and property of the graph classes is read somewhere
+    # in the package outside its own definition; tests use the real API
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    unused = []
+    for cls in trees["stallings.py"].body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in GRAPH_CLASSES):
+            continue
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if not any(node.name in _names_outside(tree, node) for tree in trees.values()):
+                unused.append(f"{cls.name}.{node.name}")
+    assert not unused, f"members that nothing in the package reads: {unused}"

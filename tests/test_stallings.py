@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amalgam.cli import diameter
 from amalgam.stallings import (
     NotAMemberError,
     build,
@@ -12,7 +14,13 @@ from amalgam.stallings import (
 )
 from amalgam.words import Alphabet, Word, identity, parse_word, substitute
 
-from bruteforce import check_folded, generated_elements, reduced_words, subgroup_elements
+from bruteforce import (
+    check_folded,
+    double_transversal_with_pruning,
+    generated_elements,
+    reduced_words,
+    subgroup_elements,
+)
 from conftest import random_member, random_reduced
 
 F = Alphabet(("a", "b", "d"))
@@ -77,13 +85,14 @@ def test_coset_rep_examples():
 def test_coset_rep_contract():
     rng = random.Random(11)
     g = C()
+    diam = diameter(g.graph)
     for _ in range(300):
         word = random_reduced(rng, F, rng.randint(0, 9))
         rep, head = g.coset_rep(word)
         assert head * rep == word
         assert g.contains(head)
         assert len(rep) <= len(word)
-        assert len(head) <= len(word) + 2 * g.graph.diameter()
+        assert len(head) <= len(word) + 2 * diam
         c = random_member(rng, list(g.generators), rng.randint(0, 3))
         rep2, _ = g.coset_rep(c * word)
         assert rep2 == rep
@@ -303,6 +312,23 @@ def test_double_transversal_completeness_small():
         assert in_some, f"{word!r} in N* but outside every double coset"
 
 
+generator_tuples = st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_tuples)
+@example([[1, 1], [2]])
+@example([[1, 2, -1, -2], [3, 3]])
+def test_double_transversal_matches_pairwise_pruning(gens):
+    # each cyclic product component is its own double coset, so pruning
+    # candidates pairwise keeps every one of them
+    g = build([Word(F, ls) for ls in gens], F)
+    ts = g.double_transversal()
+    assert ts == double_transversal_with_pruning(g)
+    for t, t2 in combinations(ts, 2):
+        assert coset_intersection(g, t, g.conjugate(~t2), t2) is None
+
+
 def test_malnormality_flags():
     assert build([w("b")]).is_malnormal()
     assert not C().is_malnormal()
@@ -333,19 +359,20 @@ def test_z_subgroup_matches_definition():
 
 
 def test_generalized_normalizer_membership():
+    # w in N*(H) iff H meets H^w nontrivially
     g = C()
-    assert g.in_generalized_normalizer(w("a"))
-    assert not g.in_generalized_normalizer(w("d"))
-    assert g.in_generalized_normalizer(w("a^2 b"))
+    assert not pullback(g.conjugate(w("a")), g).graph.is_trivial()
+    assert pullback(g.conjugate(w("d")), g).graph.is_trivial()
+    assert not pullback(g.conjugate(w("a^2 b")), g).graph.is_trivial()
 
 
 def test_z_set_examples():
     g = C()
-    assert g.in_z_set(w("a^2"))
-    assert not g.in_z_set(w("b"))
+    assert g.z_set_witness(w("a^2")) is not None
+    assert g.z_set_witness(w("b")) is None
     with pytest.raises(NotAMemberError):
-        g.in_z_set(w("d"))
-    assert not build([w("b")]).in_z_set(w("b"))
+        g.z_set_witness(w("d"))
+    assert build([w("b")]).z_set_witness(w("b")) is None
     hit = g.z_set_witness(w("a^2"))
     t, target, conj = hit
     assert g.contains(target) and g.contains(conj)

@@ -183,6 +183,7 @@ class AmalgamContext:
         graph_cb: GeneratingTuple,
         phi_images: tuple[Word, ...],
         psi_images: tuple[Word, ...],
+        edge_images: tuple[dict, dict],
     ):
         self.alphabet_a = alphabet_a
         self.alphabet_b = alphabet_b
@@ -193,6 +194,7 @@ class AmalgamContext:
         self.graph_cb = graph_cb
         self.phi_images = phi_images
         self.psi_images = psi_images
+        self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.transversal_a = graph_ca.double_transversal()
         self.transversal_b = graph_cb.double_transversal()
         self.malnormal_a = graph_ca.is_malnormal()
@@ -231,19 +233,16 @@ class AmalgamContext:
     # --- transfer through the amalgamation ----------------------------------
 
     def transfer_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
-        """phi (A to B) or psi (B to A) of a C-element, via the C-basis table.
+        """phi (A to B) or psi (B to A) of a C-element, in one walk of its C graph.
 
-        This is the one transfer memo: ("xfer", side, letters) maps to the
-        image's letter tuple in ctx.cache.
+        The walk multiplies the images that label the basis edges.  This is
+        the one transfer memo: ("xfer", side, letters) maps to the image's
+        letter tuple in ctx.cache.
         """
         key = ("xfer", side, letters)
         hit = self.cache.get(key)
         if hit is None:
-            graph = self.graph_c(side)
-            images = self.phi_images if side == "A" else self.psi_images
-            expr = graph.express_in_basis(Word._make(graph.alphabet, letters))
-            hit = substitute(expr, images, self.factor_alphabet(self.other(side))).letters
-            self.cache[key] = hit
+            hit = self.cache[key] = self.graph_c(side).loop_word(letters, self._edge_images[side])
         return hit
 
     def transfer_word(self, side: str, w: Word) -> Word:
@@ -300,8 +299,11 @@ def build_context(
         substitute(graph_cb.express_in_generators(b), u_words, alphabet_a)
         for b in graph_cb.basis()
     )
+    images_a = graph_ca.basis_edge_words([w.letters for w in phi_images])
+    images_b = graph_cb.basis_edge_words([w.letters for w in psi_images])
+    # both checks walk the edge images that transfer_letters walks
     for i, (u, v) in enumerate(pairs, 1):
-        img = substitute(graph_ca.express_in_basis(u), phi_images, alphabet_b)
+        img = Word._make(alphabet_b, graph_ca.loop_word(u.letters, images_a))
         if img != v:
             raise InvalidPresentationError(
                 f"pair {i}: the pairing is not an isomorphism of C"
@@ -309,7 +311,7 @@ def build_context(
                 index=i,
             )
     for i, (u, v) in enumerate(pairs, 1):
-        img = substitute(graph_cb.express_in_basis(v), psi_images, alphabet_a)
+        img = Word._make(alphabet_a, graph_cb.loop_word(v.letters, images_b))
         if img != u:
             raise InvalidPresentationError(
                 f"pair {i}: the reverse pairing is not an isomorphism of C"
@@ -317,7 +319,8 @@ def build_context(
                 index=i,
             )
     return AmalgamContext(
-        alphabet_a, alphabet_b, pairs, graph_ca, graph_cb, phi_images, psi_images
+        alphabet_a, alphabet_b, pairs, graph_ca, graph_cb, phi_images, psi_images,
+        (images_a, images_b),
     )
 
 

@@ -260,11 +260,13 @@ class SubgroupGraph:
         return None if hit is None else hit[0]
 
     def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
+        fwd, back = self.fwd, self.back
         s = start
         for lt in letters:
-            s = self.step(s, lt)
-            if s is None:
+            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+            if hit is None:
                 return None
+            s = hit[0]
         return s
 
     def reads_loop(self, letters: Sequence[int], at: int) -> bool:
@@ -407,47 +409,59 @@ class GeneratingTuple:
         self._ensure_basis()
         return self._basis_alphabet
 
-    def express_in_basis(self, w: Word) -> Word:
-        """Word over the basis alphabet whose substitution reduces to w.
-
-        A reduced loop never crosses a non-tree edge and straight back, so the
-        walk over the basis edge words never cancels.
-        """
+    def basis_edge_words(self, images: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+        """Edge words for loop_word that send each basis element b_j to images[j]."""
         self._ensure_basis()
-        return Word._make(self._basis_alphabet, self._loop_word(w, self._basis_words))
+        return {
+            eid: images[j - 1] if j > 0 else letters_inverse(images[-j - 1])
+            for eid, (j,) in self._basis_words.items()
+        }
+
+    def express_in_basis(self, w: Word) -> Word:
+        """Word over the basis alphabet whose substitution reduces to w."""
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over wrong alphabet")
+        self._ensure_basis()
+        return Word._make(self._basis_alphabet, self.loop_word(w.letters, self._basis_words))
 
     def express_in_generators(self, w: Word) -> Word:
         """Word over the t-alphabet whose substitution by the generators is w."""
-        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
-        return Word._make(t_alphabet, self._loop_word(w, self._edge_words))
-
-    def _loop_word(self, w: Word, words: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """The reduced product of the edge words along the basepoint loop of w.
-
-        A loop crossing edge eid backwards reads words[~eid], the inverse of
-        words[eid]; an edge absent from `words` contributes nothing.
-        """
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
+        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
+        return Word._make(t_alphabet, self.loop_word(w.letters, self._edge_words))
+
+    def loop_word(self, letters: Sequence[int], words: dict) -> tuple[int, ...]:
+        """The reduced product of the edge words along the basepoint loop reading letters.
+
+        A loop crossing edge eid backwards reads words[~eid], the inverse of
+        words[eid], and an edge absent from `words` reads nothing.  The product
+        and each edge word are reduced, so they cancel only where they meet.
+        """
         g = self.graph
-        fwd, back = g.fwd, g.back
+        fwd, back, get = g.fwd, g.back, words.get
         out: list[int] = []
         s = g.base
-        for lt in w.letters:
+        for lt in letters:
             hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
             if hit is None:
-                raise NotAMemberError(f"{w!r} is not in the subgroup")
+                break
             s, eid = hit
-            word = words.get(eid if lt > 0 else ~eid)
+            word = get(eid if lt > 0 else ~eid)
             if word:
-                for t in word:
-                    if out and out[-1] == -t:
+                if out and out[-1] == -word[0]:
+                    out.pop()
+                    k, n = 1, len(word)
+                    while k < n and out and out[-1] == -word[k]:
                         out.pop()
-                    else:
-                        out.append(t)
-        if s != g.base:
-            raise NotAMemberError(f"{w!r} is not in the subgroup")
-        return tuple(out)
+                        k += 1
+                    word = word[k:]
+                out.extend(word)
+        else:
+            if s == g.base:
+                return tuple(out)
+        w = Word._make(self.alphabet, tuple(letters))
+        raise NotAMemberError(f"{w!r} is not in the subgroup")
 
     def conjugate(self, z: Word) -> "GeneratingTuple":
         """Automaton of the conjugate subgroup ~z * H * z.

@@ -10,6 +10,7 @@ error rather than a coercion.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -115,15 +116,15 @@ class Word:
         for lt in letters:
             if not isinstance(lt, int) or lt == 0 or abs(lt) > n:
                 raise ValueError(f"letter {lt!r} out of range for {alphabet!r}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", _reduced(letters))
+        _set_alphabet(self, alphabet)
+        _set_letters(self, _reduced(letters))
 
     @classmethod
     def _make(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
         # trusted constructor: letters must already be valid and freely reduced
         w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", letters)
+        _set_alphabet(w, alphabet)
+        _set_letters(w, letters)
         return w
 
     def __setattr__(self, *args):
@@ -199,6 +200,11 @@ class Word:
         return self.rotation(best)
 
 
+# the slots' own setters, which get past Word.__setattr__
+_set_alphabet = Word.alphabet.__set__
+_set_letters = Word.letters.__set__
+
+
 def identity(alphabet: Alphabet) -> Word:
     return Word._make(alphabet, ())
 
@@ -234,20 +240,11 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
     """Apply the homomorphism sending letter i to images[i]; inverses map to inverses."""
     if len(images) != len(w.alphabet):
         raise ValueError("substitution table must cover the whole alphabet")
-    out: list[int] = []
-    push = out.append
-    pop = out.pop
-    for lt in w.letters:
-        img = images[abs(lt) - 1]
-        if img.alphabet != target:
-            raise ValueError("substitution image over wrong alphabet")
-        seq = img.letters if lt > 0 else letters_inverse(img.letters)
-        for x in seq:
-            if out and out[-1] == -x:
-                pop()
-            else:
-                push(x)
-    return Word._make(target, tuple(out))
+    if any(img.alphabet != target for img in images):
+        raise ValueError("substitution image over wrong alphabet")
+    inverse = [letters_inverse(img.letters) for img in images]
+    seqs = [images[lt - 1].letters if lt > 0 else inverse[-lt - 1] for lt in w.letters]
+    return Word._make(target, _reduced(chain.from_iterable(seqs)))
 
 
 class WordSyntaxError(ValueError):

@@ -8,6 +8,9 @@ conjugacy decider and the one-sweep permutations, not the word problem.
 `double_transversal_with_pruning` is the older double transversal, which
 re-checked every pair of candidates with `conjugate` and
 `coset_intersection`; it checks that no candidate ever needs pruning.
+`transfer_through_basis` is the older transfer, which spelled a C-element
+over the free basis of C and substituted the basis images letter by letter;
+it checks the walk that multiplies the images on the basis edges.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 
 from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
 from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
-from amalgam.words import Alphabet, Word, identity
+from amalgam.words import Alphabet, Word, identity, substitute
 
 
 def reduced_words(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -207,3 +210,13 @@ def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
     """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
     shifted = g.conjugate(~t2)
     return coset_intersection(g, t, shifted, t2) is not None
+
+
+def transfer_through_basis(
+    ctx: AmalgamContext, side: str, letters: tuple[int, ...]
+) -> tuple[int, ...]:
+    """phi (A to B) or psi (B to A) as basis coordinates, then substitution."""
+    graph = ctx.graph_c(side)
+    images = ctx.phi_images if side == "A" else ctx.psi_images
+    expr = graph.express_in_basis(Word(graph.alphabet, letters))
+    return substitute(expr, images, ctx.factor_alphabet(ctx.other(side))).letters

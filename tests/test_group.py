@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
+from amalgam import group
 from amalgam.cosetalg import cardinality
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import (
@@ -28,9 +29,22 @@ from amalgam.group import (
     syllable_decompose,
     _cyclic_perms,
 )
-from amalgam.words import Alphabet, Word, format_word, parse_word
+from amalgam.stallings import NotAMemberError, SubgroupGraph
+from amalgam.words import (
+    Alphabet,
+    VerificationError,
+    Word,
+    format_word,
+    letters_product,
+    parse_word,
+)
 
-from bruteforce import brute_conjugacy_oracle, cyclic_perms_by_definition, subgroup_elements
+from bruteforce import (
+    brute_conjugacy_oracle,
+    cyclic_perms_by_definition,
+    subgroup_elements,
+    transfer_through_basis,
+)
 from conftest import random_member, random_reduced
 
 ADVERSARIAL = RepPolicy.paper_example_one(2)
@@ -130,6 +144,94 @@ def test_build_context_needs_words_over_declared_alphabets(ex1):
         build_context(x, y, [(Word(x, (1,)), Word(x, (1,)))])
     with pytest.raises(InvalidPresentationError):
         build_context(x, y, [(Word(x, ()), Word(y, (1,)))])
+
+
+# --- transfer through the amalgamation -------------------------------------------
+
+
+def pairing_context(*pairs):
+    x = Alphabet(("a", "b"))
+    y = Alphabet(("x", "y"))
+    return build_context(x, y, [(parse_word(u, x), parse_word(v, y)) for u, v in pairs])
+
+
+TRANSFER_CONTEXTS = {
+    "ex1": example_one_context(2),
+    "ex1(p=3)": example_one_context(3),
+    "ex2": example_two_context(2),
+    "malnormal": malnormal_context(),
+    "non-basis": pairing_context(("a b", "x"), ("b", "y")),
+    "redundant": pairing_context(("a", "x"), ("a^2", "x^2"), ("b", "y")),
+}
+
+
+def test_transfer_walk_matches_basis_substitution():
+    # the walk multiplies the images on the basis edges; the older transfer
+    # spelled the element over the basis and substituted letter by letter
+    junctions = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(TRANSFER_CONTEXTS)), data=st.data())
+    def check(name, data):
+        ctx = TRANSFER_CONTEXTS[name]
+        ctx.cache.clear()
+        factors = data.draw(
+            st.lists(st.tuples(st.sampled_from(ctx.pairs), st.booleans()), max_size=40)
+        )
+        u = Word(ctx.alphabet_a, ())
+        v = Word(ctx.alphabet_b, ())
+        last = None
+        for pair, inverted in factors:
+            if last == (pair, not inverted):  # keep the product over the pairs reduced
+                continue
+            last = (pair, inverted)
+            u = u * (~pair[0] if inverted else pair[0])
+            v = v * (~pair[1] if inverted else pair[1])
+        for side, w, image in (("A", u, v), ("B", v, u)):
+            moved = ctx.transfer_letters(side, w.letters)
+            assert moved == transfer_through_basis(ctx, side, w.letters)
+            assert moved == image.letters
+            assert ctx.transfer_letters(ctx.other(side), moved) == w.letters
+            # an image cancelling into the one before it shortens the product
+            graph = ctx.graph_c(side)
+            images = ctx.phi_images if side == "A" else ctx.psi_images
+            spelled = sum(len(images[abs(b) - 1]) for b in graph.express_in_basis(w).letters)
+            if spelled > len(moved):
+                junctions.append(name)
+
+    check()
+    assert junctions, "no example cancelled across the junction of two edge images"
+
+
+def test_transfer_of_a_non_member_names_it(ex1):
+    for side, letters, text in (("A", (3,), "d"), ("A", (1,), "a"), ("B", (2, 3), "y z")):
+        with pytest.raises(NotAMemberError) as err:
+            ex1.transfer_letters(side, letters)
+        assert str(err.value) == f"Word({text!r}) is not in the subgroup"
+        with pytest.raises(NotAMemberError) as ref:
+            transfer_through_basis(ex1, side, letters)
+        assert str(ref.value) == str(err.value)
+
+
+def test_head_escaping_c_fails_verification(monkeypatch):
+    # a coset_rep that moves one letter of rep into the head breaks the
+    # head-in-C invariant that both sweeps check
+    ctx = example_one_context(2)
+    word = up(ctx, "d^2 z^2 d^2 z^2")
+    cf = cyclic_form(ctx, word)
+    assert cf.cyclic_length >= 2
+    coset_rep = SubgroupGraph.coset_rep
+
+    def leaky_coset_rep(self, letters):
+        rep, head = coset_rep(self, letters)
+        return rep[1:], letters_product(head, rep[:1])
+
+    monkeypatch.setattr(SubgroupGraph, "coset_rep", leaky_coset_rep)
+    with pytest.raises(VerificationError, match="normal-form head escaped C"):
+        normal_form(ctx, up(ctx, "d"))
+    monkeypatch.setattr(group, "cyclic_form", lambda *args, **kwargs: cf)
+    with pytest.raises(VerificationError, match="normal-form head escaped C"):
+        cr_membership(ctx, word)
 
 
 # --- syllables -----------------------------------------------------------------

@@ -34,6 +34,25 @@ def test_normal_form_sweep_builds_no_words():
         assert not calls, f"{name} builds Word or Syllable objects at lines {calls}"
 
 
+# last dotted name of a call: words.substitute, graph.express_in_basis, Word, Word._make
+TRANSFER_AVOIDS = ("substitute", "express_in_basis", "Word", "_make")
+
+
+def test_transfer_stays_at_the_letter_level():
+    # a transfer is one walk of the C graph over letter tuples
+    path = Path(amalgam.__file__).parent / "group.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (ctx_class,) = (n for n in tree.body if getattr(n, "name", None) == "AmalgamContext")
+    (method,) = (n for n in ctx_class.body if getattr(n, "name", None) == "transfer_letters")
+    calls = [
+        (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] in TRANSFER_AVOIDS
+    ]
+    assert not calls, f"transfer_letters calls {calls}"
+
+
 
 GRAPH_CLASSES = ("SubgroupGraph", "GeneratingTuple")
 

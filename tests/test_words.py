@@ -117,6 +117,10 @@ def test_substitute_examples():
     assert substitute(Word(T, (1, -1)), table, F) == w("")
     table2 = [w("a b"), w("b^-1 d")]
     assert substitute(Word(T, (1, 2)), table2, F) == w("a d")
+    # two images cancelling across their junction by more than one letter
+    table3 = [w("a b"), w("b^-1 a^-1 d")]
+    assert substitute(Word(T, (1, 2)), table3, F) == w("d")
+    assert substitute(Word(T, (-2, -1, 2)), table3, F) == w("d^-1 b^-1 a^-1 d")
 
 
 @given(st.lists(st.integers(min_value=-2, max_value=2).filter(bool), max_size=10),
@@ -131,6 +135,13 @@ def test_substitute_is_a_homomorphism(x, y):
 def test_substitute_respects_inverses():
     table = [w("a b"), w("b")]
     assert substitute(Word(T, (-1,)), table, F) == ~w("a b")
+
+
+def test_substitute_rejects_an_image_over_the_wrong_alphabet():
+    # every image is checked, also one that the word does not use
+    for word in (Word(T, (1,)), Word(T, (2,)), Word(T, ())):
+        with pytest.raises(ValueError, match="^substitution image over wrong alphabet$"):
+            substitute(word, [w("a"), Word(T, (1,))], F)
 
 
 def test_parse_format_roundtrip():
@@ -172,3 +183,12 @@ def test_identity_helpers():
     assert identity(F).is_identity()
     assert w("a") ** 0 == identity(F)
     assert w("a b") ** -2 == ~(w("a b") * w("a b"))
+
+
+def test_words_are_immutable():
+    for word in (Word(F, (1, 2)), w("a b") * w("d"), ~w("a"), identity(F)):
+        with pytest.raises(AttributeError):
+            word.letters = (3,)
+        with pytest.raises(AttributeError):
+            word.alphabet = T
+        assert word.alphabet == F

@@ -7,6 +7,7 @@ presentation, 4 conjugacy undecided.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -475,7 +476,9 @@ def _cmd_bench(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # cached: parse_args keeps no state, and help and errors are formatted when printed
     parser = argparse.ArgumentParser(
         prog="amalgam",
         description="normal forms and conjugacy search in amalgams of free groups",

@@ -1,10 +1,11 @@
 """The amalgamated product layer.
 
 A context validates a presentation of G = A *_C B over free factors and
-precomputes the transfer tables and normalizer data for C on both sides.  On
-top of it live syllable decomposition, reduced and normal forms, cyclically
-reduced forms, the principal-system solver, the regular/singular classifier,
-and the partial conjugacy-search decider.  Undecided is a first-class
+precomputes the transfer tables for C on both sides; its normalizer data
+(double transversals, malnormality) is computed on first use.  On top of it
+live syllable decomposition, reduced and normal forms, cyclically reduced
+forms, the principal-system solver, the regular/singular classifier, and
+the partial conjugacy-search decider.  Undecided is a first-class
 outcome: the decider halts with a verdict only on inputs it can certify.
 
 The normal-form sweep runs on plain letter tuples: syllables are (side,
@@ -170,9 +171,16 @@ class ConjugacyOutcome:
 class AmalgamContext:
     """Validated presentation of G = A *_C B with precomputed transfer data.
 
-    Immutable after construction apart from an internal memo cache; all
-    queries are pure, so independent lookups may run concurrently.
+    The double transversals and malnormality flags are not precomputed: they
+    are read off the C graphs on first use and memoised there.  Immutable
+    after construction apart from internal memo caches; all queries are
+    pure, so independent lookups may run concurrently.
     """
+
+    transversal_a = property(lambda self: self.graph_ca.double_transversal())
+    transversal_b = property(lambda self: self.graph_cb.double_transversal())
+    malnormal_a = property(lambda self: self.graph_ca.is_malnormal())
+    malnormal_b = property(lambda self: self.graph_cb.is_malnormal())
 
     def __init__(
         self,
@@ -195,10 +203,6 @@ class AmalgamContext:
         self.phi_images = phi_images
         self.psi_images = psi_images
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
-        self.transversal_a = graph_ca.double_transversal()
-        self.transversal_b = graph_cb.double_transversal()
-        self.malnormal_a = graph_ca.is_malnormal()
-        self.malnormal_b = graph_cb.is_malnormal()
         self.cache: dict = {}
         # union letter -> side and factor letter, for the syllable split
         off = len(alphabet_a)
@@ -419,8 +423,9 @@ def _rep(
         return rep, head
     if tail.count(tail[0]) != len(tail) or len(tail) % p:
         return rep, head
-    rep = (-swap if tail[0] > 0 else swap,) * len(tail) + (3,) + tail
-    return rep, letters_product(w, letters_inverse(rep))
+    swaps = (-swap if tail[0] > 0 else swap,) * len(tail)  # in C
+    # w = head * rep = (head * ~swaps) * (swaps * rep): cancel only at the junction
+    return swaps + rep, letters_product(head, letters_inverse(swaps))
 
 
 def normal_form(

@@ -130,6 +130,9 @@ class Word:
     def __setattr__(self, *args):
         raise AttributeError("Word is immutable")
 
+    def __delattr__(self, *args):
+        raise AttributeError("Word is immutable")
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -11,6 +11,9 @@ re-checked every pair of candidates with `conjugate` and
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
 it checks the walk that multiplies the images on the basis edges.
+`adversarial_rep_by_cancellation` is the older `paper-ex1` representative,
+which recovered the head by cancelling `w * ~rep` letter by letter; it
+checks the head that `_rep` derives from the canonical one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from typing import Optional
 
 from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
 from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
-from amalgam.words import Alphabet, Word, identity, substitute
+from amalgam.words import (
+    Alphabet,
+    Word,
+    identity,
+    letters_inverse,
+    letters_product,
+    substitute,
+)
 
 
 def reduced_words(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -220,3 +230,18 @@ def transfer_through_basis(
     images = ctx.phi_images if side == "A" else ctx.psi_images
     expr = graph.express_in_basis(Word(graph.alphabet, letters))
     return substitute(expr, images, ctx.factor_alphabet(ctx.other(side))).letters
+
+
+def adversarial_rep_by_cancellation(
+    ctx: AmalgamContext, side: str, w: tuple[int, ...], p: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rep, head) of the adversarial policy, with head = w * ~rep freely reduced."""
+    rep, head = ctx.graph_c(side).graph.coset_rep(w)
+    run, swap = (1, 2) if side == "A" else (2, 1)
+    tail = rep[1:]
+    if rep[:1] != (3,) or not tail or abs(tail[0]) != run:
+        return rep, head
+    if tail.count(tail[0]) != len(tail) or len(tail) % p:
+        return rep, head
+    rep = (-swap if tail[0] > 0 else swap,) * len(tail) + (3,) + tail
+    return rep, letters_product(w, letters_inverse(rep))

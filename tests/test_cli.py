@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amalgam
+from amalgam import cli
 from amalgam.cli import (
     PresentationSyntaxError,
     bench_paper_ex1,
@@ -204,3 +209,65 @@ def test_bad_policy_is_syntax_error(capsys, group_file):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "-g", "/nonexistent/nope.group")
     assert code == 2
+
+
+def cli_corpus(group_file, missing_file):
+    return [
+        ["validate", "-g", group_file],
+        ["validate", "-g", group_file, "--json"],
+        ["nf", "-g", group_file, "-w", "z d x", "--trace"],
+        ["nf", "-g", group_file, "-w", "z d x", "--policy", "paper-ex1:2", "--trace", "--json"],
+        ["reduce", "-g", group_file, "-w", "d x d", "--json"],
+        ["cyclic", "-g", group_file, "-w", "d x d^-1"],
+        ["classify", "-g", group_file, "-w", "a", "--json"],
+        ["transversal", "-g", group_file, "--json"],
+        ["conj", "-g", group_file, "-u", "a^2", "-v", "a^-1 a^2 a", "--json"],
+        ["conj", "-g", group_file, "-u", "d z", "-v", "z d"],
+        ["-h"],
+        ["nf", "-h"],
+        [],
+        ["frobnicate", "-g", group_file],
+        ["nf", "-g", group_file],
+        ["validate", "-g", group_file, "extra"],
+        ["nf", "-g", group_file, "-w", "a", "--policy", "weird"],
+        ["nf", "-g", group_file, "-w", "q q"],
+        ["validate", "-g", missing_file],
+    ]
+
+
+# runs main on every argv list of a JSON list in a fresh interpreter
+FRESH_PROCESS = "\n".join((
+    "import contextlib, io, json, sys",
+    "from amalgam.cli import main",
+    "results = []",
+    "for argv in json.loads(sys.argv[1]):",
+    "    out, err = io.StringIO(), io.StringIO()",
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+    "        code = main(argv)",
+    "    results.append([code, out.getvalue(), err.getvalue()])",
+    "print(json.dumps(results))",
+))
+
+
+def test_repeated_calls_in_one_process_match_a_fresh_process(
+    capsys, monkeypatch, group_file, tmp_path
+):
+    # the parser is built once per process; every call must still behave as
+    # the first call of a fresh interpreter, help and error paths included
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    corpus = cli_corpus(group_file, str(tmp_path / "missing.group"))
+    passes = [[list(run(capsys, *argv)) for argv in corpus] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert {code for code, _, _ in passes[0]} == {0, 2, 4}
+    src = os.path.dirname(os.path.dirname(amalgam.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps(corpus)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == passes[0]
+
+
+def test_main_builds_one_parser():
+    assert cli._build_parser() is cli._build_parser()

@@ -29,17 +29,19 @@ from amalgam.group import (
     syllable_decompose,
     _cyclic_perms,
 )
-from amalgam.stallings import NotAMemberError, SubgroupGraph
+from amalgam.stallings import GeneratingTuple, NotAMemberError, SubgroupGraph, build
 from amalgam.words import (
     Alphabet,
     VerificationError,
     Word,
     format_word,
+    identity,
     letters_product,
     parse_word,
 )
 
 from bruteforce import (
+    adversarial_rep_by_cancellation,
     brute_conjugacy_oracle,
     cyclic_perms_by_definition,
     subgroup_elements,
@@ -144,6 +146,36 @@ def test_build_context_needs_words_over_declared_alphabets(ex1):
         build_context(x, y, [(Word(x, (1,)), Word(x, (1,)))])
     with pytest.raises(InvalidPresentationError):
         build_context(x, y, [(Word(x, ()), Word(y, (1,)))])
+
+
+def test_build_context_leaves_the_normalizer_data_for_first_use(monkeypatch):
+    # the double transversals and malnormality flags are read off the C graphs
+    # on first use; building a context computes neither
+    calls = []
+    double_transversal = GeneratingTuple.double_transversal
+
+    def counted(self):
+        calls.append(self)
+        return double_transversal(self)
+
+    monkeypatch.setattr(GeneratingTuple, "double_transversal", counted)
+    contexts = {
+        "ex1": example_one_context(2),
+        "ex2": example_two_context(2),
+        "malnormal": malnormal_context(),
+    }
+    assert calls == []
+    for name, ctx in contexts.items():
+        eager_a = build([u for u, _ in ctx.pairs], ctx.alphabet_a).double_transversal()
+        eager_b = build([v for _, v in ctx.pairs], ctx.alphabet_b).double_transversal()
+        assert (ctx.transversal_a, ctx.transversal_b) == (eager_a, eager_b), name
+        assert ctx.malnormal_a is (len(eager_a) == 1), name
+        assert ctx.malnormal_b is (len(eager_b) == 1), name
+        with pytest.raises(AttributeError):
+            ctx.transversal_a = eager_a
+    assert contexts["malnormal"].malnormal_a is True
+    assert contexts["malnormal"].malnormal_b is True
+    assert len(contexts["ex1"].transversal_a) > 1
 
 
 # --- transfer through the amalgamation -------------------------------------------
@@ -354,6 +386,63 @@ def test_normal_form_example_one_pinned_traces(ex1, m, adversarial_trace, head):
     assert trace == [1] + [0] * (2 * m)
     assert (nf.head_side, format_word(nf.head)) == ("B", "")
     assert [format_word(s.word) for s in nf.syllables] == ["z", "d"] * (m - 1) + ["z", "d a^2"]
+
+
+# --- the adversarial representative against the older composition ---------------
+
+ADVERSARIAL_CONTEXTS = {p: example_one_context(p) for p in (2, 3)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_adversarial_rep_matches_the_cancelling_reference(data):
+    # _rep derives the head from the canonical one; the reference cancels w * ~rep
+    p = data.draw(st.sampled_from(sorted(ADVERSARIAL_CONTEXTS)))
+    ctx = ADVERSARIAL_CONTEXTS[p]
+    side = data.draw(st.sampled_from("AB"))
+    alphabet = ctx.factor_alphabet(side)
+    run = 1 if side == "A" else 2
+    generators = [u if side == "A" else v for u, v in ctx.pairs]
+    factor_letters = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=6)
+    member = identity(alphabet)
+    for g, inverse in data.draw(st.lists(st.tuples(st.sampled_from(generators), st.booleans()))):
+        member = member * (~g if inverse else g)
+    letters = (
+        member.letters
+        + tuple(data.draw(factor_letters))
+        + data.draw(st.sampled_from(((), (3,), (-3,))))
+        + (run,) * data.draw(st.integers(-3 * p, 3 * p))
+        + tuple(data.draw(factor_letters))
+    )
+    w = Word(alphabet, letters).letters
+    got = group._rep(ctx, side, w, p)
+    assert got == adversarial_rep_by_cancellation(ctx, side, w, p)
+    assert letters_product(got[1], got[0]) == w
+
+
+@pytest.mark.parametrize("p", sorted(ADVERSARIAL_CONTEXTS))
+def test_adversarial_rep_matches_the_reference_on_every_blowup_step(monkeypatch, p):
+    # every _rep call of the (z d)^m x sweeps, m <= 5, heads up to p^10 letters
+    ctx = ADVERSARIAL_CONTEXTS[p]
+    calls = []
+    rep = group._rep
+
+    def recorded(ctx, side, w, p):
+        got = rep(ctx, side, w, p)
+        calls.append((side, w, got))
+        return got
+
+    monkeypatch.setattr(group, "_rep", recorded)
+    for m in range(1, 6):
+        calls.clear()
+        trace = []
+        word = up(ctx, "z d") ** m * up(ctx, "x")
+        nf = normal_form(ctx, word, RepPolicy.paper_example_one(p), trace=trace)
+        assert trace == [p**k for k in range(2 * m + 1)]
+        assert len(nf.head) == p ** (2 * m)
+        assert len(calls) >= 2 * m + 1
+        for side, w, got in calls:
+            assert got == adversarial_rep_by_cancellation(ctx, side, w, p)
 
 
 # --- kernel properties on the fixtures (Hypothesis) ---------------------------

@@ -53,6 +53,23 @@ def test_transfer_stays_at_the_letter_level():
     assert not calls, f"transfer_letters calls {calls}"
 
 
+# the normalizer data is computed on first read, never while a context is built
+NORMALIZER_NAMES = (
+    "double_transversal", "is_malnormal",
+    "transversal_a", "transversal_b", "malnormal_a", "malnormal_b",
+)
+
+
+def test_context_construction_leaves_the_normalizer_data_lazy():
+    path = Path(amalgam.__file__).parent / "group.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (ctx_class,) = (n for n in tree.body if getattr(n, "name", None) == "AmalgamContext")
+    (init,) = (n for n in ctx_class.body if getattr(n, "name", None) == "__init__")
+    (build_context,) = (n for n in tree.body if getattr(n, "name", None) == "build_context")
+    for function in (init, build_context):
+        read = sorted(set(_names_outside(function, None)) & set(NORMALIZER_NAMES))
+        assert not read, f"{function.name} reads {read}"
+
 
 GRAPH_CLASSES = ("SubgroupGraph", "GeneratingTuple")
 

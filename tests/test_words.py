@@ -191,4 +191,10 @@ def test_words_are_immutable():
             word.letters = (3,)
         with pytest.raises(AttributeError):
             word.alphabet = T
-        assert word.alphabet == F
+        size = len(word)
+        with pytest.raises(AttributeError, match="Word is immutable"):
+            del word.letters
+        with pytest.raises(AttributeError, match="Word is immutable"):
+            del word.alphabet
+        assert word.alphabet == F and len(word) == size
+

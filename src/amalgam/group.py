@@ -423,9 +423,9 @@ def _rep(
         return rep, head
     if tail.count(tail[0]) != len(tail) or len(tail) % p:
         return rep, head
-    swaps = (-swap if tail[0] > 0 else swap,) * len(tail)  # in C
-    # w = head * rep = (head * ~swaps) * (swaps * rep): cancel only at the junction
-    return swaps + rep, letters_product(head, letters_inverse(swaps))
+    s = -swap if tail[0] > 0 else swap
+    # w = head * rep = (head * s^-k) * (s^k * rep), s^k in C: cancel only at the junction
+    return (s,) * len(tail) + rep, letters_product(head, (-s,) * len(tail))
 
 
 def normal_form(

@@ -26,6 +26,16 @@ equal, and a dropped parallel edge differs from the kept one only by a
 relation among the generators.  A basepoint loop then multiplies the words
 on its edges to a word over the generators.  A tuple made directly from a
 graph is generated by the graph's free basis, with t_j on non-tree edge j.
+
+Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
+folded graph each letter is a partial injection on the states, so reading
+x repeatedly from a state s either gets stuck or comes back to s after a
+period L <= nstates (Kapovich-Myasnikov).  `_walk` finds the end of the run
+with galloping slice compares, steps through the orbit of s once, and skips
+k // L whole cycles, so a run costs O(L) lookups however large k is; a loop
+word gains the cycle's edge-word product W = c W0 ~c as the reduced block
+c W0^q ~c.  Shorter inputs keep the plain letter-at-a-time loops, which are
+cheaper when there is little to skip.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ from .words import (
     letters_product,
     substitute,
 )
+
+
+_RUN_MIN = 64  # inputs this long are walked a run at a time
 
 
 class NotAMemberError(ValueError):
@@ -193,6 +206,32 @@ def _trim(edges: Edges, base: int) -> Edges:
     return live
 
 
+def _run_end(letters: Sequence[int], i: int, n: int) -> int:
+    """End of the run of letters[i] that starts at i, by galloping slice compares."""
+    lt, j, step = letters[i], i + 1, 1
+    while j < n:
+        end = min(j + step, n)
+        if letters[j:end].count(lt) != end - j:
+            break
+        j, step = end, 2 * step
+    else:
+        return n
+    while step > 1:  # the run ends in [j, j + step)
+        step //= 2
+        if letters[j : j + step].count(lt) == step:
+            j += step
+    return j
+
+
+def _push(out: list, word: Sequence[int]) -> None:
+    """Multiply the reduced list out by the reduced word in place."""
+    k, n = 0, len(word)
+    while k < n and out and out[-1] == -word[k]:
+        out.pop()
+        k += 1
+    out.extend(word[k:] if k else word)
+
+
 class SubgroupGraph:
     """Immutable folded core-plus-base automaton with its geodesic tree."""
 
@@ -260,6 +299,9 @@ class SubgroupGraph:
         return None if hit is None else hit[0]
 
     def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
+        if len(letters) >= _RUN_MIN:
+            s, i = self._walk(letters, start)
+            return s if i == len(letters) else None
         fwd, back = self.fwd, self.back
         s = start
         for lt in letters:
@@ -288,15 +330,18 @@ class SubgroupGraph:
         coset, is freely reduced (the geodesic never ends with the inverse of
         the stuck letter), and |rep| <= |letters|.
         """
-        fwd, back = self.fwd, self.back
-        s = self.base
-        i = 0
-        for lt in letters:
-            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
-            if hit is None:
-                break
-            s = hit[0]
-            i += 1
+        if len(letters) >= _RUN_MIN:
+            s, i = self._walk(letters, self.base)
+        else:
+            fwd, back = self.fwd, self.back
+            s = self.base
+            i = 0
+            for lt in letters:
+                hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+                if hit is None:
+                    break
+                s = hit[0]
+                i += 1
         path = self.tree_path_letters(s)
         if not path:
             return letters[i:], letters[:i]
@@ -305,6 +350,64 @@ class SubgroupGraph:
         if inverse is None:
             inverse = inverses[s] = letters_inverse(path)
         return path + letters[i:], letters_product(letters[:i], inverse)
+
+    def _walk(
+        self,
+        letters: Sequence[int],
+        s: int,
+        words: Optional[dict] = None,
+        out: Optional[list] = None,
+    ) -> tuple[int, int]:
+        """Read letters from state s a run at a time: (state reached, letters read).
+
+        Fewer than len(letters) letters read means the next one is unreadable
+        at the returned state.  With `words`, a walk that reads every letter
+        multiplies the edge words along it (words[~eid] on an edge crossed
+        backwards, nothing on an edge absent from `words`) onto `out`.
+        """
+        fwd, back = self.fwd, self.back
+        n, i = len(letters), 0
+        while i < n:
+            lt = letters[i]
+            get, lab = (fwd.get, lt) if lt > 0 else (back.get, -lt)
+            if i + 1 == n or letters[i + 1] != lt:  # a lone letter: one step
+                hit = get((s, lab))
+                if hit is None:
+                    return s, i
+                s, eid = hit
+                if words is not None:
+                    _push(out, words.get(eid if lt > 0 else ~eid, ()))
+                i += 1
+                continue
+            k = _run_end(letters, i, n) - i
+            orbit, keys = [s], []  # the orbit of s under lt, and the edges it takes
+            for _ in range(k):
+                hit = get((s, lab))
+                if hit is None:
+                    return s, i + len(keys)
+                s, eid = hit
+                keys.append(eid if lt > 0 else ~eid)
+                if s == orbit[0]:
+                    break
+                orbit.append(s)
+            if s == orbit[0]:  # back at the start: skip the whole cycles
+                cycles, r = divmod(k, len(keys))
+                s = orbit[r]
+            else:
+                cycles, r = 0, k
+            if words is not None:
+                if cycles:
+                    cycle: list[int] = []
+                    for key in keys:
+                        _push(cycle, words.get(key, ()))
+                    c, m = 0, len(cycle)  # cycle = c W0 ~c with W0 cyclically reduced
+                    while m - 2 * c >= 2 and cycle[c] == -cycle[m - 1 - c]:
+                        c += 1
+                    _push(out, cycle[:c] + cycle[c : m - c] * cycles + cycle[m - c :])
+                for key in keys[:r]:
+                    _push(out, words.get(key, ()))
+            i += k
+        return s, n
 
     def tree_path(self, state: int) -> Word:
         return Word._make(self.alphabet, self.tree_path_letters(state))
@@ -439,27 +542,32 @@ class GeneratingTuple:
         and each edge word are reduced, so they cancel only where they meet.
         """
         g = self.graph
-        fwd, back, get = g.fwd, g.back, words.get
         out: list[int] = []
-        s = g.base
-        for lt in letters:
-            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
-            if hit is None:
-                break
-            s, eid = hit
-            word = get(eid if lt > 0 else ~eid)
-            if word:
-                if out and out[-1] == -word[0]:
-                    out.pop()
-                    k, n = 1, len(word)
-                    while k < n and out and out[-1] == -word[k]:
-                        out.pop()
-                        k += 1
-                    word = word[k:]
-                out.extend(word)
-        else:
-            if s == g.base:
+        if len(letters) >= _RUN_MIN:
+            s, i = g._walk(letters, g.base, words, out)
+            if i == len(letters) and s == g.base:
                 return tuple(out)
+        else:
+            fwd, back, get = g.fwd, g.back, words.get
+            s = g.base
+            for lt in letters:
+                hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+                if hit is None:
+                    break
+                s, eid = hit
+                word = get(eid if lt > 0 else ~eid)
+                if word:
+                    if out and out[-1] == -word[0]:
+                        out.pop()
+                        k, n = 1, len(word)
+                        while k < n and out and out[-1] == -word[k]:
+                            out.pop()
+                            k += 1
+                        word = word[k:]
+                    out.extend(word)
+            else:
+                if s == g.base:
+                    return tuple(out)
         w = Word._make(self.alphabet, tuple(letters))
         raise NotAMemberError(f"{w!r} is not in the subgroup")
 

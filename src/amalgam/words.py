@@ -36,8 +36,14 @@ class Alphabet:
                 raise ValueError(f"bad generator name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names!r}")
-        self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
+        _set_names(self, names)
+        _set_index(self, {n: i for i, n in enumerate(names)})
+
+    def __setattr__(self, *args):
+        raise AttributeError("Alphabet is immutable")
+
+    def __delattr__(self, *args):
+        raise AttributeError("Alphabet is immutable")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -59,6 +65,11 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({', '.join(self.names)})"
+
+
+# the slots' own setters, which get past Alphabet.__setattr__
+_set_names = Alphabet.names.__set__
+_set_index = Alphabet._index.__set__
 
 
 def letter(index: int, sign: int) -> int:

@@ -14,6 +14,8 @@ it checks the walk that multiplies the images on the basis edges.
 `adversarial_rep_by_cancellation` is the older `paper-ex1` representative,
 which recovered the head by cancelling `w * ~rep` letter by letter; it
 checks the head that `_rep` derives from the canonical one.
+`walk_letter_by_letter` reads a word one lookup per letter, as the graph
+does below `_RUN_MIN` letters; it checks the run walker of longer inputs.
 """
 
 from __future__ import annotations
@@ -245,3 +247,21 @@ def adversarial_rep_by_cancellation(
         return rep, head
     rep = (-swap if tail[0] > 0 else swap,) * len(tail) + (3,) + tail
     return rep, letters_product(w, letters_inverse(rep))
+
+
+def walk_letter_by_letter(
+    graph: SubgroupGraph, letters: tuple[int, ...], start: int, words: Optional[dict] = None
+) -> tuple[int, int, tuple[int, ...]]:
+    """(state reached, letters read, edge-word product of the read prefix), a letter at a time."""
+    s, out = start, []
+    for i, lt in enumerate(letters):
+        hit = (graph.fwd if lt > 0 else graph.back).get((s, abs(lt)))
+        if hit is None:
+            return s, i, tuple(out)
+        s, eid = hit
+        for x in (words or {}).get(eid if lt > 0 else ~eid, ()):
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return s, len(letters), tuple(out)

@@ -1,18 +1,27 @@
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgam.cli import diameter
+from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.stallings import (
     NotAMemberError,
     build,
     coset_intersection,
     pullback,
 )
-from amalgam.words import Alphabet, Word, identity, parse_word, substitute
+from amalgam.words import (
+    Alphabet,
+    Word,
+    identity,
+    letters_inverse,
+    letters_product,
+    parse_word,
+    substitute,
+)
 
 from bruteforce import (
     check_folded,
@@ -20,6 +29,7 @@ from bruteforce import (
     generated_elements,
     reduced_words,
     subgroup_elements,
+    walk_letter_by_letter,
 )
 from conftest import random_member, random_reduced
 
@@ -378,3 +388,94 @@ def test_z_set_examples():
     assert g.contains(target) and g.contains(conj)
     assert g.contains(~t * target * t)  # target really lies in Z_t
     assert ~conj * target * conj == w("a^2")
+
+
+RUN_CONTEXTS = (
+    lambda: example_one_context(2),
+    lambda: example_one_context(3),
+    lambda: example_two_context(2),
+    malnormal_context,
+)
+
+
+def run_words(rng, gt, count):
+    """Runs x^k (k up to 300) among single letters; every other word is a basepoint loop."""
+    n = len(gt.alphabet)
+    options = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    basis = [b.letters for b in gt.basis()]
+    out = []
+    for i in range(count):
+        letters, size = (), rng.choice((8, 70, 300, 700))
+        while len(letters) < size:
+            if i % 2:
+                block = (rng.choice(options),) * rng.choice((1, 1, 2, 3, rng.randint(1, 300)))
+            else:
+                block = rng.choice(basis)
+                block = block if rng.random() < 0.5 else letters_inverse(block)
+                block *= rng.choice((1, 2, rng.randint(1, 300)))
+            letters = letters_product(letters, block)
+        out.append(letters)
+    return out
+
+
+def test_run_walker_matches_the_letter_by_letter_walk():
+    # trace, coset_rep and loop_word on both sides of each fixture, from every state
+    rng = random.Random(11)
+    long_walks = stuck_in_runs = skipped_cycles = loops = 0
+    for ctx, side in ((make(), side) for make in RUN_CONTEXTS for side in "AB"):
+        gt = ctx.graph_c(side)
+        g = gt.graph
+        images = ctx.phi_images if side == "A" else ctx.psi_images
+        word_maps = (
+            gt.basis_edge_words([(j + 1,) for j in range(len(gt.basis()))]),
+            gt.basis_edge_words([img.letters for img in images]),
+        )
+        for letters in run_words(rng, gt, 40):
+            long_walks += len(letters) >= 64
+            run = max(len(list(r)) for _, r in groupby(letters))
+            for s in range(g.nstates):
+                end, read, _ = walk_letter_by_letter(g, letters, s)
+                want = end if read == len(letters) else None
+                assert g.trace(letters, s) == want
+                assert g.trace(list(letters), s) == want
+                assert g.reads_loop(letters, s) == (want == s)
+                if 0 < read < len(letters) and letters[read] == letters[read - 1]:
+                    stuck_in_runs += 1
+                skipped_cycles += want is not None and run > g.nstates
+            end, read, _ = walk_letter_by_letter(g, letters, g.base)
+            path = g.tree_path_letters(end)
+            assert g.coset_rep(letters) == (
+                path + letters[read:],
+                letters_product(letters[:read], letters_inverse(path)),
+            )
+            for words in word_maps:
+                end, read, product = walk_letter_by_letter(g, letters, g.base, words)
+                if read == len(letters) and end == g.base:
+                    assert gt.loop_word(letters, words) == product
+                    loops += len(letters) >= 64
+                else:
+                    with pytest.raises(NotAMemberError) as err:
+                        gt.loop_word(letters, words)
+                    text = f"{Word(g.alphabet, letters)!r} is not in the subgroup"
+                    assert str(err.value) == text
+    assert long_walks and stuck_in_runs and skipped_cycles and loops
+
+
+class CountingDict(dict):
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_a_run_costs_lookups_per_cycle_not_per_letter():
+    # deterministic: counts table lookups, so a fall back to one lookup per letter fails
+    ctx = example_one_context(2)
+    g = ctx.graph_ca.graph
+    g.fwd, g.back = CountingDict(g.fwd), CountingDict(g.back)
+    assert g.reads_loop((2,) * 10**6, 0)
+    assert g.fwd.gets + g.back.gets <= 100
+    g.fwd.gets = g.back.gets = 0
+    assert ctx.transfer_letters("A", (1,) * 200_000) == (1,) * 100_000
+    assert g.fwd.gets + g.back.gets <= 100

@@ -198,3 +198,14 @@ def test_words_are_immutable():
             del word.alphabet
         assert word.alphabet == F and len(word) == size
 
+
+
+def test_alphabets_are_immutable():
+    key = {F: "kept"}
+    for attr in ("names", "_index"):
+        with pytest.raises(AttributeError, match="Alphabet is immutable"):
+            setattr(F, attr, ("x",))
+        with pytest.raises(AttributeError, match="Alphabet is immutable"):
+            delattr(F, attr)
+    assert F.names == ("a", "b", "d") and F.index("d") == 2 and "x" not in F
+    assert key[Alphabet(("a", "b", "d"))] == "kept"

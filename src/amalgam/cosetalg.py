@@ -39,14 +39,6 @@ class Cardinality:
     element: Optional[Word] = None
 
     @property
-    def is_empty(self) -> bool:
-        return self.tag == "empty"
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.tag == "singleton"
-
-    @property
     def is_infinite(self) -> bool:
         return self.tag == "infinite"
 

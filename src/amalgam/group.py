@@ -109,15 +109,10 @@ class ReducedForm:
 
 @dataclass(frozen=True)
 class CyclicForm:
-    """form plus a conjugator with original = conjugator * form * ~conjugator.
-
-    certified is False only when the CMSP-free variant stopped at syllable
-    length 1 without checking conjugacy into C.
-    """
+    """form plus a conjugator with original = conjugator * form * ~conjugator."""
 
     form: NormalForm
     conjugator: Word  # over the union alphabet
-    certified: bool = True
 
     @property
     def cyclic_length(self) -> int:
@@ -499,13 +494,10 @@ def cyclic_form(
     ctx: AmalgamContext,
     raw: Word,
     policy: RepPolicy = CANONICAL,
-    allow_cmsp: bool = True,
 ) -> CyclicForm:
     """Cyclically reduced conjugate with accumulated conjugator.
 
-    With allow_cmsp the syllable-length-1 case is settled by conjugacy into C
-    on the factor; without it the sweep stops there and the result is only
-    guaranteed cyclically reduced when its length exceeds 1.
+    The syllable-length-1 case is settled by conjugacy into C on the factor.
     """
     nf = normal_form(ctx, raw, policy)
     reps = _coset_reps(ctx, policy)
@@ -524,8 +516,7 @@ def cyclic_form(
     if sylls and head_side != sylls[0][0]:
         head = ctx.transfer_letters(head_side, head) if head else ()
         head_side = sylls[0][0]
-    certified = allow_cmsp or len(sylls) != 1
-    if len(sylls) == 1 and allow_cmsp:
+    if len(sylls) == 1:
         side, word = sylls[0]
         w_full = Word._make(ctx.factor_alphabet(side), letters_product(head, word))
         hit = ctx.graph_c(side).conjugacy_into(w_full)
@@ -541,7 +532,7 @@ def cyclic_form(
     spelled = letters_product(letters_product(conj, spelled), letters_inverse(conj))
     if normal_form(ctx, Word._make(ctx.union_alphabet, spelled), policy) != nf:
         raise VerificationError("cyclic reduction lost the conjugacy class")
-    return CyclicForm(form, Word._make(ctx.union_alphabet, conj), certified)
+    return CyclicForm(form, Word._make(ctx.union_alphabet, conj))
 
 
 def _cyclic_perms(
@@ -653,26 +644,18 @@ def classify(
 def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
     k = nf.syllable_length
     if k >= 2:
-        key = ("classify2", nf.syllable_letters)
-        hit = ctx.cache.get(key)
-        if hit is not None:
-            return hit
         e = principal_system_solve(ctx, nf, nf)
         if e is None or not e.contains(identity(e.rep.alphabet)):
             raise VerificationError("principal system of a form with itself lost the identity")
-        if cardinality(e).is_infinite:
-            wit = e.subgroup.basis()[0]
-            report = RegularityReport(
-                "singular",
-                "bad-pair",
-                (("solution", e.side, wit),),
-                "the principal system of the element against itself has a"
-                " nontrivial solution",
-            )
-        else:
-            report = RegularityReport("regular")
-        ctx.cache[key] = report
-        return report
+        if not cardinality(e).is_infinite:
+            return RegularityReport("regular")
+        return RegularityReport(
+            "singular",
+            "bad-pair",
+            (("solution", e.side, e.subgroup.basis()[0]),),
+            "the principal system of the element against itself has a"
+            " nontrivial solution",
+        )
     if k == 1:
         side, word = nf.syllable_letters[0]
         key = ("classify1", side, letters_product(nf.head_letters, word))
@@ -738,7 +721,7 @@ def cr_membership(
     for prefix, pi in _cyclic_perms(ctx, cf.form, policy):
         if _classify_nf(ctx, pi).is_regular:
             conj = Word._make(ctx.union_alphabet, letters_product(cf.conjugator.letters, prefix))
-            return "cr>1", CyclicForm(pi, conj, cf.certified)
+            return "cr>1", CyclicForm(pi, conj)
     return "not-cr", None
 
 

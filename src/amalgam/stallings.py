@@ -41,6 +41,7 @@ cheaper when there is little to skip.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .words import (
@@ -598,8 +599,12 @@ class GeneratingTuple:
     def conjugacy_into(self, w: Word) -> Optional[tuple[Word, Word]]:
         """Find h in the subgroup and z with ~z * h * z == w, else None.
 
-        Scans every state for a loop reading some rotation of the cyclic core
-        of w; completeness is the standard core-graph criterion.
+        h is treePath(s) * rot_r * ~treePath(s) for the least (s, r) such that
+        rotation r of the cyclic core of w reads a loop at s; completeness is
+        the standard core-graph criterion.  Rotation r reads a loop at s
+        exactly when the core reads a loop at the state t that core[r:] leads
+        to from s, and then s is where core[:r] leads from t.  So the core is
+        traced once from each state, and each loop found is walked once.
         """
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
@@ -607,19 +612,22 @@ class GeneratingTuple:
         g = self.graph
         if not core:
             return identity(self.alphabet), ~u
-        n = len(core)
-        for s in range(g.nstates):
-            for r in range(n):
-                rot = core.letters[r:] + core.letters[:r]
-                if g.trace(rot, s) == s:
-                    tp = g.tree_path(s)
-                    h = tp * Word(self.alphabet, rot) * ~tp
-                    prefix = Word(self.alphabet, core.letters[:r])
-                    z = tp * ~prefix * ~u
-                    if ~z * h * z != w:
-                        raise VerificationError("conjugacy_into witness failed verification")
-                    return h, z
-        return None
+        ls = core.letters
+        hits = []
+        for t in range(g.nstates):
+            if g.trace(ls, t) == t:
+                states = list(accumulate(ls[:-1], g.step, initial=t))
+                s = min(states)
+                hits.append((s, states.index(s)))
+        if not hits:
+            return None
+        s, r = min(hits)
+        tp = g.tree_path(s)
+        h = tp * Word._make(self.alphabet, ls[r:] + ls[:r]) * ~tp
+        z = tp * ~Word._make(self.alphabet, ls[:r]) * ~u
+        if ~z * h * z != w:
+            raise VerificationError("conjugacy_into witness failed verification")
+        return h, z
 
     def double_transversal(self) -> tuple[Word, ...]:
         """Double-coset representatives {t_i} with N*(H) the union of H t_i H.

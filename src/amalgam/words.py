@@ -79,14 +79,6 @@ def letter(index: int, sign: int) -> int:
     return sign * (index + 1)
 
 
-def letter_index(lt: int) -> int:
-    return abs(lt) - 1
-
-
-def letter_sign(lt: int) -> int:
-    return 1 if lt > 0 else -1
-
-
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     push = out.append
@@ -200,19 +192,6 @@ class Word:
             j -= 1
         return Word._make(self.alphabet, ls[i:j]), Word._make(self.alphabet, ls[:i])
 
-    def rotation(self, i: int) -> "Word":
-        ls = self.letters
-        return Word(self.alphabet, ls[i:] + ls[:i])
-
-    def least_rotation(self) -> "Word":
-        """Lexicographically least cyclic rotation (letter index, + before -)."""
-        if not self.letters:
-            return self
-        key = lambda ls: tuple((abs(lt), lt < 0) for lt in ls)
-        ls = self.letters
-        best = min(range(len(ls)), key=lambda i: key(ls[i:] + ls[:i]))
-        return self.rotation(best)
-
 
 # the slots' own setters, which get past Word.__setattr__
 _set_alphabet = Word.alphabet.__set__
@@ -223,27 +202,24 @@ def identity(alphabet: Alphabet) -> Word:
     return Word._make(alphabet, ())
 
 
-def generator(alphabet: Alphabet, index: int, sign: int = 1) -> Word:
-    return Word(alphabet, (letter(index, sign),))
-
-
 def free_conjugacy(u: Word, v: Word) -> Optional[Word]:
     """Find z with ~z * u * z == v in the free group, or None.
 
-    The cores of u and v are conjugate iff one is a rotation of the other.
+    The cores of u and v are conjugate iff one is a rotation of the other;
+    the first rotation i of u's core that equals v's core gives
+    z = zu * core[:i] * ~zv.  A rotation costs a copy of the core, so a
+    match far from 0 costs O(n * i).
     """
     u._require_same_alphabet(v)
     cu, zu = u.cyclic_reduce()
     cv, zv = v.cyclic_reduce()
-    if len(cu) != len(cv):
+    ls, target = cu.letters, cv.letters
+    if len(ls) != len(target):
         return None
-    if cu.least_rotation() != cv.least_rotation():
-        return None
-    n = len(cu)
-    for i in range(max(n, 1)):
-        if cu.rotation(i) == cv:
-            prefix = Word(u.alphabet, cu.letters[:i])
-            z = zu * prefix * ~zv
+    for i in range(max(len(ls), 1)):
+        if ls[i:] + ls[:i] == target:
+            z = letters_product(letters_product(zu.letters, ls[:i]), letters_inverse(zv.letters))
+            z = Word._make(u.alphabet, z)
             if ~z * u * z != v:
                 raise VerificationError("free conjugator failed verification")
             return z

@@ -16,6 +16,9 @@ which recovered the head by cancelling `w * ~rep` letter by letter; it
 checks the head that `_rep` derives from the canonical one.
 `walk_letter_by_letter` reads a word one lookup per letter, as the graph
 does below `_RUN_MIN` letters; it checks the run walker of longer inputs.
+`free_conjugacy_by_least_rotation` and `conjugacy_into_by_rotation_scan` are
+the older cyclic-word searches, which built every rotation and traced each
+one from every state; they check the searches that trace the core once.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
 from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
 from amalgam.words import (
     Alphabet,
+    VerificationError,
     Word,
     identity,
     letters_inverse,
@@ -265,3 +269,53 @@ def walk_letter_by_letter(
             else:
                 out.append(x)
     return s, len(letters), tuple(out)
+
+
+def _rotation(ls: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return ls[i:] + ls[:i]
+
+
+def _least_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least cyclic rotation (letter index, + before -)."""
+    if not ls:
+        return ls
+    key = lambda r: tuple((abs(lt), lt < 0) for lt in r)
+    return min((_rotation(ls, i) for i in range(len(ls))), key=key)
+
+
+def free_conjugacy_by_least_rotation(u: Word, v: Word) -> Optional[Word]:
+    """z with ~z * u * z == v: compare least rotations, then scan rotations of u's core."""
+    cu, zu = u.cyclic_reduce()
+    cv, zv = v.cyclic_reduce()
+    if len(cu) != len(cv):
+        return None
+    if _least_rotation(cu.letters) != _least_rotation(cv.letters):
+        return None
+    for i in range(max(len(cu), 1)):
+        if Word(u.alphabet, _rotation(cu.letters, i)) == cv:
+            z = zu * Word(u.alphabet, cu.letters[:i]) * ~zv
+            if ~z * u * z != v:
+                raise VerificationError("free conjugator failed verification")
+            return z
+    return None
+
+
+def conjugacy_into_by_rotation_scan(
+    g: GeneratingTuple, w: Word
+) -> Optional[tuple[Word, Word]]:
+    """(h, z) for the first state s, then rotation r, reading a loop at s."""
+    core, u = w.cyclic_reduce()
+    graph = g.graph
+    if not core:
+        return identity(g.alphabet), ~u
+    for s in range(graph.nstates):
+        for r in range(len(core)):
+            rot = _rotation(core.letters, r)
+            if graph.trace(rot, s) == s:
+                tp = graph.tree_path(s)
+                h = tp * Word(g.alphabet, rot) * ~tp
+                z = tp * ~Word(g.alphabet, core.letters[:r]) * ~u
+                if ~z * h * z != w:
+                    raise VerificationError("conjugacy_into witness failed verification")
+                return h, z
+    return None

@@ -43,7 +43,7 @@ def test_shift_empty_result(ex1):
     # d <b> d^-1 meets C only in the identity
     res = shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "d^-1"))
     card = cardinality(res)
-    assert card.is_singleton and card.element == wa(ex1, "")
+    assert card.tag == "singleton" and card.element == wa(ex1, "")
     # d <b> misses C entirely
     assert shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "")) is None
 
@@ -86,7 +86,7 @@ def test_intersect_examples(ex1):
         CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "")),
         CosetOfC("A", build([wa(ex1, "b")], X), wa(ex1, "")),
     )
-    assert cardinality(tiny).is_singleton
+    assert cardinality(tiny).tag == "singleton"
     assert cardinality(tiny).element == wa(ex1, "")
 
 
@@ -101,9 +101,9 @@ def test_cardinality_examples(ex1):
     X = ex1.alphabet_a
     trivial = CosetOfC("A", build([], X), wa(ex1, "a^2 b"))
     card = cardinality(trivial)
-    assert card.is_singleton and card.element == wa(ex1, "a^2 b")
+    assert card.tag == "singleton" and card.element == wa(ex1, "a^2 b")
     assert cardinality(CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, ""))).is_infinite
-    assert cardinality(None).is_empty
+    assert cardinality(None).tag == "empty"
 
 
 def test_cardinality_matches_enumeration(ex1):
@@ -120,9 +120,9 @@ def test_cardinality_matches_enumeration(ex1):
             found = set()
         else:
             found = {k * d.rep for k in subgroup_elements(d.subgroup, 8)}
-        if card.is_empty:
+        if card.tag == "empty":
             assert not found
-        elif card.is_singleton:
+        elif card.tag == "singleton":
             assert found == {card.element}
         else:
             assert len(found) > 1

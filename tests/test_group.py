@@ -521,14 +521,6 @@ def test_cyclic_form_examples(ex1):
     assert cf2.cyclic_length == 2 and cf2.conjugator.is_identity()
 
 
-def test_cyclic_form_without_cmsp(ex1):
-    cf = cyclic_form(ex1, up(ex1, "d x d^-1"), allow_cmsp=False)
-    assert not cf.certified
-    assert cf.cyclic_length == 1
-    cf2 = cyclic_form(ex1, up(ex1, "d z"), allow_cmsp=False)
-    assert cf2.certified
-
-
 def test_cyclic_length_is_a_conjugacy_invariant(ex1):
     rng = random.Random(8)
     for _ in range(60):
@@ -647,7 +639,7 @@ def test_principal_system_spec_example(ex1):
     g = normal_form(ex1, up(ex1, "d z"))
     e = principal_system_solve(ex1, g, g)
     card = cardinality(e)
-    assert card.is_singleton and card.element.is_identity()
+    assert card.tag == "singleton" and card.element.is_identity()
 
 
 def test_principal_system_factor_mismatch(ex1):

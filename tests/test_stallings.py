@@ -16,6 +16,7 @@ from amalgam.stallings import (
 from amalgam.words import (
     Alphabet,
     Word,
+    free_conjugacy,
     identity,
     letters_inverse,
     letters_product,
@@ -25,7 +26,9 @@ from amalgam.words import (
 
 from bruteforce import (
     check_folded,
+    conjugacy_into_by_rotation_scan,
     double_transversal_with_pruning,
+    free_conjugacy_by_least_rotation,
     generated_elements,
     reduced_words,
     subgroup_elements,
@@ -293,6 +296,47 @@ def test_conjugacy_into_completeness_small():
             assert g.contains(h) and ~z * h * z == word
         if word in conjugates:
             assert hit is not None
+
+
+def _same_length_other_core(core: Word) -> Word:
+    """core with its last letter replaced, still cyclically reduced."""
+    ls = core.letters
+    if not ls:
+        return core
+    for lt in (1, -1, 2, -2, 3, -3):
+        if lt != ls[-1] and (len(ls) == 1 or -lt not in (ls[-2], ls[0])):
+            return Word(F, ls[:-1] + (lt,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(letters, min_size=1, max_size=6), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=4),
+    st.integers(min_value=1, max_value=12),
+    st.lists(letters, max_size=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+@example([[1, 1], [2]], [], 1, [3], 0)
+@example([[1, 1], [2]], [(0, False), (1, False)], 3, [3, 1], 4)
+@example([[1, 2, 3]], [(0, False)], 30, [-2], 47)
+def test_cyclic_word_searches_match_the_rotation_scans(gens, picks, power, outer, shift):
+    # u is a conjugate of a power of a subgroup element, v a rotation of its
+    # core, other an equal-length core that is usually not conjugate to it
+    g = build([Word(F, ls) for ls in gens], F)
+    element = identity(F)
+    for i, inverted in picks:
+        x = Word(F, gens[i % len(gens)])
+        element = element * (~x if inverted else x)
+    z = Word(F, outer)
+    u = ~z * element**power * z
+    core, _ = u.cyclic_reduce()
+    r = shift % max(len(core), 1)
+    v = Word(F, core.letters[r:] + core.letters[:r])
+    other = _same_length_other_core(core)
+    for x in (u, v, other, ~u):
+        assert g.conjugacy_into(x) == conjugacy_into_by_rotation_scan(g, x)
+    for x, y in ((u, v), (v, u), (u, other), (other, v), (u, ~u)):
+        assert free_conjugacy(x, y) == free_conjugacy_by_least_rotation(x, y)
 
 
 def test_double_transversal_examples():

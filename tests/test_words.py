@@ -166,19 +166,6 @@ def test_parse_errors():
     assert err is not None and err.column == 4
 
 
-def test_least_rotation_is_canonical():
-    rng = random.Random(3)
-    options = [s * i for i in range(1, 4) for s in (1, -1)]
-    for _ in range(100):
-        word = Word(F, [rng.choice(options) for _ in range(rng.randint(1, 8))])
-        core, _ = word.cyclic_reduce()
-        if not core:
-            continue
-        canon = core.least_rotation()
-        for i in range(len(core)):
-            assert core.rotation(i).least_rotation() == canon
-
-
 def test_identity_helpers():
     assert identity(F).is_identity()
     assert w("a") ** 0 == identity(F)

@@ -410,17 +410,16 @@ def _rep(
 
     A side: canonical rep d a^(pm) gets representative b^(-pm) d a^(pm);
     B side: canonical rep z y^(pm) gets representative x^(-pm) z y^(pm).
+    The canonical rep's shape is tested in place: one count, no slice.
     """
     rep, head = ctx.graph_c(side).graph.coset_rep(w)
     run, swap = (1, 2) if side == "A" else (2, 1)
-    tail = rep[1:]
-    if rep[:1] != (3,) or not tail or abs(tail[0]) != run:
+    k = len(rep) - 1
+    if k < 1 or k % p or rep[0] != 3 or abs(rep[1]) != run or rep.count(rep[1]) != k:
         return rep, head
-    if tail.count(tail[0]) != len(tail) or len(tail) % p:
-        return rep, head
-    s = -swap if tail[0] > 0 else swap
+    s = -swap if rep[1] > 0 else swap
     # w = head * rep = (head * s^-k) * (s^k * rep), s^k in C: cancel only at the junction
-    return (s,) * len(tail) + rep, letters_product(head, (-s,) * len(tail))
+    return (s,) * k + rep, letters_product(head, (-s,) * k)
 
 
 def normal_form(

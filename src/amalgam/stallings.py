@@ -31,17 +31,19 @@ Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
 x repeatedly from a state s either gets stuck or comes back to s after a
 period L <= nstates (Kapovich-Myasnikov).  `_walk` finds the end of the run
-with galloping slice compares, steps through the orbit of s once, and skips
-k // L whole cycles, so a run costs O(L) lookups however large k is; a loop
-word gains the cycle's edge-word product W = c W0 ~c as the reduced block
-c W0^q ~c.  Shorter inputs keep the plain letter-at-a-time loops, which are
-cheaper when there is little to skip.
+with galloping slice compares (one count when the run fills the input),
+steps through the orbit of s once, and skips k // L whole cycles, so a run
+costs O(L) lookups however large k is.  A loop word gains the cycle's
+edge-word product W = c W0 ~c as c, then the tuple W0^q, then ~c; the
+product is kept as a list of tuple parts, so a loop word that is one block
+is built by a single tuple repeat.  Shorter inputs keep the plain
+letter-at-a-time loops, which are cheaper when there is little to skip.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import accumulate
+from collections import Counter, deque
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 from .words import (
@@ -210,6 +212,8 @@ def _trim(edges: Edges, base: int) -> Edges:
 def _run_end(letters: Sequence[int], i: int, n: int) -> int:
     """End of the run of letters[i] that starts at i, by galloping slice compares."""
     lt, j, step = letters[i], i + 1, 1
+    if not i and letters[-1] == lt and letters.count(lt) == n:  # fills the input: one count
+        return n
     while j < n:
         end = min(j + step, n)
         if letters[j:end].count(lt) != end - j:
@@ -224,13 +228,27 @@ def _run_end(letters: Sequence[int], i: int, n: int) -> int:
     return j
 
 
-def _push(out: list, word: Sequence[int]) -> None:
-    """Multiply the reduced list out by the reduced word in place."""
-    k, n = 0, len(word)
-    while k < n and out and out[-1] == -word[k]:
-        out.pop()
-        k += 1
-    out.extend(word[k:] if k else word)
+def _push(parts: list, word: tuple[int, ...]) -> None:
+    """Multiply the reduced product of parts by the reduced word in place.
+
+    A tuple part that loses letters becomes a list, so it is copied once at most.
+    """
+    while word and parts:
+        last = parts[-1]
+        k, m = 0, min(len(last), len(word))
+        while k < m and last[-1 - k] == -word[k]:
+            k += 1
+        if not k:
+            break
+        if k == len(last):
+            parts.pop()
+        else:
+            if isinstance(last, tuple):
+                last = parts[-1] = list(last)
+            del last[-k:]
+        word = word[k:]
+    if word:
+        parts.append(word)
 
 
 class SubgroupGraph:
@@ -364,7 +382,8 @@ class SubgroupGraph:
         Fewer than len(letters) letters read means the next one is unreadable
         at the returned state.  With `words`, a walk that reads every letter
         multiplies the edge words along it (words[~eid] on an edge crossed
-        backwards, nothing on an edge absent from `words`) onto `out`.
+        backwards, nothing on an edge absent from `words`) onto the parts
+        list `out` (see `_push`).
         """
         fwd, back = self.fwd, self.back
         n, i = len(letters), 0
@@ -398,13 +417,16 @@ class SubgroupGraph:
                 cycles, r = 0, k
             if words is not None:
                 if cycles:
-                    cycle: list[int] = []
+                    parts: list = []
                     for key in keys:
-                        _push(cycle, words.get(key, ()))
+                        _push(parts, words.get(key, ()))
+                    cycle = tuple(chain.from_iterable(parts))
                     c, m = 0, len(cycle)  # cycle = c W0 ~c with W0 cyclically reduced
                     while m - 2 * c >= 2 and cycle[c] == -cycle[m - 1 - c]:
                         c += 1
-                    _push(out, cycle[:c] + cycle[c : m - c] * cycles + cycle[m - c :])
+                    _push(out, cycle[:c])
+                    _push(out, cycle[c : m - c] * cycles)
+                    _push(out, cycle[m - c :])
                 for key in keys[:r]:
                     _push(out, words.get(key, ()))
             i += k
@@ -543,11 +565,11 @@ class GeneratingTuple:
         and each edge word are reduced, so they cancel only where they meet.
         """
         g = self.graph
-        out: list[int] = []
+        out: list = []  # letters on the short path, tuple parts on the long one
         if len(letters) >= _RUN_MIN:
             s, i = g._walk(letters, g.base, words, out)
-            if i == len(letters) and s == g.base:
-                return tuple(out)
+            if i == len(letters) and s == g.base:  # a lone tuple part is returned as it is
+                return tuple(out[0]) if len(out) == 1 else tuple(chain.from_iterable(out))
         else:
             fwd, back, get = g.fwd, g.back, words.get
             s = g.base
@@ -675,14 +697,8 @@ class GeneratingTuple:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        nverts: dict[int, int] = {}
-        for x in parent:
-            r = find(x)
-            nverts[r] = nverts.get(r, 0) + 1
-        nedges: dict[int, int] = {}
-        for a, _ in edges:
-            r = find(a)
-            nedges[r] = nedges.get(r, 0) + 1
+        nverts = Counter(map(find, parent))
+        nedges = Counter(find(a) for a, _ in edges)
         diag = find(0)
         reps = []
         for root, ne in sorted(nedges.items()):
@@ -824,27 +840,15 @@ def coset_intersection(
     target = (acc_a, acc_b)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, 0)}
     queue = deque([start])
-    found = start == target
-    while queue and not found:
+    while queue and target not in parents:  # breadth first: a shortest path
         p, q = queue.popleft()
         for lab in range(1, nlet + 1):
             for slet in (lab, -lab):
-                tp_ = ta.get((p, slet))
-                tq = tb.get((q, slet))
-                if tp_ is None or tq is None:
-                    continue
-                key = (tp_, tq)
-                if key in parents:
-                    continue
-                parents[key] = ((p, q), slet)
-                if key == target:
-                    found = True
-                    queue.clear()
-                    break
-                queue.append(key)
-            if found:
-                break
-    if not found:
+                key = (ta.get((p, slet)), tb.get((q, slet)))
+                if None not in key and key not in parents:
+                    parents[key] = ((p, q), slet)
+                    queue.append(key)
+    if target not in parents:
         return None
     letters: list[int] = []
     node = target

@@ -421,6 +421,33 @@ def test_adversarial_rep_matches_the_cancelling_reference(data):
 
 
 @pytest.mark.parametrize("p", sorted(ADVERSARIAL_CONTEXTS))
+@pytest.mark.parametrize("side", "AB")
+def test_adversarial_rep_edge_cases(p, side):
+    ctx = ADVERSARIAL_CONTEXTS[p]
+    run, swap = (1, 2) if side == "A" else (2, 1)
+    canonical = ctx.graph_c(side).graph.coset_rep
+    kept = [
+        (3,),  # no tail
+        (3,) + (run,) * (p + 1),  # tail length not a multiple of p
+        (3,) + (-run,) * (2 * p - 1),
+        (3,) + (run,) * (p - 1) + (swap,),  # a run followed by another letter
+        (3,) + (-run,) * (2 * p - 1) + (3,),
+        (3,) + (swap,) * p,  # a tail of the swap letter
+        (-3,) + (run,) * p,  # starts with the inverse of d (z)
+        (run, 3) + (run,) * p,  # a tree-path prefix before d (z)
+    ]
+    for w in kept:
+        assert group._rep(ctx, side, w, p) == canonical(w)
+    swapped = [(3,) + (run,) * p, (3,) + (-run,) * (3 * p), (swap, 3) + (-run,) * p]
+    for w in kept + swapped:
+        got = group._rep(ctx, side, w, p)
+        assert got == adversarial_rep_by_cancellation(ctx, side, w, p)
+        assert letters_product(got[1], got[0]) == w
+    for w in swapped:
+        assert group._rep(ctx, side, w, p) != canonical(w)
+
+
+@pytest.mark.parametrize("p", sorted(ADVERSARIAL_CONTEXTS))
 def test_adversarial_rep_matches_the_reference_on_every_blowup_step(monkeypatch, p):
     # every _rep call of the (z d)^m x sweeps, m <= 5, heads up to p^10 letters
     ctx = ADVERSARIAL_CONTEXTS[p]

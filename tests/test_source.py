@@ -34,6 +34,15 @@ def test_normal_form_sweep_builds_no_words():
         assert not calls, f"{name} builds Word or Syllable objects at lines {calls}"
 
 
+def test_adversarial_rep_takes_no_slice():
+    # _rep's representatives reach p^(2m) letters, and a slice of one is a copy
+    path = Path(amalgam.__file__).parent / "group.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (function,) = (n for n in tree.body if getattr(n, "name", None) == "_rep")
+    slices = [node.lineno for node in ast.walk(function) if isinstance(node, ast.Slice)]
+    assert not slices, f"_rep slices at lines {slices}"
+
+
 # last dotted name of a call: words.substitute, graph.express_in_basis, Word, Word._make
 TRANSFER_AVOIDS = ("substitute", "express_in_basis", "Word", "_make")
 

@@ -505,6 +505,80 @@ def test_run_walker_matches_the_letter_by_letter_walk():
     assert long_walks and stuck_in_runs and skipped_cycles and loops
 
 
+def test_run_walker_matches_the_letter_by_letter_walk_on_whole_input_runs():
+    # runs filling the input in both signs, or all of it but the last letter, on every
+    # fixture, against edge images whose cycle blocks c W0 ~c cancel into earlier output
+    for ctx, side in ((make(), side) for make in RUN_CONTEXTS for side in "AB"):
+        gt = ctx.graph_c(side)
+        g = gt.graph
+        n = len(gt.alphabet)
+        rank = len(gt.basis())
+        word_maps = (
+            gt.basis_edge_words([(j + 1,) for j in range(rank)]),
+            gt.basis_edge_words([(9, j + 1, -9) for j in range(rank)]),
+        )
+        inputs = []
+        for x in (s * i for i in range(1, n + 1) for s in (1, -1)):
+            others = [y for y in range(-n, n + 1) if y not in (0, x, -x)]
+            for k in (64, 65, 127, 1000):
+                inputs += [(x,) * k, (x,) * k + (others[0],), (others[-1],) + (x,) * k]
+                inputs += [(y,) + (x,) * k + (y,) for y in others]
+        for letters in inputs:
+            for s in range(g.nstates):
+                end, read, _ = walk_letter_by_letter(g, letters, s)
+                assert g.trace(letters, s) == (end if read == len(letters) else None)
+            end, read, _ = walk_letter_by_letter(g, letters, g.base)
+            path = g.tree_path_letters(end)
+            assert g.coset_rep(letters) == (
+                path + letters[read:],
+                letters_product(letters[:read], letters_inverse(path)),
+            )
+            for words in word_maps:
+                end, read, product = walk_letter_by_letter(g, letters, g.base, words)
+                if read == len(letters) and end == g.base:
+                    assert gt.loop_word(letters, words) == product
+                else:
+                    with pytest.raises(NotAMemberError):
+                        gt.loop_word(letters, words)
+
+
+def test_loop_word_cancels_deep_into_a_cycle_block():
+    # F(a,b,d) itself: a^q gives the block 5^(2q), and each b d then cancels one 5 of it
+    gt = build([w("a"), w("b"), w("d")])
+    words = gt.basis_edge_words([(5, 5), (-5, 7), (-7,)])
+    for q, r in ((40, 0), (40, 30), (40, 80), (40, 81), (3000, 2999), (3000, 6000)):
+        letters = (1,) * q + (2, 3) * r + (1, 2, 1)
+        _, _, product = walk_letter_by_letter(gt.graph, letters, 0, words)
+        assert gt.loop_word(letters, words) == product
+        if r <= 2 * q:  # 5^(2q - r) * 5^2 (-5 7) 5^2
+            assert len(product) == 2 * q - r + 4
+
+
+class SliceRecordingTuple(tuple):
+    sliced: list = []
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            SliceRecordingTuple.sliced.append(len(range(*i.indices(len(self)))))
+        return super().__getitem__(i)
+
+
+def test_a_run_filling_the_input_is_read_without_slicing_it():
+    # deterministic: records the letters sliced out of a 10^6-letter run, in both signs
+    ctx = example_one_context(2)
+    gt = ctx.graph_ca
+    g = gt.graph
+    words = gt.basis_edge_words([img.letters for img in ctx.phi_images])
+    for x in (1, 2, -1, -2):
+        letters = SliceRecordingTuple((x,) * 10**6)
+        SliceRecordingTuple.sliced = []
+        assert g.trace(letters, g.base) == g.base
+        assert g.reads_loop(letters, g.base)
+        image = gt.loop_word(letters, words)
+        assert len(image) == (5 * 10**5 if abs(x) == 1 else 2 * 10**6)
+        assert sum(SliceRecordingTuple.sliced) == 0
+
+
 class CountingDict(dict):
     gets = 0
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from amalgam import words
 from amalgam.words import (
     Alphabet,
     Word,
@@ -13,6 +14,9 @@ from amalgam.words import (
     parse_word,
     substitute,
 )
+
+from bruteforce import free_conjugacy_by_least_rotation
+from conftest import random_reduced
 
 F = Alphabet(("a", "b", "d"))
 T = Alphabet(("t1", "t2"))
@@ -109,6 +113,78 @@ def test_free_conjugacy_random_roundtrip():
         z2 = free_conjugacy(u, v)
         assert z2 is not None
         assert ~z2 * u * z2 == v
+
+
+def cyclic_core(rng, length):
+    """A random cyclically reduced word of the given length over F."""
+    while True:
+        core = random_reduced(rng, F, length)
+        if length < 2 or core.letters[0] != -core.letters[-1]:
+            return core
+
+
+def with_last_letter_changed(ls):
+    """ls with a different last letter, still cyclically reduced."""
+    keep_off = {ls[-1], -ls[0], -ls[-2] if len(ls) > 1 else 0}
+    return ls[:-1] + (next(x for x in (1, 2, 3, -1, -2, -3) if x not in keep_off),)
+
+
+def test_free_conjugacy_matches_the_rotation_scan_on_far_rotations():
+    # empty cores, rotations near the far end, and equal-length non-conjugates
+    rng = random.Random(12)
+    cases = [(identity(F), identity(F)), (w("a b a^-1"), w("b")), (w("a b a^-1"), w("a"))]
+    for n in (1, 2, 3, 7, 40, 301):
+        core = cyclic_core(rng, n)
+        ls = core.letters
+        z = random_reduced(rng, F, rng.randint(0, 6))
+        for i in {n // 2, n - 1, max(n - 2, 0)}:
+            cases.append((~z * core * z, Word(F, ls[i:] + ls[:i])))
+        cases.append((core, Word(F, with_last_letter_changed(ls))))
+        cases.append((core, ~core))
+    for u, v in cases:
+        got = free_conjugacy(u, v)
+        assert got == free_conjugacy_by_least_rotation(u, v)
+        assert got is None or ~got * u * got == v
+    assert sum(free_conjugacy(u, v) is None for u, v in cases) >= 6
+
+
+class CountingLetter(int):
+    compares = 0
+
+    def __eq__(self, other):
+        CountingLetter.compares += 1
+        return int(self) == int(other)
+
+    def __ne__(self, other):
+        CountingLetter.compares += 1
+        return int(self) != int(other)
+
+    __hash__ = int.__hash__
+
+
+def test_rotation_search_makes_linearly_many_compares():
+    # deterministic: counts letter compares, so a search that restarts at each rotation fails
+    rng = random.Random(5)
+    per_letter = []
+    for n in (2_000, 4_000, 8_000, 16_000, 32_000):
+        ls = tuple(map(CountingLetter, cyclic_core(rng, n).letters))
+        for target, want in (
+            (ls[n // 2 :] + ls[: n // 2], n // 2),
+            (ls[1:] + ls[:1], 1),
+            (with_last_letter_changed(ls), None),
+        ):
+            target = tuple(map(CountingLetter, target))  # fresh letters: no identity shortcut
+            CountingLetter.compares = 0
+            assert words._rotation(ls, target) == want
+            per_letter.append(CountingLetter.compares / n)
+    assert max(per_letter) <= 9
+    # a periodic core makes a scan that restarts at each rotation quadratic: (a^99 b)^300
+    ls = tuple(map(CountingLetter, ((1,) * 99 + (2,)) * 300))
+    for target, want in ((ls[-1:] + ls[:-1], 99), (with_last_letter_changed(ls), None)):
+        target = tuple(map(CountingLetter, target))
+        CountingLetter.compares = 0
+        assert words._rotation(ls, target) == want
+        assert CountingLetter.compares <= 9 * len(ls)
 
 
 def test_substitute_examples():

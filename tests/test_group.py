@@ -111,6 +111,24 @@ def test_build_context_rejects_by_the_reverse_pairing():
     assert err.value.index in (1, 2)
 
 
+def test_invalid_pairing_reports_the_failing_pair_in_each_direction():
+    # forward: C_A = <a> sends u_2 = a to x, not y; reverse: C_B = <x> sends v_2 = x to a, not b
+    x = Alphabet(("a", "b"))
+    y = Alphabet(("x", "y"))
+    cases = (
+        ("y", "pair 2: the pairing is not an isomorphism of C"
+              " (u_2 maps to Word('x'), expected Word('y'))", "a"),
+        ("x", "pair 2: the reverse pairing is not an isomorphism of C"
+              " (v_2 maps to Word('a'), expected Word('b'))", "b"),
+    )
+    for v2, message, u2 in cases:
+        with pytest.raises(InvalidPresentationError) as err:
+            build_context(x, y, [(parse_word("a", x), parse_word("x", y)),
+                                 (parse_word(u2, x), parse_word(v2, y))])
+        assert err.value.index == 2
+        assert str(err.value) == message
+
+
 def test_build_context_accepts_a_redundant_generator():
     # a^2 = x^2 is implied by a = x; its loop folds onto the loop of a
     x = Alphabet(("a", "b"))

@@ -13,7 +13,7 @@ import random
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .fixtures import example_one_context, example_two_context
@@ -31,7 +31,7 @@ from .group import (
     syllable_decompose,
 )
 from .stallings import SubgroupGraph
-from .words import Alphabet, Word, WordSyntaxError, format_word, parse_word
+from .words import MAX_LETTERS, Alphabet, Word, WordSyntaxError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -137,10 +137,6 @@ def _side_word(side: str, w: Word) -> dict:
     return {"side": side, "word": format_word(w)}
 
 
-def _form_json(nf) -> list[dict]:
-    return [_side_word(s.side, s.word) for s in nf.syllables]
-
-
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.json:
         base = {
@@ -158,94 +154,61 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _emit_form(args, form, lines: list[str], extra: dict) -> int:
+    """Print the form's line and the command's `lines`, or its JSON plus `extra` keys."""
+    head = format_word(form.head) or "1"
+    sylls = "".join(f"  [{s.side}] {format_word(s.word)}" for s in form.syllables)
+    payload = {
+        "verdict": "ok",
+        "normal_form": [_side_word(s.side, s.word) for s in form.syllables],
+        "head": _side_word(form.head_side, form.head),
+    }
+    _emit(args, payload | extra, [f"head[{form.head_side}] {head}{sylls}", *lines])
+    return EXIT_OK
+
+
 # --- subcommands ----------------------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
     ctx = _load_context(args.group)
+    rank, mal_a, mal_b = len(ctx.graph_ca.basis()), ctx.malnormal_a, ctx.malnormal_b
     lines = [
         "valid presentation",
-        f"rank of C: {len(ctx.graph_ca.basis())}",
-        f"malnormal in A: {ctx.malnormal_a}",
-        f"malnormal in B: {ctx.malnormal_b}",
+        f"rank of C: {rank}",
+        f"malnormal in A: {mal_a}",
+        f"malnormal in B: {mal_b}",
         f"double transversal sizes: A={len(ctx.transversal_a)} B={len(ctx.transversal_b)}",
     ]
-    _emit(
-        args,
-        {
-            "verdict": "valid",
-            "reason": f"rank {len(ctx.graph_ca.basis())}, "
-            f"malnormal A={ctx.malnormal_a} B={ctx.malnormal_b}",
-        },
-        lines,
-    )
+    reason = f"rank {rank}, malnormal A={mal_a} B={mal_b}"
+    _emit(args, {"verdict": "valid", "reason": reason}, lines)
     return EXIT_OK
-
-
-def _format_form(nf) -> str:
-    head = format_word(nf.head) or "1"
-    sylls = "  ".join(f"[{s.side}] {format_word(s.word)}" for s in nf.syllables)
-    return f"head[{nf.head_side}] {head}" + (f"  {sylls}" if sylls else "")
 
 
 def _cmd_nf(args) -> int:
     ctx = _load_context(args.group)
-    w = parse_group_word(args.word, ctx)
     trace: list[int] = []
-    nf = normal_form(ctx, w, args.policy, trace=trace)
-    lines = [_format_form(nf), f"syllable length: {nf.syllable_length}"]
+    nf = normal_form(ctx, parse_group_word(args.word, ctx), args.policy, trace=trace)
+    lines = [f"syllable length: {nf.syllable_length}"]
     if args.trace:
         lines.append("head lengths: " + " ".join(map(str, trace)))
-    _emit(
-        args,
-        {
-            "verdict": "ok",
-            "normal_form": _form_json(nf),
-            "head": _side_word(nf.head_side, nf.head),
-            "trace": trace if args.trace else None,
-        },
-        lines,
-    )
-    return EXIT_OK
+    return _emit_form(args, nf, lines, {"trace": trace if args.trace else None})
 
 
 def _cmd_reduce(args) -> int:
     ctx = _load_context(args.group)
-    w = parse_group_word(args.word, ctx)
-    rf = reduced_form(ctx, syllable_decompose(ctx, w))
-    lines = [_format_form(rf), f"syllable length: {rf.syllable_length}"]
-    _emit(
-        args,
-        {
-            "verdict": "ok",
-            "normal_form": _form_json(rf),
-            "head": _side_word(rf.head_side, rf.head),
-        },
-        lines,
-    )
-    return EXIT_OK
+    rf = reduced_form(ctx, syllable_decompose(ctx, parse_group_word(args.word, ctx)))
+    return _emit_form(args, rf, [f"syllable length: {rf.syllable_length}"], {})
 
 
 def _cmd_cyclic(args) -> int:
     ctx = _load_context(args.group)
-    w = parse_group_word(args.word, ctx)
-    cf = cyclic_form(ctx, w, args.policy)
+    cf = cyclic_form(ctx, parse_group_word(args.word, ctx), args.policy)
     lines = [
-        _format_form(cf.form),
         f"cyclic length: {cf.cyclic_length}",
         f"conjugator: {format_word(cf.conjugator) or '1'}",
     ]
-    _emit(
-        args,
-        {
-            "verdict": "ok",
-            "normal_form": _form_json(cf.form),
-            "head": _side_word(cf.form.head_side, cf.form.head),
-            "conjugator": format_word(cf.conjugator),
-        },
-        lines,
-    )
-    return EXIT_OK
+    return _emit_form(args, cf.form, lines, {"conjugator": format_word(cf.conjugator)})
 
 
 def _cmd_classify(args) -> int:
@@ -265,24 +228,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_transversal(args) -> int:
     ctx = _load_context(args.group)
-    lines = []
-    for side, ts in (("A", ctx.transversal_a), ("B", ctx.transversal_b)):
-        lines.append(
-            f"N*_{side}(C): " + ", ".join(format_word(t) or "1" for t in ts)
-        )
-    _emit(
-        args,
-        {
-            "verdict": "ok",
-            "reason": json.dumps(
-                {
-                    "A": [format_word(t) for t in ctx.transversal_a],
-                    "B": [format_word(t) for t in ctx.transversal_b],
-                }
-            ),
-        },
-        lines,
-    )
+    words = {side: [format_word(t) for t in ts]
+             for side, ts in (("A", ctx.transversal_a), ("B", ctx.transversal_b))}
+    lines = [f"N*_{side}(C): " + ", ".join(w or "1" for w in ws) for side, ws in words.items()]
+    _emit(args, {"verdict": "ok", "reason": json.dumps(words)}, lines)
     return EXIT_OK
 
 
@@ -325,16 +274,9 @@ class BenchReport:
     notes: dict = field(default_factory=dict)
 
     def json(self) -> dict:
-        return {
-            "subcase": self.subcase,
-            "policy": self.policy,
-            "k": self.k,
-            "head_lengths": self.head_lengths,
-            "growth": self.growth,
-            "elapsed": self.elapsed,
-            "final_head_length": self.final_head_length,
-            **self.notes,
-        }
+        fields = asdict(self)
+        notes = fields.pop("notes")
+        return fields | notes
 
 
 def _growth(trace: list[int]) -> list[float]:
@@ -450,6 +392,21 @@ def bench_random(length: int, count: int, seed: int) -> BenchReport:
     )
 
 
+def _bench_out_of_range(args) -> bool:
+    """A parameter below its minimum, or a longest word past MAX_LETTERS letters.
+
+    That word is the head p^(2m) for paper-ex1, p^n for paper-ex2 and the
+    length x count sampled letters for random; no power is built.
+    """
+    if args.p < 2 or args.m < 1 or args.n < 1 or args.length < 1 or args.count < 1:
+        return True
+    if args.subcase == "random":
+        return args.length * args.count > MAX_LETTERS
+    e = 2 * args.m if args.subcase == "paper-ex1" else args.n
+    # p >= 2, so p^e >= 2^e passes MAX_LETTERS once e reaches its bit length
+    return e >= MAX_LETTERS.bit_length() or args.p**e > MAX_LETTERS
+
+
 def _cmd_bench(args) -> int:
     if args.subcase == "paper-ex1":
         reports = bench_paper_ex1(args.p, args.m)
@@ -548,10 +505,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_SYNTAX if exc.code else EXIT_OK
-    if getattr(args, "command", None) == "bench":
-        if args.p < 2 or args.m < 1 or args.n < 1 or args.length < 1 or args.count < 1:
-            print("bench parameters out of range", file=sys.stderr)
-            return EXIT_SYNTAX
+    if getattr(args, "command", None) == "bench" and _bench_out_of_range(args):
+        print("bench parameters out of range", file=sys.stderr)
+        return EXIT_SYNTAX
     try:
         return args.func(args)
     except (PresentationSyntaxError, WordSyntaxError) as exc:

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+MAX_LETTERS = 1 << 22  # longest word parse_word spells out, and the bench budget
 
 
 class VerificationError(AssertionError):
@@ -264,7 +265,11 @@ class WordSyntaxError(ValueError):
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse whitespace-separated `name` / `name^k` tokens; empty text is the identity."""
+    """Parse whitespace-separated `name` / `name^k` tokens; empty text is the identity.
+
+    A token that would take the word past MAX_LETTERS letters is rejected
+    before it is spelled out.
+    """
     letters: list[int] = []
     pos = 0
     for token in text.split():
@@ -279,8 +284,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in {token!r}", column)
+        n = abs(k)
+        if len(letters) + n > MAX_LETTERS:
+            raise WordSyntaxError(f"{token!r} takes the word past {MAX_LETTERS} letters", column)
         lt = letter(alphabet.index(name), 1 if k > 0 else -1)
-        letters.extend([lt] * abs(k))
+        letters.extend([lt] * n)
     return Word(alphabet, letters)
 
 

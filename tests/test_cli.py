@@ -201,6 +201,44 @@ def test_bench_cli(capsys):
     assert code == 2
 
 
+def test_huge_exponent_is_syntax_error(capsys, group_file):
+    code, out, err = run(capsys, "nf", "-g", group_file, "-w", "d a^1000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 3: 'a^1000000000000000' takes the word past ")
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (("paper-ex1", "-m", "11"), True),  # head 2^22
+    (("paper-ex1", "-m", "12"), False),
+    (("paper-ex1", "-p", "3", "-m", "7"), False),  # 3^14 = 4,782,969 > 2^22
+    (("paper-ex1", "-p", "3", "-m", "6"), True),
+    (("paper-ex1", "-m", "1000000000"), False),
+    (("paper-ex1", "-p", "10" * 2000, "-m", "1000000000"), False),
+    (("paper-ex2", "-n", "22"), True),
+    (("paper-ex2", "-n", "23"), False),
+    (("paper-ex2", "-p", "2049", "-n", "2"), False),
+    (("paper-ex2", "-p", "2048", "-n", "2"), True),
+    (("random", "--length", "2048", "--count", "2048"), True),
+    (("random", "--length", "2048", "--count", "2049"), False),
+    (("random", "--length", "1", "--count", "1000000000"), False),
+])
+def test_bench_budget_rejects_before_the_sweep(capsys, monkeypatch, argv, accepted):
+    # the sweeps are replaced, so a budget that fails to reject runs nothing large
+    class SweepStarted(Exception):
+        pass
+
+    def sweep(*args):
+        raise SweepStarted
+
+    for name in ("bench_paper_ex1", "bench_paper_ex2", "bench_random"):
+        monkeypatch.setattr(cli, name, sweep)
+    if accepted:
+        with pytest.raises(SweepStarted):
+            main(["bench", *argv])
+    else:
+        assert run(capsys, "bench", *argv) == (2, "", "bench parameters out of range\n")
+
+
 def test_bad_policy_is_syntax_error(capsys, group_file):
     code, _, _ = run(capsys, "nf", "-g", group_file, "-w", "a", "--policy", "bogus")
     assert code == 2

@@ -112,19 +112,19 @@ def test_build_context_rejects_by_the_reverse_pairing():
 
 
 def test_invalid_pairing_reports_the_failing_pair_in_each_direction():
-    # forward: C_A = <a> sends u_2 = a to x, not y; reverse: C_B = <x> sends v_2 = x to a, not b
-    x = Alphabet(("a", "b"))
-    y = Alphabet(("x", "y"))
-    cases = (
-        ("y", "pair 2: the pairing is not an isomorphism of C"
-              " (u_2 maps to Word('x'), expected Word('y'))", "a"),
-        ("x", "pair 2: the reverse pairing is not an isomorphism of C"
-              " (v_2 maps to Word('a'), expected Word('b'))", "b"),
-    )
-    for v2, message, u2 in cases:
+    # forward: C_A = <a> sends u_2 = a to x, not y; reverse: C_B = <x> sends v_2 = x to a,
+    # not b; the last pairing fails both ways, and the forward check runs first
+    forward = ("pair 2: the pairing is not an isomorphism of C"
+               " (u_2 maps to Word('x'), expected Word('y'))")
+    reverse = ("pair 2: the reverse pairing is not an isomorphism of C"
+               " (v_2 maps to Word('a'), expected Word('b'))")
+    for pairs, message in (
+        ((("a", "x"), ("a", "y")), forward),
+        ((("a", "x"), ("b", "x")), reverse),
+        ((("a", "x"), ("a", "y"), ("b", "x")), forward),
+    ):
         with pytest.raises(InvalidPresentationError) as err:
-            build_context(x, y, [(parse_word("a", x), parse_word("x", y)),
-                                 (parse_word(u2, x), parse_word(v2, y))])
+            pairing_context(*pairs)
         assert err.value.index == 2
         assert str(err.value) == message
 

@@ -242,6 +242,26 @@ def test_parse_errors():
     assert err is not None and err.column == 4
 
 
+def test_parse_rejects_a_token_past_the_letter_budget():
+    # an exponent of 10^15 would take petabytes if it were spelled out first
+    for text, column in (("a^1000000000000000", 1), ("a b^-1000000000000000", 3)):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, F)
+        assert err.value.column == column
+        assert f"past {words.MAX_LETTERS} letters" in str(err.value)
+
+
+def test_parse_counts_the_running_total_against_the_budget(monkeypatch):
+    monkeypatch.setattr(words, "MAX_LETTERS", 10)
+    assert len(parse_word("a^6 b^-4", F)) == 10
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("a^6 b^-4 d", F)
+    assert err.value.column == 10
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("a^6 b^5", F)
+    assert err.value.column == 5
+
+
 def test_identity_helpers():
     assert identity(F).is_identity()
     assert w("a") ** 0 == identity(F)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .stallings import GeneratingTuple, build, coset_intersection
-from .words import Word, identity
+from .stallings import GeneratingTuple, build, coset_intersection, meet
+from .words import Word, identity, letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import AmalgamContext
@@ -43,9 +43,9 @@ class Cardinality:
         return self.tag == "infinite"
 
 
-def _canonical(side: str, subgroup: GeneratingTuple, rep: Word) -> CosetOfC:
-    canon, _ = subgroup.coset_rep(rep)
-    return CosetOfC(side, subgroup, canon)
+def _canonical(side: str, subgroup: GeneratingTuple, rep: tuple[int, ...]) -> CosetOfC:
+    canon, _ = subgroup.graph.coset_rep(rep)
+    return CosetOfC(side, subgroup, Word._make(subgroup.alphabet, canon))
 
 
 def c_coset(ctx: "AmalgamContext", side: str) -> CosetOfC:
@@ -56,31 +56,22 @@ def c_coset(ctx: "AmalgamContext", side: str) -> CosetOfC:
 def shift(ctx: "AmalgamContext", d: CosetOfC, p: Word, q: Word) -> Optional[CosetOfC]:
     """(p * d * q) meet C, or None when empty.
 
-    p(Kc)q is the coset (pKp^-1)(pcq); the intersection with C runs through
-    the coset machinery.  Results are cached on the context.
+    p(Kc)q is ~s K f for the start word s = ~p and the accept word f = cq,
+    a coset of ~s K s = pK~p.  So one `meet` walk of K's graph, with the
+    paths of s and f beside it, against C's graph gives pK~p meet C and a
+    word of the intersection; no graph is copied.  Results are cached on the
+    context.
     """
     key = ("shift", d.key(), p.letters, q.letters)
     cache = ctx.cache
     if key in cache:
         return cache[key]
-    shifted_sub = _cached_conjugate(ctx, d.subgroup, ~p)
-    shifted_rep = p * d.rep * q
-    hit = coset_intersection(
-        shifted_sub, shifted_rep, ctx.graph_c(d.side), identity(p.alphabet)
-    )
+    starts = (letters_inverse(p.letters), ())
+    accepts = (letters_product(d.rep.letters, q.letters), ())
+    hit = meet(d.subgroup, ctx.graph_c(d.side), starts, accepts)
     result = None if hit is None else _canonical(d.side, hit[0], hit[1])
     cache[key] = result
     return result
-
-
-def _cached_conjugate(
-    ctx: "AmalgamContext", g: GeneratingTuple, z: Word
-) -> GeneratingTuple:
-    key = ("conj", g.graph.canonical_key(), z.letters)
-    cache = ctx.cache
-    if key not in cache:
-        cache[key] = g.conjugate(z)
-    return cache[key]
 
 
 def intersect(d1: CosetOfC, d2: CosetOfC) -> Optional[CosetOfC]:
@@ -89,7 +80,7 @@ def intersect(d1: CosetOfC, d2: CosetOfC) -> Optional[CosetOfC]:
     hit = coset_intersection(d1.subgroup, d1.rep, d2.subgroup, d2.rep)
     if hit is None:
         return None
-    return _canonical(d1.side, hit[0], hit[1])
+    return _canonical(d1.side, hit[0], hit[1].letters)
 
 
 def cardinality(d: Optional[CosetOfC]) -> Cardinality:
@@ -107,6 +98,6 @@ def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
     if key not in cache:
         side2 = "B" if d.side == "A" else "A"
         gens = [ctx.transfer_word(d.side, b) for b in d.subgroup.basis()]
-        rep = ctx.transfer_word(d.side, d.rep)
+        rep = ctx.transfer_letters(d.side, d.rep.letters)
         cache[key] = _canonical(side2, build(gens, ctx.factor_alphabet(side2)), rep)
     return cache[key]

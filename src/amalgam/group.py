@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
-from .stallings import GeneratingTuple, build, pullback
+from .stallings import GeneratingTuple, build
 from .words import (
     Alphabet,
     VerificationError,
@@ -648,8 +648,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         if hit is not None:
             return hit
         w = Word._make(ctx.factor_alphabet(side), key[2])
-        graph = ctx.graph_c(side)
-        meet = pullback(graph.conjugate(w), graph)
+        meet = ctx.graph_c(side).z_subgroup(~w)
         if meet.graph.is_trivial():
             report = RegularityReport("regular")
         else:
@@ -722,6 +721,9 @@ def _assemble_and_verify(
     return ConjugacyOutcome("conjugate", z)
 
 
+_NO_C_ELEMENT = "a regular cyclic permutation admits no conjugating C-element"
+
+
 def _solve_with_regular(
     ctx: AmalgamContext,
     u: Word,
@@ -730,19 +732,28 @@ def _solve_with_regular(
     perms_v: list[tuple[tuple[int, ...], NormalForm]],
     policy: RepPolicy,
 ) -> Optional[ConjugacyOutcome]:
-    """Decide conjugacy when some cyclic permutation of u's form is regular.
+    """Decide conjugacy when some cyclic permutation of either form is regular.
 
     perms_u and perms_v list (conjugator * w_j, pi_j), in union letters, for
-    the cyclically reduced forms of u and v.  Returns None when no pi_j of u is regular;
-    otherwise a definite outcome.  A regular permutation admits at most one
-    principal solution, which must also satisfy c_g c_k = c c_g'.
+    the cyclically reduced forms of u and v.  Returns None when no pi_j of
+    either form is regular; otherwise a definite outcome.  A regular
+    permutation of u admits at most one principal solution, which must also
+    satisfy c_g c_k = c c_g'.
+
+    Having a regular cyclic permutation is a conjugacy invariant at cyclic
+    length >= 2: cyclically reduced conjugates are C-conjugates of each
+    other's cyclic permutations (Magnus-Karrass-Solitar, Combinatorial
+    Group Theory, Thm 4.6), and singularity is invariant under
+    C-conjugation.  So when only v's form has one, u and v are not conjugate.
     """
     reg = next(
         ((prefix, pi) for prefix, pi in perms_u if _classify_nf(ctx, pi).is_regular),
         None,
     )
     if reg is None:
-        return None
+        if not any(_classify_nf(ctx, pi).is_regular for _, pi in perms_v):
+            return None
+        return ConjugacyOutcome("not-conjugate", None, _NO_C_ELEMENT)
     u_prefix, g_star = reg
     sides = g_star.sides()
     for w_j, pi_j in perms_v:
@@ -763,11 +774,7 @@ def _solve_with_regular(
         z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
         z = Word._make(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
         return _assemble_and_verify(ctx, u, v, z, policy)
-    return ConjugacyOutcome(
-        "not-conjugate",
-        None,
-        "a regular cyclic permutation admits no conjugating C-element",
-    )
+    return ConjugacyOutcome("not-conjugate", None, _NO_C_ELEMENT)
 
 
 def conjugacy_search(
@@ -812,14 +819,7 @@ def conjugacy_search(
             for cf in (cf_u, cf_v)
         )
         out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy)
-        if out is not None:
-            return out
-        out = _solve_with_regular(ctx, v, u, perms_v, perms_u, policy)
-        if out is not None:
-            if out.tag == "conjugate":
-                return _assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
-            return out
-        return ConjugacyOutcome(
+        return out or ConjugacyOutcome(
             "undecided", None, "every cyclic permutation of both forms is singular"
         )
     # cyclic length 0: both conjugate into C

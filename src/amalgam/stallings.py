@@ -8,14 +8,16 @@ letter index, sign + before -), so coset representatives and the free basis
 are stable across runs.
 
 `SubgroupGraph` has one constructor: a folded edge map and a basepoint,
-trimmed to core-plus-base by `_trim` and renumbered along the tree.  Three
+trimmed to core-plus-base by `_trim` and renumbered along the tree.  Two
 constructions feed it.  `build` folds the subdivided rose on the given
-generators.  `pullback` passes on the (base, base) component of the product
-of two graphs, which is folded because both factors are.
-`GeneratingTuple.conjugate` reads z from the basepoint as far as it goes,
-attaches a fresh path for the rest and moves the basepoint to its end, which
-needs no folding because z is reduced.  The Stallings graph of a subgroup is
-unique as a pointed graph, so the direct constructions give exactly the
+generators.  `meet` walks the product of two graphs breadth first from a
+pair of start states and passes on the component it reaches, which is
+folded because both factors are.  Beside each graph it keeps the paths of a
+start word and an accept word in a small overlay, so `pullback`,
+`coset_intersection`, `z_subgroup` and the coset algebra's `shift` read
+conjugates and cosets off the graphs they already have and copy none.  The
+Stallings graph of a subgroup is unique as a pointed graph
+(Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives exactly the
 graph that folding any generating set of the same subgroup would give.
 
 Membership witnesses over the generators are read off the graph itself.
@@ -594,30 +596,6 @@ class GeneratingTuple:
         w = Word._make(self.alphabet, tuple(letters))
         raise NotAMemberError(f"{w!r} is not in the subgroup")
 
-    def conjugate(self, z: Word) -> "GeneratingTuple":
-        """Automaton of the conjugate subgroup ~z * H * z.
-
-        z is read from the basepoint as far as the graph allows and a fresh
-        path spells the rest; the basepoint moves to its end.  The path folds
-        with nothing: its first letter is unreadable where it starts, and z
-        is reduced.
-        """
-        if z.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        g = self.graph
-        edges = {eid: (s, lab, d) for (s, lab), (d, eid) in g.fwd.items()}
-        s, i = g.base, 0
-        for lt in z.letters:
-            t = g.step(s, lt)
-            if t is None:
-                break
-            s, i = t, i + 1
-        v, eid = g.nstates, max(edges, default=-1) + 1
-        for lt in z.letters[i:]:
-            edges[eid] = (s, lt, v) if lt > 0 else (v, -lt, s)
-            s, v, eid = v, v + 1, eid + 1
-        return GeneratingTuple(SubgroupGraph(self.alphabet, edges, s))
-
     def conjugacy_into(self, w: Word) -> Optional[tuple[Word, Word]]:
         """Find h in the subgroup and z with ~z * h * z == w, else None.
 
@@ -715,7 +693,10 @@ class GeneratingTuple:
 
     def z_subgroup(self, t: Word) -> "GeneratingTuple":
         """Z_t(H) = {h in H : ~t h t in H} = H^{t^-1} meet H."""
-        return pullback(self.conjugate(~t), self)
+        if t.alphabet != self.alphabet:
+            raise ValueError("word over wrong alphabet")
+        z = letters_inverse(t.letters)
+        return meet(self, self, (z, ()), (z, ()))[0]
 
     def z_set_witness(self, c: Word) -> Optional[tuple[Word, Word, Word]]:
         """If c lies in the Z-set, return (t, target, conjugator_in_H).
@@ -773,52 +754,91 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
     return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), gens, words)
 
 
-def pullback(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
-    """Automaton of the intersection: the (base, base) product component.
+def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]]:
+    """Paths of reduced words read from the base: (their fresh transitions, their ends).
 
-    The product of two folded graphs is folded, so its edges go straight to
-    the graph constructor, which trims them to core-plus-base.
+    Where a letter is unreadable a fresh state, numbered from g.nstates,
+    takes it.  The overlay holds only these transitions, keyed
+    (state, signed letter) both ways, so the graph itself is never copied.
     """
-    if g1.alphabet != g2.alphabet:
-        raise ValueError("pullback over mixed alphabets")
-    nlet = len(g1.alphabet)
-    a, b = g1.graph, g2.graph
-    order = [(a.base, b.base)]
+    extra: dict[tuple[int, int], int] = {}
+    ends = []
+    for letters in words:
+        s = g.base
+        for lt in letters:
+            t = g.step(s, lt)
+            if t is None:
+                t = extra.get((s, lt))
+                if t is None:
+                    t = extra[(s, lt)] = g.nstates + len(extra) // 2
+                    extra[(t, -lt)] = s
+            s = t
+        ends.append(s)
+    return extra, ends
+
+
+def meet(
+    K: GeneratingTuple,
+    L: GeneratingTuple,
+    starts: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
+    accepts: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
+) -> Optional[tuple[GeneratingTuple, tuple[int, ...]]]:
+    """Walk the product of two graphs: (the meet, a witness h), or None.
+
+    Each graph carries the paths of its start word s and accept word f (see
+    `_overlay`).  The component of the start pair is the graph of
+    (~s1 K s1) meet (~s2 L s2); the product of two folded graphs is folded,
+    so its edges go straight to the graph constructor.  The first path to the
+    accept pair, breadth first, spells a shortest h in both ~s1 K f1 and
+    ~s2 L f2 (verified); None when the walk never reaches that pair.
+    """
+    if K.alphabet != L.alphabet:
+        raise ValueError("meet over mixed alphabets")
+    a, b = K.graph, L.graph
+    xa, (start_a, acc_a) = _overlay(a, starts[0], accepts[0])
+    xb, (start_b, acc_b) = _overlay(b, starts[1], accepts[1])
+    order = [(start_a, start_b)]
     ids = {order[0]: 0}
+    via = [(0, 0)]  # (parent id, letter) where each pair was first reached
     edges: Edges = {}
+    moves = [
+        (lab, ta, tb, sign * lab)
+        for lab in range(1, len(K.alphabet) + 1)
+        for ta, tb, sign in ((a.fwd, b.fwd, 1), (a.back, b.back, -1))
+    ]
     for pid, (p, q) in enumerate(order):  # order grows while it is scanned
-        for lab in range(1, nlet + 1):
-            for slet in (lab, -lab):
-                tp_ = a.step(p, slet)
-                tq = b.step(q, slet)
-                if tp_ is None or tq is None:
-                    continue
-                tid = ids.setdefault((tp_, tq), len(order))
-                if tid == len(order):
-                    order.append((tp_, tq))
-                if slet > 0:
-                    edges[len(edges)] = (pid, lab, tid)
-    return GeneratingTuple(SubgroupGraph(g1.alphabet, edges, 0))
+        for lab, ta, tb, slet in moves:
+            hit = ta.get((p, lab))
+            tp = xa.get((p, slet)) if hit is None else hit[0]
+            if tp is None:
+                continue
+            hit = tb.get((q, lab))
+            tq = xb.get((q, slet)) if hit is None else hit[0]
+            if tq is None:
+                continue
+            tid = ids.setdefault((tp, tq), len(order))
+            if tid == len(order):
+                order.append((tp, tq))
+                via.append((pid, slet))
+            if slet > 0:
+                edges[len(edges)] = (pid, lab, tid)
+    node = ids.get((acc_a, acc_b))
+    if node is None:
+        return None
+    path = []
+    while node:
+        node, slet = via[node]
+        path.append(slet)
+    h = tuple(reversed(path))
+    for g, s, f in ((a, starts[0], accepts[0]), (b, starts[1], accepts[1])):
+        if not g.reads_loop(letters_product(letters_product(s, h), letters_inverse(f)), g.base):
+            raise VerificationError("meet witness failed verification")
+    return GeneratingTuple(SubgroupGraph(K.alphabet, edges, 0)), h
 
 
-def _coset_automaton(g: GeneratingTuple, rep: Word):
-    """Transitions of the subgroup graph with a tail spelling rep; returns accept state."""
-    graph = g.graph
-    trans: dict[tuple[int, int], int] = {}
-    for (s, lab), (d, _) in graph.fwd.items():
-        trans[(s, lab)] = d
-        trans[(d, -lab)] = s
-    cur = graph.base
-    fresh = graph.nstates
-    for lt in rep.letters:
-        nxt = trans.get((cur, lt))
-        if nxt is None:
-            nxt = fresh
-            fresh += 1
-            trans[(cur, lt)] = nxt
-            trans[(nxt, -lt)] = cur
-        cur = nxt
-    return trans, cur
+def pullback(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
+    """Automaton of the intersection: the (base, base) product component."""
+    return meet(g1, g2)[0]
 
 
 def coset_intersection(
@@ -826,36 +846,10 @@ def coset_intersection(
 ) -> Optional[tuple[GeneratingTuple, Word]]:
     """Intersect the cosets Ka and Lb: None if empty, else (K meet L, h).
 
-    Emptiness is reachability in the doubly pointed product of the two coset
-    automata; h is the word of a shortest accepting path and lies in both
-    cosets (verified).
+    One `meet` walk from the two basepoints with accept words a and b;
+    h is a shortest word in both cosets (verified).
     """
     if not (K.alphabet == a.alphabet == L.alphabet == b.alphabet):
         raise ValueError("coset data over mixed alphabets")
-    alphabet = K.alphabet
-    ta, acc_a = _coset_automaton(K, a)
-    tb, acc_b = _coset_automaton(L, b)
-    nlet = len(alphabet)
-    start = (0, 0)
-    target = (acc_a, acc_b)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, 0)}
-    queue = deque([start])
-    while queue and target not in parents:  # breadth first: a shortest path
-        p, q = queue.popleft()
-        for lab in range(1, nlet + 1):
-            for slet in (lab, -lab):
-                key = (ta.get((p, slet)), tb.get((q, slet)))
-                if None not in key and key not in parents:
-                    parents[key] = ((p, q), slet)
-                    queue.append(key)
-    if target not in parents:
-        return None
-    letters: list[int] = []
-    node = target
-    while node != start:
-        node, slet = parents[node]
-        letters.append(slet)
-    h = Word(alphabet, tuple(reversed(letters)))
-    if not (K.contains(h * ~a) and L.contains(h * ~b)):
-        raise VerificationError("coset intersection witness failed verification")
-    return pullback(K, L), h
+    hit = meet(K, L, accepts=(a.letters, b.letters))
+    return None if hit is None else (hit[0], Word._make(K.alphabet, hit[1]))

@@ -268,7 +268,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse whitespace-separated `name` / `name^k` tokens; empty text is the identity.
 
     A token that would take the word past MAX_LETTERS letters is rejected
-    before it is spelled out.
+    before its exponent is converted or spelled out.
     """
     letters: list[int] = []
     pos = 0
@@ -281,13 +281,14 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         name, exp = m.group(1), m.group(2)
         if name not in alphabet:
             raise WordSyntaxError(f"unknown generator {name!r}", column)
-        k = 1 if exp is None else int(exp)
-        if k == 0:
+        digits = "1" if exp is None else exp.lstrip("-").lstrip("0")
+        if not digits:
             raise WordSyntaxError(f"zero exponent in {token!r}", column)
-        n = abs(k)
+        # int() refuses a long digit string, so one past the budget's length is not converted
+        n = int(digits) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
         if len(letters) + n > MAX_LETTERS:
             raise WordSyntaxError(f"{token!r} takes the word past {MAX_LETTERS} letters", column)
-        lt = letter(alphabet.index(name), 1 if k > 0 else -1)
+        lt = letter(alphabet.index(name), -1 if exp and exp[0] == "-" else 1)
         letters.extend([lt] * n)
     return Word(alphabet, letters)
 

@@ -6,8 +6,17 @@ and graph tracing).  The conjugacy oracle and the cyclic permutations by
 definition are the exceptions: they call `normal_form`, so they check the
 conjugacy decider and the one-sweep permutations, not the word problem.
 `double_transversal_with_pruning` is the older double transversal, which
-re-checked every pair of candidates with `conjugate` and
+re-checked every pair of candidates with `conjugate_by_copy` and
 `coset_intersection`; it checks that no candidate ever needs pruning.
+`conjugate_by_copy`, `pullback_by_steps` and `coset_intersection_by_copy`
+are the older meets, which copied a whole graph to conjugate it, copied
+both transition tables to hang a coset representative on them and walked
+the product once for the witness and again for the meet; `shift_by_copy`
+is the older coset-algebra shift built on them.  They check the one
+product walk, `stallings.meet`.
+`conjugacy_search_two_calls` is the older cyclic-length >= 2 decision,
+which solved again from v's regular permutation when u had none; it checks
+that a regular permutation of v alone decides not-conjugate.
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
 it checks the walk that multiplies the images on the basis edges.
@@ -23,10 +32,21 @@ one from every state; they check the searches that trace the core once.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 from typing import Optional
 
-from amalgam.group import AmalgamContext, NormalForm, RepPolicy, normal_form
+from amalgam import group
+from amalgam.cosetalg import CosetOfC
+from amalgam.group import (
+    CANONICAL,
+    AmalgamContext,
+    ConjugacyOutcome,
+    NormalForm,
+    RepPolicy,
+    cyclic_form,
+    normal_form,
+)
 from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
 from amalgam.words import (
     Alphabet,
@@ -224,8 +244,168 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
 
 def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
     """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
-    shifted = g.conjugate(~t2)
+    shifted = conjugate_by_copy(g, ~t2)
     return coset_intersection(g, t, shifted, t2) is not None
+
+
+def conjugate_by_copy(g: GeneratingTuple, z: Word) -> GeneratingTuple:
+    """Automaton of ~z * H * z: a copy of H's graph with a fresh path for z.
+
+    z is read from the basepoint as far as the graph allows and a fresh path
+    spells the rest; the basepoint moves to its end, and the copy is trimmed
+    and renumbered.
+    """
+    graph = g.graph
+    edges = {eid: (s, lab, d) for (s, lab), (d, eid) in graph.fwd.items()}
+    s, i = graph.base, 0
+    for lt in z.letters:
+        t = graph.step(s, lt)
+        if t is None:
+            break
+        s, i = t, i + 1
+    v, eid = graph.nstates, max(edges, default=-1) + 1
+    for lt in z.letters[i:]:
+        edges[eid] = (s, lt, v) if lt > 0 else (v, -lt, s)
+        s, v, eid = v, v + 1, eid + 1
+    return GeneratingTuple(SubgroupGraph(g.alphabet, edges, s))
+
+
+def pullback_by_steps(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
+    """The (base, base) product component, one `step` per letter and factor."""
+    a, b = g1.graph, g2.graph
+    order = [(a.base, b.base)]
+    ids = {order[0]: 0}
+    edges = {}
+    for pid, (p, q) in enumerate(order):
+        for lab in range(1, len(g1.alphabet) + 1):
+            for slet in (lab, -lab):
+                tp_, tq = a.step(p, slet), b.step(q, slet)
+                if tp_ is None or tq is None:
+                    continue
+                tid = ids.setdefault((tp_, tq), len(order))
+                if tid == len(order):
+                    order.append((tp_, tq))
+                if slet > 0:
+                    edges[len(edges)] = (pid, lab, tid)
+    return GeneratingTuple(SubgroupGraph(g1.alphabet, edges, 0))
+
+
+def _coset_automaton(g: GeneratingTuple, rep: Word) -> tuple[dict, int]:
+    """Transitions of the subgroup graph with a tail spelling rep; returns accept state."""
+    graph = g.graph
+    trans: dict[tuple[int, int], int] = {}
+    for (s, lab), (d, _) in graph.fwd.items():
+        trans[(s, lab)] = d
+        trans[(d, -lab)] = s
+    cur, fresh = graph.base, graph.nstates
+    for lt in rep.letters:
+        nxt = trans.get((cur, lt))
+        if nxt is None:
+            nxt, fresh = fresh, fresh + 1
+            trans[(cur, lt)] = nxt
+            trans[(nxt, -lt)] = cur
+        cur = nxt
+    return trans, cur
+
+
+def coset_intersection_by_copy(
+    K: GeneratingTuple, a: Word, L: GeneratingTuple, b: Word
+) -> Optional[tuple[GeneratingTuple, Word]]:
+    """Ka meet Lb: breadth first through the product of the two coset automata."""
+    ta, acc_a = _coset_automaton(K, a)
+    tb, acc_b = _coset_automaton(L, b)
+    start, target = (K.graph.base, L.graph.base), (acc_a, acc_b)
+    parents = {start: (start, 0)}
+    queue = deque([start])
+    while queue and target not in parents:
+        p, q = queue.popleft()
+        for lab in range(1, len(K.alphabet) + 1):
+            for slet in (lab, -lab):
+                key = (ta.get((p, slet)), tb.get((q, slet)))
+                if None not in key and key not in parents:
+                    parents[key] = ((p, q), slet)
+                    queue.append(key)
+    if target not in parents:
+        return None
+    letters: list[int] = []
+    node = target
+    while node != start:
+        node, slet = parents[node]
+        letters.append(slet)
+    h = Word(K.alphabet, tuple(reversed(letters)))
+    if not (K.contains(h * ~a) and L.contains(h * ~b)):
+        raise VerificationError("coset intersection witness failed verification")
+    return pullback_by_steps(K, L), h
+
+
+def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: Word, q: Word) -> Optional[CosetOfC]:
+    """(p * d * q) meet C through a cached conjugate copy of d's subgroup."""
+    key = ("shift", d.key(), p.letters, q.letters)
+    if key not in ctx.cache:
+        conj_key = ("conj", d.subgroup.graph.canonical_key(), (~p).letters)
+        if conj_key not in ctx.cache:
+            ctx.cache[conj_key] = conjugate_by_copy(d.subgroup, ~p)
+        hit = coset_intersection_by_copy(
+            ctx.cache[conj_key], p * d.rep * q, ctx.graph_c(d.side), identity(p.alphabet)
+        )
+        result = None
+        if hit is not None:
+            canon, _ = hit[0].coset_rep(hit[1])
+            result = CosetOfC(d.side, hit[0], canon)
+        ctx.cache[key] = result
+    return ctx.cache[key]
+
+
+def _solve_from_regular_permutation(
+    ctx: AmalgamContext, u: Word, v: Word, perms_u: list, perms_v: list, policy: RepPolicy
+) -> Optional[ConjugacyOutcome]:
+    """Solve from u's first regular cyclic permutation; None when it has none."""
+    reg = next((x for x in perms_u if group._classify_nf(ctx, x[1]).is_regular), None)
+    if reg is None:
+        return None
+    u_prefix, g_star = reg
+    for w_j, pi_j in perms_v:
+        if pi_j.sides() != g_star.sides():
+            continue
+        e = group.principal_system_solve(ctx, g_star, pi_j)
+        if e is None:
+            continue
+        c = group.cardinality(e).element
+        c_k = group._propagate_solution(ctx, g_star, pi_j, c, e.side)
+        side1 = g_star.syllables[0].side
+        c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
+        if g_star.head * c_k != c_on_1 * pi_j.head:
+            continue
+        z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
+        z = Word(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
+        return group._assemble_and_verify(ctx, u, v, z, policy)
+    reason = "a regular cyclic permutation admits no conjugating C-element"
+    return ConjugacyOutcome("not-conjugate", None, reason)
+
+
+def conjugacy_search_two_calls(
+    ctx: AmalgamContext, u: Word, v: Word, policy: RepPolicy = CANONICAL
+) -> ConjugacyOutcome:
+    """The cyclic-length >= 2 decision from u's regular permutation, else from v's.
+
+    Other cyclic lengths go to `conjugacy_search`.
+    """
+    cf_u, cf_v = cyclic_form(ctx, u, policy), cyclic_form(ctx, v, policy)
+    if not cf_u.cyclic_length == cf_v.cyclic_length >= 2:
+        return group.conjugacy_search(ctx, u, v, policy)
+    perms_u, perms_v = (
+        [(letters_product(cf.conjugator.letters, w), pi)
+         for w, pi in group._cyclic_perms(ctx, cf.form, policy)]
+        for cf in (cf_u, cf_v)
+    )
+    out = _solve_from_regular_permutation(ctx, u, v, perms_u, perms_v, policy)
+    if out is not None:
+        return out
+    out = _solve_from_regular_permutation(ctx, v, u, perms_v, perms_u, policy)
+    if out is not None and out.tag == "conjugate":
+        return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
+    reason = "every cyclic permutation of both forms is singular"
+    return out or ConjugacyOutcome("undecided", None, reason)
 
 
 def transfer_through_basis(

@@ -207,6 +207,13 @@ def test_huge_exponent_is_syntax_error(capsys, group_file):
     assert err.startswith("error: column 3: 'a^1000000000000000' takes the word past ")
 
 
+def test_exponent_too_long_to_convert_is_syntax_error(capsys, group_file):
+    code, out, err = run(capsys, "nf", "-g", group_file, "-w", f"d a^{'9' * 5000}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 3: 'a^999")
+    assert "letters" in err and "Traceback" not in err and "4300" not in err
+
+
 @pytest.mark.parametrize("argv, accepted", [
     (("paper-ex1", "-m", "11"), True),  # head 2^22
     (("paper-ex1", "-m", "12"), False),

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from amalgam import group
 from amalgam.cosetalg import CosetOfC, c_coset, cardinality, intersect, shift, transfer
-from amalgam.fixtures import example_one_context
-from amalgam.group import normal_form
+from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
+from amalgam.group import classify, conjugacy_search, normal_form, principal_system_solve
 from amalgam.stallings import build, pullback
 from amalgam.words import Word, parse_word
 
-from bruteforce import reduced_words, subgroup_elements
+from bruteforce import reduced_words, shift_by_copy, subgroup_elements
 from conftest import random_member, random_reduced
 
 
@@ -215,3 +216,44 @@ def test_transfer_is_memoised_and_round_trips():
         fresh.cache.clear()
         assert transfer(fresh, d).key() == moved.key()
         assert transfer(ctx, moved).key() == d.key()
+
+
+def _fill_cache(ctx):
+    """Principal systems, classifications and conjugacy searches; returns ctx.cache."""
+    rng = random.Random(17)
+    letters = ctx.union_alphabet
+    for _ in range(40):
+        classify(ctx, random_reduced(rng, letters, rng.randint(1, 3)))
+        u = random_reduced(rng, letters, rng.randint(2, 9))
+        z = random_reduced(rng, letters, rng.randint(0, 4))
+        v = ~z * u * z if rng.random() < 0.5 else random_reduced(rng, letters, len(u))
+        conjugacy_search(ctx, u, v)
+        g, h = normal_form(ctx, u), normal_form(ctx, v)
+        if g.syllable_length >= 1:
+            principal_system_solve(ctx, g, g)
+            if h.syllable_length == g.syllable_length:
+                principal_system_solve(ctx, g, h)
+    return ctx.cache
+
+
+def _coset_key(value):
+    return value if value is None else value.key()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: example_one_context(2), lambda: example_two_context(2), malnormal_context],
+    ids=["ex1", "ex2", "malnormal"],
+)
+def test_shift_walk_leaves_the_cache_of_the_copy_path(make, monkeypatch):
+    # every kind but the copy path's conjugates holds the same keys and values
+    walked = _fill_cache(make())
+    monkeypatch.setattr(group, "shift", shift_by_copy)
+    copied = _fill_cache(make())
+    assert any(key[0] == "conj" for key in copied)
+    assert walked.keys() == {key for key in copied if key[0] != "conj"}
+    assert any(key[0] == "shift" for key in walked)
+    for key, value in walked.items():
+        if key[0] in ("shift", "ps", "transfer"):
+            assert _coset_key(value) == _coset_key(copied[key]), key
+        else:
+            assert value == copied[key], key

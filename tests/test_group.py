@@ -43,6 +43,7 @@ from amalgam.words import (
 from bruteforce import (
     adversarial_rep_by_cancellation,
     brute_conjugacy_oracle,
+    conjugacy_search_two_calls,
     cyclic_perms_by_definition,
     subgroup_elements,
     transfer_through_basis,
@@ -66,6 +67,10 @@ def wb(ctx, text):
 
 @pytest.fixture(scope="module")
 def powers():
+    return powers_context()
+
+
+def powers_context():
     """F(a,b) * F(x,y) over <a^2> = <x^2>: has singular elements of length >= 2."""
     x = Alphabet(("a", "b"))
     y = Alphabet(("x", "y"))
@@ -587,15 +592,11 @@ def test_cyclic_form_wraps_syllables(ex1):
 CYCLIC_CONTEXTS = {**KERNEL_CONTEXTS, "malnormal": (malnormal_context(), None)}
 
 
-@pytest.mark.parametrize("name", CYCLIC_CONTEXTS)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_cyclic_perms_match_their_definition(name, data):
-    ctx, adversarial = CYCLIC_CONTEXTS[name]
-    # alternating factor blocks, so that most cyclic forms keep length >= 2
+def draw_alternating(data, ctx, blocks=(2, 6)):
+    """Alternating factor blocks, so that most cyclic forms keep length >= 2."""
     first = data.draw(st.integers(0, 1))
     word = Word(ctx.union_alphabet, ())
-    for i in range(data.draw(st.integers(2, 6))):
+    for i in range(data.draw(st.integers(*blocks))):
         side = "AB"[(first + i) % 2]
         n = len(ctx.factor_alphabet(side))
         block = data.draw(
@@ -603,6 +604,15 @@ def test_cyclic_perms_match_their_definition(name, data):
                      min_size=1, max_size=3)
         )
         word = word * ctx.to_union(side, Word(ctx.factor_alphabet(side), block))
+    return word
+
+
+@pytest.mark.parametrize("name", CYCLIC_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclic_perms_match_their_definition(name, data):
+    ctx, adversarial = CYCLIC_CONTEXTS[name]
+    word = draw_alternating(data, ctx)
     policies = (CANONICAL,)
     if adversarial is not None and len(word) <= ADVERSARIAL_MAX_LEN:
         policies = (CANONICAL, adversarial)
@@ -929,6 +939,33 @@ def test_conjugacy_regular_side_decides_against_singular(powers):
     assert out.tag == "not-conjugate"
     out2 = conjugacy_search(powers, v, ~z * v * z)
     assert out2.tag == "conjugate"
+    # u has no regular permutation: v's alone decides, as solving from it did
+    for x, y in ((u, v), (u, ~z * v * z), (v, u), (u * u, v * v)):
+        assert conjugacy_search(powers, x, y) == conjugacy_search_two_calls(powers, x, y)
+
+
+DECIDER_CONTEXTS = {
+    "ex1": example_one_context(2),
+    "ex2": example_two_context(2),
+    "malnormal": malnormal_context(),
+    "powers": powers_context(),
+}
+
+
+@pytest.mark.parametrize("name", DECIDER_CONTEXTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_regular_permutation_of_v_alone_decides_as_the_swapped_solve_did(name, data):
+    # having a regular cyclic permutation is a conjugacy invariant, so solving
+    # again from v's regular permutation, when u has none, never finds a conjugator
+    ctx = DECIDER_CONTEXTS[name]
+    u = draw_alternating(data, ctx, (2, 4))
+    if data.draw(st.booleans()):
+        z = data.draw(union_words(ctx, 6))
+        v = ~z * u * z
+    else:
+        v = draw_alternating(data, ctx, (2, 4))
+    assert conjugacy_search(ctx, u, v) == conjugacy_search_two_calls(ctx, u, v)
 
 
 def test_malnormal_fixture_never_undecided(malnormal_ctx):

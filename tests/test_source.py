@@ -62,6 +62,31 @@ def test_transfer_stays_at_the_letter_level():
     assert not calls, f"transfer_letters calls {calls}"
 
 
+# the meets read the graphs they are given: no whole transition table is walked
+MEET_WALKS = (("cosetalg.py", "shift"), ("stallings.py", "meet"), ("stallings.py", "_overlay"))
+TABLE_COPIES = ("items", "values", "keys", "copy")
+
+
+def _is_table(node):
+    return ast.unparse(node).endswith(("fwd", "back"))
+
+
+def test_meets_iterate_no_whole_transition_table():
+    for filename, name in MEET_WALKS:
+        path = Path(amalgam.__file__).parent / filename
+        tree = ast.parse(path.read_text(), filename=str(path))
+        (function,) = (n for n in tree.body if getattr(n, "name", None) == name)
+        reads = []
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                method = node.func.attr if isinstance(node.func, ast.Attribute) else None
+                if method in TABLE_COPIES or any(map(_is_table, node.args)):
+                    reads.append((node.lineno, ast.unparse(node)))
+            elif isinstance(node, (ast.For, ast.comprehension)) and _is_table(node.iter):
+                reads.append((node.iter.lineno, ast.unparse(node.iter)))
+        assert not reads, f"{name} reads a whole transition table: {reads}"
+
+
 # the normalizer data is computed on first read, never while a context is built
 NORMALIZER_NAMES = (
     "double_transversal", "is_malnormal",

@@ -11,6 +11,7 @@ from amalgam.stallings import (
     NotAMemberError,
     build,
     coset_intersection,
+    meet,
     pullback,
 )
 from amalgam.words import (
@@ -26,6 +27,8 @@ from amalgam.words import (
 
 from bruteforce import (
     check_folded,
+    conjugate_by_copy,
+    coset_intersection_by_copy,
     conjugacy_into_by_rotation_scan,
     double_transversal_with_pruning,
     free_conjugacy_by_least_rotation,
@@ -205,14 +208,14 @@ def test_pullback_random_agreement():
 
 def test_conjugate_graph_examples():
     g = build([w("b")])
-    conj = g.conjugate(w("a"))
+    conj = conjugate_by_copy(g, w("a"))
     assert conj.contains(w("a^-1 b a"))
     assert not conj.contains(w("b"))
     g2 = C()
-    conj2 = g2.conjugate(w("a^2 b"))  # z inside the subgroup
+    conj2 = conjugate_by_copy(g2, w("a^2 b"))  # z inside the subgroup
     for word in reduced_words(F, 5):
         assert conj2.contains(word) == g2.contains(word)
-    meet = pullback(g2.conjugate(w("a")), g2)
+    meet = pullback(conjugate_by_copy(g2, w("a")), g2)
     assert meet.contains(w("a^2"))
     assert not meet.contains(w("a^-1 b a"))
 
@@ -229,7 +232,7 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     g1 = build([Word(F, ls) for ls in gens1], F)
     g2 = build([Word(F, ls) for ls in gens2], F)
     z = Word(F, z_letters)
-    conj = g1.conjugate(z)
+    conj = conjugate_by_copy(g1, z)
     check_folded(conj.graph)
     folded = build([~z * x * z for x in g1.generators], F)
     assert conj.graph.canonical_key() == folded.graph.canonical_key()
@@ -237,6 +240,51 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     check_folded(meet.graph)
     assert all(g1.contains(b) and g2.contains(b) for b in meet.basis())
     assert meet.graph.canonical_key() == build(meet.basis(), F).graph.canonical_key()
+
+
+FIXTURE_C_GRAPHS = tuple(
+    ctx.graph_c(side)
+    for ctx in (example_one_context(2), example_two_context(2), malnormal_context())
+    for side in "AB"
+)
+
+
+def _over(alphabet, ls):
+    """The word of letters ls, their indices wrapped into the alphabet."""
+    n = len(alphabet)
+    return Word(alphabet, [(abs(x) - 1) % n + 1 if x > 0 else -((-x - 1) % n + 1) for x in ls])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((None, *range(len(FIXTURE_C_GRAPHS)))),
+    generating_lists,
+    generating_lists,
+    st.booleans(),
+    st.lists(st.lists(letters, max_size=6), min_size=4, max_size=4),
+)
+def test_meet_walk_matches_the_copy_path(fixture, gens1, gens2, same, words):
+    # the walk reads ~s K s and the coset ~s K f off K's own graph; the old path
+    # copied K to conjugate it and copied both tables to hang the accept word
+    alphabet = F if fixture is None else FIXTURE_C_GRAPHS[fixture].alphabet
+    K = build([_over(alphabet, ls) for ls in gens1], alphabet)
+    if fixture is not None:
+        K = FIXTURE_C_GRAPHS[fixture]
+    L = K if same else build([_over(alphabet, ls) for ls in gens2], alphabet)
+    s1, f1, s2, f2 = (_over(alphabet, ls) for ls in words)
+    hit = meet(K, L, (s1.letters, s2.letters), (f1.letters, f2.letters))
+    ref = coset_intersection_by_copy(
+        conjugate_by_copy(K, s1), ~s1 * f1, conjugate_by_copy(L, s2), ~s2 * f2
+    )
+    assert (hit is None) == (ref is None)
+    if hit is None:
+        return
+    sub, h = hit
+    assert sub.graph.canonical_key() == ref[0].graph.canonical_key()
+    h = Word(alphabet, h)
+    assert K.contains(s1 * h * ~f1) and L.contains(s2 * h * ~f2)
+    # same letter order and the same essential automata: the same shortest word
+    assert h == ref[1]
 
 
 def test_coset_intersection_examples():
@@ -346,7 +394,7 @@ def test_double_transversal_examples():
     assert len(ts) == 2
     # soundness: H meets H^t for the nontrivial representative
     t = ts[1]
-    assert not pullback(g.conjugate(t), g).graph.is_trivial()
+    assert not pullback(conjugate_by_copy(g, t), g).graph.is_trivial()
     assert build([w("b")]).double_transversal() == (w(""),)
     whole = build([w("a"), w("b"), w("d")])
     assert whole.double_transversal() == (w(""),)
@@ -356,11 +404,11 @@ def test_double_transversal_completeness_small():
     g = C()
     ts = g.double_transversal()
     for word in reduced_words(F, 5):
-        meets = not pullback(g.conjugate(word), g).graph.is_trivial()
+        meets = not pullback(conjugate_by_copy(g, word), g).graph.is_trivial()
         if not meets:
             continue
         in_some = any(
-            coset_intersection(g, word, g.conjugate(~t), t) is not None
+            coset_intersection(g, word, conjugate_by_copy(g, ~t), t) is not None
             for t in ts
         )
         assert in_some, f"{word!r} in N* but outside every double coset"
@@ -380,7 +428,7 @@ def test_double_transversal_matches_pairwise_pruning(gens):
     ts = g.double_transversal()
     assert ts == double_transversal_with_pruning(g)
     for t, t2 in combinations(ts, 2):
-        assert coset_intersection(g, t, g.conjugate(~t2), t2) is None
+        assert coset_intersection(g, t, conjugate_by_copy(g, ~t2), t2) is None
 
 
 def test_malnormality_flags():
@@ -415,9 +463,9 @@ def test_z_subgroup_matches_definition():
 def test_generalized_normalizer_membership():
     # w in N*(H) iff H meets H^w nontrivially
     g = C()
-    assert not pullback(g.conjugate(w("a")), g).graph.is_trivial()
-    assert pullback(g.conjugate(w("d")), g).graph.is_trivial()
-    assert not pullback(g.conjugate(w("a^2 b")), g).graph.is_trivial()
+    assert not pullback(conjugate_by_copy(g, w("a")), g).graph.is_trivial()
+    assert pullback(conjugate_by_copy(g, w("d")), g).graph.is_trivial()
+    assert not pullback(conjugate_by_copy(g, w("a^2 b")), g).graph.is_trivial()
 
 
 def test_z_set_examples():

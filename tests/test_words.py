@@ -251,6 +251,23 @@ def test_parse_rejects_a_token_past_the_letter_budget():
         assert f"past {words.MAX_LETTERS} letters" in str(err.value)
 
 
+def test_parse_rejects_an_exponent_too_long_to_convert():
+    # int() refuses more than 4,300 digits; the digit count alone is past the budget
+    for sign in ("", "-"):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(f"d a^{sign}{'9' * 5000}", F)
+        assert err.value.column == 3
+        assert f"past {words.MAX_LETTERS} letters" in str(err.value)
+
+
+def test_parse_strips_leading_zeros_before_the_budget():
+    assert parse_word(f"a^-{'0' * 6000}3 b", F) == parse_word("a^-3 b", F)
+    assert len(parse_word(f"a^{'0' * 5000}{words.MAX_LETTERS}", F)) == words.MAX_LETTERS
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"b a^{'0' * 5000}", F)
+    assert err.value.column == 3 and "zero exponent" in str(err.value)
+
+
 def test_parse_counts_the_running_total_against_the_budget(monkeypatch):
     monkeypatch.setattr(words, "MAX_LETTERS", 10)
     assert len(parse_word("a^6 b^-4", F)) == 10

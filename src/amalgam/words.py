@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 MAX_LETTERS = 1 << 22  # longest word parse_word spells out, and the bench budget
+_SHOWN = 40  # longest token or name a WordSyntaxError quotes in full
 
 
 class VerificationError(AssertionError):
@@ -56,7 +57,7 @@ class Alphabet:
         try:
             return self._index[name]
         except KeyError:
-            raise ValueError(f"unknown generator {name!r}") from None
+            raise ValueError(f"unknown generator {_quote(name)}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.names == other.names
@@ -264,6 +265,11 @@ class WordSyntaxError(ValueError):
         self.column = column
 
 
+def _quote(s: str) -> str:
+    """repr of s, cut to its first _SHOWN characters and its length when longer."""
+    return repr(s) if len(s) <= _SHOWN else f"{s[:_SHOWN]!r}... ({len(s):,} characters)"
+
+
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse whitespace-separated `name` / `name^k` tokens; empty text is the identity.
 
@@ -277,17 +283,18 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         pos = column - 1 + len(token)
         m = _TOKEN_RE.match(token)
         if not m:
-            raise WordSyntaxError(f"bad token {token!r}", column)
+            raise WordSyntaxError(f"bad token {_quote(token)}", column)
         name, exp = m.group(1), m.group(2)
         if name not in alphabet:
-            raise WordSyntaxError(f"unknown generator {name!r}", column)
+            raise WordSyntaxError(f"unknown generator {_quote(name)}", column)
         digits = "1" if exp is None else exp.lstrip("-").lstrip("0")
         if not digits:
-            raise WordSyntaxError(f"zero exponent in {token!r}", column)
+            raise WordSyntaxError(f"zero exponent in {_quote(token)}", column)
         # int() refuses a long digit string, so one past the budget's length is not converted
         n = int(digits) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
         if len(letters) + n > MAX_LETTERS:
-            raise WordSyntaxError(f"{token!r} takes the word past {MAX_LETTERS} letters", column)
+            past = f"takes the word past {MAX_LETTERS} letters"
+            raise WordSyntaxError(f"{_quote(token)} {past}", column)
         lt = letter(alphabet.index(name), -1 if exp and exp[0] == "-" else 1)
         letters.extend([lt] * n)
     return Word(alphabet, letters)

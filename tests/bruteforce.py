@@ -17,6 +17,9 @@ product walk, `stallings.meet`.
 `conjugacy_search_two_calls` is the older cyclic-length >= 2 decision,
 which solved again from v's regular permutation when u had none; it checks
 that a regular permutation of v alone decides not-conjugate.
+`normal_form_unmemoised` is the older sweep, which ran every step; it checks
+the sweep that looks a repeated (side, syllable, carry) step up in
+`ctx.cache`.
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
 it checks the walk that multiplies the images on the basis edges.
@@ -406,6 +409,38 @@ def conjugacy_search_two_calls(
         return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
     reason = "every cyclic permutation of both forms is singular"
     return out or ConjugacyOutcome("undecided", None, reason)
+
+
+def normal_form_unmemoised(
+    ctx: AmalgamContext,
+    raw: Word,
+    policy: RepPolicy = CANONICAL,
+    trace: Optional[list[int]] = None,
+) -> NormalForm:
+    """The right-to-left sweep with every step run: transfer, multiply, split."""
+    reps = group._coset_reps(ctx, policy)
+    done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
+    carry_side, carry = "A", ()
+    for side, word in reversed(group._split(ctx, raw)):
+        if carry and carry_side != side:
+            carry = ctx.transfer_letters(carry_side, carry)
+        rep, head = reps[side](letters_product(word, carry))
+        if rep:
+            if done and done[-1][0] == side:
+                rep, head2 = reps[side](letters_product(rep, done.pop()[1]))
+                head = letters_product(head, head2)
+            if rep:
+                done.append((side, rep))
+        carry_side, carry = side, head
+        if trace is not None:
+            trace.append(len(carry))
+    target = done[-1][0] if done else "A"
+    if carry and carry_side != target:
+        carry = ctx.transfer_letters(carry_side, carry)
+    graph = ctx.graph_c(target).graph
+    if not graph.reads_loop(carry, graph.base):
+        raise VerificationError("normal-form head escaped C")
+    return group._form(ctx, target, carry, reversed(done))
 
 
 def transfer_through_basis(

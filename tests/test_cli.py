@@ -214,6 +214,18 @@ def test_exponent_too_long_to_convert_is_syntax_error(capsys, group_file):
     assert "letters" in err and "Traceback" not in err and "4300" not in err
 
 
+@pytest.mark.parametrize("word, length", [
+    (f"d a^{'9' * 100_000}", "100,002"),
+    (f"d {'q' * 100_000}", "100,000"),
+])
+def test_syntax_error_quotes_a_long_token_in_short(capsys, group_file, word, length):
+    # the message is one short line with the column, not an echo of the input
+    code, out, err = run(capsys, "nf", "-g", group_file, "-w", word)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 3: ") and f"... ({length} characters)" in err
+    assert len(err) < 200 and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, accepted", [
     (("paper-ex1", "-m", "11"), True),  # head 2^22
     (("paper-ex1", "-m", "12"), False),

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from amalgam.group import (
     syllable_decompose,
     _cyclic_perms,
 )
-from amalgam.stallings import GeneratingTuple, NotAMemberError, SubgroupGraph, build
+from amalgam.stallings import _RUN_MIN, GeneratingTuple, NotAMemberError, SubgroupGraph, build
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -45,6 +46,7 @@ from bruteforce import (
     brute_conjugacy_oracle,
     conjugacy_search_two_calls,
     cyclic_perms_by_definition,
+    normal_form_unmemoised,
     subgroup_elements,
     transfer_through_basis,
 )
@@ -485,6 +487,7 @@ def test_adversarial_rep_matches_the_reference_on_every_blowup_step(monkeypatch,
     monkeypatch.setattr(group, "_rep", recorded)
     for m in range(1, 6):
         calls.clear()
+        ctx.cache.clear()  # as in the blowup workload: memoised steps would skip _rep
         trace = []
         word = up(ctx, "z d") ** m * up(ctx, "x")
         nf = normal_form(ctx, word, RepPolicy.paper_example_one(p), trace=trace)
@@ -557,6 +560,119 @@ def test_normal_form_is_a_fixed_point_and_equals_its_input(name, data):
         # equality in G, decided by the reduced form, which uses no coset reps
         rf = reduced_form(ctx, syllable_decompose(ctx, spelled * ~word))
         assert rf.syllable_length == 0 and rf.head.is_identity()
+
+
+# --- the memoised sweep step against the unmemoised sweep -------------------------
+
+STEP_CONTEXTS = {
+    "ex1": (lambda: example_one_context(2), RepPolicy.paper_example_one(2)),
+    "ex1(p=3)": (lambda: example_one_context(3), RepPolicy.paper_example_one(3)),
+    "ex2": (lambda: example_two_context(2), None),
+    "malnormal": (malnormal_context, None),
+    "powers": (powers_context, None),
+}
+
+
+def step_keys(ctx):
+    """Every memoised (side, word, carry) step in ctx.cache, over all policies."""
+    return [key for kind, memo in ctx.cache.items() if kind[0] == "step" for key in memo]
+
+
+def xfer_keys(ctx):
+    return {key for key in ctx.cache if key[0] == "xfer"}
+
+
+@pytest.mark.parametrize("name", STEP_CONTEXTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_memoised_steps_match_the_unmemoised_sweep(name, data):
+    # a step is a pure function of (side, syllable, carry): forms, traces and
+    # transfers equal the reference's on a warm cache and after a clear
+    make, adversarial = STEP_CONTEXTS[name]
+    ctx, ref = make(), make()
+    size = ADVERSARIAL_MAX_LEN if adversarial else 24
+    words = data.draw(st.lists(union_words(ctx, size), min_size=1, max_size=6))
+    queries = words + data.draw(st.permutations(words))  # the second pass repeats every step
+    clear_at = data.draw(st.integers(0, len(queries)))
+    policies = (CANONICAL,) if adversarial is None else (CANONICAL, adversarial)
+    for i, word in enumerate(queries):
+        if i == clear_at:
+            ctx.cache.clear()
+            ref.cache.clear()
+        for policy in policies:
+            trace, ref_trace = [], []
+            nf = normal_form(ctx, word, policy, trace)
+            assert nf == normal_form_unmemoised(ref, word, policy, ref_trace)
+            assert trace == ref_trace
+    assert xfer_keys(ctx) == xfer_keys(ref)
+
+
+BLOWUP_CASES = [(2, 8), (3, 5)]  # (p, m) of the blowup workload's (z d)^m x
+
+
+@pytest.mark.parametrize("p, m", BLOWUP_CASES)
+def test_blowup_sweeps_memoise_only_short_steps(p, m):
+    # carries of p^(2m) letters are never hashed into the step memo, and a warm
+    # sweep, which looks the short steps up, keeps the heads at exactly p^(2m)
+    ctx = example_one_context(p)
+    word = up(ctx, "z d") ** m * up(ctx, "x")
+    runs = []
+    for policy in (RepPolicy.paper_example_one(p), CANONICAL) * 2:
+        trace = []
+        runs.append((normal_form(ctx, word, policy, trace), trace))
+    (adv, adv_trace), (canon, canon_trace) = runs[:2]
+    assert runs[2:] == runs[:2]
+    assert len(adv.head) == p ** (2 * m) and max(adv_trace) >= _RUN_MIN
+    assert canon == normal_form_unmemoised(ctx, word)
+    assert step_keys(ctx)
+    assert all(len(w) + len(carry) < _RUN_MIN for _, w, carry in step_keys(ctx))
+
+
+def test_ex2_identity_memoises_only_short_steps():
+    ctx = example_two_context(2)
+    conj = up(ctx, "b y") ** 12
+    lhs = ~conj * up(ctx, "a") * conj
+    for _ in range(2):
+        nf = normal_form(ctx, lhs)
+        assert nf == normal_form(ctx, up(ctx, "a") ** 4096) and len(nf.head) == 4096
+    assert step_keys(ctx)
+    assert all(len(w) + len(carry) < _RUN_MIN for _, w, carry in step_keys(ctx))
+
+
+def test_concurrent_sweeps_share_one_step_memo():
+    # queries on one context may run concurrently; the step memo is shared state
+    ctx, ref = example_one_context(2), example_one_context(2)
+    rng = random.Random(17)
+    queries = [
+        (w, policy)
+        for w in (random_reduced(rng, ctx.union_alphabet, rng.randint(1, 10)) for _ in range(30))
+        for policy in (CANONICAL, ADVERSARIAL)
+    ]
+    want = [normal_form_unmemoised(ref, w, policy) for w, policy in queries]
+    failures = []
+
+    def sweep(k):
+        order = list(range(len(queries))) * 20
+        random.Random(k).shuffle(order)
+        for n, i in enumerate(order):
+            if k == 0 and n % 50 == 49:
+                ctx.cache.clear()
+            w, policy = queries[i]
+            if normal_form(ctx, w, policy) != want[i]:
+                failures.append((k, w, policy))
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
 
 
 # --- cyclic forms ----------------------------------------------------------------

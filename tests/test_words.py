@@ -260,6 +260,25 @@ def test_parse_rejects_an_exponent_too_long_to_convert():
         assert f"past {words.MAX_LETTERS} letters" in str(err.value)
 
 
+def test_parse_errors_quote_a_long_token_or_name_in_short():
+    # a message shows the first 40 characters and the length; the column stays
+    nines, name = "9" * 100_000, "q" * 100_000
+    past = f"takes the word past {words.MAX_LETTERS} letters"
+    for text, column, message in (
+        (f"d a^{nines}", 3, f"{'a^' + '9' * 38!r}... (100,002 characters) {past}"),
+        (f"d b^^{nines}", 3, f"bad token {'b^^' + '9' * 37!r}... (100,003 characters)"),
+        (f"a {name}^2", 3, f"unknown generator {'q' * 40!r}... (100,000 characters)"),
+        (f"b a^-{'0' * 100_000}", 3,
+         f"zero exponent in {'a^-' + '0' * 37!r}... (100,003 characters)"),
+        (f"d {'q' * 40}", 3, f"unknown generator {'q' * 40!r}"),
+        (f"d {'q' * 41}", 3, f"unknown generator {'q' * 40!r}... (41 characters)"),
+    ):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, F)
+        assert err.value.column == column
+        assert str(err.value) == f"column {column}: {message}"
+
+
 def test_parse_strips_leading_zeros_before_the_budget():
     assert parse_word(f"a^-{'0' * 6000}3 b", F) == parse_word("a^-3 b", F)
     assert len(parse_word(f"a^{'0' * 5000}{words.MAX_LETTERS}", F)) == words.MAX_LETTERS

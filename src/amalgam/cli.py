@@ -28,7 +28,6 @@ from .group import (
     cyclic_form,
     normal_form,
     reduced_form,
-    syllable_decompose,
 )
 from .stallings import SubgroupGraph
 from .words import MAX_LETTERS, Alphabet, Word, WordSyntaxError, format_word, parse_word
@@ -197,7 +196,7 @@ def _cmd_nf(args) -> int:
 
 def _cmd_reduce(args) -> int:
     ctx = _load_context(args.group)
-    rf = reduced_form(ctx, syllable_decompose(ctx, parse_group_word(args.word, ctx)))
+    rf = reduced_form(ctx, parse_group_word(args.word, ctx))
     return _emit_form(args, rf, [f"syllable length: {rf.syllable_length}"], {})
 
 

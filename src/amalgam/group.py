@@ -3,18 +3,18 @@
 A context validates a presentation of G = A *_C B over free factors and
 precomputes the transfer tables for C on both sides; its normalizer data
 (double transversals, malnormality) is computed on first use.  On top of it
-live syllable decomposition, reduced and normal forms, cyclically reduced
-forms, the principal-system solver, the regular/singular classifier, and
-the partial conjugacy-search decider.  Undecided is a first-class
-outcome: the decider halts with a verdict only on inputs it can certify.
+live reduced and normal forms, cyclically reduced forms, the
+principal-system solver, the regular/singular classifier, and the partial
+conjugacy-search decider.  Undecided is a first-class outcome: the decider
+halts with a verdict only on inputs it can certify.
 
-The normal-form sweep runs on plain letter tuples: syllables are (side,
-factor letters) pairs, coset representatives come from tracing the folded
-C graph, and carries cross the amalgamation through one letter-tuple memo.
-`Word` is the API boundary: a `NormalForm` compares on its tuples and builds
-its `Word`s only when a caller reads `.head` or `.syllables`.  Cyclic forms
-run on the same tuples, and one pass of the carry through the syllables
-yields every cyclic permutation without normalising rotated words again.
+The reduced-form pass and the normal-form sweep run on plain letter tuples:
+syllables are (side, factor letters) pairs, membership in C and coset
+representatives come from tracing the folded C graph, and C-elements cross
+the amalgamation through one letter-tuple memo.  `Word` is the API boundary:
+both forms are `NormalForm`s, which build their `Word`s only when a caller
+reads `.head` or `.syllables`.  Cyclic forms run on the same tuples, and one
+pass of the carry yields every cyclic permutation without normalising again.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class Syllable:
 
 @dataclass(frozen=True, init=False, repr=False)
 class NormalForm:
-    """head * s1 * ... * sn with head in C and alternating coset representatives.
+    """head * s1 * ... * sn, head in C, alternating syllables outside C.
 
     Held as letter tuples and the (A, B) alphabets, None for an unused side;
     `head` and `syllables` build their `Word`s on first read.
@@ -94,17 +94,6 @@ class NormalForm:
     def __repr__(self) -> str:
         fields = f"head_side={self.head_side!r}, head={self.head!r}, syllables={self.syllables!r}"
         return f"NormalForm({fields})"
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    head_side: str
-    head: Word
-    syllables: tuple[Syllable, ...]
-
-    @property
-    def syllable_length(self) -> int:
-        return len(self.syllables)
 
 
 @dataclass(frozen=True)
@@ -238,12 +227,15 @@ class AmalgamContext:
 
         The walk multiplies the images that label the basis edges.  This is
         the one transfer memo: ("xfer", side, letters) maps to the image's
-        letter tuple in ctx.cache.
+        letter tuple in ctx.cache.  As in the sweep's step memo, an input of
+        _RUN_MIN letters or more is neither looked up nor stored.
         """
-        key = ("xfer", side, letters)
+        key = ("xfer", side, letters) if len(letters) < _RUN_MIN else None
         hit = self.cache.get(key)
         if hit is None:
-            hit = self.cache[key] = self.graph_c(side).loop_word(letters, self._edge_images[side])
+            hit = self.graph_c(side).loop_word(letters, self._edge_images[side])
+            if key:
+                self.cache[key] = hit
         return hit
 
     def transfer_word(self, side: str, w: Word) -> Word:
@@ -325,46 +317,34 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def syllable_decompose(ctx: AmalgamContext, raw: Word) -> list[Syllable]:
-    """Maximal alternating factor blocks of a word over the union alphabet."""
-    return [
-        Syllable(side, Word._make(ctx.factor_alphabet(side), letters))
-        for side, letters in _split(ctx, raw)
-    ]
+def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
+    """Alternating syllables outside C, eliminating the leftmost C-syllable first.
 
-
-def _squash(sylls: list[Syllable]) -> list[Syllable]:
-    out: list[Syllable] = []
-    for s in sylls:
-        if not s.word:
+    One pass over the split blocks; `done` holds finished blocks, none in C.  A
+    block in C is transferred into both neighbours, and while their product
+    cancels the blocks beyond them meet; the merged block is tested next.
+    """
+    todo = _split(ctx, raw)[::-1]  # blocks still to test, the leftmost last
+    done: list[tuple[str, tuple[int, ...]]] = []
+    while todo:
+        side, word = todo.pop()
+        graph = ctx.graph_c(side).graph
+        if not graph.reads_loop(word, graph.base):
+            done.append((side, word))
             continue
-        if out and out[-1].side == s.side:
-            w = out.pop().word * s.word
-            if w:
-                out.append(Syllable(s.side, w))
-        else:
-            out.append(s)
-    return out
-
-
-def reduced_form(ctx: AmalgamContext, syllables: Sequence[Syllable]) -> ReducedForm:
-    """Eliminate C-syllables by transferring them into their neighbours."""
-    sylls = _squash(list(syllables))
-    while True:
-        idx = next(
-            (i for i, s in enumerate(sylls) if ctx.in_c(s.side, s.word)), None
-        )
-        if idx is None:
-            break
-        s = sylls[idx]
-        if len(sylls) == 1:
-            head = s.word if s.side == "A" else ctx.transfer_word("B", s.word)
-            return ReducedForm("A", head, ())
-        moved = ctx.transfer_word(s.side, s.word)
-        repl = [Syllable(ctx.other(s.side), moved)] if moved else []
-        sylls = _squash(sylls[:idx] + repl + sylls[idx + 1 :])
-    head_side = sylls[0].side if sylls else "A"
-    return ReducedForm(head_side, identity(ctx.factor_alphabet(head_side)), tuple(sylls))
+        if not done and not todo:
+            return _form(ctx, "A", word if side == "A" else ctx.transfer_letters(side, word), ())
+        side, merged = ctx.other(side), ctx.transfer_letters(side, word)
+        if done:
+            merged = letters_product(done.pop()[1], merged)
+        if todo:
+            merged = letters_product(merged, todo.pop()[1])
+        while not merged and done and todo:
+            side, left = done.pop()
+            merged = letters_product(left, todo.pop()[1])
+        if merged:
+            todo.append((side, merged))
+    return _form(ctx, done[0][0] if done else "A", (), done)
 
 
 # --- representative policies and normal forms ---------------------------------
@@ -476,10 +456,10 @@ def _spell(ctx: AmalgamContext, head_side: str, head: tuple, sylls: Iterable[tup
     return out
 
 
-def form_to_word(ctx: AmalgamContext, nf: NormalForm | ReducedForm) -> Word:
-    """The normal form as a plain word over the union alphabet."""
-    sylls = ((s.side, s.word.letters) for s in nf.syllables)
-    return Word._make(ctx.union_alphabet, _spell(ctx, nf.head_side, nf.head.letters, sylls))
+def form_to_word(ctx: AmalgamContext, nf: NormalForm) -> Word:
+    """The form as a plain word over the union alphabet."""
+    letters = _spell(ctx, nf.head_side, nf.head_letters, nf.syllable_letters)
+    return Word._make(ctx.union_alphabet, letters)
 
 
 # --- cyclically reduced forms --------------------------------------------------

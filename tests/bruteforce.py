@@ -17,6 +17,9 @@ product walk, `stallings.meet`.
 `conjugacy_search_two_calls` is the older cyclic-length >= 2 decision,
 which solved again from v's regular permutation when u had none; it checks
 that a regular permutation of v alone decides not-conjugate.
+`reduced_form_by_rescan` is the older reduced form, which built `Syllable`
+objects, merged neighbours with `_squash` and rescanned from the left for a
+C-syllable after every transfer; it checks the one-pass `reduced_form`.
 `normal_form_unmemoised` is the older sweep, which ran every step; it checks
 the sweep that looks a repeated (side, syllable, carry) step up in
 `ctx.cache`.
@@ -47,6 +50,7 @@ from amalgam.group import (
     ConjugacyOutcome,
     NormalForm,
     RepPolicy,
+    Syllable,
     cyclic_form,
     normal_form,
 )
@@ -409,6 +413,48 @@ def conjugacy_search_two_calls(
         return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
     reason = "every cyclic permutation of both forms is singular"
     return out or ConjugacyOutcome("undecided", None, reason)
+
+
+def _squash(sylls: list[Syllable]) -> list[Syllable]:
+    out: list[Syllable] = []
+    for s in sylls:
+        if not s.word:
+            continue
+        if out and out[-1].side == s.side:
+            w = out.pop().word * s.word
+            if w:
+                out.append(Syllable(s.side, w))
+        else:
+            out.append(s)
+    return out
+
+
+def reduced_form_by_rescan(
+    ctx: AmalgamContext, raw: Word, lengths: Optional[list[int]] = None
+) -> NormalForm:
+    """Transfer the leftmost C-syllable into its neighbours until none is left.
+
+    `lengths`, when given, records the syllable count after every transfer.
+    """
+    sylls = _squash([
+        Syllable(side, Word(ctx.factor_alphabet(side), letters))
+        for side, letters in group._split(ctx, raw)
+    ])
+    while True:
+        idx = next((i for i, s in enumerate(sylls) if ctx.in_c(s.side, s.word)), None)
+        if idx is None:
+            break
+        s = sylls[idx]
+        if len(sylls) == 1:
+            head = s.word if s.side == "A" else ctx.transfer_word("B", s.word)
+            return NormalForm("A", head, ())
+        moved = ctx.transfer_word(s.side, s.word)
+        repl = [Syllable(ctx.other(s.side), moved)] if moved else []
+        sylls = _squash(sylls[:idx] + repl + sylls[idx + 1 :])
+        if lengths is not None:
+            lengths.append(len(sylls))
+    head_side = sylls[0].side if sylls else "A"
+    return NormalForm(head_side, identity(ctx.factor_alphabet(head_side)), sylls)
 
 
 def normal_form_unmemoised(

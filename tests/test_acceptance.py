@@ -22,7 +22,6 @@ from amalgam.group import (
     form_to_word,
     normal_form,
     principal_system_solve,
-    syllable_decompose,
 )
 from amalgam.words import Word, parse_word
 

@@ -27,7 +27,6 @@ from amalgam.group import (
     normal_form,
     principal_system_solve,
     reduced_form,
-    syllable_decompose,
     _cyclic_perms,
 )
 from amalgam.stallings import _RUN_MIN, GeneratingTuple, NotAMemberError, SubgroupGraph, build
@@ -47,6 +46,7 @@ from bruteforce import (
     conjugacy_search_two_calls,
     cyclic_perms_by_definition,
     normal_form_unmemoised,
+    reduced_form_by_rescan,
     subgroup_elements,
     transfer_through_basis,
 )
@@ -291,47 +291,115 @@ def test_head_escaping_c_fails_verification(monkeypatch):
         cr_membership(ctx, word)
 
 
-# --- syllables -----------------------------------------------------------------
-
-
-def test_syllable_decompose_examples(ex1):
-    sylls = syllable_decompose(ex1, up(ex1, "a x b"))
-    assert [(s.side, s.word) for s in sylls] == [
-        ("A", wa(ex1, "a")), ("B", wb(ex1, "x")), ("A", wa(ex1, "b"))
-    ]
-    assert syllable_decompose(ex1, up(ex1, "a b^-1")) == [
-        Syllable("A", wa(ex1, "a b^-1"))
-    ]
-    assert syllable_decompose(ex1, up(ex1, "")) == []
-
-
 # --- reduced forms ---------------------------------------------------------------
 
 
 def test_reduced_form_examples(ex1):
-    rf = reduced_form(ex1, [Syllable("A", wa(ex1, "a^2"))])
+    rf = reduced_form(ex1, up(ex1, "a^2"))
     assert rf.syllable_length == 0
     assert rf.head == wa(ex1, "a^2")
-    rf2 = reduced_form(
-        ex1,
-        [Syllable("A", wa(ex1, "d")), Syllable("B", wb(ex1, "x")),
-         Syllable("A", wa(ex1, "d"))],
-    )
+    # a lone C-syllable on the B side becomes an A head
+    rf = reduced_form(ex1, up(ex1, "x"))
+    assert (rf.head_side, rf.head, rf.syllables) == ("A", wa(ex1, "a^2"), ())
+    rf2 = reduced_form(ex1, up(ex1, "d x d"))
     assert [s.word for s in rf2.syllables] == [wa(ex1, "d a^2 d")]
-    both = [Syllable("A", wa(ex1, "d")), Syllable("B", wb(ex1, "z"))]
-    assert reduced_form(ex1, both).syllables == tuple(both)
+    both = (Syllable("A", wa(ex1, "d")), Syllable("B", wb(ex1, "z")))
+    assert reduced_form(ex1, up(ex1, "d z")).syllables == both
+    empty = reduced_form(ex1, up(ex1, ""))
+    assert (empty.head_side, empty.head, empty.syllables) == ("A", wa(ex1, ""), ())
+    with pytest.raises(ValueError, match="not over the union alphabet"):
+        reduced_form(ex1, wa(ex1, "d"))
 
 
 def test_reduced_form_matches_normal_form_length(ex1):
     rng = random.Random(17)
     for _ in range(60):
         word = random_reduced(rng, ex1.union_alphabet, rng.randint(0, 10))
-        rf = reduced_form(ex1, syllable_decompose(ex1, word))
+        rf = reduced_form(ex1, word)
         nf = normal_form(ex1, word)
         assert rf.syllable_length == nf.syllable_length
         for s in rf.syllables:
             assert not ex1.in_c(s.side, s.word)
         assert normal_form(ex1, form_to_word(ex1, rf)) == nf
+
+
+def c_element(rng, ctx):
+    """A C-element as (u over A, v over B) union words, equal in G."""
+    u, v = identity(ctx.alphabet_a), identity(ctx.alphabet_b)
+    for _ in range(rng.randint(1, 3)):
+        pu, pv = rng.choice(ctx.pairs)
+        if rng.random() < 0.5:
+            pu, pv = ~pu, ~pv
+        u, v = u * pu, v * pv
+    return ctx.to_union("A", u), ctx.to_union("B", v)
+
+
+def c_heavy_word(rng, ctx):
+    """Random words, conjugated C-elements and g v u^-1 g^-1 with u = v in G."""
+    word = identity(ctx.union_alphabet)
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        u, v = c_element(rng, ctx)
+        g = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 6))
+        if kind < 0.3:
+            piece = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 8))
+        elif kind < 0.6:  # the transfer of v cancels u^-1, and g cancels block by block
+            piece = g * v * ~u * ~g
+        elif kind < 0.8:
+            piece = g * rng.choice((u, v)) * ~g
+        else:
+            piece = rng.choice((u, v))
+        word = word * piece
+    return word
+
+
+def test_one_pass_reduced_form_matches_the_rescan():
+    # leftmost C-syllable first, as the rescan does; C-heavy products make
+    # transfers whose product with both neighbours cancels, so the blocks
+    # beyond them meet (a drop of 4 or more syllables in one transfer).
+    # "non-basis" and "redundant" amalgamate over a whole factor: no cascades
+    rng = random.Random(18)
+    cascaded = set()
+    for name, ctx in {**TRANSFER_CONTEXTS, "powers": powers_context()}.items():
+        for _ in range(300):
+            word = c_heavy_word(rng, ctx)
+            lengths = [len(group._split(ctx, word))]
+            ref = reduced_form_by_rescan(ctx, word, lengths)
+            rf = reduced_form(ctx, word)
+            assert (rf.head_side, rf.head, rf.syllables) == (ref.head_side, ref.head, ref.syllables)
+            assert rf == ref
+            if any(a - b >= 4 for a, b in zip(lengths, lengths[1:])):
+                cascaded.add(name)
+    assert cascaded == {"ex1", "ex1(p=3)", "ex2", "malnormal", "powers"}
+
+
+# (d z)^n (b z)^n: the rescan re-tests the n finished blocks after each transfer
+ONE_PASS_INPUTS = {
+    "(b z)^2000": [("b z", 2000)],
+    "(a x)^500": [("a x", 500)],
+    "(d z)^250 (b z)^250": [("d z", 250), ("b z", 250)],
+}
+
+
+@pytest.mark.parametrize("name", ONE_PASS_INPUTS)
+def test_reduced_form_tests_each_block_at_most_twice(ex1, monkeypatch, name):
+    # a block is tested when it is read, and a merge that makes a new block
+    # consumes at least one, so a rescan's quadratic count cannot pass
+    word = identity(ex1.union_alphabet)
+    for text, n in ONE_PASS_INPUTS[name]:
+        word = word * up(ex1, text) ** n
+    calls = []
+    reads_loop = SubgroupGraph.reads_loop
+
+    def counted(graph, letters, at):
+        calls.append(letters)
+        return reads_loop(graph, letters, at)
+
+    monkeypatch.setattr(SubgroupGraph, "reads_loop", counted)
+    rf = reduced_form(ex1, word)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(group._split(ex1, word))
+    assert normal_form(ex1, form_to_word(ex1, rf)) == normal_form(ex1, word)
 
 
 # --- normal forms ---------------------------------------------------------------
@@ -558,7 +626,7 @@ def test_normal_form_is_a_fixed_point_and_equals_its_input(name, data):
         spelled = form_to_word(ctx, nf)
         assert normal_form(ctx, spelled, policy) == nf
         # equality in G, decided by the reduced form, which uses no coset reps
-        rf = reduced_form(ctx, syllable_decompose(ctx, spelled * ~word))
+        rf = reduced_form(ctx, spelled * ~word)
         assert rf.syllable_length == 0 and rf.head.is_identity()
 
 
@@ -605,6 +673,20 @@ def test_memoised_steps_match_the_unmemoised_sweep(name, data):
             assert nf == normal_form_unmemoised(ref, word, policy, ref_trace)
             assert trace == ref_trace
     assert xfer_keys(ctx) == xfer_keys(ref)
+
+
+def test_long_transfers_are_walked_not_memoised():
+    # (a x)^n carries up to 3n letters across; stored, they grew the memo
+    # quadratically, so a transfer keeps the step memo's length gate
+    ctx = example_one_context(2)
+    word = up(ctx, "a x") ** 2000
+    trace = []
+    nf = normal_form(ctx, word, trace=trace)
+    rf = reduced_form(ctx, word)
+    assert max(trace) >= _RUN_MIN and len(rf.head) == 6000
+    assert xfer_keys(ctx)
+    assert all(len(letters) < _RUN_MIN for _, _, letters in xfer_keys(ctx))
+    assert normal_form(ctx, form_to_word(ctx, rf)) == nf
 
 
 BLOWUP_CASES = [(2, 8), (3, 5)]  # (p, m) of the blowup workload's (z d)^m x

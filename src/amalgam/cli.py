@@ -441,17 +441,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, word=False, pair=False):
+    def common(sp, word=False, pair=False, policy=True):
         sp.add_argument("-g", "--group", required=True, help="presentation file")
         if word:
             sp.add_argument("-w", "--word", required=True)
         if pair:
             sp.add_argument("-u", required=True)
             sp.add_argument("-v", required=True)
-        sp.add_argument(
-            "--policy", type=_parse_policy, default=CANONICAL,
-            help="canonical or paper-ex1:P",
-        )
+        if policy:  # a reduced form uses no coset representatives
+            sp.add_argument(
+                "--policy", type=_parse_policy, default=CANONICAL,
+                help="canonical or paper-ex1:P",
+            )
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("validate")
@@ -465,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_nf)
 
     sp = sub.add_parser("reduce")
-    common(sp, word=True)
+    common(sp, word=True, policy=False)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("cyclic")

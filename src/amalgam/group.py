@@ -15,6 +15,9 @@ the amalgamation through one letter-tuple memo.  `Word` is the API boundary:
 both forms are `NormalForm`s, which build their `Word`s only when a caller
 reads `.head` or `.syllables`.  Cyclic forms run on the same tuples, and one
 pass of the carry yields every cyclic permutation without normalising again.
+A principal system is solved in one pass of coset shifts from its first
+syllable to its last, and the solution's representative is certified by
+pushing it back through the chain on letter tuples.
 """
 
 from __future__ import annotations
@@ -245,9 +248,6 @@ class AmalgamContext:
         return Word._make(
             self.factor_alphabet(self.other(side)), self.transfer_letters(side, w.letters)
         )
-
-    def in_c(self, side: str, w: Word) -> bool:
-        return self.graph_c(side).contains(w)
 
 
 def build_context(
@@ -511,18 +511,20 @@ def cyclic_form(
 
 
 def _cyclic_perms(
-    ctx: AmalgamContext, form: NormalForm, policy: RepPolicy
+    ctx: AmalgamContext, cf: CyclicForm, policy: RepPolicy
 ) -> list[tuple[tuple[int, ...], NormalForm]]:
-    """All cyclic permutations pi_j of a cyclically reduced normal form.
+    """All cyclic permutations pi_j of a cyclic form's normal form.
 
-    Each entry is (w_j, pi_j) with form = w_j * pi_j * ~w_j, where w_j (in
-    union letters) is the head followed by the first j syllables.  For
-    form = h s_1 ... s_k the normal form of s_{j+1} ... s_k h s_1 ... s_j
-    keeps s_1 ... s_j and has syllables r_{j+1} ... r_k before them and head
-    c_{j+1}, where (r_i, c_i) = split(s_i * c_{i+1}) and c_{k+1} = h: one
-    right-to-left sweep of the carry yields every permutation.
+    Each entry is (w_j, pi_j) with original = w_j * pi_j * ~w_j, where w_j
+    (in union letters) is cf.conjugator followed by the form's head and its
+    first j syllables.  For form = h s_1 ... s_k the normal form of
+    s_{j+1} ... s_k h s_1 ... s_j keeps s_1 ... s_j and has syllables
+    r_{j+1} ... r_k before them and head c_{j+1}, where
+    (r_i, c_i) = split(s_i * c_{i+1}) and c_{k+1} = h: one right-to-left
+    sweep of the carry yields every permutation.
     """
     reps = _coset_reps(ctx, policy)
+    form = cf.form
     sylls = form.syllable_letters
     steps: list[tuple[tuple, tuple[int, ...]]] = []  # (r_i, c_i) for i = k, ..., 1
     carry_side, carry = form.head_side, form.head_letters
@@ -540,7 +542,9 @@ def _cyclic_perms(
     steps.reverse()
     rotated = tuple(r for r, _ in steps)
     out = []
-    prefix = ctx.union_letters(form.head_side, form.head_letters)
+    prefix = letters_product(
+        cf.conjugator.letters, ctx.union_letters(form.head_side, form.head_letters)
+    )
     for j, (side, word) in enumerate(sylls):
         pi = _form(ctx, side, steps[j][1], rotated[j:] + sylls[:j])
         out.append((prefix, pi))
@@ -556,10 +560,14 @@ def principal_system_solve(
 ) -> Optional[CosetOfC]:
     """E_{g,h}: the coset of first components of solutions of the principal system.
 
-    Runs the D-recursion D_i = p_{k-i+1} D_{i-1} p'_{k-i+1}^-1 meet C from
-    D_0 = C, transferring sides as the conjugators alternate, then pulls the
-    final coset back through the chain.  None means the system has no
-    solution in C.
+    One pass from the first syllable: e_0 = C on the side of p_1, then
+    e_i = (~p_i e_{i-1} p'_i) meet C, transferring the coset where the sides
+    alternate, and None at the first empty e_i.  Each push x -> p x ~p' is
+    injective, so e_k is exactly the set E of c in C whose pushes back
+    through p_k, ..., p_1 all stay in C, and no second pass back through the
+    chain is needed.  A nonempty E's representative is certified by pushing
+    it through the chain with `_propagate_solution`, which checks every push
+    for membership in C.
     """
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
@@ -569,41 +577,31 @@ def principal_system_solve(
     key = ("ps", g.syllable_letters, h.syllable_letters)
     if key in ctx.cache:
         return ctx.cache[key]
-    ps = list(zip(g.syllables, h.syllables))
-    d = c_coset(ctx, ps[-1][0].side)
-    for i in range(1, k + 1):
-        p, p2 = ps[k - i]
-        if d.side != p.side:
-            d = transfer(ctx, d)
-        d = shift(ctx, d, p.word, ~p2.word)
-        if d is None:
-            ctx.cache[key] = None
-            return None
-    e = d
-    for p, p2 in ps:
+    e = c_coset(ctx, g.syllable_letters[0][0])
+    for p, p2 in zip(g.syllables, h.syllables):
         if e.side != p.side:
             e = transfer(ctx, e)
         e = shift(ctx, e, ~p.word, p2.word)
         if e is None:
-            raise VerificationError("back-substitution left C")
+            break
+    else:
+        _propagate_solution(ctx, g, h, e.rep.letters, e.side)
     ctx.cache[key] = e
     return e
 
 
 def _propagate_solution(
-    ctx: AmalgamContext, g: NormalForm, h: NormalForm, c: Word, side: str
-) -> Word:
-    """Push the first component c through the chain; returns c_k on side of p_1."""
-    ps = list(zip(g.syllables, h.syllables))
-    cur, cur_side = c, side
-    for p, p2 in reversed(ps):
-        if cur_side != p.side:
-            cur = ctx.transfer_word(cur_side, cur)
-            cur_side = p.side
-        cur = p.word * cur * ~p2.word
-        if not ctx.in_c(cur_side, cur):
+    ctx: AmalgamContext, g: NormalForm, h: NormalForm, c: tuple[int, ...], side: str
+) -> tuple[int, ...]:
+    """Push the first component c through the chain; returns c_k on the side of p_1."""
+    for (p_side, p), (_, p2) in zip(g.syllable_letters[::-1], h.syllable_letters[::-1]):
+        if side != p_side:
+            c, side = ctx.transfer_letters(side, c), p_side
+        c = letters_product(letters_product(p, c), letters_inverse(p2))
+        graph = ctx.graph_c(side).graph
+        if not graph.reads_loop(c, graph.base):
             raise VerificationError("principal solution left C")
-    return cur
+    return c
 
 
 # --- regularity -------------------------------------------------------------------
@@ -692,10 +690,9 @@ def cr_membership(
         if _classify_nf(ctx, cf.form).is_regular:
             return "cr0", cf
         return "not-cr", None
-    for prefix, pi in _cyclic_perms(ctx, cf.form, policy):
+    for prefix, pi in _cyclic_perms(ctx, cf, policy):
         if _classify_nf(ctx, pi).is_regular:
-            conj = Word._make(ctx.union_alphabet, letters_product(cf.conjugator.letters, prefix))
-            return "cr>1", CyclicForm(pi, conj)
+            return "cr>1", CyclicForm(pi, Word._make(ctx.union_alphabet, prefix))
     return "not-cr", None
 
 
@@ -755,13 +752,12 @@ def _solve_with_regular(
         card = cardinality(e)
         if card.is_infinite:
             raise VerificationError("regular element with non-unique solution")
-        c = card.element
+        c = card.element.letters
         c_k = _propagate_solution(ctx, g_star, pi_j, c, e.side)
-        side1 = g_star.syllables[0].side
-        c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
-        if g_star.head * c_k != c_on_1 * pi_j.head:
+        c_on_1 = c if e.side == g_star.head_side else ctx.transfer_letters(e.side, c)
+        if letters_product(g_star.head_letters, c_k) != letters_product(c_on_1, pi_j.head_letters):
             continue
-        z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
+        z = letters_product(u_prefix, ctx.union_letters(e.side, c))
         z = Word._make(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
         return _assemble_and_verify(ctx, u, v, z, policy)
     return ConjugacyOutcome("not-conjugate", None, _NO_C_ELEMENT)
@@ -803,11 +799,7 @@ def conjugacy_search(
         return in_factor(su.side, z_f)
     if k >= 2:
         # each form's permutations, with its conjugator, once per query
-        perms_u, perms_v = (
-            [(letters_product(cf.conjugator.letters, w), pi)
-             for w, pi in _cyclic_perms(ctx, cf.form, policy)]
-            for cf in (cf_u, cf_v)
-        )
+        perms_u, perms_v = (_cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
         out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy)
         return out or ConjugacyOutcome(
             "undecided", None, "every cyclic permutation of both forms is singular"

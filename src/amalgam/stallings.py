@@ -494,13 +494,6 @@ class GeneratingTuple:
             raise ValueError("word over wrong alphabet")
         return self.graph.reads_loop(w.letters, self.graph.base)
 
-    def coset_rep(self, w: Word) -> tuple[Word, Word]:
-        """Split w = head * rep with head in the subgroup and rep canonical."""
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        rep, head = self.graph.coset_rep(w.letters)
-        return Word._make(self.alphabet, rep), Word._make(self.alphabet, head)
-
     def _ensure_basis(self) -> None:
         if self._basis is not None:
             return

@@ -20,6 +20,10 @@ that a regular permutation of v alone decides not-conjugate.
 `reduced_form_by_rescan` is the older reduced form, which built `Syllable`
 objects, merged neighbours with `_squash` and rescanned from the left for a
 C-syllable after every transfer; it checks the one-pass `reduced_form`.
+`principal_system_solve_two_pass` is the older principal-system solver,
+which ran the D-recursion from the last syllable and then pulled its coset
+back through the whole chain; it checks the one pass from the first
+syllable.
 `normal_form_unmemoised` is the older sweep, which ran every step; it checks
 the sweep that looks a repeated (side, syllable, carry) step up in
 `ctx.cache`.
@@ -43,7 +47,7 @@ from itertools import product
 from typing import Optional
 
 from amalgam import group
-from amalgam.cosetalg import CosetOfC
+from amalgam.cosetalg import CosetOfC, c_coset, shift, transfer
 from amalgam.group import (
     CANONICAL,
     AmalgamContext,
@@ -357,8 +361,8 @@ def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: Word, q: Word) -> Optiona
         )
         result = None
         if hit is not None:
-            canon, _ = hit[0].coset_rep(hit[1])
-            result = CosetOfC(d.side, hit[0], canon)
+            canon, _ = hit[0].graph.coset_rep(hit[1].letters)
+            result = CosetOfC(d.side, hit[0], Word(hit[0].alphabet, canon))
         ctx.cache[key] = result
     return ctx.cache[key]
 
@@ -378,10 +382,10 @@ def _solve_from_regular_permutation(
         if e is None:
             continue
         c = group.cardinality(e).element
-        c_k = group._propagate_solution(ctx, g_star, pi_j, c, e.side)
+        c_k = group._propagate_solution(ctx, g_star, pi_j, c.letters, e.side)
         side1 = g_star.syllables[0].side
         c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
-        if g_star.head * c_k != c_on_1 * pi_j.head:
+        if g_star.head * Word(g_star.head.alphabet, c_k) != c_on_1 * pi_j.head:
             continue
         z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
         z = Word(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
@@ -400,11 +404,7 @@ def conjugacy_search_two_calls(
     cf_u, cf_v = cyclic_form(ctx, u, policy), cyclic_form(ctx, v, policy)
     if not cf_u.cyclic_length == cf_v.cyclic_length >= 2:
         return group.conjugacy_search(ctx, u, v, policy)
-    perms_u, perms_v = (
-        [(letters_product(cf.conjugator.letters, w), pi)
-         for w, pi in group._cyclic_perms(ctx, cf.form, policy)]
-        for cf in (cf_u, cf_v)
-    )
+    perms_u, perms_v = (group._cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
     out = _solve_from_regular_permutation(ctx, u, v, perms_u, perms_v, policy)
     if out is not None:
         return out
@@ -413,6 +413,36 @@ def conjugacy_search_two_calls(
         return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
     reason = "every cyclic permutation of both forms is singular"
     return out or ConjugacyOutcome("undecided", None, reason)
+
+
+def principal_system_solve_two_pass(
+    ctx: AmalgamContext, g: NormalForm, h: NormalForm
+) -> Optional[CosetOfC]:
+    """E_{g,h} by the D-recursion from the last syllable, then a back-substitution.
+
+    D_0 = C on the side of p_k and D_i = (p_{k-i+1} D_{i-1} ~p'_{k-i+1}) meet C;
+    D_k is pulled back through the chain from p_1.  Uses no ("ps", ...) memo.
+    """
+    k = g.syllable_length
+    if k != h.syllable_length or k < 1:
+        raise ValueError("principal systems need equal syllable lengths >= 1")
+    if g.sides() != h.sides():
+        return None
+    ps = list(zip(g.syllables, h.syllables))
+    d = c_coset(ctx, ps[-1][0].side)
+    for p, p2 in reversed(ps):
+        if d.side != p.side:
+            d = transfer(ctx, d)
+        d = shift(ctx, d, p.word, ~p2.word)
+        if d is None:
+            return None
+    for p, p2 in ps:
+        if d.side != p.side:
+            d = transfer(ctx, d)
+        d = shift(ctx, d, ~p.word, p2.word)
+        if d is None:
+            raise VerificationError("back-substitution left C")
+    return d
 
 
 def _squash(sylls: list[Syllable]) -> list[Syllable]:
@@ -441,7 +471,9 @@ def reduced_form_by_rescan(
         for side, letters in group._split(ctx, raw)
     ])
     while True:
-        idx = next((i for i, s in enumerate(sylls) if ctx.in_c(s.side, s.word)), None)
+        idx = next(
+            (i for i, s in enumerate(sylls) if ctx.graph_c(s.side).contains(s.word)), None
+        )
         if idx is None:
             break
         s = sylls[idx]

@@ -107,7 +107,7 @@ def _brute_ps_solutions(ctx, g, h, c_elements):
                 cur = ctx.transfer_word(side, cur)
                 side = p.side
             cur = p.word * cur * ~p2.word
-            if not ctx.in_c(side, cur):
+            if not ctx.graph_c(side).contains(cur):
                 ok = False
                 break
         if ok:
@@ -227,12 +227,12 @@ def test_criterion_5_regularity_classifier(ex1):
         words_a = [
             ex1.to_union("A", w).letters
             for w in _factor_words_upto2(ex1, "A")
-            if not ex1.in_c("A", w)
+            if not ex1.graph_c("A").contains(w)
         ]
         words_b = [
             ex1.to_union("B", w).letters
             for w in _factor_words_upto2(ex1, "B")
-            if not ex1.in_c("B", w)
+            if not ex1.graph_c("B").contains(w)
         ]
         elements = [()]
         for first, second in ((words_a, words_b), (words_b, words_a)):

@@ -263,6 +263,17 @@ def test_bad_policy_is_syntax_error(capsys, group_file):
     assert code == 2
 
 
+def test_reduce_takes_no_policy(capsys, group_file):
+    # a reduced form uses no coset representatives, so `reduce` has no --policy
+    code, out, err = run(
+        capsys, "reduce", "-g", group_file, "-w", "z d x", "--policy", "paper-ex1:2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: amalgam")
+    assert "error: unrecognized arguments: --policy paper-ex1:2" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "-g", "/nonexistent/nope.group")
     assert code == 2

@@ -46,6 +46,7 @@ from bruteforce import (
     conjugacy_search_two_calls,
     cyclic_perms_by_definition,
     normal_form_unmemoised,
+    principal_system_solve_two_pass,
     reduced_form_by_rescan,
     subgroup_elements,
     transfer_through_basis,
@@ -319,7 +320,7 @@ def test_reduced_form_matches_normal_form_length(ex1):
         nf = normal_form(ex1, word)
         assert rf.syllable_length == nf.syllable_length
         for s in rf.syllables:
-            assert not ex1.in_c(s.side, s.word)
+            assert not ex1.graph_c(s.side).contains(s.word)
         assert normal_form(ex1, form_to_word(ex1, rf)) == nf
 
 
@@ -815,12 +816,11 @@ def test_cyclic_perms_match_their_definition(name, data):
     if adversarial is not None and len(word) <= ADVERSARIAL_MAX_LEN:
         policies = (CANONICAL, adversarial)
     for policy in policies:
-        form = cyclic_form(ctx, word, policy).form
-        if form.syllable_length >= 2:
-            perms = [
-                (Word(ctx.union_alphabet, w), pi) for w, pi in _cyclic_perms(ctx, form, policy)
-            ]
-            assert perms == cyclic_perms_by_definition(ctx, form, policy)
+        cf = cyclic_form(ctx, word, policy)
+        if cf.cyclic_length >= 2:
+            perms = [(Word(ctx.union_alphabet, w), pi) for w, pi in _cyclic_perms(ctx, cf, policy)]
+            want = cyclic_perms_by_definition(ctx, cf.form, policy)
+            assert perms == [(cf.conjugator * w, pi) for w, pi in want]
 
 
 # --- normal forms as letter-tuple values -------------------------------------------
@@ -845,10 +845,10 @@ def test_lazy_forms_equal_publicly_constructed_forms(name, data):
     if adversarial is not None and len(word) <= ADVERSARIAL_MAX_LEN:
         policies = (CANONICAL, adversarial)
     for policy in policies:
-        cyclic = cyclic_form(ctx, word, policy).form
-        forms = [normal_form(ctx, word, policy), cyclic]
-        if cyclic.syllable_length >= 2:
-            forms += [pi for _, pi in _cyclic_perms(ctx, cyclic, policy)]
+        cf = cyclic_form(ctx, word, policy)
+        forms = [normal_form(ctx, word, policy), cf.form]
+        if cf.cyclic_length >= 2:
+            forms += [pi for _, pi in _cyclic_perms(ctx, cf, policy)]
         for nf in forms:
             public = public_form(ctx, nf)
             # compared and hashed before nf has built any Word, and again after
@@ -928,7 +928,7 @@ def test_principal_system_against_brute_force(ex1):
                     cur = ex1.transfer_word(side, cur)
                     side = p.side
                 cur = p.word * cur * ~p2.word
-                if not ex1.in_c(side, cur):
+                if not ex1.graph_c(side).contains(cur):
                     ok = False
                     break
             if ok:
@@ -942,6 +942,67 @@ def test_principal_system_against_brute_force(ex1):
                 e = transfer(ex1, e)
             got = {c for c in c_elements if e.contains(c)}
             assert got == expected
+
+
+PS_CONTEXTS = {
+    "ex1": example_one_context(2),
+    "ex2": example_two_context(2),
+    "malnormal": malnormal_context(),
+    "powers": powers_context(),
+}
+
+
+def draw_form(data, ctx, sides):
+    """Normal form of a product of factor words outside C on the given sides."""
+    word = identity(ctx.union_alphabet)
+    for side in sides:
+        alphabet, graph = ctx.factor_alphabet(side), ctx.graph_c(side).graph
+        letters = [lt for j in range(1, len(alphabet) + 1) for lt in (j, -j)]
+        block = data.draw(
+            st.lists(st.sampled_from(letters), min_size=1, max_size=4)
+            .map(lambda b, alphabet=alphabet: Word(alphabet, b))
+            .filter(lambda w, graph=graph: not graph.reads_loop(w.letters, graph.base))
+        )
+        word = word * ctx.to_union(side, block)
+    nf = normal_form(ctx, word)
+    assert nf.sides() == tuple(sides)  # alternating syllables outside C stay reduced
+    return nf
+
+
+@pytest.mark.parametrize("name", PS_CONTEXTS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_pass_principal_system_matches_the_two_pass_solver(name, data):
+    ctx = PS_CONTEXTS[name]
+    k = data.draw(st.integers(1, 4))
+    first = data.draw(st.integers(0, 1))
+    sides = ["AB"[(first + i) % 2] for i in range(k)]
+    g = draw_form(data, ctx, sides)
+    h = g if data.draw(st.booleans()) else draw_form(data, ctx, sides)
+    got, want = principal_system_solve(ctx, g, h), principal_system_solve_two_pass(ctx, g, h)
+    assert (got and got.key()) == (want and want.key())  # (side, subgroup graph, rep)
+
+
+def test_principal_system_is_one_pass(monkeypatch):
+    # a solvable system of k syllables makes k shifts and k - 1 coset transfers
+    calls = {"shift": 0, "transfer": 0}
+    for name in calls:
+        def counted(*args, real=getattr(group, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(group, name, counted)
+    ctx = example_one_context(2)
+    lengths = set()
+    for text in ("d", "z d", "d z d", "z d^-1 z d", "a d z d y z^-1"):
+        g = normal_form(ctx, up(ctx, text))
+        k = g.syllable_length
+        ctx.cache.clear()
+        calls.update(shift=0, transfer=0)
+        assert principal_system_solve(ctx, g, g) is not None
+        assert calls == {"shift": k, "transfer": k - 1}
+        lengths.add(k)
+    assert lengths == {1, 2, 3, 4}
 
 
 # --- regularity -------------------------------------------------------------------

@@ -93,9 +93,8 @@ def test_contains_matches_generated_products():
 
 def test_coset_rep_examples():
     g = C()
-    assert g.coset_rep(w("b^3")) == (w(""), w("b^3"))
-    assert g.coset_rep(w("d a^4")) == (w("d a^4"), w(""))
-    assert g.coset_rep(w("b^2 d")) == (w("d"), w("b^2"))
+    for text, rep, head in (("b^3", "", "b^3"), ("d a^4", "d a^4", ""), ("b^2 d", "d", "b^2")):
+        assert g.graph.coset_rep(w(text).letters) == (w(rep).letters, w(head).letters)
 
 
 def test_coset_rep_contract():
@@ -104,13 +103,13 @@ def test_coset_rep_contract():
     diam = diameter(g.graph)
     for _ in range(300):
         word = random_reduced(rng, F, rng.randint(0, 9))
-        rep, head = g.coset_rep(word)
-        assert head * rep == word
-        assert g.contains(head)
+        rep, head = g.graph.coset_rep(word.letters)
+        assert letters_product(head, rep) == word.letters
+        assert g.graph.reads_loop(head, g.graph.base)
         assert len(rep) <= len(word)
         assert len(head) <= len(word) + 2 * diam
         c = random_member(rng, list(g.generators), rng.randint(0, 3))
-        rep2, _ = g.coset_rep(c * word)
+        rep2, _ = g.graph.coset_rep((c * word).letters)
         assert rep2 == rep
 
 
@@ -119,7 +118,7 @@ def test_coset_rep_minimality():
     members = subgroup_elements(g, 6)
     for text in ("d a", "b a", "a b d", "a^3"):
         word = w(text)
-        rep, _ = g.coset_rep(word)
+        rep, _ = g.graph.coset_rep(word.letters)
         shortest = min(len(h * word) for h in members)
         assert len(rep) == shortest
 

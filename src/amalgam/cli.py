@@ -103,11 +103,6 @@ def parse_presentation(text: str) -> PresentationFile:
     return PresentationFile(names_a, names_b, tuple(pair_texts))
 
 
-def parse_group_word(text: str, ctx: AmalgamContext) -> Word:
-    """Parse a word over the union alphabet of the presentation."""
-    return parse_word(text, ctx.union_alphabet)
-
-
 def _load_context(path: str) -> AmalgamContext:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,7 +182,7 @@ def _cmd_validate(args) -> int:
 def _cmd_nf(args) -> int:
     ctx = _load_context(args.group)
     trace: list[int] = []
-    nf = normal_form(ctx, parse_group_word(args.word, ctx), args.policy, trace=trace)
+    nf = normal_form(ctx, parse_word(args.word, ctx.union_alphabet), args.policy, trace=trace)
     lines = [f"syllable length: {nf.syllable_length}"]
     if args.trace:
         lines.append("head lengths: " + " ".join(map(str, trace)))
@@ -196,13 +191,13 @@ def _cmd_nf(args) -> int:
 
 def _cmd_reduce(args) -> int:
     ctx = _load_context(args.group)
-    rf = reduced_form(ctx, parse_group_word(args.word, ctx))
+    rf = reduced_form(ctx, parse_word(args.word, ctx.union_alphabet))
     return _emit_form(args, rf, [f"syllable length: {rf.syllable_length}"], {})
 
 
 def _cmd_cyclic(args) -> int:
     ctx = _load_context(args.group)
-    cf = cyclic_form(ctx, parse_group_word(args.word, ctx), args.policy)
+    cf = cyclic_form(ctx, parse_word(args.word, ctx.union_alphabet), args.policy)
     lines = [
         f"cyclic length: {cf.cyclic_length}",
         f"conjugator: {format_word(cf.conjugator) or '1'}",
@@ -212,7 +207,7 @@ def _cmd_cyclic(args) -> int:
 
 def _cmd_classify(args) -> int:
     ctx = _load_context(args.group)
-    w = parse_group_word(args.word, ctx)
+    w = parse_word(args.word, ctx.union_alphabet)
     report = classify(ctx, w, args.policy)
     lines = [report.verdict]
     if report.witness_kind:
@@ -236,8 +231,8 @@ def _cmd_transversal(args) -> int:
 
 def _cmd_conj(args) -> int:
     ctx = _load_context(args.group)
-    u = parse_group_word(args.u, ctx)
-    v = parse_group_word(args.v, ctx)
+    u = parse_word(args.u, ctx.union_alphabet)
+    v = parse_word(args.v, ctx.union_alphabet)
     out = conjugacy_search(ctx, u, v, args.policy)
     lines = [out.tag]
     if out.conjugator is not None:

@@ -96,7 +96,7 @@ def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
     key = ("transfer", d.key())
     cache = ctx.cache
     if key not in cache:
-        side2 = "B" if d.side == "A" else "A"
+        side2 = ctx.other(d.side)
         gens = [ctx.transfer_word(d.side, b) for b in d.subgroup.basis()]
         rep = ctx.transfer_letters(d.side, d.rep.letters)
         cache[key] = _canonical(side2, build(gens, ctx.factor_alphabet(side2)), rep)

@@ -23,7 +23,7 @@ pushing it back through the chain on letter tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
@@ -178,8 +178,6 @@ class AmalgamContext:
         pairs: tuple[tuple[Word, Word], ...],
         graph_ca: GeneratingTuple,
         graph_cb: GeneratingTuple,
-        phi_images: tuple[Word, ...],
-        psi_images: tuple[Word, ...],
         edge_images: tuple[dict, dict],
     ):
         self.alphabet_a = alphabet_a
@@ -189,14 +187,12 @@ class AmalgamContext:
         self.pairs = pairs
         self.graph_ca = graph_ca
         self.graph_cb = graph_cb
-        self.phi_images = phi_images
-        self.psi_images = psi_images
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.cache: dict = {}
         # union letter -> side and factor letter, for the syllable split
         off = len(alphabet_a)
         union = [lt for i in range(1, len(self.union_alphabet) + 1) for lt in (i, -i)]
-        self._letter_side = {lt: self.side_of_letter(lt) for lt in union}
+        self._letter_side = {lt: "A" if abs(lt) <= off else "B" for lt in union}
         self._factor_letter = {
             lt: lt if abs(lt) <= off else lt - off if lt > 0 else lt + off for lt in union
         }
@@ -213,9 +209,6 @@ class AmalgamContext:
     def other(side: str) -> str:
         return "B" if side == "A" else "A"
 
-    def side_of_letter(self, union_letter: int) -> str:
-        return "A" if abs(union_letter) <= len(self.alphabet_a) else "B"
-
     def union_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
         off = 0 if side == "A" else len(self.alphabet_a)
         return tuple(lt + off if lt > 0 else lt - off for lt in letters)
@@ -228,7 +221,7 @@ class AmalgamContext:
     def transfer_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
         """phi (A to B) or psi (B to A) of a C-element, in one walk of its C graph.
 
-        The walk multiplies the images that label the basis edges.  This is
+        The walk multiplies the images of the fold's edge words.  This is
         the one transfer memo: ("xfer", side, letters) maps to the image's
         letter tuple in ctx.cache.  As in the sweep's step memo, an input of
         _RUN_MIN letters or more is neither looked up nor stored.
@@ -257,9 +250,10 @@ def build_context(
 ) -> AmalgamContext:
     """Validate a pairing u_i <-> v_i and assemble the context.
 
-    The map defined on a free basis of each side is checked to send every u_i
-    to v_i and back; passing certifies that the pairing extends to mutually
-    inverse isomorphisms between the two copies of C.
+    Substituting the other side's targets into the edge words of each side's
+    fold gives the edge images that every transfer walks.  They are checked
+    to send every u_i to v_i and back; passing certifies that the pairing
+    extends to mutually inverse isomorphisms between the two copies of C.
     """
     if not isinstance(alphabet_a, Alphabet):
         alphabet_a = Alphabet(tuple(alphabet_a))
@@ -282,14 +276,15 @@ def build_context(
             raise InvalidPresentationError(f"pair {i} has a trivial side", index=i)
     words = ([u for u, _ in pairs], [v for _, v in pairs])
     alphabets = (alphabet_a, alphabet_b)
-    # both folds first: interleaving the folds with the images timed slower
     graphs = [build(w, alphabet) for w, alphabet in zip(words, alphabets)]
-    images, edges = [], []  # per side: transfer images, and the C graph's edge images
-    for graph, targets, alphabet in zip(graphs, words[::-1], alphabets[::-1]):
-        images.append(tuple(
-            substitute(graph.express_in_generators(b), targets, alphabet) for b in graph.basis()
-        ))
-        edges.append(graph.basis_edge_words([w.letters for w in images[-1]]))
+    edges = []  # per side: the images of the C graph's edge words
+    for graph, targets in zip(graphs, words[::-1]):
+        image = {i: v.letters for i, v in enumerate(targets, 1)}
+        image.update({-i: letters_inverse(v) for i, v in image.items()})
+        edges.append({
+            eid: reduce(letters_product, map(image.__getitem__, word), ())
+            for eid, word in graph.edge_words.items()
+        })
     # both checks walk the edge images that transfer_letters walks, forward first
     for this, that, pairing in ((0, 1, "pairing"), (1, 0, "reverse pairing")):
         for i, (w, target) in enumerate(zip(words[this], words[that]), 1):
@@ -300,7 +295,7 @@ def build_context(
                     f" ({'uv'[this]}_{i} maps to {img!r}, expected {target!r})",
                     index=i,
                 )
-    return AmalgamContext(alphabet_a, alphabet_b, pairs, *graphs, *images, tuple(edges))
+    return AmalgamContext(alphabet_a, alphabet_b, pairs, *graphs, tuple(edges))
 
 
 # --- syllables and reduced forms ---------------------------------------------

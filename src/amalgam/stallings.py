@@ -20,14 +20,17 @@ Stallings graph of a subgroup is unique as a pointed graph
 (Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives exactly the
 graph that folding any generating set of the same subgroup would give.
 
-Membership witnesses over the generators are read off the graph itself.
-`build` writes t_i on the closing edge of loop i of the subdivided rose and
-keeps the edge words consistent while it folds (Kapovich-Myasnikov): before
-a vertex is merged away, a gauge at it makes the two folded edges' words
-equal, and a dropped parallel edge differs from the kept one only by a
-relation among the generators.  A basepoint loop then multiplies the words
-on its edges to a word over the generators.  A tuple made directly from a
-graph is generated by the graph's free basis, with t_j on non-tree edge j.
+Words over the generators are read off the graph itself.  `build` writes
+t_i on the closing edge of loop i of the subdivided rose and keeps the edge
+words consistent while it folds (Kapovich-Myasnikov): before a vertex is
+merged away, a gauge at it makes the two folded edges' words equal, and a
+dropped parallel edge differs from the kept one only by a relation among the
+generators.  So `gt.loop_word(w.letters, gt.edge_words)` multiplies the
+words along the basepoint loop of w to a word over the generators that
+substitutes to w.  Substituting other targets for the t_i edge by edge
+gives the image of every loop under u_i -> target_i; the group layer's
+transfers walk those images.  A tuple made directly from a graph has no
+edge words.
 
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
@@ -448,42 +451,24 @@ class SubgroupGraph:
 
 
 class GeneratingTuple:
-    """A subgroup graph bundled with the generators it was built from.
+    """A folded subgroup graph with the words its fold left on the edges.
 
-    `edge_words` maps edge ids to words over the t-alphabet (absent means
-    empty), and ~eid to the inverse of the word of eid, which a loop reads
-    when it crosses the edge backwards.  Multiplied along a basepoint loop,
-    they give a word whose substitution by the generators is the loop's
-    label.  Without generators it is the tuple of a graph made directly:
-    generated by the graph's free basis, with non-tree edge j labeled t_j,
-    both computed on first use.
+    `edge_words` maps edge ids to words over the t-alphabet of the folded
+    generators (absent means empty), and ~eid to the inverse of the word of
+    eid, which a loop reads when it crosses the edge backwards.  Multiplied
+    along a basepoint loop, they give a word whose substitution by the
+    generators is the loop's label.  A tuple made directly from a graph has
+    none.
     """
 
-    def __init__(
-        self,
-        graph: SubgroupGraph,
-        generators: Optional[tuple[Word, ...]] = None,
-        edge_words: Optional[dict[int, tuple[int, ...]]] = None,
-    ):
+    def __init__(self, graph: SubgroupGraph, edge_words: Optional[dict] = None):
         self.graph = graph
+        self.edge_words = edge_words or {}
         self._basis: Optional[tuple[Word, ...]] = None
         self._basis_alphabet: Optional[Alphabet] = None
         self._basis_words: Optional[dict[int, tuple[int, ...]]] = None  # (b_j,) on non-tree edges
         self._transversal: Optional[tuple[Word, ...]] = None
         self._z_graphs: Optional[dict[tuple[int, ...], GeneratingTuple]] = None
-        self._generators = generators
-        self._edge_words = edge_words or {}
-
-    @property
-    def generators(self) -> tuple[Word, ...]:
-        if self._generators is None:  # a graph-made tuple: its basis, on first use
-            self._generators = self.basis()
-            self._edge_words = self._basis_words
-        return self._generators
-
-    @property
-    def t_alphabet(self) -> Alphabet:
-        return Alphabet(tuple(f"t{i + 1}" for i in range(len(self.generators))) or ("t1",))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -530,27 +515,12 @@ class GeneratingTuple:
         self._ensure_basis()
         return self._basis_alphabet
 
-    def basis_edge_words(self, images: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-        """Edge words for loop_word that send each basis element b_j to images[j]."""
-        self._ensure_basis()
-        return {
-            eid: images[j - 1] if j > 0 else letters_inverse(images[-j - 1])
-            for eid, (j,) in self._basis_words.items()
-        }
-
     def express_in_basis(self, w: Word) -> Word:
         """Word over the basis alphabet whose substitution reduces to w."""
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
         self._ensure_basis()
         return Word._make(self._basis_alphabet, self.loop_word(w.letters, self._basis_words))
-
-    def express_in_generators(self, w: Word) -> Word:
-        """Word over the t-alphabet whose substitution by the generators is w."""
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        t_alphabet = self.t_alphabet  # also sets a graph-made tuple's edge words
-        return Word._make(t_alphabet, self.loop_word(w.letters, self._edge_words))
 
     def loop_word(self, letters: Sequence[int], words: dict) -> tuple[int, ...]:
         """The reduced product of the edge words along the basepoint loop reading letters.
@@ -744,7 +714,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
     for eid, word in folding.words.items():
         if word:
             words[eid], words[~eid] = word, letters_inverse(word)
-    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), gens, words)
+    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), words)
 
 
 def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]]:

@@ -29,7 +29,14 @@ the sweep that looks a repeated (side, syllable, carry) step up in
 `ctx.cache`.
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
-it checks the walk that multiplies the images on the basis edges.
+it checks the walk that multiplies the images of the fold's edge words.
+`basis_images_by_generators` and `basis_edge_words` are the older context
+construction, which spelled each basis element of C over the generators,
+substituted the other side's targets and spread those images onto the basis
+edges; `build_context_through_basis` runs the pairing check on them.  They
+check the images that substitute the targets into the fold's edge words.
+`express_in_generators` spells a member over the generators from the fold's
+edge words, as a witness the tests substitute back.
 `adversarial_rep_by_cancellation` is the older `paper-ex1` representative,
 which recovered the head by cancelling `w * ~rep` letter by letter; it
 checks the head that `_rep` derives from the canonical one.
@@ -52,13 +59,14 @@ from amalgam.group import (
     CANONICAL,
     AmalgamContext,
     ConjugacyOutcome,
+    InvalidPresentationError,
     NormalForm,
     RepPolicy,
     Syllable,
     cyclic_form,
     normal_form,
 )
-from amalgam.stallings import GeneratingTuple, SubgroupGraph, coset_intersection
+from amalgam.stallings import GeneratingTuple, SubgroupGraph, build, coset_intersection
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -521,12 +529,63 @@ def normal_form_unmemoised(
     return group._form(ctx, target, carry, reversed(done))
 
 
+def express_in_generators(gt: GeneratingTuple, w: Word, ngens: int) -> Word:
+    """Word over t1..t_ngens whose substitution by the folded generators is w."""
+    t_alphabet = Alphabet(tuple(f"t{i + 1}" for i in range(ngens)))
+    return Word(t_alphabet, gt.loop_word(w.letters, gt.edge_words))
+
+
+def basis_images_by_generators(ctx: AmalgamContext, side: str) -> tuple[Word, ...]:
+    """Images of the basis of C: each over the generators, then the targets substituted."""
+    gt = ctx.graph_c(side)
+    targets = [pair["BA".index(side)] for pair in ctx.pairs]
+    alphabet = ctx.factor_alphabet(ctx.other(side))
+    return tuple(
+        substitute(express_in_generators(gt, b, len(targets)), targets, alphabet)
+        for b in gt.basis()
+    )
+
+
+def basis_edge_words(gt: GeneratingTuple, images) -> dict[int, tuple[int, ...]]:
+    """Edge words for loop_word that send each basis element b_j to images[j]."""
+    gt.basis()
+    return {
+        eid: images[j - 1] if j > 0 else letters_inverse(images[-j - 1])
+        for eid, (j,) in gt._basis_words.items()
+    }
+
+
+def build_context_through_basis(
+    alphabet_a: Alphabet, alphabet_b: Alphabet, pairs
+) -> AmalgamContext:
+    """The pairing check on basis images spread onto the basis edges, then the context."""
+    pairs = tuple(pairs)
+    words = ([u for u, _ in pairs], [v for _, v in pairs])
+    alphabets = (alphabet_a, alphabet_b)
+    graphs = [build(w, alphabet) for w, alphabet in zip(words, alphabets)]
+    unchecked = AmalgamContext(alphabet_a, alphabet_b, pairs, *graphs, ({}, {}))
+    edges = []
+    for side in "AB":
+        images = basis_images_by_generators(unchecked, side)
+        edges.append(basis_edge_words(unchecked.graph_c(side), [b.letters for b in images]))
+    for this, that, pairing in ((0, 1, "pairing"), (1, 0, "reverse pairing")):
+        for i, (w, target) in enumerate(zip(words[this], words[that]), 1):
+            img = Word(alphabets[that], graphs[this].loop_word(w.letters, edges[this]))
+            if img != target:
+                raise InvalidPresentationError(
+                    f"pair {i}: the {pairing} is not an isomorphism of C"
+                    f" ({'uv'[this]}_{i} maps to {img!r}, expected {target!r})",
+                    index=i,
+                )
+    return AmalgamContext(alphabet_a, alphabet_b, pairs, *graphs, tuple(edges))
+
+
 def transfer_through_basis(
     ctx: AmalgamContext, side: str, letters: tuple[int, ...]
 ) -> tuple[int, ...]:
     """phi (A to B) or psi (B to A) as basis coordinates, then substitution."""
     graph = ctx.graph_c(side)
-    images = ctx.phi_images if side == "A" else ctx.psi_images
+    images = basis_images_by_generators(ctx, side)
     expr = graph.express_in_basis(Word(graph.alphabet, letters))
     return substitute(expr, images, ctx.factor_alphabet(ctx.other(side))).letters
 

@@ -4,7 +4,7 @@ import pytest
 
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.stallings import build
-from amalgam.words import Alphabet, Word, parse_word
+from amalgam.words import Alphabet, Word, parse_word, substitute
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +50,26 @@ def random_member(rng: random.Random, generators, count: int) -> Word:
         g = rng.choice(generators)
         w = w * (g if rng.random() < 0.5 else ~g)
     return w
+
+
+def nielsen_pairs(rng: random.Random, alphabet_a: Alphabet, alphabet_b: Alphabet):
+    """A valid pairing u_i <-> sigma(rename(u_i)) for random u_i, 1 to 3 of them.
+
+    rename sends the j-th generator of A to the j-th of B, and sigma is a product
+    of three random Nielsen moves of F(B); their composite is an injective
+    homomorphism F(A) -> F(B), so the pairing extends to an isomorphism of C.
+    """
+    n = len(alphabet_b)
+    images = [Word(alphabet_b, (i + 1,)) for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(3)
+        other = images[j] if rng.random() < 0.5 else ~images[j]
+        if kind == 0:
+            images[i] = images[i] * other
+        elif kind == 1:
+            images[i] = other * images[i]
+        else:
+            images[i] = ~images[i]
+    us = [random_reduced(rng, alphabet_a, rng.randint(2, 5)) for _ in range(rng.randint(1, 3))]
+    return [(u, substitute(Word(alphabet_b, u.letters), images, alphabet_b)) for u in us]

@@ -42,7 +42,9 @@ from amalgam.words import (
 
 from bruteforce import (
     adversarial_rep_by_cancellation,
+    basis_images_by_generators,
     brute_conjugacy_oracle,
+    build_context_through_basis,
     conjugacy_search_two_calls,
     cyclic_perms_by_definition,
     normal_form_unmemoised,
@@ -51,7 +53,7 @@ from bruteforce import (
     subgroup_elements,
     transfer_through_basis,
 )
-from conftest import random_member, random_reduced
+from conftest import nielsen_pairs, random_member, random_reduced
 
 ADVERSARIAL = RepPolicy.paper_example_one(2)
 
@@ -252,13 +254,74 @@ def test_transfer_walk_matches_basis_substitution():
             assert ctx.transfer_letters(ctx.other(side), moved) == w.letters
             # an image cancelling into the one before it shortens the product
             graph = ctx.graph_c(side)
-            images = ctx.phi_images if side == "A" else ctx.psi_images
+            images = basis_images_by_generators(ctx, side)
             spelled = sum(len(images[abs(b) - 1]) for b in graph.express_in_basis(w).letters)
             if spelled > len(moved):
                 junctions.append(name)
 
     check()
     assert junctions, "no example cancelled across the junction of two edge images"
+
+
+def _broken(pairs, kind):
+    """The pairing with its targets in reverse order, a pair repeated with another
+    target, or the first target given to the second pair too."""
+    u, v = pairs[0]
+    if kind == "reversed":
+        return [(x, y) for (x, _), (_, y) in zip(pairs, pairs[::-1])]
+    if kind == "duplicated":
+        return [*pairs, (u, pairs[-1][1] if len(pairs) > 1 else v * v)]
+    if kind == "merged" and len(pairs) > 1:
+        return [pairs[0], (pairs[1][0], v), *pairs[2:]]
+    return pairs
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except InvalidPresentationError as err:
+        return str(err), err.index
+
+
+def test_edge_word_images_match_the_basis_round_trip():
+    # build_context substitutes the targets into the fold's edge words; the older
+    # construction spelled the basis over the generators and spread its images onto
+    # the basis edges: the same transfers, and the same rejection of a broken pairing
+    fixtures = {ctx.pairs: ctx for ctx in TRANSFER_CONTEXTS.values()}
+    seen = {"valid": 0, "pairing": 0, "reverse pairing": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        source=st.one_of(st.sampled_from(sorted(fixtures, key=repr)), st.integers(0, 10**6)),
+        kind=st.sampled_from(("none", "reversed", "duplicated", "merged")),
+        data=st.data(),
+    )
+    def check(source, kind, data):
+        if isinstance(source, int):
+            alphabet_a, alphabet_b = Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z"))
+            pairs = nielsen_pairs(random.Random(source), alphabet_a, alphabet_b)
+        else:
+            alphabet_a, alphabet_b = fixtures[source].factor_alphabets
+            pairs = list(source)
+        pairs = _broken(pairs, kind)
+        ctx = _outcome(build_context, alphabet_a, alphabet_b, pairs)
+        ref = _outcome(build_context_through_basis, alphabet_a, alphabet_b, pairs)
+        if isinstance(ref, tuple):
+            seen["reverse pairing" if "reverse" in ref[0] else "pairing"] += 1
+            assert ctx == ref
+            return
+        seen["valid"] += 1
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        for side in "AB":
+            members = [pair["AB".index(side)] for pair in pairs]
+            for _ in range(6):
+                letters = random_member(rng, members, rng.randint(0, 8)).letters
+                moved = ctx.transfer_letters(side, letters)
+                assert moved == transfer_through_basis(ctx, side, letters)
+                assert moved == ref.transfer_letters(side, letters)
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_transfer_of_a_non_member_names_it(ex1):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -87,10 +88,12 @@ def test_meets_iterate_no_whole_transition_table():
         assert not reads, f"{name} reads a whole transition table: {reads}"
 
 
-# the normalizer data is computed on first read, never while a context is built
-NORMALIZER_NAMES = (
+# the normalizer data and the free bases of C are computed on first read, never
+# while a context is built
+LAZY_NAMES = (
     "double_transversal", "is_malnormal",
     "transversal_a", "transversal_b", "malnormal_a", "malnormal_b",
+    "basis", "express_in_basis",
 )
 
 
@@ -101,7 +104,7 @@ def test_context_construction_leaves_the_normalizer_data_lazy():
     (init,) = (n for n in ctx_class.body if getattr(n, "name", None) == "__init__")
     (build_context,) = (n for n in tree.body if getattr(n, "name", None) == "build_context")
     for function in (init, build_context):
-        read = sorted(set(_names_outside(function, None)) & set(NORMALIZER_NAMES))
+        read = sorted(set(_names_outside(function, None)) & set(LAZY_NAMES))
         assert not read, f"{function.name} reads {read}"
 
 
@@ -121,13 +124,39 @@ def _names_outside(node, skip):
 CALLERS = SOURCES + sorted((Path(__file__).parents[1] / "layerbench").glob("*.py"))
 
 
+def _attributes_read(node, skip):
+    """Attribute names loaded under node, except inside skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attributes_read(child, skip)
+
+
+def _public_fields(init):
+    """Public attributes that an __init__ assigns on self."""
+    for node in ast.walk(init):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and not target.attr.startswith("_")
+            ):
+                yield target.attr
+
+
 def test_classes_have_no_test_only_members():
-    # every public method and property of a package class is read somewhere
-    # in the package or the benchmark outside its own definition; tests use
-    # the real API
+    # every public method and property of a package class, and every public
+    # field set in the __init__ of a class that is not an exception, is read
+    # somewhere in the package or the benchmark outside its own definition;
+    # tests use the real API, and an exception's fields are the typed-error API
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in CALLERS]
     unused = []
-    for tree in trees[: len(SOURCES)]:
+    for path, tree in zip(SOURCES, trees):
+        module = vars(importlib.import_module(f"amalgam.{path.stem}"))
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -136,4 +165,10 @@ def test_classes_have_no_test_only_members():
                     continue
                 if not any(node.name in _names_outside(t, node) for t in trees):
                     unused.append(f"{cls.name}.{node.name}")
+            init = next((n for n in cls.body if getattr(n, "name", None) == "__init__"), None)
+            if init is None or issubclass(module[cls.name], BaseException):
+                continue
+            for field in _public_fields(init):
+                if not any(field in _attributes_read(t, init) for t in trees):
+                    unused.append(f"{cls.name}.{field}")
     assert not unused, f"members that nothing in the package or benchmark reads: {unused}"

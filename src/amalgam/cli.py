@@ -166,7 +166,7 @@ def _emit_form(args, form, lines: list[str], extra: dict) -> int:
 
 def _cmd_validate(args) -> int:
     ctx = _load_context(args.group)
-    rank, mal_a, mal_b = len(ctx.graph_ca.basis()), ctx.malnormal_a, ctx.malnormal_b
+    rank, mal_a, mal_b = ctx.graph_ca.graph.rank, ctx.malnormal_a, ctx.malnormal_b
     lines = [
         "valid presentation",
         f"rank of C: {rank}",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import groupby
+from itertools import cycle, groupby
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
@@ -76,7 +76,8 @@ class NormalForm:
         self._fill(head_side, head.letters, sylls, (used.get("A"), used.get("B")))
 
     def _fill(self, *values) -> None:
-        self.__dict__.update(zip(self.__dataclass_fields__, values))  # in field order
+        d = self.__dict__  # frozen: the fields go straight into the instance dict
+        d["head_side"], d["head_letters"], d["syllable_letters"], d["_alphabets"] = values
 
     @cached_property
     def head(self) -> Word:
@@ -134,6 +135,7 @@ class RepPolicy:
 
 
 CANONICAL = RepPolicy()
+_JOIN_MAX = 8  # longest join (rep and tail letters) the sweep's step memo keeps
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,10 @@ class AmalgamContext:
     The double transversals and malnormality flags are read off the C graphs
     on first use and memoised there.  Immutable after construction apart from
     the memo dict `cache`; all queries are pure, so they may run concurrently.
-    Its ("step", policy) kind maps a sweep step (side, syllable, carry) to its
-    (rep, head) and grows like "xfer"; it answers 94% of the steps of the
-    word-problem benchmark, 93% of conjugacy's and 38-39% of cold-cli's and blowup's.
+    Its ("step", policy) kind maps a sweep step (union block, carry) to (rep, head) and a
+    join (side, rep, tail) to the split of rep * tail, and grows like "xfer".  It answers
+    94% of the steps and 49% of the joins of the word-problem benchmark, 93% and 52% of
+    conjugacy's, 38% and 14% of cold-cli's and 39% and 91% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -189,10 +192,10 @@ class AmalgamContext:
         self.graph_cb = graph_cb
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.cache: dict = {}
-        # union letter -> side and factor letter, for the syllable split
+        # union letter -> side (0 for A, 1 for B) and factor letter, for the syllable split
         off = len(alphabet_a)
         union = [lt for i in range(1, len(self.union_alphabet) + 1) for lt in (i, -i)]
-        self._letter_side = {lt: "A" if abs(lt) <= off else "B" for lt in union}
+        self._letter_side = {lt: int(abs(lt) > off) for lt in union}
         self._factor_letter = {
             lt: lt if abs(lt) <= off else lt - off if lt > 0 else lt + off for lt in union
         }
@@ -307,8 +310,8 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
         raise ValueError("word is not over the union alphabet")
     factor_letter = ctx._factor_letter.__getitem__
     return [
-        (side, tuple(map(factor_letter, block)))
-        for side, block in groupby(raw.letters, key=ctx._letter_side.__getitem__)
+        ("AB"[b], tuple(map(factor_letter, block)))
+        for b, block in groupby(raw.letters, key=ctx._letter_side.__getitem__)
     ]
 
 
@@ -395,39 +398,61 @@ def normal_form(
 
     The carry (the C-element extracted from the current tail) is transferred
     across the amalgamation each time it moves past a syllable; `trace`, when
-    given, records its length after every step.
+    given, records its length after every step.  Each block is read off the union
+    letters by one `rfind` on a side-byte map, and put in factor letters on a miss.
     """
-    reps = _coset_reps(ctx, policy)
-    memo = ctx.cache.setdefault(("step", policy), {})
-    done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
-    carry_side, carry = "A", ()
-    for side, word in reversed(_split(ctx, raw)):
-        # a carry is on the other side, so (side, word, carry) names a step; long steps go unhashed
-        key = (side, word, carry) if len(word) + len(carry) < _RUN_MIN else None
-        step = memo.get(key)
+    if raw.alphabet != ctx.union_alphabet:
+        raise ValueError("word is not over the union alphabet")
+    memo = ctx.cache.get(("step", policy))
+    reps = None  # bound on the first miss; a new memo checks the policy first
+    if memo is None:
+        reps = _coset_reps(ctx, policy)
+        memo = ctx.cache[("step", policy)] = {}
+    letters = raw.letters
+    sides = bytes(map(ctx._letter_side.__getitem__, letters))
+    rfind, lookup = sides.rfind, memo.get
+    done: list[tuple[int, ...]] = []  # output reps, last first; done[-1] on side `top`
+    top, b, carry, end = 0, 0, (), len(letters)
+    while end:
+        b = sides[end - 1]
+        start = rfind(1 - b, 0, end) + 1
+        block = letters[start:end]
+        # blocks alternate, so a carry is on the other side: (block, carry) names a step
+        key = (block, carry) if end - start + len(carry) < _RUN_MIN else None
+        end = start
+        step = lookup(key)
         if step is None:
-            if carry and carry_side != side:
-                carry = ctx.transfer_letters(carry_side, carry)
-            step = reps[side](letters_product(word, carry))
+            reps = reps or _coset_reps(ctx, policy)
+            if carry:
+                carry = ctx.transfer_letters("BA"[b], carry)
+            word = tuple(map(ctx._factor_letter.__getitem__, block)) if b else block
+            step = reps["AB"[b]](letters_product(word, carry))
             if key:
                 memo[key] = step
-        rep, head = step
+        rep, carry = step
+        if rep and done and top == b:  # the block before was in C: join rep to the tail
+            tail, top = done.pop(), b ^ 1
+            key = ("AB"[b], rep, tail) if len(rep) + len(tail) <= _JOIN_MAX else None
+            join = lookup(key)
+            if join is None:
+                reps = reps or _coset_reps(ctx, policy)
+                join = reps["AB"[b]](letters_product(rep, tail))
+                if key:
+                    memo[key] = join
+            rep, head = join
+            carry = letters_product(carry, head)
         if rep:
-            if done and done[-1][0] == side:
-                rep, head2 = reps[side](letters_product(rep, done.pop()[1]))
-                head = letters_product(head, head2)
-            if rep:
-                done.append((side, rep))
-        carry_side, carry = side, head
+            done.append(rep)
+            top = b
         if trace is not None:
             trace.append(len(carry))
-    target = done[-1][0] if done else "A"
-    if carry and carry_side != target:
-        carry = ctx.transfer_letters(carry_side, carry)
-    graph = ctx.graph_c(target).graph
+    target = top if done else 0
+    if carry and b != target:
+        carry = ctx.transfer_letters("AB"[b], carry)
+    graph = ctx.graph_c("AB"[target]).graph
     if not graph.reads_loop(carry, graph.base):
         raise VerificationError("normal-form head escaped C")
-    return _form(ctx, target, carry, reversed(done))
+    return _form(ctx, "AB"[target], carry, zip(cycle(("AB", "BA")[target]), reversed(done)))
 
 
 def _form(

@@ -15,6 +15,7 @@ from amalgam.cli import (
     main,
     parse_presentation,
 )
+from amalgam.stallings import GeneratingTuple
 
 EX1 = """\
 # worst-case fixture
@@ -58,10 +59,15 @@ def test_parse_presentation_errors_carry_lines():
     assert err.value.line == 2
 
 
-def test_validate_command(capsys, group_file):
+def test_validate_command(capsys, group_file, monkeypatch):
+    # the rank is read off the C graph (edges - states + 1); no basis is spelled
+    def no_basis(self):
+        raise AssertionError("validate spelled the basis")
+
+    monkeypatch.setattr(GeneratingTuple, "basis", no_basis)
     code, out, _ = run(capsys, "validate", "-g", group_file)
     assert code == 0
-    assert "valid presentation" in out
+    assert "valid presentation" in out and "rank of C: 2" in out
 
 
 def test_validate_rejects_bad_pairing(capsys, tmp_path):

@@ -706,8 +706,25 @@ STEP_CONTEXTS = {
 
 
 def step_keys(ctx):
-    """Every memoised (side, word, carry) step in ctx.cache, over all policies."""
+    """Every key of the sweep memos in ctx.cache, over all policies: (block, carry)
+    steps, the block in union letters, and (side, rep, tail) joins."""
     return [key for kind, memo in ctx.cache.items() if kind[0] == "step" for key in memo]
+
+
+def assert_keys_within_the_gates(ctx):
+    # a step is hashed below the 64-letter rule, a join only up to the join gate
+    off = len(ctx.alphabet_a)
+    keys = step_keys(ctx)
+    assert keys
+    for key in keys:
+        if len(key) == 2:
+            block, carry = key
+            assert block and len({abs(lt) > off for lt in block}) == 1  # one side's block
+            assert len(block) + len(carry) < _RUN_MIN
+        else:
+            side, rep, tail = key
+            assert side in ("A", "B") and rep and tail
+            assert len(rep) + len(tail) <= group._JOIN_MAX
 
 
 def xfer_keys(ctx):
@@ -770,8 +787,7 @@ def test_blowup_sweeps_memoise_only_short_steps(p, m):
     assert runs[2:] == runs[:2]
     assert len(adv.head) == p ** (2 * m) and max(adv_trace) >= _RUN_MIN
     assert canon == normal_form_unmemoised(ctx, word)
-    assert step_keys(ctx)
-    assert all(len(w) + len(carry) < _RUN_MIN for _, w, carry in step_keys(ctx))
+    assert_keys_within_the_gates(ctx)
 
 
 def test_ex2_identity_memoises_only_short_steps():
@@ -781,8 +797,98 @@ def test_ex2_identity_memoises_only_short_steps():
     for _ in range(2):
         nf = normal_form(ctx, lhs)
         assert nf == normal_form(ctx, up(ctx, "a") ** 4096) and len(nf.head) == 4096
-    assert step_keys(ctx)
-    assert all(len(w) + len(carry) < _RUN_MIN for _, w, carry in step_keys(ctx))
+    assert_keys_within_the_gates(ctx)
+
+
+def nielsen_context(seed):
+    alphabet_a, alphabet_b = Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z"))
+    pairs = nielsen_pairs(random.Random(seed), alphabet_a, alphabet_b)
+    return build_context(alphabet_a, alphabet_b, pairs)
+
+
+class JoinCountingMemo(dict):
+    """A step memo that records the (side, rep, tail) joins it answers."""
+
+    def __init__(self, memo, hits):
+        super().__init__(memo)
+        self.hits = hits
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is not None and len(key) == 3:
+            self.hits.append(key)
+        return found
+
+
+@pytest.mark.parametrize("name", [*STEP_CONTEXTS, "nielsen"])
+def test_memoised_joins_match_the_unmemoised_sweep(name):
+    # c_heavy_word puts C-letters between syllables, so a block is absorbed into
+    # the carry and the next rep joins the syllable after it; the cold pass stores
+    # the joins and the warm repeat answers them from the memo
+    join_hits = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def check(seed):
+        if name == "nielsen":
+            ctx, ref, policies = nielsen_context(seed), nielsen_context(seed), (CANONICAL,)
+        else:
+            make, adversarial = STEP_CONTEXTS[name]
+            ctx, ref = make(), make()
+            policies = (CANONICAL,) if adversarial is None else (CANONICAL, adversarial)
+        rng = random.Random(seed)
+        words = [c_heavy_word(rng, ctx) for _ in range(6)]
+        for warm in (False, True):
+            if warm:
+                for kind in [kind for kind in ctx.cache if kind[0] == "step"]:
+                    ctx.cache[kind] = JoinCountingMemo(ctx.cache[kind], join_hits)
+            for word in words:
+                for policy in policies:
+                    trace, ref_trace = [], []
+                    nf = normal_form(ctx, word, policy, trace)
+                    assert nf == normal_form_unmemoised(ref, word, policy, ref_trace)
+                    assert trace == ref_trace
+            assert xfer_keys(ctx) == xfer_keys(ref)
+
+    check()
+    assert join_hits
+
+
+def test_a_warm_sweep_splits_nothing(monkeypatch):
+    # every step and join of a short word is in the memo after one sweep
+    ctx = example_one_context(2)
+    word = up(ctx, "d x d z y^2 z b d")
+    want = {policy: normal_form_unmemoised(ctx, word, policy) for policy in (CANONICAL, ADVERSARIAL)}
+    calls = []
+    coset_rep = SubgroupGraph.coset_rep
+
+    def counted(graph, letters):
+        calls.append(letters)
+        return coset_rep(graph, letters)
+
+    monkeypatch.setattr(SubgroupGraph, "coset_rep", counted)
+    for policy, form in want.items():
+        assert normal_form(ctx, word, policy) == form
+        assert calls and any(len(key) == 3 for key in ctx.cache[("step", policy)])
+        calls.clear()
+        assert normal_form(ctx, word, policy) == form
+        assert not calls
+
+
+def test_long_joins_are_split_not_memoised():
+    # on (b z)^n each rep joins the growing syllable after it; only the joins of
+    # at most _JOIN_MAX letters are stored, so the memo does not grow with n
+    ctx = example_one_context(2)
+    keys = []
+    for n in (50, 200):
+        ctx.cache.clear()
+        word = up(ctx, "b z") ** n
+        nf = normal_form(ctx, word)
+        assert nf == normal_form_unmemoised(ctx, word) and len(nf.syllable_letters[0][1]) > n
+        assert any(len(key) == 3 for key in step_keys(ctx))
+        assert_keys_within_the_gates(ctx)
+        keys.append(set(step_keys(ctx)))
+    assert keys[0] == keys[1]
 
 
 def test_concurrent_sweeps_share_one_step_memo():

@@ -16,8 +16,8 @@ both forms are `NormalForm`s, which build their `Word`s only when a caller
 reads `.head` or `.syllables`.  Cyclic forms run on the same tuples, and one
 pass of the carry yields every cyclic permutation without normalising again.
 A principal system is solved in one pass of coset shifts from its first
-syllable to its last, and the solution's representative is certified by
-pushing it back through the chain on letter tuples.
+syllable, pushing the element of a singleton coset on as letter tuples; the
+solution is certified by pushing it back.  A conjugacy query sweeps each word once.
 """
 
 from __future__ import annotations
@@ -163,8 +163,9 @@ class AmalgamContext:
     The double transversals and malnormality flags are read off the C graphs
     on first use and memoised there.  Immutable after construction apart from
     the memo dict `cache`; all queries are pure, so they may run concurrently.
-    Its ("step", policy) kind maps a sweep step (union block, carry) to (rep, head) and a
-    join (side, rep, tail) to the split of rep * tail, and grows like "xfer".  It answers
+    Its "shift" and "transfer" keys hold non-singleton cosets only.  Its ("step", policy.kind,
+    policy.p) kind maps a sweep step (union block, carry) to (rep, head) and a join
+    (side, rep, tail) to the split of rep * tail, and grows like "xfer".  It answers
     94% of the steps and 49% of the joins of the word-problem benchmark, 93% and 52% of
     conjugacy's, 38% and 14% of cold-cli's and 39% and 91% of blowup's.
     """
@@ -173,6 +174,7 @@ class AmalgamContext:
     transversal_b = property(lambda self: self.graph_cb.double_transversal())
     malnormal_a = property(lambda self: self.graph_ca.is_malnormal())
     malnormal_b = property(lambda self: self.graph_cb.is_malnormal())
+    _trivial = cached_property(lambda self: {s: build([], self.factor_alphabet(s)) for s in "AB"})
 
     def __init__(
         self,
@@ -199,6 +201,7 @@ class AmalgamContext:
         self._factor_letter = {
             lt: lt if abs(lt) <= off else lt - off if lt > 0 else lt + off for lt in union
         }
+        self._b_to_union = {f: lt for lt, f in self._factor_letter.items() if abs(lt) > off}
 
     # --- sides and alphabets -------------------------------------------------
 
@@ -213,8 +216,7 @@ class AmalgamContext:
         return "B" if side == "A" else "A"
 
     def union_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
-        off = 0 if side == "A" else len(self.alphabet_a)
-        return tuple(lt + off if lt > 0 else lt - off for lt in letters)
+        return letters if side == "A" else tuple(map(self._b_to_union.__getitem__, letters))
 
     def to_union(self, side: str, w: Word) -> Word:
         return Word._make(self.union_alphabet, self.union_letters(side, w.letters))
@@ -239,7 +241,7 @@ class AmalgamContext:
 
     def transfer_word(self, side: str, w: Word) -> Word:
         """transfer_letters on a Word over the factor alphabet of `side`."""
-        if w.alphabet != self.factor_alphabet(side):
+        if w.alphabet is not (alphabet := self.factor_alphabet(side)) and w.alphabet != alphabet:
             raise ValueError("word over wrong alphabet")
         return Word._make(
             self.factor_alphabet(self.other(side)), self.transfer_letters(side, w.letters)
@@ -306,7 +308,7 @@ def build_context(
 
 def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     """Maximal alternating factor blocks of a union word as (side, factor letters)."""
-    if raw.alphabet != ctx.union_alphabet:
+    if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
     factor_letter = ctx._factor_letter.__getitem__
     return [
@@ -401,13 +403,13 @@ def normal_form(
     given, records its length after every step.  Each block is read off the union
     letters by one `rfind` on a side-byte map, and put in factor letters on a miss.
     """
-    if raw.alphabet != ctx.union_alphabet:
+    if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
-    memo = ctx.cache.get(("step", policy))
+    memo = ctx.cache.get(("step", policy.kind, policy.p))  # no RepPolicy.__hash__ call
     reps = None  # bound on the first miss; a new memo checks the policy first
     if memo is None:
         reps = _coset_reps(ctx, policy)
-        memo = ctx.cache[("step", policy)] = {}
+        memo = ctx.cache[("step", policy.kind, policy.p)] = {}
     letters = raw.letters
     sides = bytes(map(ctx._letter_side.__getitem__, letters))
     rfind, lookup = sides.rfind, memo.get
@@ -485,16 +487,25 @@ def form_to_word(ctx: AmalgamContext, nf: NormalForm) -> Word:
 # --- cyclically reduced forms --------------------------------------------------
 
 
+def _swept(ctx: AmalgamContext, w: Word, policy: RepPolicy, forms: dict) -> NormalForm:
+    """normal_form, once a query: `forms` maps letters to forms of words over ctx.union_alphabet."""
+    hit = forms.get(w.letters) if w.alphabet is ctx.union_alphabet else None
+    return hit or forms.setdefault(w.letters, normal_form(ctx, w, policy))
+
+
 def cyclic_form(
     ctx: AmalgamContext,
     raw: Word,
     policy: RepPolicy = CANONICAL,
+    forms: Optional[dict] = None,
 ) -> CyclicForm:
     """Cyclically reduced conjugate with accumulated conjugator.
 
     The syllable-length-1 case is settled by conjugacy into C on the factor.
+    `forms` holds the query's normal forms (see `_swept`), a fresh dict by default.
     """
-    nf = normal_form(ctx, raw, policy)
+    forms = {} if forms is None else forms
+    nf = _swept(ctx, raw, policy, forms)
     reps = _coset_reps(ctx, policy)
     conj = ()  # union letters until the form is built
     head_side, head = nf.head_side, nf.head_letters
@@ -525,7 +536,7 @@ def cyclic_form(
     form = _form(ctx, head_side, head, sylls)
     spelled = _spell(ctx, head_side, head, sylls)
     spelled = letters_product(letters_product(conj, spelled), letters_inverse(conj))
-    if normal_form(ctx, Word._make(ctx.union_alphabet, spelled), policy) != nf:
+    if _swept(ctx, Word._make(ctx.union_alphabet, spelled), policy, forms) != nf:
         raise VerificationError("cyclic reduction lost the conjugacy class")
     return CyclicForm(form, Word._make(ctx.union_alphabet, conj))
 
@@ -582,12 +593,12 @@ def principal_system_solve(
 
     One pass from the first syllable: e_0 = C on the side of p_1, then
     e_i = (~p_i e_{i-1} p'_i) meet C, transferring the coset where the sides
-    alternate, and None at the first empty e_i.  Each push x -> p x ~p' is
-    injective, so e_k is exactly the set E of c in C whose pushes back
-    through p_k, ..., p_1 all stay in C, and no second pass back through the
-    chain is needed.  A nonempty E's representative is certified by pushing
-    it through the chain with `_propagate_solution`, which checks every push
-    for membership in C.
+    alternate, and None at the first empty e_i.  Once e_i is a singleton {c},
+    each later step is the push c -> ~p c p' and a test for membership in C,
+    on letter tuples.  Each push x -> p x ~p' is injective, so e_k is exactly
+    the set E of c in C whose pushes back through p_k, ..., p_1 all stay in C.
+    A nonempty E's representative is certified by pushing it back through the
+    chain with `_propagate_solution`, which checks every push for membership in C.
     """
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
@@ -597,30 +608,46 @@ def principal_system_solve(
     key = ("ps", g.syllable_letters, h.syllable_letters)
     if key in ctx.cache:
         return ctx.cache[key]
+    chain = zip(g.syllable_letters, h.syllable_letters)
     e = c_coset(ctx, g.syllable_letters[0][0])
-    for p, p2 in zip(g.syllables, h.syllables):
-        if e.side != p.side:
+    for (side, p), (_, p2) in chain:
+        if e.side != side:
             e = transfer(ctx, e)
-        e = shift(ctx, e, ~p.word, p2.word)
-        if e is None:
+        a = e.rep.alphabet
+        e = shift(ctx, e, Word._make(a, letters_inverse(p)), Word._make(a, p2))
+        if e is None or e.subgroup.graph.is_trivial():
             break
-    else:
+    if e is not None and e.subgroup.graph.is_trivial():  # e_i = {c}: push c on
+        rest = ((s, letters_inverse(p), p2) for (s, p), (_, p2) in chain)
+        c, side = _push(ctx, rest, e.side, e.rep.letters), g.syllable_letters[-1][0]
+        trivial = ctx._trivial[side]
+        e = None if c is None else CosetOfC(side, trivial, Word._make(trivial.alphabet, c))
+    if e is not None:
         _propagate_solution(ctx, g, h, e.rep.letters, e.side)
     ctx.cache[key] = e
     return e
+
+
+def _push(ctx: AmalgamContext, chain: Iterable, side: str, c: tuple) -> Optional[tuple]:
+    """c after c -> left * c * right along (side, left, right) steps; None once it leaves C."""
+    for p_side, left, right in chain:
+        if side != p_side:
+            c, side = ctx.transfer_letters(side, c), p_side
+        c = letters_product(letters_product(left, c), right)
+        graph = ctx.graph_c(side).graph
+        if not graph.reads_loop(c, graph.base):
+            return None
+    return c
 
 
 def _propagate_solution(
     ctx: AmalgamContext, g: NormalForm, h: NormalForm, c: tuple[int, ...], side: str
 ) -> tuple[int, ...]:
     """Push the first component c through the chain; returns c_k on the side of p_1."""
-    for (p_side, p), (_, p2) in zip(g.syllable_letters[::-1], h.syllable_letters[::-1]):
-        if side != p_side:
-            c, side = ctx.transfer_letters(side, c), p_side
-        c = letters_product(letters_product(p, c), letters_inverse(p2))
-        graph = ctx.graph_c(side).graph
-        if not graph.reads_loop(c, graph.base):
-            raise VerificationError("principal solution left C")
+    chain = zip(g.syllable_letters[::-1], h.syllable_letters[::-1])
+    c = _push(ctx, ((s, p, letters_inverse(p2)) for (s, p), (_, p2) in chain), side, c)
+    if c is None:
+        raise VerificationError("principal solution left C")
     return c
 
 
@@ -720,10 +747,11 @@ def cr_membership(
 
 
 def _assemble_and_verify(
-    ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy
+    ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy, forms: Optional[dict] = None
 ) -> ConjugacyOutcome:
-    """The conjugate outcome for z, once ~z u z and v have the same normal form."""
-    if normal_form(ctx, ~z * u * z, policy) != normal_form(ctx, v, policy):
+    """The conjugate outcome for z, once ~z u z and v have the same normal form (`_swept`)."""
+    forms = {} if forms is None else forms
+    if _swept(ctx, ~z * u * z, policy, forms) != _swept(ctx, v, policy, forms):
         raise VerificationError("conjugator failed verification")
     return ConjugacyOutcome("conjugate", z)
 
@@ -738,6 +766,7 @@ def _solve_with_regular(
     perms_u: list[tuple[tuple[int, ...], NormalForm]],
     perms_v: list[tuple[tuple[int, ...], NormalForm]],
     policy: RepPolicy,
+    forms: dict,
 ) -> Optional[ConjugacyOutcome]:
     """Decide conjugacy when some cyclic permutation of either form is regular.
 
@@ -779,7 +808,7 @@ def _solve_with_regular(
             continue
         z = letters_product(u_prefix, ctx.union_letters(e.side, c))
         z = Word._make(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
-        return _assemble_and_verify(ctx, u, v, z, policy)
+        return _assemble_and_verify(ctx, u, v, z, policy, forms)
     return ConjugacyOutcome("not-conjugate", None, _NO_C_ELEMENT)
 
 
@@ -792,13 +821,14 @@ def conjugacy_search(
     reduced permutation, on all cyclic length 0 pairs with a regular
     representative or a malnormal factor, and on all cyclic length 1 pairs.
     """
-    cf_u = cyclic_form(ctx, u, policy)
-    cf_v = cyclic_form(ctx, v, policy)
+    forms: dict = {}  # each distinct word is swept once per query
+    cf_u = cyclic_form(ctx, u, policy, forms)
+    cf_v = cyclic_form(ctx, v, policy, forms)
 
     def in_factor(side: str, z_f: Word) -> ConjugacyOutcome:
         # the cyclic forms are conjugate by z_f inside the factor of `side`
         z = cf_u.conjugator * ctx.to_union(side, z_f) * ~cf_v.conjugator
-        return _assemble_and_verify(ctx, u, v, z, policy)
+        return _assemble_and_verify(ctx, u, v, z, policy, forms)
 
     k = cf_u.cyclic_length
     if k != cf_v.cyclic_length:
@@ -820,7 +850,7 @@ def conjugacy_search(
     if k >= 2:
         # each form's permutations, with its conjugator, once per query
         perms_u, perms_v = (_cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
-        out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy)
+        out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy, forms)
         return out or ConjugacyOutcome(
             "undecided", None, "every cyclic permutation of both forms is singular"
         )

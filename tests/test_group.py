@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
-from amalgam import group
+from amalgam import cosetalg, group
 from amalgam.cosetalg import cardinality
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import (
@@ -869,10 +869,30 @@ def test_a_warm_sweep_splits_nothing(monkeypatch):
     monkeypatch.setattr(SubgroupGraph, "coset_rep", counted)
     for policy, form in want.items():
         assert normal_form(ctx, word, policy) == form
-        assert calls and any(len(key) == 3 for key in ctx.cache[("step", policy)])
+        memo = ctx.cache[("step", policy.kind, policy.p)]
+        assert calls and any(len(key) == 3 for key in memo)
         calls.clear()
         assert normal_form(ctx, word, policy) == form
         assert not calls
+
+
+def test_a_warm_sweep_calls_no_alphabet_or_policy_dunder(monkeypatch):
+    # the union alphabet is tested by identity and the step memo is keyed by the policy's
+    # fields, so a warm sweep runs neither Alphabet.__eq__ nor RepPolicy.__hash__
+    ctx = example_one_context(2)
+    word = up(ctx, "d x d z y^2 z b d")
+    policies = (CANONICAL, ADVERSARIAL)
+    want = [normal_form(ctx, word, policy) for policy in policies]
+    calls = []
+    eq, policy_hash = Alphabet.__eq__, RepPolicy.__hash__
+    monkeypatch.setattr(Alphabet, "__eq__", lambda a, b: calls.append("eq") or eq(a, b))
+    monkeypatch.setattr(RepPolicy, "__hash__", lambda p: calls.append("hash") or policy_hash(p))
+    got = [normal_form(ctx, word, policy) for policy in policies]
+    assert not calls
+    assert got == want
+    # an equal alphabet that is another object still goes through Alphabet.__eq__
+    assert normal_form(ctx, Word(Alphabet(ctx.union_alphabet.names), word.letters)) == got[0]
+    assert calls == ["eq"]
 
 
 def test_long_joins_are_split_not_memoised():
@@ -1118,6 +1138,7 @@ PS_CONTEXTS = {
     "ex2": example_two_context(2),
     "malnormal": malnormal_context(),
     "powers": powers_context(),
+    **{f"nielsen{seed}": nielsen_context(seed) for seed in (1, 2, 3)},
 }
 
 
@@ -1152,8 +1173,25 @@ def test_one_pass_principal_system_matches_the_two_pass_solver(name, data):
     assert (got and got.key()) == (want and want.key())  # (side, subgroup graph, rep)
 
 
+# (context, word, shifts, coset transfers) of the system of the word's form with itself:
+# a shift for each e_i up to the first singleton, or for all k when none is, and a coset
+# transfer before each shift but the first
+ONE_PASS_COUNTS = [
+    ("ex1", "d", 1, 0),
+    ("ex1", "z d", 1, 0),
+    ("ex1", "d z d", 1, 0),
+    ("ex1", "z d^-1 z d", 1, 0),
+    ("ex1", "a d z d y z^-1", 1, 0),
+    ("powers", "a", 1, 0),  # e_1 = <a^2>, never a singleton
+    ("powers", "a x", 2, 1),
+    ("powers", "a x a x", 4, 3),
+    ("powers", "a y a x", 2, 1),  # e_2 is the first singleton
+    ("powers", "a x b x", 3, 2),  # e_3
+    ("powers", "a x a y", 4, 3),  # e_4, the last
+]
+
+
 def test_principal_system_is_one_pass(monkeypatch):
-    # a solvable system of k syllables makes k shifts and k - 1 coset transfers
     calls = {"shift": 0, "transfer": 0}
     for name in calls:
         def counted(*args, real=getattr(group, name), name=name):
@@ -1161,17 +1199,58 @@ def test_principal_system_is_one_pass(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(group, name, counted)
-    ctx = example_one_context(2)
+    contexts = {"ex1": example_one_context(2), "powers": powers_context()}
     lengths = set()
-    for text in ("d", "z d", "d z d", "z d^-1 z d", "a d z d y z^-1"):
+    for name, text, shifts, transfers in ONE_PASS_COUNTS:
+        ctx = contexts[name]
         g = normal_form(ctx, up(ctx, text))
-        k = g.syllable_length
         ctx.cache.clear()
         calls.update(shift=0, transfer=0)
         assert principal_system_solve(ctx, g, g) is not None
-        assert calls == {"shift": k, "transfer": k - 1}
-        lengths.add(k)
+        assert calls == {"shift": shifts, "transfer": transfers}, text
+        lengths.add(g.syllable_length)
     assert lengths == {1, 2, 3, 4}
+
+
+def test_singleton_chains_make_no_walk(monkeypatch):
+    # once e_i is a singleton {c}, the later e_j are pushes of c on letter tuples: no
+    # shift, coset transfer or meet follows the first shift that returns a singleton
+    events = []
+    for module, name in ((group, "shift"), (group, "transfer"), (cosetalg, "meet")):
+        def logged(*args, real=getattr(module, name), name=name):
+            out = real(*args)
+            events.append((name, out))
+            return out
+
+        monkeypatch.setattr(module, name, logged)
+    pushed = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(PS_CONTEXTS)), data=st.data())
+    def check(name, data):
+        ctx = PS_CONTEXTS[name]
+        k = data.draw(st.integers(1, 4))
+        first = data.draw(st.integers(0, 1))
+        sides = ["AB"[(first + i) % 2] for i in range(k)]
+        g = draw_form(data, ctx, sides)
+        h = g if data.draw(st.booleans()) else draw_form(data, ctx, sides)
+        ctx.cache.clear()
+        events.clear()
+        got = principal_system_solve(ctx, g, h)
+        shifts = [i for i, (kind, _) in enumerate(events) if kind == "shift"]
+        single = next(
+            (i for i in shifts if events[i][1] and events[i][1].subgroup.graph.is_trivial()), None
+        )
+        assert len(shifts) <= k
+        if single is not None:
+            assert events[single + 1:] == []
+            if len(shifts) < k:
+                pushed.append(name)
+        want = principal_system_solve_two_pass(ctx, g, h)
+        assert (got and got.key()) == (want and want.key())
+
+    check()
+    assert pushed
 
 
 # --- regularity -------------------------------------------------------------------
@@ -1394,6 +1473,92 @@ def test_regular_permutation_of_v_alone_decides_as_the_swapped_solve_did(name, d
     else:
         v = draw_alternating(data, ctx, (2, 4))
     assert conjugacy_search(ctx, u, v) == conjugacy_search_two_calls(ctx, u, v)
+
+
+@pytest.mark.parametrize("name", [*DECIDER_CONTEXTS, "nielsen"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_sweep_per_word_decides_as_the_two_call_reference(name, data):
+    # a query reads each word's form from its own dict; the reference sweeps every
+    # cyclic form and conjugator check afresh through the public cyclic_form
+    if name == "nielsen":
+        ctx = nielsen_context(data.draw(st.integers(0, 2**32)))
+    else:
+        ctx = DECIDER_CONTEXTS[name]
+    draw = lambda: draw_alternating(data, ctx, (1, 4)) if data.draw(st.booleans()) else data.draw(
+        union_words(ctx, 8)
+    )
+    u = draw()
+    kind = data.draw(st.sampled_from(("conjugate", "same", "other")))
+    if kind == "conjugate":
+        z = data.draw(union_words(ctx, 6))
+        v = ~z * u * z
+    else:
+        v = u if kind == "same" else draw()
+    out = conjugacy_search(ctx, u, v)
+    assert out == conjugacy_search_two_calls(ctx, u, v)  # tag, conjugator and reason
+    if out.tag == "conjugate":
+        z = out.conjugator
+        assert normal_form_unmemoised(ctx, ~z * u * z) == normal_form_unmemoised(ctx, v)
+
+
+def test_conjugacy_search_sweeps_each_word_once(monkeypatch):
+    swept = []
+    sweep = group.normal_form
+
+    def recorded(ctx, raw, policy=CANONICAL, trace=None):
+        swept.append((raw.letters, policy))
+        return sweep(ctx, raw, policy, trace)
+
+    monkeypatch.setattr(group, "normal_form", recorded)
+    rng = random.Random(22)
+    tags = set()
+    for name, ctx in DECIDER_CONTEXTS.items():
+        policies = (CANONICAL, ADVERSARIAL) if name == "ex1" else (CANONICAL,)
+        for _ in range(40):
+            g = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 8))
+            z = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 5))
+            other = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 8))
+            for u, v in ((g, ~z * g * z), (g, g), (g, other)):
+                for policy in policies:
+                    swept.clear()
+                    tags.add(conjugacy_search(ctx, u, v, policy).tag)
+                    assert swept and len(swept) == len(set(swept)), (name, u, v, policy)
+    assert tags == {"conjugate", "not-conjugate", "undecided"}
+    # the check of a cyclic form that spells its own input reads the input's form
+    ctx = DECIDER_CONTEXTS["ex1"]
+    for text in ("d z", "a d z d y", "d", "a^2 b", "d^-1 a^2 b d"):
+        word = form_to_word(ctx, cyclic_form(ctx, up(ctx, text)).form)
+        swept.clear()
+        assert cyclic_form(ctx, word).conjugator.is_identity()
+        assert swept == [(word.letters, CANONICAL)], text
+
+
+def test_query_checks_still_compare_the_swept_forms(monkeypatch, ex1):
+    # the cyclic-form and conjugator checks read forms from the query's dict, and
+    # still fail on a wrong spelling or a wrong conjugator
+    u, v = up(ex1, "a d a^-1"), up(ex1, "b^-1 d b")
+    assert conjugacy_search(ex1, u, v).tag == "conjugate"
+    with monkeypatch.context() as patch:
+        patch.setattr(group, "free_conjugacy", lambda a, b: Word(a.alphabet, (2,)))
+        with pytest.raises(VerificationError, match="conjugator failed verification"):
+            conjugacy_search(ex1, u, v)
+    spell = group._spell
+    monkeypatch.setattr(group, "_spell", lambda *args: letters_product(spell(*args), (1,)))
+    for query in (lambda: conjugacy_search(ex1, u, v), lambda: cyclic_form(ex1, u)):
+        with pytest.raises(VerificationError, match="lost the conjugacy class"):
+            query()
+
+
+def test_query_forms_are_keyed_by_union_letters_only(ex1):
+    # a word over an equal alphabet decides as the same word; over another alphabet with
+    # the same letters, it is still rejected, though its letters were swept before
+    u = up(ex1, "d z a")
+    equal = Word(Alphabet(ex1.union_alphabet.names), u.letters)
+    assert conjugacy_search(ex1, u, equal) == conjugacy_search(ex1, u, u)
+    renamed = Word(Alphabet(tuple(n.upper() for n in ex1.union_alphabet.names)), u.letters)
+    with pytest.raises(ValueError, match="union alphabet"):
+        conjugacy_search(ex1, u, renamed)
 
 
 def test_malnormal_fixture_never_undecided(malnormal_ctx):

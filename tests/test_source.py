@@ -17,12 +17,15 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-SWEEP = ("reduced_form", "normal_form", "_form", "_rep", "_cyclic_perms")
+SWEEP = (
+    "reduced_form", "normal_form", "_form", "_rep", "_cyclic_perms", "_push", "_propagate_solution"
+)
 WORD_BUILDERS = ("Word", "Word._make", "Syllable")
 
 
 def test_normal_form_sweep_builds_no_words():
-    # the sweeps run on letter tuples; a form builds its Words when a caller reads them
+    # the sweeps and the principal-system pushes run on letter tuples; a form builds its
+    # Words when a caller reads them
     path = Path(amalgam.__file__).parent / "group.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -63,8 +63,7 @@ class PresentationFile:
 
 def parse_presentation(text: str) -> PresentationFile:
     """Line-oriented group file: one A: and B: line, one C: line per pair."""
-    names_a: Optional[tuple[str, ...]] = None
-    names_b: Optional[tuple[str, ...]] = None
+    names: dict[str, tuple[str, ...]] = {}  # "A" and "B" -> generator names
     pair_texts: list[tuple[str, str]] = []
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
@@ -76,17 +75,11 @@ def parse_presentation(text: str) -> PresentationFile:
         tag = tag.strip()
         rest = rest.strip()
         if tag == "A" or tag == "B":
-            if (tag == "A" and names_a is not None) or (
-                tag == "B" and names_b is not None
-            ):
+            if tag in names:
                 raise PresentationSyntaxError(f"duplicate {tag}: line", lineno)
-            names = tuple(rest.split())
-            if not names:
+            names[tag] = tuple(rest.split())
+            if not names[tag]:
                 raise PresentationSyntaxError(f"empty {tag}: line", lineno)
-            if tag == "A":
-                names_a = names
-            else:
-                names_b = names
         elif tag == "C":
             if "=" not in rest:
                 raise PresentationSyntaxError("C: line needs 'word = word'", lineno)
@@ -94,13 +87,12 @@ def parse_presentation(text: str) -> PresentationFile:
             pair_texts.append((left.strip(), right.strip()))
         else:
             raise PresentationSyntaxError(f"unknown tag {tag!r}", lineno)
-    if names_a is None:
-        raise PresentationSyntaxError("missing A: line", 1)
-    if names_b is None:
-        raise PresentationSyntaxError("missing B: line", 1)
+    for tag in "AB":
+        if tag not in names:
+            raise PresentationSyntaxError(f"missing {tag}: line", 1)
     if not pair_texts:
         raise PresentationSyntaxError("missing C: lines", 1)
-    return PresentationFile(names_a, names_b, tuple(pair_texts))
+    return PresentationFile(names["A"], names["B"], tuple(pair_texts))
 
 
 def _load_context(path: str) -> AmalgamContext:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import cycle, groupby
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
@@ -163,11 +163,13 @@ class AmalgamContext:
     The double transversals and malnormality flags are read off the C graphs
     on first use and memoised there.  Immutable after construction apart from
     the memo dict `cache`; all queries are pure, so they may run concurrently.
-    Its "shift" and "transfer" keys hold non-singleton cosets only.  Its ("step", policy.kind,
-    policy.p) kind maps a sweep step (union block, carry) to (rep, head) and a join
-    (side, rep, tail) to the split of rep * tail, and grows like "xfer".  It answers
-    94% of the steps and 49% of the joins of the word-problem benchmark, 93% and 52% of
-    conjugacy's, 38% and 14% of cold-cli's and 39% and 91% of blowup's.
+    Its "shift" and "transfer" keys hold non-singleton cosets only, and a "ps" key holds
+    E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
+    sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from a
+    union block to ((side, rep) or None, next carry, its state, _RUN_MIN - its length),
+    and a join (side, rep, tail) to ((side, rep) or None, head); it grows like "xfer".  It
+    answers 94% of the steps and 48% of the joins of the word-problem benchmark, 87% and
+    38% of conjugacy's, 16% and 5% of cold-cli's and 39% and 91% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -351,15 +353,10 @@ def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
 
 
 def _is_example_one_fixture(ctx: AmalgamContext, p: int) -> bool:
-    if len(ctx.alphabet_a) != 3 or len(ctx.alphabet_b) != 3 or len(ctx.pairs) != 2:
-        return False
-    (u1, v1), (u2, v2) = ctx.pairs
-    return (
-        u1.letters == (1,) * p
-        and v1.letters == (1,)
-        and u2.letters == (2,)
-        and v2.letters == (2,) * p
-    )
+    pairs = [(u.letters, v.letters) for u, v in ctx.pairs]
+    return len(ctx.alphabet_a) == len(ctx.alphabet_b) == 3 and pairs == [
+        ((1,) * p, (1,)), ((2,), (2,) * p)
+    ]
 
 
 def _coset_reps(ctx: AmalgamContext, policy: RepPolicy) -> dict:
@@ -402,6 +399,8 @@ def normal_form(
     across the amalgamation each time it moves past a syllable; `trace`, when
     given, records its length after every step.  Each block is read off the union
     letters by one `rfind` on a side-byte map, and put in factor letters on a miss.
+    The step memo is walked as a transducer (see AmalgamContext): a known step is one
+    `get` on the carry's state, which also yields the next state.
     """
     if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
@@ -413,48 +412,54 @@ def normal_form(
     letters = raw.letters
     sides = bytes(map(ctx._letter_side.__getitem__, letters))
     rfind, lookup = sides.rfind, memo.get
-    done: list[tuple[int, ...]] = []  # output reps, last first; done[-1] on side `top`
-    top, b, carry, end = 0, 0, (), len(letters)
+    done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, the last first
+    state = memo.get(()) or memo.setdefault((), {})  # the empty carry's
+    b, carry, room, end = 0, (), _RUN_MIN, len(letters)  # room: block letters under the rule
     while end:
         b = sides[end - 1]
         start = rfind(1 - b, 0, end) + 1
         block = letters[start:end]
-        # blocks alternate, so a carry is on the other side: (block, carry) names a step
-        key = (block, carry) if end - start + len(carry) < _RUN_MIN else None
-        end = start
-        step = lookup(key)
+        # blocks alternate, so the carry is on the other side: the block's letters name a row
+        short, end = end - start < room, start  # a carry without a state leaves no room
+        step = state.get(block) if short else None
         if step is None:
             reps = reps or _coset_reps(ctx, policy)
             if carry:
                 carry = ctx.transfer_letters("BA"[b], carry)
             word = tuple(map(ctx._factor_letter.__getitem__, block)) if b else block
-            step = reps["AB"[b]](letters_product(word, carry))
-            if key:
-                memo[key] = step
-        rep, carry = step
-        if rep and done and top == b:  # the block before was in C: join rep to the tail
-            tail, top = done.pop(), b ^ 1
-            key = ("AB"[b], rep, tail) if len(rep) + len(tail) <= _JOIN_MAX else None
+            rep, carry = reps["AB"[b]](letters_product(word, carry))  # frees the old carry
+            room = _RUN_MIN - len(carry)
+            nxt = (memo.get(carry) or memo.setdefault(carry, {})) if room > 0 else None
+            step = ("AB"[b], rep) if rep else None, carry, nxt, room
+            if short:
+                state[block] = step
+        syll, carry, state, room = step
+        if syll and done and done[-1][0] == syll[0]:  # the block before was in C: join
+            (side, rep), tail = syll, done.pop()[1]
+            key = (side, rep, tail) if len(rep) + len(tail) <= _JOIN_MAX else None
             join = lookup(key)
             if join is None:
                 reps = reps or _coset_reps(ctx, policy)
-                join = reps["AB"[b]](letters_product(rep, tail))
+                rep, head = reps[side](letters_product(rep, tail))
+                join = (side, rep) if rep else None, head
                 if key:
                     memo[key] = join
-            rep, head = join
-            carry = letters_product(carry, head)
-        if rep:
-            done.append(rep)
-            top = b
+            syll, head = join
+            if head:
+                carry = letters_product(carry, head)
+                room = _RUN_MIN - len(carry)
+                state = (memo.get(carry) or memo.setdefault(carry, {})) if room > 0 else None
+        if syll:
+            done.append(syll)
         if trace is not None:
             trace.append(len(carry))
-    target = top if done else 0
-    if carry and b != target:
+    target = done[-1][0] if done else "A"
+    if carry and "AB"[b] != target:
         carry = ctx.transfer_letters("AB"[b], carry)
-    graph = ctx.graph_c("AB"[target]).graph
+    graph = ctx.graph_c(target).graph
     if not graph.reads_loop(carry, graph.base):
         raise VerificationError("normal-form head escaped C")
-    return _form(ctx, "AB"[target], carry, zip(cycle(("AB", "BA")[target]), reversed(done)))
+    return _form(ctx, target, carry, reversed(done))
 
 
 def _form(
@@ -600,14 +605,20 @@ def principal_system_solve(
     A nonempty E's representative is certified by pushing it back through the
     chain with `_propagate_solution`, which checks every push for membership in C.
     """
+    return _principal_solution(ctx, g, h)[0]
+
+
+def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tuple:
+    """(E_{g,h}, c_k of its certifying push or None), memoised under ("ps", g, h)."""
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
         raise ValueError("principal systems need equal syllable lengths >= 1")
     if g.sides() != h.sides():
-        return None
+        return None, None
     key = ("ps", g.syllable_letters, h.syllable_letters)
-    if key in ctx.cache:
-        return ctx.cache[key]
+    hit = ctx.cache.get(key)
+    if hit is not None:
+        return hit
     chain = zip(g.syllable_letters, h.syllable_letters)
     e = c_coset(ctx, g.syllable_letters[0][0])
     for (side, p), (_, p2) in chain:
@@ -622,10 +633,9 @@ def principal_system_solve(
         c, side = _push(ctx, rest, e.side, e.rep.letters), g.syllable_letters[-1][0]
         trivial = ctx._trivial[side]
         e = None if c is None else CosetOfC(side, trivial, Word._make(trivial.alphabet, c))
-    if e is not None:
-        _propagate_solution(ctx, g, h, e.rep.letters, e.side)
-    ctx.cache[key] = e
-    return e
+    c_k = None if e is None else _propagate_solution(ctx, g, h, e.rep.letters, e.side)
+    ctx.cache[key] = e, c_k
+    return e, c_k
 
 
 def _push(ctx: AmalgamContext, chain: Iterable, side: str, c: tuple) -> Optional[tuple]:
@@ -795,14 +805,12 @@ def _solve_with_regular(
     for w_j, pi_j in perms_v:
         if pi_j.sides() != sides:
             continue
-        e = principal_system_solve(ctx, g_star, pi_j)
+        e, c_k = _principal_solution(ctx, g_star, pi_j)
         if e is None:
             continue
-        card = cardinality(e)
-        if card.is_infinite:
+        if cardinality(e).is_infinite:
             raise VerificationError("regular element with non-unique solution")
-        c = card.element.letters
-        c_k = _propagate_solution(ctx, g_star, pi_j, c, e.side)
+        c = e.rep.letters  # the singleton's element
         c_on_1 = c if e.side == g_star.head_side else ctx.transfer_letters(e.side, c)
         if letters_product(g_star.head_letters, c_k) != letters_product(c_on_1, pi_j.head_letters):
             continue

@@ -59,6 +59,24 @@ def test_parse_presentation_errors_carry_lines():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C: a = x\n", "line 1, column 1: missing A: line"),
+        ("A: a\nC: a = x\n", "line 1, column 1: missing B: line"),
+        ("A: a\nB: x\n", "line 1, column 1: missing C: lines"),
+        ("A: a\nB: x\nB: y\nC: a = x\n", "line 3, column 1: duplicate B: line"),
+        ("A:\nB: x\nC: a = x\n", "line 1, column 1: empty A: line"),
+        ("B:\nA: a\nC: a = x\n", "line 1, column 1: empty B: line"),
+    ],
+)
+def test_presentation_line_errors(text, message):
+    # A's absence is reported before B's, and both before the pairs'
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
+
+
 def test_validate_command(capsys, group_file, monkeypatch):
     # the rank is read off the C graph (edges - states + 1); no basis is spelled
     def no_basis(self):

@@ -705,10 +705,19 @@ STEP_CONTEXTS = {
 }
 
 
+def is_join(key):
+    return bool(key) and isinstance(key[0], str)  # (side, rep, tail); a carry holds letters
+
+
 def step_keys(ctx):
-    """Every key of the sweep memos in ctx.cache, over all policies: (block, carry)
-    steps, the block in union letters, and (side, rep, tail) joins."""
-    return [key for kind, memo in ctx.cache.items() if kind[0] == "step" for key in memo]
+    """Every step and join of the sweep memos in ctx.cache, over all policies: a step
+    is (block, carry), the block in union letters, read off the state of its carry,
+    and a join is its (side, rep, tail) key."""
+    keys = []
+    for kind, memo in ctx.cache.items():
+        for key, value in memo.items() if kind[0] == "step" else ():
+            keys += [key] if is_join(key) else [(block, key) for block in value]
+    return keys
 
 
 def assert_keys_within_the_gates(ctx):
@@ -725,6 +734,17 @@ def assert_keys_within_the_gates(ctx):
             side, rep, tail = key
             assert side in ("A", "B") and rep and tail
             assert len(rep) + len(tail) <= group._JOIN_MAX
+    # a state holds the rows of a carry under 64 letters, and a row links to its next
+    # carry's state and the letters left for the next step
+    for kind, memo in ctx.cache.items():
+        for carry, state in memo.items() if kind[0] == "step" else ():
+            if is_join(carry):
+                continue
+            assert len(carry) < _RUN_MIN
+            for block, (syll, nxt, nxt_state, room) in state.items():
+                assert syll is None or syll[0] == "AB"[abs(block[0]) > off]
+                assert nxt_state is (memo[nxt] if len(nxt) < _RUN_MIN else None)
+                assert room == _RUN_MIN - len(nxt)
 
 
 def xfer_keys(ctx):
@@ -815,7 +835,7 @@ class JoinCountingMemo(dict):
 
     def get(self, key, default=None):
         found = super().get(key, default)
-        if found is not None and len(key) == 3:
+        if found is not None and is_join(key):
             self.hits.append(key)
         return found
 
@@ -854,6 +874,39 @@ def test_memoised_joins_match_the_unmemoised_sweep(name):
     assert join_hits
 
 
+SHARED_CONTEXTS = {
+    **{name: (make(), adversarial) for name, (make, adversarial) in STEP_CONTEXTS.items()},
+    **{f"nielsen-{seed}": (nielsen_context(seed), None) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", SHARED_CONTEXTS)
+def test_a_shared_state_is_read_by_the_side_of_its_block(name):
+    # a carry such as (1,) is `a` after an A block and `x` after a B block, and both
+    # read one state: the block's union letters pick the row.  One warm memo per
+    # context serves every word of every example.
+    ctx, adversarial = SHARED_CONTEXTS[name]
+    policies = (CANONICAL,) if adversarial is None else (CANONICAL, adversarial)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        for word in [c_heavy_word(rng, ctx) for _ in range(10)]:
+            for policy in policies:
+                trace, ref_trace = [], []
+                nf = normal_form(ctx, word, policy, trace)
+                assert nf == normal_form_unmemoised(ctx, word, policy, ref_trace)
+                assert trace == ref_trace
+
+    check()
+    off = len(ctx.alphabet_a)
+    memos = [memo for kind, memo in ctx.cache.items() if kind[0] == "step"]
+    states = [state for memo in memos for key, state in memo.items() if not is_join(key)]
+    assert any(len({abs(block[0]) > off for block in state}) == 2 for state in states)
+    assert_keys_within_the_gates(ctx)
+
+
 def test_a_warm_sweep_splits_nothing(monkeypatch):
     # every step and join of a short word is in the memo after one sweep
     ctx = example_one_context(2)
@@ -870,7 +923,7 @@ def test_a_warm_sweep_splits_nothing(monkeypatch):
     for policy, form in want.items():
         assert normal_form(ctx, word, policy) == form
         memo = ctx.cache[("step", policy.kind, policy.p)]
-        assert calls and any(len(key) == 3 for key in memo)
+        assert calls and any(is_join(key) for key in memo)
         calls.clear()
         assert normal_form(ctx, word, policy) == form
         assert not calls
@@ -907,7 +960,7 @@ def test_long_joins_are_split_not_memoised():
         assert nf == normal_form_unmemoised(ctx, word) and len(nf.syllable_letters[0][1]) > n
         assert any(len(key) == 3 for key in step_keys(ctx))
         assert_keys_within_the_gates(ctx)
-        keys.append(set(step_keys(ctx)))
+        keys.append((set(step_keys(ctx)), set(ctx.cache[("step", "canonical", 0)])))
     assert keys[0] == keys[1]
 
 
@@ -1500,6 +1553,51 @@ def test_one_sweep_per_word_decides_as_the_two_call_reference(name, data):
     if out.tag == "conjugate":
         z = out.conjugator
         assert normal_form_unmemoised(ctx, ~z * u * z) == normal_form_unmemoised(ctx, v)
+
+
+def alternating_word(rng, ctx, blocks):
+    first, word = rng.randint(0, 1), identity(ctx.union_alphabet)
+    for i in range(blocks):
+        side = "AB"[(first + i) % 2]
+        block = random_reduced(rng, ctx.factor_alphabet(side), rng.randint(1, 3))
+        word = word * ctx.to_union(side, block)
+    return word
+
+
+def test_one_certifying_push_per_principal_system_miss(monkeypatch):
+    # the "ps" memo holds E with the c_k of its certifying push, so solving from a
+    # regular permutation pushes nothing again, whether the principal system missed or hit
+    makes = (lambda: example_one_context(2), lambda: example_two_context(2),
+             malnormal_context, powers_context)
+    rng = random.Random(23)
+    runs = []
+    for make in makes:
+        ctx, ref = make(), make()
+        queries = []
+        for _ in range(50):
+            u = alternating_word(rng, ctx, rng.randint(2, 4))
+            z = random_reduced(rng, ctx.union_alphabet, rng.randint(0, 5))
+            queries += [(u, ~z * u * z), (u, u), (u, alternating_word(rng, ctx, 2))]
+        runs.append((ctx, queries, [conjugacy_search_two_calls(ref, u, v) for u, v in queries]))
+    pushes, solved = [], []
+    push, solve = group._propagate_solution, group._principal_solution
+    monkeypatch.setattr(group, "_propagate_solution", lambda *a: pushes.append(a) or push(*a))
+    monkeypatch.setattr(
+        group, "_principal_solution", lambda *a: solved.append(solve(*a)) or solved[-1]
+    )
+    tags, certified = set(), 0
+    for ctx, queries, want in runs:
+        pushes.clear()
+        got = [conjugacy_search(ctx, u, v) for u, v in queries]
+        assert got == want
+        tags |= {out.tag for out in got}
+        entries = [value for key, value in ctx.cache.items() if key[0] == "ps"]
+        assert len(pushes) == len([e for e, _ in entries if e is not None])
+        certified += len(pushes)
+    assert tags == {"conjugate", "not-conjugate", "undecided"}
+    # each solution carries its c_k, and most of them come from the memo
+    assert all((e is None) == (c_k is None) for e, c_k in solved)
+    assert len([e for e, _ in solved if e is not None]) > 2 * certified
 
 
 def test_conjugacy_search_sweeps_each_word_once(monkeypatch):

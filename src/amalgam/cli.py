@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 from collections import deque
@@ -47,52 +48,71 @@ class PresentationSyntaxError(ValueError):
 
 @dataclass
 class PresentationFile:
-    names_a: tuple[str, ...]
-    names_b: tuple[str, ...]
-    pair_texts: tuple[tuple[str, str], ...]
+    alphabet_a: Alphabet
+    alphabet_b: Alphabet
+    pairs: tuple[tuple[Word, Word], ...]
 
     def context(self) -> AmalgamContext:
-        alphabet_a = Alphabet(self.names_a)
-        alphabet_b = Alphabet(self.names_b)
-        pairs = [
-            (parse_word(u, alphabet_a), parse_word(v, alphabet_b))
-            for u, v in self.pair_texts
-        ]
-        return build_context(alphabet_a, alphabet_b, pairs)
+        return build_context(self.alphabet_a, self.alphabet_b, self.pairs)
+
+
+def _names(line: str, start: int, lineno: int) -> Alphabet:
+    """The generators named in line[start:]; the first bad or repeated one is placed in the file."""
+    try:
+        return Alphabet(line[start:].split())
+    except ValueError:
+        seen: set[str] = set()
+        for m in re.finditer(r"\S+", line[start:]):
+            name, column = m.group(), start + m.start() + 1
+            try:
+                if name in seen:
+                    raise ValueError(f"duplicate generator name {name!r}")
+                Alphabet((name,))  # the name's own check
+            except ValueError as exc:
+                raise PresentationSyntaxError(str(exc), lineno, column) from None
+            seen.add(name)
+        raise
 
 
 def parse_presentation(text: str) -> PresentationFile:
-    """Line-oriented group file: one A: and B: line, one C: line per pair."""
-    names: dict[str, tuple[str, ...]] = {}  # "A" and "B" -> generator names
-    pair_texts: list[tuple[str, str]] = []
+    """Line-oriented group file: one A: and B: line, one C: line per pair; errors carry their place."""
+    alphabets: dict[str, Alphabet] = {}  # "A" and "B"
+    words: list[tuple[int, int, str, str]] = []  # line, column, text and side of each C: word
     for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        line = raw_line.split("#", 1)[0]
+        if not line.strip():
             continue
-        if ":" not in line:
+        tag, colon, rest = line.partition(":")
+        if not colon:
             raise PresentationSyntaxError("expected 'A:', 'B:' or 'C:'", lineno)
-        tag, rest = line.split(":", 1)
-        tag = tag.strip()
-        rest = rest.strip()
+        tag, start = tag.strip(), len(line) - len(rest)
         if tag == "A" or tag == "B":
-            if tag in names:
+            if tag in alphabets:
                 raise PresentationSyntaxError(f"duplicate {tag}: line", lineno)
-            names[tag] = tuple(rest.split())
-            if not names[tag]:
+            if not rest.split():
                 raise PresentationSyntaxError(f"empty {tag}: line", lineno)
+            alphabets[tag] = _names(line, start, lineno)
         elif tag == "C":
-            if "=" not in rest:
+            left, eq, right = rest.partition("=")
+            if not eq:
                 raise PresentationSyntaxError("C: line needs 'word = word'", lineno)
-            left, right = rest.split("=", 1)
-            pair_texts.append((left.strip(), right.strip()))
+            words += [(lineno, start + 1, left, "A"), (lineno, start + len(left) + 2, right, "B")]
         else:
             raise PresentationSyntaxError(f"unknown tag {tag!r}", lineno)
     for tag in "AB":
-        if tag not in names:
+        if tag not in alphabets:
             raise PresentationSyntaxError(f"missing {tag}: line", 1)
-    if not pair_texts:
+    if not words:
         raise PresentationSyntaxError("missing C: lines", 1)
-    return PresentationFile(names["A"], names["B"], tuple(pair_texts))
+    parsed = []
+    for lineno, column, word, side in words:
+        try:
+            parsed.append(parse_word(word, alphabets[side]))
+        except WordSyntaxError as exc:  # its column counts from the word's start
+            message = str(exc).split(": ", 1)[1]
+            raise PresentationSyntaxError(message, lineno, column + exc.column - 1) from None
+    pairs = tuple(zip(parsed[::2], parsed[1::2]))
+    return PresentationFile(alphabets["A"], alphabets["B"], pairs)
 
 
 def _load_context(path: str) -> AmalgamContext:
@@ -226,22 +246,14 @@ def _cmd_conj(args) -> int:
     u = parse_word(args.u, ctx.union_alphabet)
     v = parse_word(args.v, ctx.union_alphabet)
     out = conjugacy_search(ctx, u, v, args.policy)
+    conjugator = None if out.conjugator is None else format_word(out.conjugator)
     lines = [out.tag]
-    if out.conjugator is not None:
-        lines.append(f"conjugator: {format_word(out.conjugator) or '1'}")
+    if conjugator is not None:
+        lines.append(f"conjugator: {conjugator or '1'}")
     if out.reason:
         lines.append(f"reason: {out.reason}")
-    _emit(
-        args,
-        {
-            "verdict": out.tag,
-            "conjugator": None
-            if out.conjugator is None
-            else format_word(out.conjugator),
-            "reason": out.reason or None,
-        },
-        lines,
-    )
+    payload = {"verdict": out.tag, "conjugator": conjugator, "reason": out.reason or None}
+    _emit(args, payload, lines)
     return EXIT_UNDECIDED if out.tag == "undecided" else EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .stallings import GeneratingTuple, build, coset_intersection, meet
+from .stallings import GeneratingTuple, build, meet
 from .words import Word, identity, letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,16 +31,6 @@ class CosetOfC:
 
     def contains(self, w: Word) -> bool:
         return self.subgroup.contains(w * ~self.rep)
-
-
-@dataclass(frozen=True)
-class Cardinality:
-    tag: str  # "empty" | "singleton" | "infinite"
-    element: Optional[Word] = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.tag == "infinite"
 
 
 def _canonical(side: str, subgroup: GeneratingTuple, rep: tuple[int, ...]) -> CosetOfC:
@@ -72,23 +62,6 @@ def shift(ctx: "AmalgamContext", d: CosetOfC, p: Word, q: Word) -> Optional[Cose
     result = None if hit is None else _canonical(d.side, hit[0], hit[1])
     cache[key] = result
     return result
-
-
-def intersect(d1: CosetOfC, d2: CosetOfC) -> Optional[CosetOfC]:
-    if d1.side != d2.side:
-        raise ValueError(f"side mismatch: {d1.side} vs {d2.side}")
-    hit = coset_intersection(d1.subgroup, d1.rep, d2.subgroup, d2.rep)
-    if hit is None:
-        return None
-    return _canonical(d1.side, hit[0], hit[1].letters)
-
-
-def cardinality(d: Optional[CosetOfC]) -> Cardinality:
-    if d is None:
-        return Cardinality("empty")
-    if d.subgroup.graph.is_trivial():
-        return Cardinality("singleton", d.rep)
-    return Cardinality("infinite")
 
 
 def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:

@@ -27,7 +27,7 @@ from functools import cached_property, partial, reduce
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
-from .cosetalg import CosetOfC, c_coset, cardinality, shift, transfer
+from .cosetalg import CosetOfC, c_coset, shift, transfer
 from .stallings import _RUN_MIN, GeneratingTuple, build
 from .words import (
     Alphabet,
@@ -354,9 +354,12 @@ def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
 
 def _is_example_one_fixture(ctx: AmalgamContext, p: int) -> bool:
     pairs = [(u.letters, v.letters) for u, v in ctx.pairs]
-    return len(ctx.alphabet_a) == len(ctx.alphabet_b) == 3 and pairs == [
-        ((1,) * p, (1,)), ((2,), (2,) * p)
-    ]
+    # lengths first: a huge p is rejected before any p-letter tuple is built
+    return (
+        len(ctx.alphabet_a) == len(ctx.alphabet_b) == 3
+        and [(len(u), len(v)) for u, v in pairs] == [(p, 1), (1, p)]
+        and pairs == [((1,) * p, (1,)), ((2,), (2,) * p)]
+    )
 
 
 def _coset_reps(ctx: AmalgamContext, policy: RepPolicy) -> dict:
@@ -677,7 +680,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         e = principal_system_solve(ctx, nf, nf)
         if e is None or not e.contains(identity(e.rep.alphabet)):
             raise VerificationError("principal system of a form with itself lost the identity")
-        if not cardinality(e).is_infinite:
+        if e.subgroup.graph.is_trivial():
             return RegularityReport("regular")
         return RegularityReport(
             "singular",
@@ -808,7 +811,7 @@ def _solve_with_regular(
         e, c_k = _principal_solution(ctx, g_star, pi_j)
         if e is None:
             continue
-        if cardinality(e).is_infinite:
+        if not e.subgroup.graph.is_trivial():
             raise VerificationError("regular element with non-unique solution")
         c = e.rep.letters  # the singleton's element
         c_on_1 = c if e.side == g_star.head_side else ctx.transfer_letters(e.side, c)

@@ -13,9 +13,9 @@ constructions feed it.  `build` folds the subdivided rose on the given
 generators.  `meet` walks the product of two graphs breadth first from a
 pair of start states and passes on the component it reaches, which is
 folded because both factors are.  Beside each graph it keeps the paths of a
-start word and an accept word in a small overlay, so `pullback`,
-`coset_intersection`, `z_subgroup` and the coset algebra's `shift` read
-conjugates and cosets off the graphs they already have and copy none.  The
+start word and an accept word in a small overlay, so `z_subgroup` and the
+coset algebra's `shift` read conjugates and cosets off the graphs they
+already have and copy none; every meet in the package is this walk.  The
 Stallings graph of a subgroup is unique as a pointed graph
 (Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives exactly the
 graph that folding any generating set of the same subgroup would give.
@@ -797,22 +797,3 @@ def meet(
         if not g.reads_loop(letters_product(letters_product(s, h), letters_inverse(f)), g.base):
             raise VerificationError("meet witness failed verification")
     return GeneratingTuple(SubgroupGraph(K.alphabet, edges, 0)), h
-
-
-def pullback(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
-    """Automaton of the intersection: the (base, base) product component."""
-    return meet(g1, g2)[0]
-
-
-def coset_intersection(
-    K: GeneratingTuple, a: Word, L: GeneratingTuple, b: Word
-) -> Optional[tuple[GeneratingTuple, Word]]:
-    """Intersect the cosets Ka and Lb: None if empty, else (K meet L, h).
-
-    One `meet` walk from the two basepoints with accept words a and b;
-    h is a shortest word in both cosets (verified).
-    """
-    if not (K.alphabet == a.alphabet == L.alphabet == b.alphabet):
-        raise ValueError("coset data over mixed alphabets")
-    hit = meet(K, L, accepts=(a.letters, b.letters))
-    return None if hit is None else (hit[0], Word._make(K.alphabet, hit[1]))

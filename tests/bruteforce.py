@@ -6,14 +6,14 @@ and graph tracing).  The conjugacy oracle and the cyclic permutations by
 definition are the exceptions: they call `normal_form`, so they check the
 conjugacy decider and the one-sweep permutations, not the word problem.
 `double_transversal_with_pruning` is the older double transversal, which
-re-checked every pair of candidates with `conjugate_by_copy` and
-`coset_intersection`; it checks that no candidate ever needs pruning.
+re-checked every pair of candidates with `conjugate_by_copy` and a coset
+`meet`; it checks that no candidate ever needs pruning.
 `conjugate_by_copy`, `pullback_by_steps` and `coset_intersection_by_copy`
 are the older meets, which copied a whole graph to conjugate it, copied
 both transition tables to hang a coset representative on them and walked
 the product once for the witness and again for the meet; `shift_by_copy`
 is the older coset-algebra shift built on them.  They check the one
-product walk, `stallings.meet`.
+product walk, `stallings.meet`, which is the only meet in the package.
 `conjugacy_search_two_calls` is the older cyclic-length >= 2 decision,
 which solved again from v's regular permutation when u had none; it checks
 that a regular permutation of v alone decides not-conjugate.
@@ -66,7 +66,7 @@ from amalgam.group import (
     cyclic_form,
     normal_form,
 )
-from amalgam.stallings import GeneratingTuple, SubgroupGraph, build, coset_intersection
+from amalgam.stallings import GeneratingTuple, SubgroupGraph, build, meet
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -264,7 +264,7 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
 def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
     """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
     shifted = conjugate_by_copy(g, ~t2)
-    return coset_intersection(g, t, shifted, t2) is not None
+    return meet(g, shifted, accepts=(t.letters, t2.letters)) is not None
 
 
 def conjugate_by_copy(g: GeneratingTuple, z: Word) -> GeneratingTuple:
@@ -389,7 +389,7 @@ def _solve_from_regular_permutation(
         e = group.principal_system_solve(ctx, g_star, pi_j)
         if e is None:
             continue
-        c = group.cardinality(e).element
+        c = e.rep  # the singleton's element
         c_k = group._propagate_solution(ctx, g_star, pi_j, c.letters, e.side)
         side1 = g_star.syllables[0].side
         c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)

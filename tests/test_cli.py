@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from amalgam.cli import (
     parse_presentation,
 )
 from amalgam.stallings import GeneratingTuple
+from amalgam.words import format_word
 
 EX1 = """\
 # worst-case fixture
@@ -41,9 +43,9 @@ def run(capsys, *argv):
 
 def test_parse_presentation():
     pf = parse_presentation(EX1)
-    assert pf.names_a == ("a", "b", "d")
-    assert pf.names_b == ("x", "y", "z")
-    assert pf.pair_texts == (("a^2", "x"), ("b", "y^2"))
+    assert pf.alphabet_a.names == ("a", "b", "d")
+    assert pf.alphabet_b.names == ("x", "y", "z")
+    assert [(format_word(u), format_word(v)) for u, v in pf.pairs] == [("a^2", "x"), ("b", "y^2")]
     ctx = pf.context()
     assert ctx.malnormal_a is False
 
@@ -68,10 +70,16 @@ def test_parse_presentation_errors_carry_lines():
         ("A: a\nB: x\nB: y\nC: a = x\n", "line 3, column 1: duplicate B: line"),
         ("A:\nB: x\nC: a = x\n", "line 1, column 1: empty A: line"),
         ("B:\nA: a\nC: a = x\n", "line 1, column 1: empty B: line"),
+        ("A: a b d\nB: x y z\nC: a = x = y\n", "line 3, column 10: bad token '='"),
+        ("A: a\nB: x\n  C:  a^0 = x # c\n", "line 3, column 7: zero exponent in 'a^0'"),
+        ("A: a\nB: x\nC: a = x\nC: a^2 = x q\n", "line 4, column 12: unknown generator 'q'"),
+        ("A: a 1b\nB: x\nC: a = x\n", "line 1, column 6: bad generator name '1b'"),
+        ("A: a\n B:  x y x\nC: a = x\n", "line 2, column 10: duplicate generator name 'x'"),
     ],
 )
 def test_presentation_line_errors(text, message):
-    # A's absence is reported before B's, and both before the pairs'
+    # A's absence is reported before B's, and both before the pairs'; a word or
+    # a name is reported at its own line and column in the file
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation(text)
     assert str(err.value) == message
@@ -285,6 +293,20 @@ def test_bench_budget_rejects_before_the_sweep(capsys, monkeypatch, argv, accept
 def test_bad_policy_is_syntax_error(capsys, group_file):
     code, _, _ = run(capsys, "nf", "-g", group_file, "-w", "a", "--policy", "bogus")
     assert code == 2
+
+
+def test_huge_adversarial_p_is_rejected_before_its_words_are_built(capsys, group_file):
+    # the fixture check compares the pairs' lengths before it spells p-letter words
+    cli._build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["nf", "-g", group_file, "-w", "a", "--policy", "paper-ex1:10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "only defined for the worst-case fixture" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_reduce_takes_no_policy(capsys, group_file):

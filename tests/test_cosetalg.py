@@ -3,10 +3,10 @@ import random
 import pytest
 
 from amalgam import group
-from amalgam.cosetalg import CosetOfC, c_coset, cardinality, intersect, shift, transfer
+from amalgam.cosetalg import CosetOfC, c_coset, shift, transfer
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import classify, conjugacy_search, normal_form, principal_system_solve
-from amalgam.stallings import build, pullback
+from amalgam.stallings import build, meet
 from amalgam.words import Word, parse_word
 
 from bruteforce import reduced_words, shift_by_copy, subgroup_elements
@@ -43,8 +43,7 @@ def test_shift_empty_result(ex1):
     sub_b = CosetOfC("A", build([wa(ex1, "b")], ex1.alphabet_a), wa(ex1, ""))
     # d <b> d^-1 meets C only in the identity
     res = shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "d^-1"))
-    card = cardinality(res)
-    assert card.tag == "singleton" and card.element == wa(ex1, "")
+    assert res.subgroup.graph.is_trivial() and res.rep == wa(ex1, "")
     # d <b> misses C entirely
     assert shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "")) is None
 
@@ -73,58 +72,50 @@ def test_shift_matches_set_arithmetic(ex1):
 
 
 def test_intersect_examples(ex1):
+    # Kc meet Lc' is one meet walk from the basepoints with the accept words c and c'
     X = ex1.alphabet_a
-    d1 = CosetOfC("A", build([wa(ex1, "a^2"), wa(ex1, "b")], X), wa(ex1, "b"))
-    d2 = CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b"))
-    res = intersect(d1, d2)
-    assert res is not None
+    K, L = build([wa(ex1, "a^2"), wa(ex1, "b")], X), build([wa(ex1, "a^2")], X)
+    d1, d2 = CosetOfC("A", K, wa(ex1, "b")), CosetOfC("A", L, wa(ex1, "b"))
+    M, h = meet(K, L, accepts=(d1.rep.letters, d2.rep.letters))
+    res = CosetOfC("A", M, Word(X, h))
     for u in reduced_words(X, 5):
         assert res.contains(u) == (d1.contains(u) and d2.contains(u))
-    same = intersect(d1, d1)
+    M, h = meet(K, K, accepts=(d1.rep.letters, d1.rep.letters))
+    same = CosetOfC("A", M, Word(X, h))
     for u in reduced_words(X, 4):
         assert same.contains(u) == d1.contains(u)
-    tiny = intersect(
-        CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "")),
-        CosetOfC("A", build([wa(ex1, "b")], X), wa(ex1, "")),
-    )
-    assert cardinality(tiny).tag == "singleton"
-    assert cardinality(tiny).element == wa(ex1, "")
+    tiny, h = meet(L, build([wa(ex1, "b")], X))
+    assert tiny.graph.is_trivial() and h == ()
 
 
 def test_intersect_side_mismatch(ex1):
-    d1 = c_coset(ex1, "A")
-    d2 = c_coset(ex1, "B")
-    with pytest.raises(ValueError):
-        intersect(d1, d2)
+    # the two sides' C graphs are over different alphabets, and meet refuses them
+    with pytest.raises(ValueError, match="mixed alphabets"):
+        meet(c_coset(ex1, "A").subgroup, c_coset(ex1, "B").subgroup)
 
 
 def test_cardinality_examples(ex1):
+    # a coset K*c is the single element c exactly when K's graph is trivial; an
+    # empty meet of cosets is None
     X = ex1.alphabet_a
     trivial = CosetOfC("A", build([], X), wa(ex1, "a^2 b"))
-    card = cardinality(trivial)
-    assert card.tag == "singleton" and card.element == wa(ex1, "a^2 b")
-    assert cardinality(CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, ""))).is_infinite
-    assert cardinality(None).tag == "empty"
+    assert trivial.subgroup.graph.is_trivial() and trivial.rep == wa(ex1, "a^2 b")
+    squares = build([wa(ex1, "a^2")], X)
+    assert not squares.graph.is_trivial()
+    assert meet(squares, squares, accepts=(wa(ex1, "b").letters, wa(ex1, "d").letters)) is None
 
 
 def test_cardinality_matches_enumeration(ex1):
     X = ex1.alphabet_a
     cosets = [
-        None,
         CosetOfC("A", build([], X), wa(ex1, "b^2")),
         CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b")),
         c_coset(ex1, "A"),
     ]
     for d in cosets:
-        card = cardinality(d)
-        if d is None:
-            found = set()
-        else:
-            found = {k * d.rep for k in subgroup_elements(d.subgroup, 8)}
-        if card.tag == "empty":
-            assert not found
-        elif card.tag == "singleton":
-            assert found == {card.element}
+        found = {k * d.rep for k in subgroup_elements(d.subgroup, 8)}
+        if d.subgroup.graph.is_trivial():
+            assert found == {d.rep}
         else:
             assert len(found) > 1
 
@@ -163,19 +154,23 @@ def test_transfer_preserves_cardinality_and_commutes(ex1):
          CosetOfC("A", build([wa(ex1, "b")], X), wa(ex1, ""))),
     ]
     for d1, d2 in pairs:
-        assert cardinality(transfer(ex1, d1)).tag == cardinality(d1).tag
-        lhs = intersect(d1, d2)
-        lhs = None if lhs is None else transfer(ex1, lhs)
-        rhs = intersect(transfer(ex1, d1), transfer(ex1, d2))
-        if lhs is None or rhs is None:
-            assert lhs is None and rhs is None
-        else:
-            for u in reduced_words(ex1.alphabet_b, 5):
-                assert lhs.contains(u) == rhs.contains(u)
+        assert transfer(ex1, d1).subgroup.graph.is_trivial() == d1.subgroup.graph.is_trivial()
+        hits = [
+            meet(a.subgroup, b.subgroup, accepts=(a.rep.letters, b.rep.letters))
+            for a, b in ((d1, d2), (transfer(ex1, d1), transfer(ex1, d2)))
+        ]
+        if None in hits:
+            assert hits == [None, None]
+            continue
+        (m1, h1), (m2, h2) = hits
+        lhs = transfer(ex1, CosetOfC("A", m1, Word(ex1.alphabet_a, h1)))
+        rhs = CosetOfC("B", m2, Word(ex1.alphabet_b, h2))
+        for u in reduced_words(ex1.alphabet_b, 5):
+            assert lhs.contains(u) == rhs.contains(u)
 
 
 def test_shift_chain_values_stay_cosets(ex1):
-    # closure shape: every nonempty shift/intersect value is a coset K*c
+    # closure shape: every nonempty shift value is a coset K*c
     rng = random.Random(9)
     gens = [wa(ex1, "a"), wa(ex1, "b"), wa(ex1, "d")]
     d = c_coset(ex1, "A")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import amalgam
 from amalgam import cosetalg, group
-from amalgam.cosetalg import cardinality
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.group import (
     CANONICAL,
@@ -1133,8 +1132,7 @@ def test_form_equality_reads_the_alphabets_and_the_head_side(ex1):
 def test_principal_system_spec_example(ex1):
     g = normal_form(ex1, up(ex1, "d z"))
     e = principal_system_solve(ex1, g, g)
-    card = cardinality(e)
-    assert card.tag == "singleton" and card.element.is_identity()
+    assert e is not None and e.subgroup.graph.is_trivial() and e.rep.is_identity()
 
 
 def test_principal_system_factor_mismatch(ex1):
@@ -1356,7 +1354,7 @@ def test_ps2_infinite_solutions_imply_singular(powers):
     h = normal_form(powers, parse_word("a x^-1 a", powers.union_alphabet))
     for other in (g, h):
         e = principal_system_solve(powers, g, other)
-        if e is not None and cardinality(e).is_infinite:
+        if e is not None and not e.subgroup.graph.is_trivial():
             assert classify(powers, form_to_word(powers, g)).verdict == "singular"
             assert (
                 classify(powers, form_to_word(powers, other)).verdict == "singular"

@@ -175,3 +175,31 @@ def test_classes_have_no_test_only_members():
                 if not any(field in _attributes_read(t, init) for t in trees):
                     unused.append(f"{cls.name}.{field}")
     assert not unused, f"members that nothing in the package or benchmark reads: {unused}"
+
+
+# module-level names that nothing in the package or the benchmark calls yet, and why they stay
+UNCALLED = {
+    # the paper's stratum classifier (CR>1/CR0/CR1); ROADMAP item 8's census will call it
+    "cr_membership",
+    # a normal form spelled back as one word over the union alphabet: the inverse of
+    # normal_form for library callers
+    "form_to_word",
+}
+
+
+def test_module_functions_have_callers_outside_the_tests():
+    # every public module-level function or class of the package is named in the
+    # package or the benchmark outside its own definition; the re-exports of
+    # __init__.py do not count, and the tests do not either
+    callers = [path for path in CALLERS if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in callers}
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in callers if path in SOURCES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in UNCALLED
+        and not any(node.name in _names_outside(t, node) for t in trees.values())
+    ]
+    assert not uncalled, f"module-level names that nothing outside the tests calls: {uncalled}"

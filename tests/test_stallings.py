@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from amalgam.cli import diameter
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
-from amalgam.stallings import (
-    NotAMemberError,
-    build,
-    coset_intersection,
-    meet,
-    pullback,
-)
+from amalgam.stallings import NotAMemberError, build, meet
 from amalgam.words import (
     Alphabet,
     Word,
@@ -184,22 +178,24 @@ def test_express_in_generators_spec_values():
 
 
 def test_pullback_examples():
-    p = pullback(C(), build([w("a^3")]))
+    # the (base, base) component of the product graph is the meet of the subgroups
+    p, h = meet(C(), build([w("a^3")]))
+    assert h == ()
     assert p.contains(w("a^6"))
     assert not p.contains(w("a^2"))
     assert not p.contains(w("a^3"))
     g = C()
-    same = pullback(g, g)
+    same, _ = meet(g, g)
     for cand in reduced_words(F, 5):
         assert same.contains(cand) == g.contains(cand)
-    assert pullback(build([w("a")]), build([w("b")])).graph.is_trivial()
+    assert meet(build([w("a")]), build([w("b")]))[0].graph.is_trivial()
 
 
 def test_pullback_random_agreement():
     rng = random.Random(2)
     g1 = build([w("a^2"), w("b d")])
     g2 = build([w("a^2"), w("d")])
-    p = pullback(g1, g2)
+    p, _ = meet(g1, g2)
     for word in reduced_words(F, 6):
         assert p.contains(word) == (g1.contains(word) and g2.contains(word))
     for _ in range(400):
@@ -216,9 +212,9 @@ def test_conjugate_graph_examples():
     conj2 = conjugate_by_copy(g2, w("a^2 b"))  # z inside the subgroup
     for word in reduced_words(F, 5):
         assert conj2.contains(word) == g2.contains(word)
-    meet = pullback(conjugate_by_copy(g2, w("a")), g2)
-    assert meet.contains(w("a^2"))
-    assert not meet.contains(w("a^-1 b a"))
+    both, _ = meet(conjugate_by_copy(g2, w("a")), g2)
+    assert both.contains(w("a^2"))
+    assert not both.contains(w("a^-1 b a"))
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(bool)
@@ -228,7 +224,7 @@ generating_lists = st.lists(st.lists(letters, min_size=1, max_size=6), max_size=
 @settings(max_examples=200, deadline=None)
 @given(generating_lists, generating_lists, st.lists(letters, max_size=8))
 def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters):
-    # conjugate and pullback build their graphs without folding; the Stallings
+    # conjugate_by_copy and meet build their graphs without folding; the Stallings
     # graph of a subgroup is unique, so folding a generating set must agree
     g1 = build([Word(F, ls) for ls in gens1], F)
     g2 = build([Word(F, ls) for ls in gens2], F)
@@ -237,10 +233,10 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     check_folded(conj.graph)
     folded = build([~z * Word(F, ls) * z for ls in gens1], F)
     assert conj.graph.canonical_key() == folded.graph.canonical_key()
-    meet = pullback(g1, g2)
-    check_folded(meet.graph)
-    assert all(g1.contains(b) and g2.contains(b) for b in meet.basis())
-    assert meet.graph.canonical_key() == build(meet.basis(), F).graph.canonical_key()
+    both, _ = meet(g1, g2)
+    check_folded(both.graph)
+    assert all(g1.contains(b) and g2.contains(b) for b in both.basis())
+    assert both.graph.canonical_key() == build(both.basis(), F).graph.canonical_key()
 
 
 FIXTURE_C_GRAPHS = tuple(
@@ -289,16 +285,19 @@ def test_meet_walk_matches_the_copy_path(fixture, gens1, gens2, same, words):
 
 
 def test_coset_intersection_examples():
+    # Ka meet Lb: one meet walk from the basepoints with the accept words a and b
     K, L = C(), build([w("a^2")])
-    hit = coset_intersection(K, w("d"), L, w("d"))
+    d = w("d").letters
+    hit = meet(K, L, accepts=(d, d))
     assert hit is not None
     M, h = hit
+    h = Word(F, h)
     assert K.contains(h * ~w("d")) and L.contains(h * ~w("d"))
     assert M.contains(w("a^2")) and not M.contains(w("b"))
-    same = coset_intersection(K, w("d a"), K, w("d a"))
-    assert same is not None
+    da = w("d a").letters
+    assert meet(K, K, accepts=(da, da)) is not None
     only_a = build([w("a")])
-    assert coset_intersection(only_a, w("b"), only_a, w("d")) is None
+    assert meet(only_a, only_a, accepts=(w("b").letters, d)) is None
 
 
 def test_coset_intersection_against_enumeration():
@@ -307,12 +306,12 @@ def test_coset_intersection_against_enumeration():
     elems_l = subgroup_elements(L, 6)
     for a_txt, b_txt in (("d", "d"), ("a", "a b"), ("b d", "d"), ("a", "d")):
         a, b = w(a_txt), w(b_txt)
-        hit = coset_intersection(K, a, L, b)
+        hit = meet(K, L, accepts=(a.letters, b.letters))
         brute = {h * a for h in elems_k} & {h * b for h in elems_l}
         if hit is None:
             assert not brute
         else:
-            M, h = hit
+            M, h = hit[0], Word(F, hit[1])
             assert K.contains(h * ~a) and L.contains(h * ~b)
             for cand in brute:
                 assert M.contains(cand * ~h)
@@ -395,7 +394,7 @@ def test_double_transversal_examples():
     assert len(ts) == 2
     # soundness: H meets H^t for the nontrivial representative
     t = ts[1]
-    assert not pullback(conjugate_by_copy(g, t), g).graph.is_trivial()
+    assert not meet(conjugate_by_copy(g, t), g)[0].graph.is_trivial()
     assert build([w("b")]).double_transversal() == (w(""),)
     whole = build([w("a"), w("b"), w("d")])
     assert whole.double_transversal() == (w(""),)
@@ -405,11 +404,11 @@ def test_double_transversal_completeness_small():
     g = C()
     ts = g.double_transversal()
     for word in reduced_words(F, 5):
-        meets = not pullback(conjugate_by_copy(g, word), g).graph.is_trivial()
+        meets = not meet(conjugate_by_copy(g, word), g)[0].graph.is_trivial()
         if not meets:
             continue
         in_some = any(
-            coset_intersection(g, word, conjugate_by_copy(g, ~t), t) is not None
+            meet(g, conjugate_by_copy(g, ~t), accepts=(word.letters, t.letters)) is not None
             for t in ts
         )
         assert in_some, f"{word!r} in N* but outside every double coset"
@@ -429,7 +428,7 @@ def test_double_transversal_matches_pairwise_pruning(gens):
     ts = g.double_transversal()
     assert ts == double_transversal_with_pruning(g)
     for t, t2 in combinations(ts, 2):
-        assert coset_intersection(g, t, conjugate_by_copy(g, ~t2), t2) is None
+        assert meet(g, conjugate_by_copy(g, ~t2), accepts=(t.letters, t2.letters)) is None
 
 
 def test_malnormality_flags():
@@ -464,9 +463,9 @@ def test_z_subgroup_matches_definition():
 def test_generalized_normalizer_membership():
     # w in N*(H) iff H meets H^w nontrivially
     g = C()
-    assert not pullback(conjugate_by_copy(g, w("a")), g).graph.is_trivial()
-    assert pullback(conjugate_by_copy(g, w("d")), g).graph.is_trivial()
-    assert not pullback(conjugate_by_copy(g, w("a^2 b")), g).graph.is_trivial()
+    assert not meet(conjugate_by_copy(g, w("a")), g)[0].graph.is_trivial()
+    assert meet(conjugate_by_copy(g, w("d")), g)[0].graph.is_trivial()
+    assert not meet(conjugate_by_copy(g, w("a^2 b")), g)[0].graph.is_trivial()
 
 
 def test_z_set_examples():

@@ -31,7 +31,7 @@ from .group import (
     reduced_form,
 )
 from .stallings import SubgroupGraph
-from .words import MAX_LETTERS, Alphabet, Word, WordSyntaxError, format_word, parse_word
+from .words import MAX_LETTERS, Alphabet, Word, WordSyntaxError, _quote, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -66,7 +66,7 @@ def _names(line: str, start: int, lineno: int) -> Alphabet:
             name, column = m.group(), start + m.start() + 1
             try:
                 if name in seen:
-                    raise ValueError(f"duplicate generator name {name!r}")
+                    raise ValueError(f"duplicate generator name {_quote(name)}")
                 Alphabet((name,))  # the name's own check
             except ValueError as exc:
                 raise PresentationSyntaxError(str(exc), lineno, column) from None
@@ -98,7 +98,7 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise PresentationSyntaxError("C: line needs 'word = word'", lineno)
             words += [(lineno, start + 1, left, "A"), (lineno, start + len(left) + 2, right, "B")]
         else:
-            raise PresentationSyntaxError(f"unknown tag {tag!r}", lineno)
+            raise PresentationSyntaxError(f"unknown tag {_quote(tag)}", lineno)
     for tag in "AB":
         if tag not in alphabets:
             raise PresentationSyntaxError(f"missing {tag}: line", 1)
@@ -131,9 +131,9 @@ def _parse_policy(text: str) -> RepPolicy:
         try:
             p = int(text.split(":", 1)[1])
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad policy {text!r}")
+            raise argparse.ArgumentTypeError(f"bad policy {_quote(text)}")
         return RepPolicy.paper_example_one(p)
-    raise argparse.ArgumentTypeError(f"bad policy {text!r}")
+    raise argparse.ArgumentTypeError(f"bad policy {_quote(text)}")
 
 
 # --- output helpers -----------------------------------------------------------

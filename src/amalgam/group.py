@@ -38,6 +38,7 @@ from .words import (
     letters_inverse,
     letters_product,
     substitute,
+    _quote,
 )
 
 
@@ -268,9 +269,8 @@ def build_context(
         alphabet_b = Alphabet(tuple(alphabet_b))
     overlap = set(alphabet_a.names) & set(alphabet_b.names)
     if overlap:
-        raise InvalidPresentationError(
-            f"factor alphabets share generator names {sorted(overlap)}"
-        )
+        shown = ", ".join(map(_quote, sorted(overlap)[:3])) + ", ..." * (len(overlap) > 3)
+        raise InvalidPresentationError(f"factor alphabets share generator names [{shown}]")
     pairs = tuple(pairs)
     if not pairs:
         raise InvalidPresentationError("at least one amalgamation pair is required")

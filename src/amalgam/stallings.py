@@ -8,17 +8,18 @@ letter index, sign + before -), so coset representatives and the free basis
 are stable across runs.
 
 `SubgroupGraph` has one constructor: a folded edge map and a basepoint,
-trimmed to core-plus-base by `_trim` and renumbered along the tree.  Two
-constructions feed it.  `build` folds the subdivided rose on the given
-generators.  `meet` walks the product of two graphs breadth first from a
-pair of start states and passes on the component it reaches, which is
-folded because both factors are.  Beside each graph it keeps the paths of a
-start word and an accept word in a small overlay, so `z_subgroup` and the
-coset algebra's `shift` read conjugates and cosets off the graphs they
-already have and copy none; every meet in the package is this walk.  The
-Stallings graph of a subgroup is unique as a pointed graph
-(Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives exactly the
-graph that folding any generating set of the same subgroup would give.
+trimmed to core-plus-base by `_trim` and renumbered along the tree.  Its one
+table of moves holds each edge both ways, so no walk branches on a letter's
+sign.  Two constructions feed it.  `build` folds the subdivided rose on the
+given generators.  `meet` walks the product of two graphs breadth first from a
+pair of start states and passes on the component it reaches, which is folded
+because both factors are.  Beside each graph it keeps the paths of a start
+word and an accept word in a small overlay, so `z_subgroup` and the coset
+algebra's `shift` read conjugates and cosets off the graphs they already have
+and copy none; every meet in the package is this walk.  The Stallings graph of
+a subgroup is unique as a pointed graph (Kapovich-Myasnikov, J. Algebra 248,
+2002), so the walk gives exactly the graph that folding any generating set of
+the same subgroup would give.
 
 Words over the generators are read off the graph itself.  `build` writes
 t_i on the closing edge of loop i of the subdivided rose and keeps the edge
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import accumulate, chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .words import (
     Alphabet,
@@ -117,18 +118,14 @@ class _Folding:
             cur = nxt
 
     def _find_foldable(self, v: int) -> Optional[tuple[int, int]]:
-        seen: dict[tuple[int, int], int] = {}
+        seen: dict[int, int] = {}  # signed letter -> the first edge that moves on it from v
         for eid in sorted(self.inc[v]):
-            src, dst = self.ends[eid]
-            lab = self.labels[eid]
-            if src == v:
-                other = seen.setdefault((lab, 0), eid)
-                if other != eid:
-                    return other, eid
-            if dst == v:
-                other = seen.setdefault((lab, 1), eid)
-                if other != eid:
-                    return other, eid
+            (src, dst), lab = self.ends[eid], self.labels[eid]
+            for end, slet in ((src, lab), (dst, -lab)):
+                if end == v:
+                    other = seen.setdefault(slet, eid)
+                    if other != eid:
+                        return other, eid
         return None
 
     def _fold(self, e: int, f: int) -> list[int]:
@@ -214,6 +211,15 @@ def _trim(edges: Edges, base: int) -> Edges:
     return live
 
 
+def _moves(edges: Edges, width: int) -> dict[int, tuple[int, int]]:
+    """An edge map's transition table (see `SubgroupGraph`): each edge moves both ways."""
+    moves = {}
+    for eid, (s, lab, d) in edges.items():
+        moves[(s + 1) * width + lab] = (d, eid)
+        moves[(d + 1) * width - lab] = (s, ~eid)
+    return moves
+
+
 def _run_end(letters: Sequence[int], i: int, n: int) -> int:
     """End of the run of letters[i] that starts at i, by galloping slice compares."""
     lt, j, step = letters[i], i + 1, 1
@@ -257,51 +263,40 @@ def _push(parts: list, word: tuple[int, ...]) -> None:
 
 
 class SubgroupGraph:
-    """Immutable folded core-plus-base automaton with its geodesic tree."""
+    """Immutable folded core-plus-base automaton with its geodesic tree.
+
+    Its one transition table `moves` maps the int (s + 1) * width + slet, for
+    signed letter slet at state s and width = 2 * |alphabet| + 1, to (state
+    reached, eid), or to (state reached, ~eid) on a backward move.  Int keys
+    hash faster than (s, slet) tuples, and the offset keeps them positive:
+    CPython hashes -1 like -2.  Only `edges()` decodes a key.
+    """
 
     def __init__(self, alphabet: Alphabet, edges: Edges, base: int):
         """Trim a folded, connected edge map at `base` and renumber it along the tree."""
         self.alphabet = alphabet
-        n = len(alphabet)
+        self.width = width = 2 * len(alphabet) + 1
         live = _trim(edges, base)
-        raw_fwd: dict[tuple[int, int], tuple[int, int]] = {}
-        raw_back: dict[tuple[int, int], tuple[int, int]] = {}
-        for eid, (s, lab, d) in live.items():
-            raw_fwd[(s, lab)] = (d, eid)
-            raw_back[(d, lab)] = (s, eid)
-        if not len(raw_fwd) == len(live) == len(raw_back):
+        raw = _moves(live, width)
+        if len(raw) != 2 * len(live):
             raise VerificationError("graph is not folded")
         # breadth-first renumbering doubles as geodesic tree construction
         old_of = [base]
         new_of = {base: 0}
-        tree: list[Optional[tuple[int, int, int]]] = [None]  # (parent, slet, eid)
-        tree_eids: set[int] = set()
-        i = 0
-        while i < len(old_of):
-            v = old_of[i]
-            for lab in range(1, n + 1):
-                for table, sign in ((raw_fwd, 1), (raw_back, -1)):
-                    hit = table.get((v, lab))
-                    if hit is None or hit[0] in new_of:
-                        continue
-                    w, eid = hit
-                    new_of[w] = len(old_of)
-                    old_of.append(w)
-                    tree.append((i, sign * lab, eid))
-                    tree_eids.add(eid)
-            i += 1
+        tree: list[Optional[tuple[int, int]]] = [None]  # (parent, slet)
+        for i, v in enumerate(old_of):  # old_of grows while it is scanned
+            for lab in range(1, len(alphabet) + 1):
+                for slet in (lab, -lab):
+                    hit = raw.get((v + 1) * width + slet)
+                    if hit is not None and hit[0] not in new_of:
+                        new_of[hit[0]] = len(old_of)
+                        old_of.append(hit[0])
+                        tree.append((i, slet))
         self.nstates = len(old_of)
         self.base = 0
         self.tree = tuple(tree)
-        self.tree_eids = frozenset(tree_eids)
-        self.fwd = {
-            (new_of[s], lab): (new_of[d], eid)
-            for (s, lab), (d, eid) in raw_fwd.items()
-        }
-        self.back = {
-            (new_of[d], lab): (new_of[s], eid)
-            for (d, lab), (s, eid) in raw_back.items()
-        }
+        renamed = {eid: (new_of[s], lab, new_of[d]) for eid, (s, lab, d) in live.items()}
+        self.moves = _moves(renamed, width)
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
         self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
@@ -309,27 +304,34 @@ class SubgroupGraph:
 
     @property
     def nedges(self) -> int:
-        return len(self.fwd)
+        return len(self.moves) // 2
 
     @property
     def rank(self) -> int:
         return self.nedges - self.nstates + 1
 
+    def edges(self) -> Iterator[tuple[int, int, int, int]]:
+        """Each edge once, forwards: (source, positive letter, target, eid)."""
+        for key, (d, eid) in self.moves.items():
+            if eid >= 0:
+                s, lab = divmod(key, self.width)
+                yield s - 1, lab, d, eid
+
     def is_trivial(self) -> bool:
         return self.rank == 0
 
     def step(self, state: int, slet: int) -> Optional[int]:
-        hit = (self.fwd if slet > 0 else self.back).get((state, abs(slet)))
+        hit = self.moves.get((state + 1) * self.width + slet)
         return None if hit is None else hit[0]
 
     def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
         if len(letters) >= _RUN_MIN:
             s, i = self._walk(letters, start)
             return s if i == len(letters) else None
-        fwd, back = self.fwd, self.back
+        moves, width = self.moves, self.width
         s = start
         for lt in letters:
-            hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+            hit = moves.get((s + 1) * width + lt)
             if hit is None:
                 return None
             s = hit[0]
@@ -341,7 +343,7 @@ class SubgroupGraph:
     def tree_path_letters(self, state: int) -> tuple[int, ...]:
         cached = self._tree_words[state]
         if cached is None:
-            parent, slet, _ = self.tree[state]
+            parent, slet = self.tree[state]
             cached = self.tree_path_letters(parent) + (slet,)
             self._tree_words[state] = cached
         return cached
@@ -357,11 +359,11 @@ class SubgroupGraph:
         if len(letters) >= _RUN_MIN:
             s, i = self._walk(letters, self.base)
         else:
-            fwd, back = self.fwd, self.back
+            moves, width = self.moves, self.width
             s = self.base
             i = 0
             for lt in letters:
-                hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+                hit = moves.get((s + 1) * width + lt)
                 if hit is None:
                     break
                 s = hit[0]
@@ -390,28 +392,27 @@ class SubgroupGraph:
         backwards, nothing on an edge absent from `words`) onto the parts
         list `out` (see `_push`).
         """
-        fwd, back = self.fwd, self.back
+        get, width = self.moves.get, self.width
         n, i = len(letters), 0
         while i < n:
             lt = letters[i]
-            get, lab = (fwd.get, lt) if lt > 0 else (back.get, -lt)
             if i + 1 == n or letters[i + 1] != lt:  # a lone letter: one step
-                hit = get((s, lab))
+                hit = get((s + 1) * width + lt)
                 if hit is None:
                     return s, i
-                s, eid = hit
+                s, key = hit
                 if words is not None:
-                    _push(out, words.get(eid if lt > 0 else ~eid, ()))
+                    _push(out, words.get(key, ()))
                 i += 1
                 continue
             k = _run_end(letters, i, n) - i
             orbit, keys = [s], []  # the orbit of s under lt, and the edges it takes
             for _ in range(k):
-                hit = get((s, lab))
+                hit = get((s + 1) * width + lt)
                 if hit is None:
                     return s, i + len(keys)
-                s, eid = hit
-                keys.append(eid if lt > 0 else ~eid)
+                s, key = hit
+                keys.append(key)
                 if s == orbit[0]:
                     break
                 orbit.append(s)
@@ -445,7 +446,7 @@ class SubgroupGraph:
             self._key = (
                 self.alphabet.names,
                 self.nstates,
-                tuple(sorted((s, lab, d) for (s, lab), (d, _) in self.fwd.items())),
+                tuple(sorted((s, lab, d) for s, lab, d, _ in self.edges())),
             )
         return self._key
 
@@ -483,10 +484,9 @@ class GeneratingTuple:
         if self._basis is not None:
             return
         g = self.graph
-        non_tree = sorted(
-            (s, lab, d, eid)
-            for (s, lab), (d, eid) in g.fwd.items()
-            if eid not in g.tree_eids
+        non_tree = sorted(  # neither end's tree edge
+            (s, lab, d, eid) for s, lab, d, eid in g.edges()
+            if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)
         )
         basis = []
         words = {}
@@ -536,14 +536,14 @@ class GeneratingTuple:
             if i == len(letters) and s == g.base:  # a lone tuple part is returned as it is
                 return tuple(out[0]) if len(out) == 1 else tuple(chain.from_iterable(out))
         else:
-            fwd, back, get = g.fwd, g.back, words.get
+            moves, width, get = g.moves, g.width, words.get
             s = g.base
             for lt in letters:
-                hit = fwd.get((s, lt)) if lt > 0 else back.get((s, -lt))
+                hit = moves.get((s + 1) * width + lt)
                 if hit is None:
                     break
-                s, eid = hit
-                word = get(eid if lt > 0 else ~eid)
+                s, key = hit
+                word = get(key)
                 if word:
                     if out and out[-1] == -word[0]:
                         out.pop()
@@ -618,7 +618,7 @@ class GeneratingTuple:
         # the product's edges pair equally labeled edges of the two factors
         n = g.nstates
         by_letter: dict[int, list[tuple[int, int]]] = {}
-        for (s, lab), (d, _) in g.fwd.items():
+        for s, lab, d, _ in g.edges():
             by_letter.setdefault(lab, []).append((s, d))
         edges = [
             (p * n + q, tp_ * n + tq)
@@ -721,20 +721,18 @@ def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]
     """Paths of reduced words read from the base: (their fresh transitions, their ends).
 
     Where a letter is unreadable a fresh state, numbered from g.nstates,
-    takes it.  The overlay holds only these transitions, keyed
-    (state, signed letter) both ways, so the graph itself is never copied.
+    takes it.  The overlay holds only these transitions, both ways, on the
+    keys of `g.moves`, so the graph itself is never copied.
     """
-    extra: dict[tuple[int, int], int] = {}
+    extra: dict[int, int] = {}
     ends = []
     for letters in words:
         s = g.base
         for lt in letters:
             t = g.step(s, lt)
-            if t is None:
-                t = extra.get((s, lt))
-                if t is None:
-                    t = extra[(s, lt)] = g.nstates + len(extra) // 2
-                    extra[(t, -lt)] = s
+            if t is None:  # a fresh state comes with its move back
+                t = extra.setdefault((s + 1) * g.width + lt, g.nstates + len(extra) // 2)
+                extra.setdefault((t + 1) * g.width - lt, s)
             s = t
         ends.append(s)
     return extra, ends
@@ -764,19 +762,17 @@ def meet(
     ids = {order[0]: 0}
     via = [(0, 0)]  # (parent id, letter) where each pair was first reached
     edges: Edges = {}
-    moves = [
-        (lab, ta, tb, sign * lab)
-        for lab in range(1, len(K.alphabet) + 1)
-        for ta, tb, sign in ((a.fwd, b.fwd, 1), (a.back, b.back, -1))
-    ]
+    ma, mb, width = a.moves, b.moves, a.width
+    slets = [slet for lab in range(1, len(K.alphabet) + 1) for slet in (lab, -lab)]
     for pid, (p, q) in enumerate(order):  # order grows while it is scanned
-        for lab, ta, tb, slet in moves:
-            hit = ta.get((p, lab))
-            tp = xa.get((p, slet)) if hit is None else hit[0]
+        kp, kq = (p + 1) * width, (q + 1) * width
+        for slet in slets:
+            hit = ma.get(kp + slet)
+            tp = xa.get(kp + slet) if hit is None else hit[0]
             if tp is None:
                 continue
-            hit = tb.get((q, lab))
-            tq = xb.get((q, slet)) if hit is None else hit[0]
+            hit = mb.get(kq + slet)
+            tq = xb.get(kq + slet) if hit is None else hit[0]
             if tq is None:
                 continue
             tid = ids.setdefault((tp, tq), len(order))
@@ -784,7 +780,7 @@ def meet(
                 order.append((tp, tq))
                 via.append((pid, slet))
             if slet > 0:
-                edges[len(edges)] = (pid, lab, tid)
+                edges[len(edges)] = (pid, slet, tid)
     node = ids.get((acc_a, acc_b))
     if node is None:
         return None

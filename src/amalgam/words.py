@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 MAX_LETTERS = 1 << 22  # longest word parse_word spells out, and the bench budget
-_SHOWN = 40  # longest token or name a WordSyntaxError quotes in full
+_SHOWN = 40  # longest token, name or word a message quotes in full
 
 
 class VerificationError(AssertionError):
@@ -33,11 +33,13 @@ class Alphabet:
         names = tuple(names)
         if not names:
             raise ValueError("alphabet needs at least one generator")
+        seen: set[str] = set()
         for name in names:
             if not _NAME_RE.match(name):
-                raise ValueError(f"bad generator name {name!r}")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names!r}")
+                raise ValueError(f"bad generator name {_quote(name)}")
+            if name in seen:
+                raise ValueError(f"duplicate generator name {_quote(name)}")
+            seen.add(name)
         _set_names(self, names)
         _set_index(self, {n: i for i, n in enumerate(names)})
 
@@ -158,7 +160,7 @@ class Word:
         return hash((self.alphabet, self.letters))
 
     def __repr__(self) -> str:
-        return f"Word({format_word(self)!r})"
+        return f"Word({_quote(format_word(self))})"
 
     def _require_same_alphabet(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:

@@ -187,15 +187,23 @@ def cyclic_perms_by_definition(
 
 
 def check_folded(graph: SubgroupGraph) -> None:
-    """Assert that a graph is a folded core-plus-base automaton."""
-    seen = set()
-    for (s, lab) in graph.fwd:
-        assert (s, lab) not in seen
-        seen.add((s, lab))
-    # foldedness of inverse edges is determinism of `back`, which holds by
-    # construction (dict); degrees of non-base states must be >= 2
+    """Assert that a graph is a folded core-plus-base automaton with one move table.
+
+    The table holds exactly two moves per edge, forwards with eid and back
+    with ~eid, and `edges()` yields each edge once; a dict is deterministic,
+    so this is foldedness both ways.
+    """
+    edges = list(graph.edges())
+    assert len(edges) == len({eid for *_, eid in edges}) == graph.nedges
+    assert len(graph.moves) == 2 * graph.nedges
+    for s, lab, d, eid in edges:
+        assert 0 <= s < graph.nstates and 0 <= d < graph.nstates
+        assert 1 <= lab <= len(graph.alphabet)
+        assert graph.moves[(s + 1) * graph.width + lab] == (d, eid)
+        assert graph.moves[(d + 1) * graph.width - lab] == (s, ~eid)
+    # degrees of non-base states must be >= 2
     degree = [0] * graph.nstates
-    for (s, _), (d, _) in graph.fwd.items():
+    for s, _, d, _ in edges:
         degree[s] += 1
         degree[d] += 1
     for v in range(1, graph.nstates):
@@ -217,7 +225,7 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
     # the product's edges pair equally labeled edges of the two factors
     n = graph.nstates
     by_letter: dict[int, list[tuple[int, int]]] = {}
-    for (s, lab), (d, _) in graph.fwd.items():
+    for s, lab, d, _ in graph.edges():
         by_letter.setdefault(lab, []).append((s, d))
     edges = [
         (p * n + q, tp_ * n + tq)
@@ -275,7 +283,7 @@ def conjugate_by_copy(g: GeneratingTuple, z: Word) -> GeneratingTuple:
     and renumbered.
     """
     graph = g.graph
-    edges = {eid: (s, lab, d) for (s, lab), (d, eid) in graph.fwd.items()}
+    edges = {eid: (s, lab, d) for s, lab, d, eid in graph.edges()}
     s, i = graph.base, 0
     for lt in z.letters:
         t = graph.step(s, lt)
@@ -313,7 +321,7 @@ def _coset_automaton(g: GeneratingTuple, rep: Word) -> tuple[dict, int]:
     """Transitions of the subgroup graph with a tail spelling rep; returns accept state."""
     graph = g.graph
     trans: dict[tuple[int, int], int] = {}
-    for (s, lab), (d, _) in graph.fwd.items():
+    for s, lab, d, _ in graph.edges():
         trans[(s, lab)] = d
         trans[(d, -lab)] = s
     cur, fresh = graph.base, graph.nstates
@@ -611,11 +619,11 @@ def walk_letter_by_letter(
     """(state reached, letters read, edge-word product of the read prefix), a letter at a time."""
     s, out = start, []
     for i, lt in enumerate(letters):
-        hit = (graph.fwd if lt > 0 else graph.back).get((s, abs(lt)))
+        hit = graph.moves.get((s + 1) * graph.width + lt)
         if hit is None:
             return s, i, tuple(out)
-        s, eid = hit
-        for x in (words or {}).get(eid if lt > 0 else ~eid, ()):
+        s, key = hit  # eid forwards, ~eid backwards
+        for x in (words or {}).get(key, ()):
             if out and out[-1] == -x:
                 out.pop()
             else:

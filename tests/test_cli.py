@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalgam
 from amalgam import cli
@@ -75,6 +79,22 @@ def test_parse_presentation_errors_carry_lines():
         ("A: a\nB: x\nC: a = x\nC: a^2 = x q\n", "line 4, column 12: unknown generator 'q'"),
         ("A: a 1b\nB: x\nC: a = x\n", "line 1, column 6: bad generator name '1b'"),
         ("A: a\n B:  x y x\nC: a = x\n", "line 2, column 10: duplicate generator name 'x'"),
+        # a long name or tag is quoted short
+        pytest.param(
+            f"A: a 1{'b' * 199_999}\nB: x\nC: a = x\n",
+            f"line 1, column 6: bad generator name {'1' + 'b' * 39!r}... (200,000 characters)",
+            id="long-bad-name",
+        ),
+        pytest.param(
+            f"A: a\nB: {'x' * 100_000} {'x' * 100_000}\nC: a = x\n",
+            f"line 2, column 100005: duplicate generator name {'x' * 40!r}... (100,000 characters)",
+            id="long-repeated-name",
+        ),
+        pytest.param(
+            f"A: a\nB: x\n{'T' * 100_000}: a = x\n",
+            f"line 3, column 1: unknown tag {'T' * 40!r}... (100,000 characters)",
+            id="long-tag",
+        ),
     ],
 )
 def test_presentation_line_errors(text, message):
@@ -295,6 +315,27 @@ def test_bad_policy_is_syntax_error(capsys, group_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "policy", ["p" * 100_000, "paper-ex1:" + "q" * 100_000], ids=["long", "long-paper-ex1-p"]
+)
+def test_long_bad_policy_is_quoted_short(capsys, group_file, policy):
+    code, out, err = run(capsys, "nf", "-g", group_file, "-w", "a", "--policy", policy)
+    assert (code, out) == (2, "")
+    assert f"bad policy {policy[:40]!r}... ({len(policy):,} characters)" in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
+
+
+def test_long_shared_names_are_quoted_short(capsys, tmp_path):
+    path = tmp_path / "shared.group"
+    names = " ".join(f"{c * 100_000}" for c in "pqrst")
+    path.write_text(f"A: {names}\nB: {names}\nC: {'p' * 100_000} = {'p' * 100_000}\n")
+    code, out, err = run(capsys, "validate", "-g", str(path))
+    assert (code, out) == (3, "")
+    shown = ", ".join(f"{c * 40!r}... (100,000 characters)" for c in "pqr")
+    assert err == f"invalid presentation: factor alphabets share generator names [{shown}, ...]\n"
+    assert len(err.encode()) < 300
+
+
 def test_huge_adversarial_p_is_rejected_before_its_words_are_built(capsys, group_file):
     # the fixture check compares the pairs' lengths before it spells p-letter words
     cli._build_parser()
@@ -385,3 +426,93 @@ def test_repeated_calls_in_one_process_match_a_fresh_process(
 
 def test_main_builds_one_parser():
     assert cli._build_parser() is cli._build_parser()
+
+
+# --- fuzz net: main on grammar-built and raw inputs -------------------------------
+
+# x and y may be shared by both sides; the last name is longer than a message shows
+FUZZ_NAMES = ("a", "b", "x", "y", "t_1", "Q2", "n" * 300)
+ODD_TOKENS = (
+    "^", "a^", "^2", "a^0", "a^-0", "a^+2", "a^^2", "a^2^3", "a^1.5", "a^-", "a^ 2",
+    "a^4194305", "a^" + "9" * 5000, "=", "#", ":", "\u00e9", "x\u00b2", "\u65e5\u672c", "1", "-a",
+)
+
+
+def _fuzz_token(names, exponents):
+    name_power = st.builds(
+        lambda name, k: name if k == 1 else f"{name}^{k}", st.sampled_from(names), exponents
+    )
+    return st.one_of(name_power, name_power, st.sampled_from(ODD_TOKENS))
+
+
+@st.composite
+def fuzz_calls(draw):
+    """(presentation text, argv tail after -g FILE or None for bench) from a grammar or raw text."""
+    def word(names, exponents=st.integers(-3, 3)):
+        if draw(st.integers(0, 5)) == 0:
+            return draw(st.text(max_size=30))
+        return " ".join(draw(st.lists(_fuzz_token(names or FUZZ_NAMES, exponents), max_size=4)))
+
+    names_a = draw(st.lists(st.sampled_from(FUZZ_NAMES), max_size=4))
+    names_b = draw(st.lists(st.sampled_from(FUZZ_NAMES), max_size=4))
+    # C words stay a few letters long: the presentation size has no bound yet (ROADMAP item 6)
+    lines = [f"A: {' '.join(names_a)}", f"B: {' '.join(names_b)}"]
+    lines += [f"C: {word(names_a)} = {word(names_b)}" for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.text(max_size=40)))
+    text = draw(st.text(max_size=80)) if draw(st.integers(0, 9)) == 0 else "\n".join(lines)
+    # words may reach the letter budget's edge
+    exponents = st.one_of(st.integers(-3, 3), st.sampled_from((4096, -4096, 4194305, 10**30)))
+    union = names_a + names_b
+    policy = draw(st.sampled_from(("canonical", "paper-ex1:2", "paper-ex1:3", "paper-ex1:1",
+                                   "paper-ex1:", "paper-ex1:x", "bogus", "", "p" * 300)))
+    command = draw(st.sampled_from(
+        ("validate", "transversal", "nf", "reduce", "cyclic", "classify", "conj", "bench")
+    ))
+    if command in ("validate", "transversal"):
+        tail = []
+    elif command == "conj":
+        tail = [f"-u={word(union, exponents)}", f"-v={word(union, exponents)}"]
+    else:
+        tail = [f"--word={word(union, exponents)}"]
+    if command in ("nf", "cyclic", "classify", "conj") and draw(st.booleans()):
+        tail.append(f"--policy={policy}")
+    if command == "nf" and draw(st.booleans()):
+        tail.append("--trace")
+    if command == "bench":
+        text = None
+        edges = st.sampled_from((-1, 0, 1, 2, 3, 6, 7, 11, 12, 22, 23, 2048, 2049, 10**40))
+        tail = [draw(st.sampled_from(("paper-ex1", "paper-ex2", "random"))),
+                "-p", str(draw(edges)), "-m", str(draw(edges)), "-n", str(draw(edges)),
+                "--length", str(draw(edges)), "--count", str(draw(edges)), "--seed", "1"]
+    if draw(st.booleans()):
+        tail.append("--json")
+    return text, command, tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_calls())
+def test_main_survives_any_input(tmp_path_factory, call):
+    # every call ends in a documented exit code with short, traceback-free
+    # errors and parseable --json; the bench sweeps are replaced by tiny runs,
+    # as in the budget test, so a budget that fails to reject runs nothing large
+    text, command, tail = call
+    argv = [command, *tail]
+    if text is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz.group"
+        path.write_text(text, encoding="utf-8")
+        argv[1:1] = ["-g", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "bench_paper_ex1", lambda p, m: bench_paper_ex1(2, 1))
+        mp.setattr(cli, "bench_paper_ex2", lambda p, n: bench_paper_ex2(2, 1))
+        mp.setattr(cli, "bench_random", lambda length, count, seed: bench_random(4, 2, seed))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(len(line.encode()) < 300 for line in err.getvalue().splitlines()), err.getvalue()
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue())

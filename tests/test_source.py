@@ -72,7 +72,7 @@ TABLE_COPIES = ("items", "values", "keys", "copy")
 
 
 def _is_table(node):
-    return ast.unparse(node).endswith(("fwd", "back"))
+    return ast.unparse(node).endswith("moves")
 
 
 def test_meets_iterate_no_whole_transition_table():

@@ -641,9 +641,9 @@ def test_a_run_costs_lookups_per_cycle_not_per_letter():
     # deterministic: counts table lookups, so a fall back to one lookup per letter fails
     ctx = example_one_context(2)
     g = ctx.graph_ca.graph
-    g.fwd, g.back = CountingDict(g.fwd), CountingDict(g.back)
+    g.moves = CountingDict(g.moves)
     assert g.reads_loop((2,) * 10**6, 0)
-    assert g.fwd.gets + g.back.gets <= 100
-    g.fwd.gets = g.back.gets = 0
+    assert g.moves.gets <= 100
+    g.moves.gets = 0
     assert ctx.transfer_letters("A", (1,) * 200_000) == (1,) * 100_000
-    assert g.fwd.gets + g.back.gets <= 100
+    assert g.moves.gets <= 100

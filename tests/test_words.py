@@ -37,6 +37,13 @@ def test_alphabet_validation():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         Alphabet(("2bad",))
+    # an error names the first offending name, short, not the whole tuple
+    names = tuple(f"g{i}" for i in range(100_002)) + ("g7",)
+    with pytest.raises(ValueError, match=r"^duplicate generator name 'g7'$"):
+        Alphabet(names)
+    with pytest.raises(ValueError) as err:
+        Alphabet(("a", "1" + "b" * 199_999))
+    assert str(err.value) == f"bad generator name {'1' + 'b' * 39!r}... (200,000 characters)"
     assert Alphabet(("a", "b")) == Alphabet(("a", "b"))
     assert Alphabet(("a", "b")) != Alphabet(("b", "a"))
 

@@ -7,6 +7,7 @@ presentation, 4 conjugacy undecided.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
 import random
@@ -31,7 +32,9 @@ from .group import (
     reduced_form,
 )
 from .stallings import SubgroupGraph
-from .words import MAX_LETTERS, Alphabet, Word, WordSyntaxError, _quote, format_word, parse_word
+from .words import (
+    _SHOWN, MAX_LETTERS, Alphabet, Word, WordSyntaxError, _quote, format_word, parse_word
+)
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -431,10 +434,31 @@ def _cmd_bench(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+# argparse's messages that repr the argument they reject
+_ECHOED = re.compile(
+    r"""(invalid choice: |invalid \w+ value: |ignored explicit argument )"""
+    r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with every argument its errors echo shortened by `_quote`."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = (arg if len(arg) <= _SHOWN else _quote(arg) for arg in extras)
+            self.error("unrecognized arguments: " + " ".join(shown))
+        return args
+
+    def error(self, message):
+        super().error(_ECHOED.sub(lambda m: m[1] + _quote(ast.literal_eval(m[2])), message))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # cached: parse_args keeps no state, and help and errors are formatted when printed
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amalgam",
         description="normal forms and conjugacy search in amalgams of free groups",
     )

@@ -11,15 +11,17 @@ are stable across runs.
 trimmed to core-plus-base by `_trim` and renumbered along the tree.  Its one
 table of moves holds each edge both ways, so no walk branches on a letter's
 sign.  Two constructions feed it.  `build` folds the subdivided rose on the
-given generators.  `meet` walks the product of two graphs breadth first from a
-pair of start states and passes on the component it reaches, which is folded
-because both factors are.  Beside each graph it keeps the paths of a start
-word and an accept word in a small overlay, so `z_subgroup` and the coset
-algebra's `shift` read conjugates and cosets off the graphs they already have
-and copy none; every meet in the package is this walk.  The Stallings graph of
-a subgroup is unique as a pointed graph (Kapovich-Myasnikov, J. Algebra 248,
-2002), so the walk gives exactly the graph that folding any generating set of
-the same subgroup would give.
+given generators, on flat lists indexed by edge id (source, target, positive
+letter, t-word) with one incidence set per vertex.  `meet` walks the product
+of two graphs breadth first from a pair of start states and passes on the
+component it reaches, which is folded because both factors are.  Beside each
+graph it keeps the paths of a start word and an accept word in a small
+overlay, so `z_subgroup` and the coset algebra's `shift` read conjugates and
+cosets off the graphs they already have and copy none; every meet in the
+package is this walk.  The Stallings graph of a subgroup is unique as a
+pointed graph (Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives
+exactly the graph that folding any generating set of the same subgroup would
+give.
 
 Words over the generators are read off the graph itself.  `build` writes
 t_i on the closing edge of loop i of the subdivided rose and keeps the edge
@@ -30,8 +32,10 @@ generators.  So `gt.loop_word(w.letters, gt.edge_words)` multiplies the
 words along the basepoint loop of w to a word over the generators that
 substitutes to w.  Substituting other targets for the t_i edge by edge
 gives the image of every loop under u_i -> target_i; the group layer's
-transfers walk those images.  A tuple made directly from a graph has no
-edge words.
+transfers walk those images.  The graph does not depend on the order of the
+folds, but the edge words do, and they reach the text of invalid-pairing
+errors, so `build` states its fold order as part of its contract.  A tuple
+made directly from a graph has no edge words.
 
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
@@ -68,123 +72,6 @@ _RUN_MIN = 64  # inputs this long are walked a run at a time
 
 class NotAMemberError(ValueError):
     """Witness requested for a word outside the subgroup."""
-
-
-class _Folding:
-    """Mutable builder: subdivided rose and folding with generator words on edges.
-
-    Each edge carries a word over the t-alphabet.  Every basepoint loop
-    multiplies the words along it (inverted on backward edges) to a word
-    whose substitution by the generators is the loop's label.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.base = 0
-        self.nverts = 1
-        self.ends: dict[int, list[int]] = {}  # eid -> [src, dst]
-        self.labels: dict[int, int] = {}  # eid -> positive letter
-        self.words: dict[int, tuple[int, ...]] = {}  # eid -> t-letters
-        self.inc: dict[int, set[int]] = {0: set()}
-        self.next_eid = 0
-
-    def new_vertex(self) -> int:
-        v = self.nverts
-        self.nverts += 1
-        self.inc[v] = set()
-        return v
-
-    def add_edge(self, src: int, lab: int, dst: int, word: tuple[int, ...] = ()) -> int:
-        eid = self.next_eid
-        self.next_eid += 1
-        self.ends[eid] = [src, dst]
-        self.labels[eid] = lab
-        self.words[eid] = word
-        self.inc[src].add(eid)
-        self.inc[dst].add(eid)
-        return eid
-
-    def add_loop(self, letters: Sequence[int], t: int) -> None:
-        """Attach a subdivided loop at the basepoint spelling generator t's letters."""
-        cur = self.base
-        last = len(letters) - 1
-        for j, lt in enumerate(letters):
-            nxt = self.base if j == last else self.new_vertex()
-            word = (t,) if j == last else ()
-            if lt > 0:
-                self.add_edge(cur, lt, nxt, word)
-            else:
-                self.add_edge(nxt, -lt, cur, letters_inverse(word))
-            cur = nxt
-
-    def _find_foldable(self, v: int) -> Optional[tuple[int, int]]:
-        seen: dict[int, int] = {}  # signed letter -> the first edge that moves on it from v
-        for eid in sorted(self.inc[v]):
-            (src, dst), lab = self.ends[eid], self.labels[eid]
-            for end, slet in ((src, lab), (dst, -lab)):
-                if end == v:
-                    other = seen.setdefault(slet, eid)
-                    if other != eid:
-                        return other, eid
-        return None
-
-    def _fold(self, e: int, f: int) -> list[int]:
-        """Merge the dead edge into the kept one; returns the vertices to revisit.
-
-        Parallel edges: the dead one is dropped; its word and the kept one's
-        substitute to the same element, the label between the same ends.
-        Otherwise the far ends merge, the dead vertex b (never the base) into
-        a.  First a gauge g at b, applied to every edge at b (end: w -> w g,
-        start: w -> ~g w), makes the two words equal; a basepoint loop leaves
-        b right after each visit, so its product only gains g ~g there.
-        """
-        kept, dead = (e, f) if e < f else (f, e)
-        ke, de = self.ends[kept], self.ends.pop(dead)
-        slot = 1 if ke[0] == de[0] else 0  # the ends that may differ
-        self.inc[de[0]].discard(dead)
-        self.inc[de[1]].discard(dead)
-        wd, wk = self.words.pop(dead), self.words[kept]
-        touched = [ke[0], ke[1]]
-        a, b = ke[slot], de[slot]
-        if a != b:
-            if b == self.base:
-                a, b = b, a
-                wk, wd = wd, wk  # wd is now the word of the edge that meets b
-            if slot:
-                g = letters_product(letters_inverse(wd), wk)
-            else:
-                g = letters_product(wd, letters_inverse(wk))
-            for eid in self.inc[b]:
-                ends = self.ends[eid]
-                if g:
-                    word = self.words[eid]
-                    if ends[1] == b:
-                        word = letters_product(word, g)
-                    if ends[0] == b:
-                        word = letters_product(letters_inverse(g), word)
-                    self.words[eid] = word
-                for i in (0, 1):
-                    if ends[i] == b:
-                        ends[i] = a
-            self.inc[a] |= self.inc[b]
-            del self.inc[b]
-            touched.append(a)
-        return [v for v in touched if v in self.inc]
-
-    def fold_all(self) -> None:
-        queue = deque(sorted(self.inc))
-        queued = set(queue)
-        while queue:
-            v = queue.popleft()
-            queued.discard(v)
-            while v in self.inc:
-                found = self._find_foldable(v)
-                if found is None:
-                    break
-                for w in self._fold(*found):
-                    if w != v and w not in queued:
-                        queue.append(w)
-                        queued.add(w)
 
 
 Edges = dict[int, tuple[int, int, int]]  # eid -> (src, positive letter, dst)
@@ -295,8 +182,11 @@ class SubgroupGraph:
         self.nstates = len(old_of)
         self.base = 0
         self.tree = tuple(tree)
-        renamed = {eid: (new_of[s], lab, new_of[d]) for eid, (s, lab, d) in live.items()}
-        self.moves = _moves(renamed, width)
+        self.moves = moves = {}
+        for eid, (s, lab, d) in live.items():
+            s, d = new_of[s], new_of[d]
+            moves[(s + 1) * width + lab] = (d, eid)
+            moves[(d + 1) * width - lab] = (s, ~eid)
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
         self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
@@ -696,6 +586,13 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
 
     Trivial generators are dropped; an explicit alphabet is required when the
     generator list is empty (the trivial subgroup is a lone basepoint).
+
+    The rose's edges are numbered loop by loop.  The fold order fixes the
+    edge words, so it is part of the contract: vertices come off a queue that
+    starts sorted and gains each touched vertex once; at a vertex the edges
+    are scanned in ascending id, the source end first, and the first edge
+    whose signed letter was seen folds with the first edge that had it; the
+    smaller id is kept, and the base is never merged away.
     """
     gens = tuple(g for g in generators if len(g))
     if alphabet is None:
@@ -703,18 +600,86 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
             raise ValueError("alphabet required for an empty generating set")
         alphabet = generators[0].alphabet
     for g in gens:
-        if g.alphabet != alphabet:
+        if g.alphabet is not alphabet and g.alphabet != alphabet:
             raise ValueError("generators over mixed alphabets")
-    folding = _Folding(alphabet)
-    for gi, g in enumerate(gens):
-        folding.add_loop(g.letters, gi + 1)
-    folding.fold_all()
-    edges = {eid: (s, folding.labels[eid], d) for eid, (s, d) in folding.ends.items()}
-    words = {}
-    for eid, word in folding.words.items():
-        if word:
-            words[eid], words[~eid] = word, letters_inverse(word)
-    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), words)
+    src: list[int] = []  # per edge id: source, target, positive letter (0 once folded away)
+    dst: list[int] = []
+    labs: list[int] = []
+    words: list[tuple[int, ...]] = []  # per edge id: its t-word
+    inc: list[Optional[set[int]]] = [set()]  # per vertex: its edges, None once merged away
+    for t, g in enumerate(gens, 1):  # loop t of the subdivided rose, edge ids in order
+        cur, last = 0, len(g) - 1
+        for j, lt in enumerate(g.letters):
+            nxt = len(inc) if j < last else 0
+            if nxt:
+                inc.append(set())
+            inc[cur].add(len(labs))
+            inc[nxt].add(len(labs))
+            src.append(cur if lt > 0 else nxt)
+            dst.append(nxt if lt > 0 else cur)
+            labs.append(abs(lt))
+            cur = nxt
+        words += [()] * last
+        words.append((t,) if g.letters[-1] > 0 else (-t,))
+    # a rose vertex inside a loop sits between two letters of a reduced word, so
+    # only the base and the vertices that gained edges by a merge can fold
+    grown = [False] * len(inc)
+    grown[0] = True
+    queue = deque(range(len(inc)))
+    queued = [True] * len(inc)
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        while grown[v] and inc[v] is not None:
+            seen: dict[int, int] = {}  # signed letter -> the first edge that moves on it from v
+            for dead in sorted(inc[v]):  # the source end before the target end
+                kept = seen.setdefault(labs[dead], dead) if src[dead] == v else dead
+                if kept == dead and dst[dead] == v:
+                    kept = seen.setdefault(-labs[dead], dead)
+                if kept != dead:
+                    break
+            else:
+                break
+            touched = [src[kept], dst[kept]]
+            ends = dst if src[kept] == src[dead] else src  # the ends that may differ
+            a, b = ends[kept], ends[dead]
+            inc[src[dead]].discard(dead)
+            inc[dst[dead]].discard(dead)
+            labs[dead] = 0
+            if a != b:
+                wk, wd = words[kept], words[dead]
+                if not b:
+                    a, b, wk, wd = b, a, wd, wk  # wd is now the word of the edge that meets b
+                if ends is dst:
+                    g = letters_product(letters_inverse(wd), wk)
+                else:
+                    g = letters_product(wd, letters_inverse(wk))
+                gi = letters_inverse(g)  # an edge gains ~g where it leaves b, g where it enters
+                for e in inc[b]:
+                    if src[e] == b:
+                        src[e] = a
+                        if g:
+                            words[e] = letters_product(gi, words[e])
+                    if dst[e] == b:
+                        dst[e] = a
+                        if g:
+                            words[e] = letters_product(words[e], g)
+                inc[a] |= inc[b]
+                inc[b] = None
+                grown[a] = True
+                touched.append(a)
+            for w in touched:
+                if w != v and inc[w] is not None and not queued[w]:
+                    queue.append(w)
+                    queued[w] = True
+    edges: Edges = {}
+    edge_words = {}
+    for e, lab in enumerate(labs):
+        if lab:
+            edges[e] = (src[e], lab, dst[e])
+            if words[e]:
+                edge_words[e], edge_words[~e] = words[e], letters_inverse(words[e])
+    return GeneratingTuple(SubgroupGraph(alphabet, edges, 0), edge_words)
 
 
 def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]]:

@@ -68,7 +68,11 @@ class Alphabet:
         return hash(self.names)
 
     def __repr__(self) -> str:
-        return f"Alphabet({', '.join(self.names)})"
+        """Every name of a short alphabet; a long one shows its first names and its size."""
+        shown = ", ".join(self.names[:_SHOWN])
+        if len(shown) > _SHOWN:
+            shown = f"{shown[:_SHOWN]}... ({len(self):,} name{'s' * (len(self) > 1)})"
+        return f"Alphabet({shown})"
 
 
 # the slots' own setters, which get past Alphabet.__setattr__

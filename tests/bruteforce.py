@@ -45,13 +45,17 @@ does below `_RUN_MIN` letters; it checks the run walker of longer inputs.
 `free_conjugacy_by_least_rotation` and `conjugacy_into_by_rotation_scan` are
 the older cyclic-word searches, which built every rotation and traced each
 one from every state; they check the searches that trace the core once.
+`build_by_rose_folding` is the older fold, which kept the subdivided rose as
+dicts of ends, labels and words and re-sorted a vertex's edges before every
+fold; it checks that the fold on flat edge lists makes the same folds in the
+same order, so every graph, tree and edge word is unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from amalgam import group
 from amalgam.cosetalg import CosetOfC, c_coset, shift, transfer
@@ -679,3 +683,139 @@ def conjugacy_into_by_rotation_scan(
                     raise VerificationError("conjugacy_into witness failed verification")
                 return h, z
     return None
+
+
+class _RoseFolding:
+    """Mutable builder: subdivided rose and folding with generator words on edges.
+
+    Each edge carries a word over the t-alphabet.  Every basepoint loop
+    multiplies the words along it (inverted on backward edges) to a word
+    whose substitution by the generators is the loop's label.
+    """
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self.base = 0
+        self.nverts = 1
+        self.ends: dict[int, list[int]] = {}  # eid -> [src, dst]
+        self.labels: dict[int, int] = {}  # eid -> positive letter
+        self.words: dict[int, tuple[int, ...]] = {}  # eid -> t-letters
+        self.inc: dict[int, set[int]] = {0: set()}
+        self.next_eid = 0
+
+    def new_vertex(self) -> int:
+        v = self.nverts
+        self.nverts += 1
+        self.inc[v] = set()
+        return v
+
+    def add_edge(self, src: int, lab: int, dst: int, word: tuple[int, ...] = ()) -> int:
+        eid = self.next_eid
+        self.next_eid += 1
+        self.ends[eid] = [src, dst]
+        self.labels[eid] = lab
+        self.words[eid] = word
+        self.inc[src].add(eid)
+        self.inc[dst].add(eid)
+        return eid
+
+    def add_loop(self, letters: Sequence[int], t: int) -> None:
+        """Attach a subdivided loop at the basepoint spelling generator t's letters."""
+        cur = self.base
+        last = len(letters) - 1
+        for j, lt in enumerate(letters):
+            nxt = self.base if j == last else self.new_vertex()
+            word = (t,) if j == last else ()
+            if lt > 0:
+                self.add_edge(cur, lt, nxt, word)
+            else:
+                self.add_edge(nxt, -lt, cur, letters_inverse(word))
+            cur = nxt
+
+    def _find_foldable(self, v: int) -> Optional[tuple[int, int]]:
+        seen: dict[int, int] = {}  # signed letter -> the first edge that moves on it from v
+        for eid in sorted(self.inc[v]):
+            (src, dst), lab = self.ends[eid], self.labels[eid]
+            for end, slet in ((src, lab), (dst, -lab)):
+                if end == v:
+                    other = seen.setdefault(slet, eid)
+                    if other != eid:
+                        return other, eid
+        return None
+
+    def _fold(self, e: int, f: int) -> list[int]:
+        """Merge the dead edge into the kept one; returns the vertices to revisit.
+
+        Parallel edges: the dead one is dropped; its word and the kept one's
+        substitute to the same element, the label between the same ends.
+        Otherwise the far ends merge, the dead vertex b (never the base) into
+        a.  First a gauge g at b, applied to every edge at b (end: w -> w g,
+        start: w -> ~g w), makes the two words equal; a basepoint loop leaves
+        b right after each visit, so its product only gains g ~g there.
+        """
+        kept, dead = (e, f) if e < f else (f, e)
+        ke, de = self.ends[kept], self.ends.pop(dead)
+        slot = 1 if ke[0] == de[0] else 0  # the ends that may differ
+        self.inc[de[0]].discard(dead)
+        self.inc[de[1]].discard(dead)
+        wd, wk = self.words.pop(dead), self.words[kept]
+        touched = [ke[0], ke[1]]
+        a, b = ke[slot], de[slot]
+        if a != b:
+            if b == self.base:
+                a, b = b, a
+                wk, wd = wd, wk  # wd is now the word of the edge that meets b
+            if slot:
+                g = letters_product(letters_inverse(wd), wk)
+            else:
+                g = letters_product(wd, letters_inverse(wk))
+            for eid in self.inc[b]:
+                ends = self.ends[eid]
+                if g:
+                    word = self.words[eid]
+                    if ends[1] == b:
+                        word = letters_product(word, g)
+                    if ends[0] == b:
+                        word = letters_product(letters_inverse(g), word)
+                    self.words[eid] = word
+                for i in (0, 1):
+                    if ends[i] == b:
+                        ends[i] = a
+            self.inc[a] |= self.inc[b]
+            del self.inc[b]
+            touched.append(a)
+        return [v for v in touched if v in self.inc]
+
+    def fold_all(self) -> None:
+        queue = deque(sorted(self.inc))
+        queued = set(queue)
+        while queue:
+            v = queue.popleft()
+            queued.discard(v)
+            while v in self.inc:
+                found = self._find_foldable(v)
+                if found is None:
+                    break
+                for w in self._fold(*found):
+                    if w != v and w not in queued:
+                        queue.append(w)
+                        queued.add(w)
+
+
+def build_by_rose_folding(
+    generators: Sequence[Word], alphabet: Optional[Alphabet] = None
+) -> GeneratingTuple:
+    """`build` through the older dict-based fold of the subdivided rose."""
+    gens = tuple(g for g in generators if len(g))
+    if alphabet is None:
+        alphabet = generators[0].alphabet
+    folding = _RoseFolding(alphabet)
+    for gi, g in enumerate(gens):
+        folding.add_loop(g.letters, gi + 1)
+    folding.fold_all()
+    edges = {eid: (s, folding.labels[eid], d) for eid, (s, d) in folding.ends.items()}
+    words = {}
+    for eid, word in folding.words.items():
+        if word:
+            words[eid], words[~eid] = word, letters_inverse(word)
+    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), words)

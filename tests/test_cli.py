@@ -336,6 +336,24 @@ def test_long_shared_names_are_quoted_short(capsys, tmp_path):
     assert len(err.encode()) < 300
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["bench", "paper-ex1", "-p", "9" * 5000],
+         f"argument -p: invalid int value: {'9' * 40!r}... (5,000 characters)"),
+        (["f" * 100_000], f"argument command: invalid choice: {'f' * 40!r}... (100,000 characters)"),
+        (["validate", "-g", "x.group", "e" * 100_000],
+         f"unrecognized arguments: {'e' * 40!r}... (100,000 characters)"),
+    ],
+    ids=["long-int", "long-command", "long-extra-argument"],
+)
+def test_argparse_errors_quote_a_long_argument_in_short(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert shown in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
 def test_huge_adversarial_p_is_rejected_before_its_words_are_built(capsys, group_file):
     # the fixture check compares the pairs' lengths before it spells p-letter words
     cli._build_parser()

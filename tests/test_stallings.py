@@ -22,6 +22,7 @@ from amalgam.words import (
 from bruteforce import (
     basis_edge_words,
     basis_images_by_generators,
+    build_by_rose_folding,
     check_folded,
     conjugate_by_copy,
     coset_intersection_by_copy,
@@ -34,7 +35,7 @@ from bruteforce import (
     subgroup_elements,
     walk_letter_by_letter,
 )
-from conftest import random_member, random_reduced
+from conftest import nielsen_pairs, random_member, random_reduced
 
 F = Alphabet(("a", "b", "d"))
 
@@ -237,6 +238,63 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     check_folded(both.graph)
     assert all(g1.contains(b) and g2.contains(b) for b in both.basis())
     assert both.graph.canonical_key() == build(both.basis(), F).graph.canonical_key()
+
+
+def assert_same_fold(gens, alphabet):
+    """build and the older rose fold give one graph, tree and t-word on every edge."""
+    got, ref = build(gens, alphabet), build_by_rose_folding(gens, alphabet)
+    check_folded(got.graph)
+    check_folded(ref.graph)
+    assert got.graph.canonical_key() == ref.graph.canonical_key()
+    assert got.graph.tree == ref.graph.tree
+
+    def edge_words(gt):
+        return {(s, lab, d): gt.edge_words.get(eid, ()) for s, lab, d, eid in gt.graph.edges()}
+
+    assert edge_words(got) == edge_words(ref)
+
+
+@st.composite
+def dependent_generating_sets(draw):
+    """Generators over 2-3 letters, some of them repeats, powers or products of earlier ones."""
+    alphabet = Alphabet(("a", "b", "d")[: draw(st.integers(2, 3))])
+    letter = st.sampled_from([x for i in range(1, len(alphabet) + 1) for x in (i, -i)])
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("word", "repeat", "power", "product"))) if gens else "word"
+        if kind == "word":
+            gens.append(Word(alphabet, draw(st.lists(letter, max_size=8))))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "power":
+            gens.append(draw(st.sampled_from(gens)) ** draw(st.integers(2, 4)))
+        else:
+            g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.append(g * (h if draw(st.booleans()) else ~h))
+    return gens, alphabet
+
+
+@settings(max_examples=400, deadline=None)
+@given(dependent_generating_sets())
+@example(([Word(F, (1,)), Word(F, (1, 1, 1))], F))
+@example(([Word(F, (1, 2)), Word(F, (1, 2)), Word(F, (1, 2, 1, 2))], F))
+def test_fold_matches_the_rose_folding(case):
+    # the fold on flat edge lists makes the older fold's folds in its order, so
+    # the t-words it leaves on the edges are the same too
+    assert_same_fold(*case)
+
+
+def test_fold_matches_the_rose_folding_on_fixtures_and_nielsen_pairs():
+    alphabet_a, alphabet_b = Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z"))
+    cases = [([], F)]
+    for ctx in (example_one_context(2), example_one_context(3), example_two_context(2),
+                malnormal_context()):
+        cases += [([u for u, _ in ctx.pairs], ctx.alphabet_a), ([v for _, v in ctx.pairs], ctx.alphabet_b)]
+    for seed in range(40):
+        pairs = nielsen_pairs(random.Random(seed), alphabet_a, alphabet_b)
+        cases += [([u for u, _ in pairs], alphabet_a), ([v for _, v in pairs], alphabet_b)]
+    for gens, alphabet in cases:
+        assert_same_fold(gens, alphabet)
 
 
 FIXTURE_C_GRAPHS = tuple(

@@ -286,6 +286,19 @@ def test_parse_errors_quote_a_long_token_or_name_in_short():
         assert str(err.value) == f"column {column}: {message}"
 
 
+def test_alphabet_messages_show_a_long_alphabet_in_short():
+    # a short alphabet is shown whole; a long one by its first names and its size
+    assert repr(Alphabet(("a", "b"))) == "Alphabet(a, b)"
+    big, other = (Alphabet(f"{c}{i}" for i in range(100_000)) for c in "gh")
+    assert repr(big) == "Alphabet(g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, ... (100,000 names))"
+    with pytest.raises(ValueError, match="out of range") as bad_letter:
+        Word(big, (0,))
+    with pytest.raises(ValueError, match="alphabet mismatch") as mismatch:
+        Word(big, (1,)) * Word(other, (1,))
+    for err in (bad_letter, mismatch):
+        assert len(str(err.value)) < 300
+
+
 def test_parse_strips_leading_zeros_before_the_budget():
     assert parse_word(f"a^-{'0' * 6000}3 b", F) == parse_word("a^-3 b", F)
     assert len(parse_word(f"a^{'0' * 5000}{words.MAX_LETTERS}", F)) == words.MAX_LETTERS

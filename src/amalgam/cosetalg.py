@@ -69,8 +69,9 @@ def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
     key = ("transfer", d.key())
     cache = ctx.cache
     if key not in cache:
-        side2 = ctx.other(d.side)
-        gens = [ctx.transfer_word(d.side, b) for b in d.subgroup.basis()]
+        alphabet = ctx.factor_alphabet(side2 := ctx.other(d.side))
+        loops = d.subgroup.basis_loops()
+        gens = [Word._make(alphabet, ctx.transfer_letters(d.side, loop)) for _, loop in loops]
         rep = ctx.transfer_letters(d.side, d.rep.letters)
-        cache[key] = _canonical(side2, build(gens, ctx.factor_alphabet(side2)), rep)
+        cache[key] = _canonical(side2, build(gens, alphabet), rep)
     return cache[key]

@@ -28,7 +28,7 @@ from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
-from .stallings import _RUN_MIN, GeneratingTuple, build
+from .stallings import _RUN_MIN, GeneratingTuple, basis_coordinates, build
 from .words import (
     Alphabet,
     VerificationError,
@@ -685,7 +685,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         return RegularityReport(
             "singular",
             "bad-pair",
-            (("solution", e.side, e.subgroup.basis()[0]),),
+            (("solution", e.side, Word._make(e.rep.alphabet, e.subgroup.basis_loops()[0][1])),),
             "the principal system of the element against itself has a"
             " nontrivial solution",
         )
@@ -703,7 +703,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
             report = RegularityReport(
                 "singular",
                 "normalizer",
-                (("intersection", side, meet.basis()[0]),),
+                (("intersection", side, Word._make(w.alphabet, meet.basis_loops()[0][1])),),
                 "the element lies in the generalized normalizer of C",
             )
         ctx.cache[key] = report
@@ -870,14 +870,14 @@ def conjugacy_search(
     reg_u = _classify_nf(ctx, cf_u.form).is_regular
     reg_v = _classify_nf(ctx, cf_v.form).is_regular
     if reg_u or reg_v:
-        bu = ctx.graph_ca.express_in_basis(hu)
-        bv = ctx.graph_ca.express_in_basis(hv)
+        alphabet, words, basis = basis_coordinates(ctx.graph_ca)
+        bu, bv = (Word._make(alphabet, ctx.graph_ca.loop_word(h.letters, words)) for h in (hu, hv))
         z_b = free_conjugacy(bu, bv)
         if z_b is None:
             return ConjugacyOutcome(
                 "not-conjugate", None, "not conjugate within the amalgamated subgroup"
             )
-        return in_factor("A", substitute(z_b, ctx.graph_ca.basis(), ctx.alphabet_a))
+        return in_factor("A", substitute(z_b, basis, ctx.alphabet_a))
     for malnormal, side in ((ctx.malnormal_a, "B"), (ctx.malnormal_b, "A")):
         if not malnormal:
             continue

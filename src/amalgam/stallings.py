@@ -4,8 +4,8 @@ A subgroup graph is a folded, pointed, edge-labeled digraph whose basepoint
 loops spell exactly the elements of the subgroup.  The graph kept here is the
 core together with the geodesic from the basepoint ("core-plus-base"), with a
 breadth-first geodesic tree fixed by a deterministic tie-break (smallest
-letter index, sign + before -), so coset representatives and the free basis
-are stable across runs.
+letter index, sign + before -), so coset representatives and the free basis,
+the loops through the non-tree edges (`basis_loops`), are stable across runs.
 
 `SubgroupGraph` has one constructor: a folded edge map and a basepoint,
 trimmed to core-plus-base by `_trim` and renumbered along the tree.  Its one
@@ -35,7 +35,8 @@ gives the image of every loop under u_i -> target_i; the group layer's
 transfers walk those images.  The graph does not depend on the order of the
 folds, but the edge words do, and they reach the text of invalid-pairing
 errors, so `build` states its fold order as part of its contract.  A tuple
-made directly from a graph has no edge words.
+made directly from a graph has no edge words.  Edge words that put b_j on
+the j-th non-tree edge spell a member over the basis (`basis_coordinates`).
 
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
@@ -355,9 +356,6 @@ class GeneratingTuple:
     def __init__(self, graph: SubgroupGraph, edge_words: Optional[dict] = None):
         self.graph = graph
         self.edge_words = edge_words or {}
-        self._basis: Optional[tuple[Word, ...]] = None
-        self._basis_alphabet: Optional[Alphabet] = None
-        self._basis_words: Optional[dict[int, tuple[int, ...]]] = None  # (b_j,) on non-tree edges
         self._transversal: Optional[tuple[Word, ...]] = None
         self._z_graphs: Optional[dict[tuple[int, ...], GeneratingTuple]] = None
 
@@ -370,47 +368,14 @@ class GeneratingTuple:
             raise ValueError("word over wrong alphabet")
         return self.graph.reads_loop(w.letters, self.graph.base)
 
-    def _ensure_basis(self) -> None:
-        if self._basis is not None:
-            return
+    def basis_loops(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Free basis: (eid, treePath(s) lab ~treePath(d)) per non-tree edge, by (s, lab, d)."""
         g = self.graph
-        non_tree = sorted(  # neither end's tree edge
-            (s, lab, d, eid) for s, lab, d, eid in g.edges()
-            if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)
-        )
-        basis = []
-        words = {}
-        for bi, (s, lab, d, eid) in enumerate(non_tree):
-            # reduced: the tree edge into s or d never shares the slot of a non-tree edge
-            basis.append(
-                Word._make(
-                    self.alphabet,
-                    g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d)),
-                )
-            )
-            words[eid], words[~eid] = (bi + 1,), (-bi - 1,)
-        self._basis = tuple(basis)
-        self._basis_words = words
-        self._basis_alphabet = Alphabet(
-            tuple(f"b{i + 1}" for i in range(len(basis))) or ("b1",)
-        )
-
-    def basis(self) -> tuple[Word, ...]:
-        """Free basis from the non-tree edges; size = edges - states + 1."""
-        self._ensure_basis()
-        return self._basis
-
-    @property
-    def basis_alphabet(self) -> Alphabet:
-        self._ensure_basis()
-        return self._basis_alphabet
-
-    def express_in_basis(self, w: Word) -> Word:
-        """Word over the basis alphabet whose substitution reduces to w."""
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        self._ensure_basis()
-        return Word._make(self._basis_alphabet, self.loop_word(w.letters, self._basis_words))
+        return [  # reduced: the tree edge into s or d never shares the slot of a non-tree edge
+            (eid, g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d)))
+            for s, lab, d, eid in sorted(g.edges())
+            if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)  # neither end's tree edge
+        ]
 
     def loop_word(self, letters: Sequence[int], words: dict) -> tuple[int, ...]:
         """The reduced product of the edge words along the basepoint loop reading letters.
@@ -555,7 +520,7 @@ class GeneratingTuple:
         """If c lies in the Z-set, return (t, target, conjugator_in_H).
 
         c belongs iff it is conjugate within H into Z_t(H) for some nontrivial
-        transversal element t; the test runs over basis coordinates.
+        transversal element t; the test runs in H's `basis_coordinates`.
         """
         if not self.contains(c):
             raise NotAMemberError(f"{c!r} is not in the subgroup")
@@ -565,20 +530,30 @@ class GeneratingTuple:
             return None
         if c.is_identity():
             return ts[0], one, one
-        cb = self.express_in_basis(c)
-        basis = self.basis()
+        alphabet, words, basis = basis_coordinates(self)
+        cb = Word._make(alphabet, self.loop_word(c.letters, words))
         zgraphs = self._z_graphs = self._z_graphs or {}  # t -> Z_t(H) over the basis alphabet
         for t in ts:
             if t.letters not in zgraphs:
-                zb = [self.express_in_basis(b) for b in self.z_subgroup(t).basis()]
-                zgraphs[t.letters] = build(zb, self.basis_alphabet)
+                loops = self.z_subgroup(t).basis_loops()
+                zb = [Word._make(alphabet, self.loop_word(loop, words)) for _, loop in loops]
+                zgraphs[t.letters] = build(zb, alphabet)
             hit = zgraphs[t.letters].conjugacy_into(cb)
-            if hit is not None:
-                hb, zb_conj = hit
-                target = substitute(hb, basis, self.alphabet)
-                conj = substitute(zb_conj, basis, self.alphabet)
-                return t, target, conj
+            if hit is not None:  # target and conjugator, spelled back over H's alphabet
+                return t, *(substitute(x, basis, self.alphabet) for x in hit)
         return None
+
+
+def basis_coordinates(gt: GeneratingTuple) -> tuple[Alphabet, dict, tuple[Word, ...]]:
+    """A subgroup as a free group in its own coordinates: (alphabet, edge words, basis).
+
+    `gt.loop_word(w.letters, words)` spells a member w over b1, b2, ...; substituting
+    the basis (the loops as Words) spells it back.
+    """
+    loops = gt.basis_loops()
+    words = {k: (j if k >= 0 else -j,) for j, (eid, _) in enumerate(loops, 1) for k in (eid, ~eid)}
+    alphabet = Alphabet(tuple(f"b{j}" for j in range(1, len(loops) + 1)) or ("b1",))
+    return alphabet, words, tuple(Word._make(gt.alphabet, loop) for _, loop in loops)
 
 
 def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> GeneratingTuple:

@@ -126,7 +126,10 @@ class Word:
         letters = tuple(letters)
         for lt in letters:
             if not isinstance(lt, int) or lt == 0 or abs(lt) > n:
-                raise ValueError(f"letter {lt!r} out of range for {alphabet!r}")
+                # quoted short; repr refuses an int of 4,300 digits, so a long one is in hex
+                s = f"{lt:#x}" if isinstance(lt, int) and abs(lt) >= 10**_SHOWN else repr(lt)
+                s = s if len(s) <= _SHOWN else f"{s[:_SHOWN]}... ({len(s):,} characters)"
+                raise ValueError(f"letter {s} out of range for {alphabet!r}")
         _set_alphabet(self, alphabet)
         _set_letters(self, _reduced(letters))
 

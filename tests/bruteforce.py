@@ -37,6 +37,14 @@ edges; `build_context_through_basis` runs the pairing check on them.  They
 check the images that substitute the targets into the fold's edge words.
 `express_in_generators` spells a member over the generators from the fold's
 edge words, as a witness the tests substitute back.
+`basis_words` is the older cached free basis: the loops through the
+non-tree edges as `Word`s, the alphabet b1, b2, ... and the coordinate
+edge words; `express_in_basis`, `cr0_conjugator_through_basis` and
+`z_set_witness_through_basis` are the older routes through it.
+`classify_through_basis`, `cr0_outcome_through_basis` and
+`transfer_key_through_basis` run them where the package now reads the
+basis loops off the graph: the witnesses of `classify`, the cyclic-length-0
+branch of `conjugacy_search` and the coset transfer.
 `adversarial_rep_by_cancellation` is the older `paper-ex1` representative,
 which recovered the head by cancelling `w * ~rep` letter by letter; it
 checks the head that `_rep` derives from the canonical one.
@@ -70,11 +78,12 @@ from amalgam.group import (
     cyclic_form,
     normal_form,
 )
-from amalgam.stallings import GeneratingTuple, SubgroupGraph, build, meet
+from amalgam.stallings import GeneratingTuple, NotAMemberError, SubgroupGraph, build, meet
 from amalgam.words import (
     Alphabet,
     VerificationError,
     Word,
+    free_conjugacy,
     identity,
     letters_inverse,
     letters_product,
@@ -547,6 +556,122 @@ def express_in_generators(gt: GeneratingTuple, w: Word, ngens: int) -> Word:
     return Word(t_alphabet, gt.loop_word(w.letters, gt.edge_words))
 
 
+def basis_words(gt: GeneratingTuple) -> tuple[tuple[Word, ...], Alphabet, dict]:
+    """The older cached free basis: (its Words, the alphabet b1, b2, ..., the edge words).
+
+    Basis word j is treePath(s) lab ~treePath(d) for the j-th least non-tree
+    edge (s, lab, d, eid), built with the reducing `Word` constructor, and the
+    edge words put (j,) on eid and (-j,) on ~eid.
+    """
+    g = gt.graph
+    non_tree = sorted(
+        (s, lab, d, eid) for s, lab, d, eid in g.edges()
+        if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)
+    )
+    basis, words = [], {}
+    for j, (s, lab, d, eid) in enumerate(non_tree, 1):
+        loop = g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d))
+        basis.append(Word(gt.alphabet, loop))
+        words[eid], words[~eid] = (j,), (-j,)
+    alphabet = Alphabet(tuple(f"b{j}" for j in range(1, len(basis) + 1)) or ("b1",))
+    return tuple(basis), alphabet, words
+
+
+def express_in_basis(gt: GeneratingTuple, w: Word) -> Word:
+    """Word over the basis alphabet whose substitution by `basis_words` reduces to w."""
+    if w.alphabet != gt.alphabet:
+        raise ValueError("word over wrong alphabet")
+    _, alphabet, words = basis_words(gt)
+    return Word(alphabet, gt.loop_word(w.letters, words))
+
+
+def cr0_conjugator_through_basis(ctx: AmalgamContext, hu: Word, hv: Word) -> Optional[Word]:
+    """The cyclic-length-0 conjugator in A: free_conjugacy over C's basis words, substituted."""
+    gt = ctx.graph_ca
+    z_b = free_conjugacy(express_in_basis(gt, hu), express_in_basis(gt, hv))
+    return None if z_b is None else substitute(z_b, basis_words(gt)[0], ctx.alphabet_a)
+
+
+def z_set_witness_through_basis(gt: GeneratingTuple, c: Word) -> Optional[tuple[Word, Word, Word]]:
+    """The older z_set_witness: c and every Z_t(H) over H's basis words, nothing memoised."""
+    if not gt.contains(c):
+        raise NotAMemberError(f"{c!r} is not in the subgroup")
+    ts = gt.double_transversal()[1:]
+    one = identity(gt.alphabet)
+    if not ts:
+        return None
+    if c.is_identity():
+        return ts[0], one, one
+    basis, alphabet, _ = basis_words(gt)
+    cb = express_in_basis(gt, c)
+    for t in ts:
+        zb = [express_in_basis(gt, b) for b in basis_words(gt.z_subgroup(t))[0]]
+        hit = build(zb, alphabet).conjugacy_into(cb)
+        if hit is not None:
+            return t, substitute(hit[0], basis, gt.alphabet), substitute(hit[1], basis, gt.alphabet)
+    return None
+
+
+def classify_through_basis(ctx: AmalgamContext, raw: Word, policy: RepPolicy = CANONICAL):
+    """(verdict, witness kind, witness) of classify, every witness through `basis_words`.
+
+    A bad pair and a normalizer hit are witnessed by the first basis word of
+    the principal system's solution and of the meet, a Z-set hit by
+    `z_set_witness_through_basis` on side A, then on the transferred side B.
+    """
+    nf = normal_form(ctx, raw, policy)
+    found: list = []
+    if nf.syllable_length >= 2:
+        e = group.principal_system_solve(ctx, nf, nf)
+        kind = "bad-pair"
+        if not e.subgroup.graph.is_trivial():
+            found = [("solution", e.side, basis_words(e.subgroup)[0][0])]
+    elif nf.syllable_length == 1:
+        side, word = nf.syllable_letters[0]
+        w = Word(ctx.factor_alphabet(side), nf.head_letters + word)
+        meet_ = ctx.graph_c(side).z_subgroup(~w)
+        kind = "normalizer"
+        if not meet_.graph.is_trivial():
+            found = [("intersection", side, basis_words(meet_)[0][0])]
+    else:
+        kind = "z-set"
+        for side, w in (("A", nf.head), ("B", ctx.transfer_word("A", nf.head))):
+            hit = z_set_witness_through_basis(ctx.graph_c(side), w)
+            if hit is not None:
+                names = ("transversal", "target", "conjugator")
+                found = [(name, side, x) for name, x in zip(names, hit)]
+                break
+    return ("singular", kind, tuple(found)) if found else ("regular", None, ())
+
+
+def cr0_outcome_through_basis(
+    ctx: AmalgamContext, u: Word, v: Word, policy: RepPolicy = CANONICAL
+) -> Optional[tuple[str, Optional[Word]]]:
+    """(tag, conjugator) of conjugacy_search's cyclic-length-0 branch through `basis_words`.
+
+    None when the pair does not reach that branch: a cyclic length is not 0,
+    or neither cyclically reduced form is regular.
+    """
+    cf_u, cf_v = cyclic_form(ctx, u, policy), cyclic_form(ctx, v, policy)
+    if cf_u.cyclic_length or cf_v.cyclic_length:
+        return None
+    if not any(group._classify_nf(ctx, cf.form).is_regular for cf in (cf_u, cf_v)):
+        return None
+    z_f = cr0_conjugator_through_basis(ctx, cf_u.form.head, cf_v.form.head)
+    if z_f is None:
+        return "not-conjugate", None
+    return "conjugate", cf_u.conjugator * ctx.to_union("A", z_f) * ~cf_v.conjugator
+
+
+def transfer_key_through_basis(ctx: AmalgamContext, d: CosetOfC) -> tuple:
+    """The older coset transfer's key: the basis words' images folded again, rep canonical."""
+    side2 = ctx.other(d.side)
+    gens = [ctx.transfer_word(d.side, b) for b in basis_words(d.subgroup)[0]]
+    graph = build(gens, ctx.factor_alphabet(side2)).graph
+    rep, _ = graph.coset_rep(ctx.transfer_letters(d.side, d.rep.letters))
+    return side2, graph.canonical_key(), rep
+
+
 def basis_images_by_generators(ctx: AmalgamContext, side: str) -> tuple[Word, ...]:
     """Images of the basis of C: each over the generators, then the targets substituted."""
     gt = ctx.graph_c(side)
@@ -554,16 +679,15 @@ def basis_images_by_generators(ctx: AmalgamContext, side: str) -> tuple[Word, ..
     alphabet = ctx.factor_alphabet(ctx.other(side))
     return tuple(
         substitute(express_in_generators(gt, b, len(targets)), targets, alphabet)
-        for b in gt.basis()
+        for b in basis_words(gt)[0]
     )
 
 
 def basis_edge_words(gt: GeneratingTuple, images) -> dict[int, tuple[int, ...]]:
     """Edge words for loop_word that send each basis element b_j to images[j]."""
-    gt.basis()
     return {
         eid: images[j - 1] if j > 0 else letters_inverse(images[-j - 1])
-        for eid, (j,) in gt._basis_words.items()
+        for eid, (j,) in basis_words(gt)[2].items()
     }
 
 
@@ -598,7 +722,7 @@ def transfer_through_basis(
     """phi (A to B) or psi (B to A) as basis coordinates, then substitution."""
     graph = ctx.graph_c(side)
     images = basis_images_by_generators(ctx, side)
-    expr = graph.express_in_basis(Word(graph.alphabet, letters))
+    expr = express_in_basis(graph, Word(graph.alphabet, letters))
     return substitute(expr, images, ctx.factor_alphabet(ctx.other(side))).letters
 
 

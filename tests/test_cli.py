@@ -110,7 +110,7 @@ def test_validate_command(capsys, group_file, monkeypatch):
     def no_basis(self):
         raise AssertionError("validate spelled the basis")
 
-    monkeypatch.setattr(GeneratingTuple, "basis", no_basis)
+    monkeypatch.setattr(GeneratingTuple, "basis_loops", no_basis)
     code, out, _ = run(capsys, "validate", "-g", group_file)
     assert code == 0
     assert "valid presentation" in out and "rank of C: 2" in out

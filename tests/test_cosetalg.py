@@ -9,7 +9,7 @@ from amalgam.group import classify, conjugacy_search, normal_form, principal_sys
 from amalgam.stallings import build, meet
 from amalgam.words import Word, parse_word
 
-from bruteforce import reduced_words, shift_by_copy, subgroup_elements
+from bruteforce import reduced_words, shift_by_copy, subgroup_elements, transfer_key_through_basis
 from conftest import random_member, random_reduced
 
 
@@ -206,7 +206,9 @@ def test_transfer_is_memoised_and_round_trips():
         moved = transfer(ctx, d)
         assert transfer(ctx, d) is moved
         assert ctx.cache[("transfer", d.key())] is moved
-        twin = CosetOfC(d.side, build(d.subgroup.basis(), d.subgroup.alphabet), d.rep)
+        assert moved.key() == transfer_key_through_basis(ctx, d)
+        basis = [Word(d.rep.alphabet, loop) for _, loop in d.subgroup.basis_loops()]
+        twin = CosetOfC(d.side, build(basis, d.subgroup.alphabet), d.rep)
         assert transfer(ctx, twin) is moved
         fresh.cache.clear()
         assert transfer(fresh, d).key() == moved.key()

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import amalgam
 from amalgam import cosetalg, group
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
+from amalgam.cosetalg import c_coset
 from amalgam.group import (
     CANONICAL,
+    ConjugacyOutcome,
     InvalidPresentationError,
     NormalForm,
     RepPolicy,
@@ -44,12 +46,16 @@ from bruteforce import (
     basis_images_by_generators,
     brute_conjugacy_oracle,
     build_context_through_basis,
+    classify_through_basis,
     conjugacy_search_two_calls,
+    cr0_outcome_through_basis,
     cyclic_perms_by_definition,
+    express_in_basis,
     normal_form_unmemoised,
     principal_system_solve_two_pass,
     reduced_form_by_rescan,
     subgroup_elements,
+    transfer_key_through_basis,
     transfer_through_basis,
 )
 from conftest import nielsen_pairs, random_member, random_reduced
@@ -254,7 +260,7 @@ def test_transfer_walk_matches_basis_substitution():
             # an image cancelling into the one before it shortens the product
             graph = ctx.graph_c(side)
             images = basis_images_by_generators(ctx, side)
-            spelled = sum(len(images[abs(b) - 1]) for b in graph.express_in_basis(w).letters)
+            spelled = sum(len(images[abs(b) - 1]) for b in express_in_basis(graph, w).letters)
             if spelled > len(moved):
                 junctions.append(name)
 
@@ -1711,3 +1717,90 @@ def test_brute_oracle_finds_search_results(ex1):
             continue
         assert brute_conjugacy_oracle(ex1, g, ~z * g * z, 4) is not None
         found += 1
+
+
+def coset_chain(rng, ctx, nf):
+    """The cosets of nf's principal-system chain, with random accepts now and then."""
+    d, chain = c_coset(ctx, nf.syllables[-1].side), []
+    for s in reversed(nf.syllables):
+        if d.side != s.side:
+            chain.append(d)
+            d = cosetalg.transfer(ctx, d)
+        q = ~s.word
+        if rng.random() < 0.3:
+            q = q * random_reduced(rng, q.alphabet, rng.randint(1, 3))
+        d = cosetalg.shift(ctx, d, s.word, q)
+        if d is None:
+            break
+        chain.append(d)
+    return chain
+
+
+# index-2 normal subgroups on both sides: the meets and principal-system solutions
+# have rank 3, so a witness is one loop of several
+BASIS_CONTEXTS = {
+    **PS_CONTEXTS,
+    "normal": pairing_context(("a", "x"), ("b^2", "y^2"), ("b a b^-1", "y x y^-1")),
+}
+
+
+def test_basis_readers_match_the_basis_word_reference():
+    # the cyclic-length-0 branch of conjugacy_search, the bad-pair, normalizer and
+    # Z-set witnesses of classify and the coset transfer read the free basis off
+    # the graph; the reference spells it as cached Words first, as the library did
+    seen = {key: 0 for key in ("bad-pair", "normalizer", "z-set", "conjugate", "not-conjugate")}
+    seen["transfer"] = 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(BASIS_CONTEXTS)), seed=st.integers(0, 2**32))
+    def check(name, seed):
+        ctx = BASIS_CONTEXTS[name]
+        ctx.cache.clear()
+        rng = random.Random(seed)
+        for i in range(12):  # short words times a C-element often meet a root of C
+            w = c_heavy_word(rng, ctx) if i % 2 else random_reduced(
+                rng, ctx.union_alphabet, rng.randint(1, 4)
+            ) * rng.choice(c_element(rng, ctx))
+            report = classify(ctx, w)
+            got = (report.verdict, report.witness_kind, report.witness)
+            assert got == classify_through_basis(ctx, w)
+            seen[report.witness_kind] = seen.get(report.witness_kind, 0) + 1
+            nf = normal_form(ctx, w)
+            if nf.syllable_length >= 2:
+                for d in coset_chain(rng, ctx, nf):
+                    assert cosetalg.transfer(ctx, d).key() == transfer_key_through_basis(ctx, d)
+                    seen["transfer"] += 1
+        for _ in range(12):
+            c = rng.choice(c_element(rng, ctx))
+            g, h = (random_reduced(rng, ctx.union_alphabet, rng.randint(0, 4)) for _ in "gh")
+            kind = rng.random()
+            if kind < 0.4:  # conjugate inside C
+                c2 = rng.choice(c_element(rng, ctx))
+                c2 = ~c2 * c * c2
+            elif kind < 0.7:  # conjugate in G by a factor element
+                c2 = ~g * c * g
+            else:
+                c2 = rng.choice(c_element(rng, ctx))
+            u, v = ~g * c * g, ~h * c2 * h
+            ref = cr0_outcome_through_basis(ctx, u, v)
+            if ref is not None:
+                out = conjugacy_search(ctx, u, v)
+                assert (out.tag, out.conjugator) == ref
+                seen[ref[0]] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_cr0_keeps_the_basis_coordinates_conjugator(ex2):
+    # u and v conjugate into C = <a, b^-1 a b>, and both b^-1 a b and a b^-1 a^2 b
+    # conjugate u to v.  The cyclic-length-0 branch runs free_conjugacy over C's own
+    # basis and returns b^-1 a b; the least rotation of the cyclic core whose start
+    # state matches, read on C's graph, would return a b^-1 a^2 b.  Both decide
+    # alike, but they pick different conjugators, so the branch keeps coordinates.
+    u, v = up(ex2, "a b^-1 a b"), up(ex2, "b^-1 a^-1 b a b^-1 a^2 b")
+    out = conjugacy_search(ex2, u, v)
+    assert out == ConjugacyOutcome("conjugate", up(ex2, "b^-1 a b"))
+    for z in (out.conjugator, up(ex2, "a b^-1 a^2 b")):
+        assert ~z * u * z == v
+    assert cr0_outcome_through_basis(ex2, u, v) == (out.tag, out.conjugator)

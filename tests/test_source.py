@@ -96,7 +96,7 @@ def test_meets_iterate_no_whole_transition_table():
 LAZY_NAMES = (
     "double_transversal", "is_malnormal",
     "transversal_a", "transversal_b", "malnormal_a", "malnormal_b",
-    "basis", "express_in_basis",
+    "basis_loops", "basis_coordinates",
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from amalgam.cli import diameter
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
-from amalgam.stallings import NotAMemberError, build, meet
+from amalgam.stallings import NotAMemberError, basis_coordinates, build, meet
 from amalgam.words import (
     Alphabet,
     Word,
@@ -22,12 +22,14 @@ from amalgam.words import (
 from bruteforce import (
     basis_edge_words,
     basis_images_by_generators,
+    basis_words,
     build_by_rose_folding,
     check_folded,
     conjugate_by_copy,
     coset_intersection_by_copy,
     conjugacy_into_by_rotation_scan,
     double_transversal_with_pruning,
+    express_in_basis,
     express_in_generators,
     free_conjugacy_by_least_rotation,
     generated_elements,
@@ -122,13 +124,22 @@ def test_coset_rep_minimality():
         assert len(rep) == shortest
 
 
+def loops(gt):
+    return [Word(gt.alphabet, loop) for _, loop in gt.basis_loops()]
+
+
 def test_basis_examples():
     g = C()
-    assert set(g.basis()) == {w("a^2"), w("b")}
-    assert build([w("a")]).basis() == (w("a"),)
-    assert build([w("a"), w("a^-1")]).basis() == (w("a"),)
+    assert set(loops(g)) == {w("a^2"), w("b")}
+    assert loops(build([w("a")])) == [w("a")]
+    assert loops(build([w("a"), w("a^-1")])) == [w("a")]
     sub = build([w("a b a b^-1"), w("d^2")])
-    assert len(sub.basis()) == sub.graph.rank
+    assert len(sub.basis_loops()) == sub.graph.rank
+    for gt in (g, sub, build([], F), build([w("a b"), w("b a"), w("d b d^-1")])):
+        # the loops are the reference's basis words, reduced and in the same order
+        basis, alphabet, words = basis_words(gt)
+        assert [loop for _, loop in gt.basis_loops()] == [b.letters for b in basis]
+        assert basis_coordinates(gt) == (alphabet, words, basis)
 
 
 def test_express_roundtrips():
@@ -139,8 +150,10 @@ def test_express_roundtrips():
             member = random_member(rng, gens, rng.randint(0, 5))
             expr_t = express_in_generators(g, member, len(gens))
             assert substitute(expr_t, gens, F) == member
-            expr_b = g.express_in_basis(member)
-            assert substitute(expr_b, list(g.basis()), F) == member
+            alphabet, words, basis = basis_coordinates(g)
+            expr_b = Word(alphabet, g.loop_word(member.letters, words))
+            assert expr_b == express_in_basis(g, member)
+            assert substitute(expr_b, basis, F) == member
 
 
 def test_express_roundtrip_stress():
@@ -155,17 +168,23 @@ def test_express_roundtrip_stress():
         for _ in range(25):
             member = random_member(rng, gens, rng.randint(0, 6))
             assert substitute(express_in_generators(g, member, len(gens)), gens, F) == member
-            assert substitute(g.express_in_basis(member), list(g.basis()), F) == member
+            alphabet, words, basis = basis_coordinates(g)
+            expr_b = Word(alphabet, g.loop_word(member.letters, words))
+            assert expr_b == express_in_basis(g, member)
+            assert substitute(expr_b, basis, F) == member
 
 
 def test_express_requires_membership():
     g = C()
     with pytest.raises(NotAMemberError):
         express_in_generators(g, w("a"), 2)
-    with pytest.raises(NotAMemberError):
-        g.express_in_basis(w("d"))
-    with pytest.raises(NotAMemberError):
-        g.express_in_basis(w("a"))  # traces, but ends off the basepoint
+    _, words, _ = basis_coordinates(g)
+    for text in ("d", "a"):  # "a" traces, but ends off the basepoint
+        with pytest.raises(NotAMemberError) as err:
+            g.loop_word(w(text).letters, words)
+        with pytest.raises(NotAMemberError) as ref:
+            express_in_basis(g, w(text))
+        assert str(err.value) == str(ref.value) == f"{w(text)!r} is not in the subgroup"
 
 
 def test_express_in_generators_spec_values():
@@ -236,8 +255,8 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     assert conj.graph.canonical_key() == folded.graph.canonical_key()
     both, _ = meet(g1, g2)
     check_folded(both.graph)
-    assert all(g1.contains(b) and g2.contains(b) for b in both.basis())
-    assert both.graph.canonical_key() == build(both.basis(), F).graph.canonical_key()
+    assert all(g1.contains(b) and g2.contains(b) for b in loops(both))
+    assert both.graph.canonical_key() == build(loops(both), F).graph.canonical_key()
 
 
 def assert_same_fold(gens, alphabet):
@@ -552,7 +571,7 @@ def run_words(rng, gt, count):
     """Runs x^k (k up to 300) among single letters; every other word is a basepoint loop."""
     n = len(gt.alphabet)
     options = [s * i for i in range(1, n + 1) for s in (1, -1)]
-    basis = [b.letters for b in gt.basis()]
+    basis = [loop for _, loop in gt.basis_loops()]
     out = []
     for i in range(count):
         letters, size = (), rng.choice((8, 70, 300, 700))
@@ -577,7 +596,7 @@ def test_run_walker_matches_the_letter_by_letter_walk():
         g = gt.graph
         images = basis_images_by_generators(ctx, side)
         word_maps = (
-            basis_edge_words(gt, [(j + 1,) for j in range(len(gt.basis()))]),
+            basis_coordinates(gt)[1],
             basis_edge_words(gt, [img.letters for img in images]),
             gt.edge_words,
         )
@@ -619,9 +638,9 @@ def test_run_walker_matches_the_letter_by_letter_walk_on_whole_input_runs():
         gt = ctx.graph_c(side)
         g = gt.graph
         n = len(gt.alphabet)
-        rank = len(gt.basis())
+        rank = len(gt.basis_loops())
         word_maps = (
-            basis_edge_words(gt, [(j + 1,) for j in range(rank)]),
+            basis_coordinates(gt)[1],
             basis_edge_words(gt, [(9, j + 1, -9) for j in range(rank)]),
             gt.edge_words,
         )

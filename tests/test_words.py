@@ -299,6 +299,33 @@ def test_alphabet_messages_show_a_long_alphabet_in_short():
         assert len(str(err.value)) < 300
 
 
+@pytest.mark.parametrize(
+    "letter, shown",
+    [
+        pytest.param(0, "0", id="zero"),
+        pytest.param(3, "3", id="past-the-end"),
+        pytest.param(-3, "-3", id="negative"),
+        pytest.param("x", "'x'", id="str"),
+        pytest.param(2.5, "2.5", id="float"),
+        pytest.param(None, "None", id="none"),
+        pytest.param(10**39, "1" + "0" * 39, id="40-digits"),
+        pytest.param("x" * 100_000, f"'{'x' * 39}... (100,002 characters)", id="long-str"),
+        pytest.param(10**5000, f"{10**5000:#x}"[:40] + "... (4,155 characters)", id="long-int"),
+        pytest.param(
+            -(10**5000), f"{-(10**5000):#x}"[:40] + "... (4,156 characters)", id="long-neg-int"
+        ),
+        pytest.param([1] * 1000, "[" + "1, " * 13 + "... (3,000 characters)", id="list"),
+    ],
+)
+def test_a_bad_letter_is_quoted_short(letter, shown):
+    # a short letter keeps its repr; a long one is cut like every other quote, and an
+    # int past the shown length is spelled in hex, since repr refuses 4,300 digits
+    with pytest.raises(ValueError) as err:
+        Word(Alphabet("ab"), [letter])
+    assert str(err.value) == f"letter {shown} out of range for Alphabet(a, b)"
+    assert len(str(err.value)) < 200
+
+
 def test_parse_strips_leading_zeros_before_the_budget():
     assert parse_word(f"a^-{'0' * 6000}3 b", F) == parse_word("a^-3 b", F)
     assert len(parse_word(f"a^{'0' * 5000}{words.MAX_LETTERS}", F)) == words.MAX_LETTERS

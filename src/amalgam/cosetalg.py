@@ -3,7 +3,8 @@
 These are the values produced by shifting and intersecting copies of C inside
 one free factor: every nonempty such set is a coset of a subgroup of the
 factor, and after intersecting back with C it is a coset of a subgroup of C.
-Emptiness is a first-class outcome (None), never a sentinel coset.
+Emptiness is a first-class outcome (None), never a sentinel coset.  Coset
+representatives and the words shift takes are letter tuples over a factor.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .stallings import GeneratingTuple, build, meet
-from .words import Word, identity, letters_inverse, letters_product
+from .words import Word, letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import AmalgamContext
@@ -20,30 +21,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class CosetOfC:
-    """Right coset subgroup * rep inside the factor named by side."""
+    """Right coset subgroup * rep inside the factor named by side, rep in its letters."""
 
     side: str  # "A" | "B"
     subgroup: GeneratingTuple
-    rep: Word
+    rep: tuple[int, ...]
 
     def key(self) -> tuple:
-        return (self.side, self.subgroup.graph.canonical_key(), self.rep.letters)
+        return (self.side, self.subgroup.graph.canonical_key(), self.rep)
 
-    def contains(self, w: Word) -> bool:
-        return self.subgroup.contains(w * ~self.rep)
+    def contains(self, w: tuple[int, ...]) -> bool:
+        graph = self.subgroup.graph
+        return graph.reads_loop(letters_product(w, letters_inverse(self.rep)), graph.base)
 
 
 def _canonical(side: str, subgroup: GeneratingTuple, rep: tuple[int, ...]) -> CosetOfC:
-    canon, _ = subgroup.graph.coset_rep(rep)
-    return CosetOfC(side, subgroup, Word._make(subgroup.alphabet, canon))
+    return CosetOfC(side, subgroup, subgroup.graph.coset_rep(rep)[0])
 
 
 def c_coset(ctx: "AmalgamContext", side: str) -> CosetOfC:
     """The coset C * 1 on the given side."""
-    return CosetOfC(side, ctx.graph_c(side), identity(ctx.factor_alphabet(side)))
+    return CosetOfC(side, ctx.graph_c(side), ())
 
 
-def shift(ctx: "AmalgamContext", d: CosetOfC, p: Word, q: Word) -> Optional[CosetOfC]:
+def shift(ctx: "AmalgamContext", d: CosetOfC, p: tuple, q: tuple) -> Optional[CosetOfC]:
     """(p * d * q) meet C, or None when empty.
 
     p(Kc)q is ~s K f for the start word s = ~p and the accept word f = cq,
@@ -52,12 +53,12 @@ def shift(ctx: "AmalgamContext", d: CosetOfC, p: Word, q: Word) -> Optional[Cose
     word of the intersection; no graph is copied.  Results are cached on the
     context.
     """
-    key = ("shift", d.key(), p.letters, q.letters)
+    key = ("shift", d.key(), p, q)
     cache = ctx.cache
     if key in cache:
         return cache[key]
-    starts = (letters_inverse(p.letters), ())
-    accepts = (letters_product(d.rep.letters, q.letters), ())
+    starts = (letters_inverse(p), ())
+    accepts = (letters_product(d.rep, q), ())
     hit = meet(d.subgroup, ctx.graph_c(d.side), starts, accepts)
     result = None if hit is None else _canonical(d.side, hit[0], hit[1])
     cache[key] = result
@@ -72,6 +73,6 @@ def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
         alphabet = ctx.factor_alphabet(side2 := ctx.other(d.side))
         loops = d.subgroup.basis_loops()
         gens = [Word._make(alphabet, ctx.transfer_letters(d.side, loop)) for _, loop in loops]
-        rep = ctx.transfer_letters(d.side, d.rep.letters)
+        rep = ctx.transfer_letters(d.side, d.rep)
         cache[key] = _canonical(side2, build(gens, alphabet), rep)
     return cache[key]

@@ -16,7 +16,7 @@ both forms are `NormalForm`s, which build their `Word`s only when a caller
 reads `.head` or `.syllables`.  Cyclic forms run on the same tuples, and one
 pass of the carry yields every cyclic permutation without normalising again.
 A principal system is solved in one pass of coset shifts from its first
-syllable, pushing the element of a singleton coset on as letter tuples; the
+syllable, on letter tuples, pushing the element of a singleton coset on; the
 solution is certified by pushing it back.  A conjugacy query sweeps each word once.
 """
 
@@ -34,7 +34,6 @@ from .words import (
     VerificationError,
     Word,
     free_conjugacy,
-    identity,
     letters_inverse,
     letters_product,
     substitute,
@@ -92,9 +91,6 @@ class NormalForm:
     @property
     def syllable_length(self) -> int:
         return len(self.syllable_letters)
-
-    def sides(self) -> tuple[str, ...]:
-        return tuple(side for side, _ in self.syllable_letters)
 
     def __repr__(self) -> str:
         fields = f"head_side={self.head_side!r}, head={self.head!r}, syllables={self.syllables!r}"
@@ -532,12 +528,11 @@ def cyclic_form(
         head_side = sylls[0][0]
     if len(sylls) == 1:
         side, word = sylls[0]
-        w_full = Word._make(ctx.factor_alphabet(side), letters_product(head, word))
-        hit = ctx.graph_c(side).conjugacy_into(w_full)
+        hit = ctx.graph_c(side).conjugacy_into(letters_product(head, word))
         if hit is not None:
-            target, z = hit
-            conj = letters_product(conj, ctx.union_letters(side, letters_inverse(z.letters)))
-            head_side, head, sylls = side, target.letters, []
+            head, z = hit
+            conj = letters_product(conj, ctx.union_letters(side, letters_inverse(z)))
+            head_side, sylls = side, []
     if not sylls and head_side != "A":
         head = ctx.transfer_letters(head_side, head) if head else ()
         head_side = "A"
@@ -616,7 +611,7 @@ def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tu
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
         raise ValueError("principal systems need equal syllable lengths >= 1")
-    if g.sides() != h.sides():
+    if g.syllable_letters[0][0] != h.syllable_letters[0][0]:  # forms alternate: all sides differ
         return None, None
     key = ("ps", g.syllable_letters, h.syllable_letters)
     hit = ctx.cache.get(key)
@@ -627,16 +622,14 @@ def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tu
     for (side, p), (_, p2) in chain:
         if e.side != side:
             e = transfer(ctx, e)
-        a = e.rep.alphabet
-        e = shift(ctx, e, Word._make(a, letters_inverse(p)), Word._make(a, p2))
+        e = shift(ctx, e, letters_inverse(p), p2)
         if e is None or e.subgroup.graph.is_trivial():
             break
     if e is not None and e.subgroup.graph.is_trivial():  # e_i = {c}: push c on
         rest = ((s, letters_inverse(p), p2) for (s, p), (_, p2) in chain)
-        c, side = _push(ctx, rest, e.side, e.rep.letters), g.syllable_letters[-1][0]
-        trivial = ctx._trivial[side]
-        e = None if c is None else CosetOfC(side, trivial, Word._make(trivial.alphabet, c))
-    c_k = None if e is None else _propagate_solution(ctx, g, h, e.rep.letters, e.side)
+        c, side = _push(ctx, rest, e.side, e.rep), g.syllable_letters[-1][0]
+        e = None if c is None else CosetOfC(side, ctx._trivial[side], c)
+    c_k = None if e is None else _propagate_solution(ctx, g, h, e.rep, e.side)
     ctx.cache[key] = e, c_k
     return e, c_k
 
@@ -678,16 +671,16 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
     k = nf.syllable_length
     if k >= 2:
         e = principal_system_solve(ctx, nf, nf)
-        if e is None or not e.contains(identity(e.rep.alphabet)):
+        if e is None or not e.contains(()):
             raise VerificationError("principal system of a form with itself lost the identity")
         if e.subgroup.graph.is_trivial():
             return RegularityReport("regular")
+        loop = e.subgroup.basis_loops()[0][1]
         return RegularityReport(
             "singular",
             "bad-pair",
-            (("solution", e.side, Word._make(e.rep.alphabet, e.subgroup.basis_loops()[0][1])),),
-            "the principal system of the element against itself has a"
-            " nontrivial solution",
+            (("solution", e.side, Word._make(e.subgroup.alphabet, loop)),),
+            "the principal system of the element against itself has a nontrivial solution",
         )
     if k == 1:
         side, word = nf.syllable_letters[0]
@@ -695,15 +688,14 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         hit = ctx.cache.get(key)
         if hit is not None:
             return hit
-        w = Word._make(ctx.factor_alphabet(side), key[2])
-        meet = ctx.graph_c(side).z_subgroup(~w)
+        meet = ctx.graph_c(side).z_subgroup(letters_inverse(key[2]))
         if meet.graph.is_trivial():
             report = RegularityReport("regular")
         else:
             report = RegularityReport(
                 "singular",
                 "normalizer",
-                (("intersection", side, Word._make(w.alphabet, meet.basis_loops()[0][1])),),
+                (("intersection", side, Word._make(meet.alphabet, meet.basis_loops()[0][1])),),
                 "the element lies in the generalized normalizer of C",
             )
         ctx.cache[key] = report
@@ -713,8 +705,8 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
     if hit is not None:
         return hit
     report = None
-    for side, w in (("A", nf.head), ("B", ctx.transfer_word("A", nf.head))):
-        found = ctx.graph_c(side).z_set_witness(w)
+    for side, c in (("A", nf.head_letters), ("B", ctx.transfer_letters("A", nf.head_letters))):
+        found = ctx.graph_c(side).z_set_witness(c)
         if found is not None:
             t, target, conj = found
             report = RegularityReport(
@@ -804,16 +796,16 @@ def _solve_with_regular(
             return None
         return ConjugacyOutcome("not-conjugate", None, _NO_C_ELEMENT)
     u_prefix, g_star = reg
-    sides = g_star.sides()
+    first = g_star.syllable_letters[0][0]  # equal k: the first sides fix all of them
     for w_j, pi_j in perms_v:
-        if pi_j.sides() != sides:
+        if pi_j.syllable_letters[0][0] != first:
             continue
         e, c_k = _principal_solution(ctx, g_star, pi_j)
         if e is None:
             continue
         if not e.subgroup.graph.is_trivial():
             raise VerificationError("regular element with non-unique solution")
-        c = e.rep.letters  # the singleton's element
+        c = e.rep  # the singleton's element
         c_on_1 = c if e.side == g_star.head_side else ctx.transfer_letters(e.side, c)
         if letters_product(g_star.head_letters, c_k) != letters_product(c_on_1, pi_j.head_letters):
             continue

@@ -62,6 +62,7 @@ from .words import (
     VerificationError,
     Word,
     identity,
+    letters_cyclic_reduce,
     letters_inverse,
     letters_product,
     substitute,
@@ -414,8 +415,8 @@ class GeneratingTuple:
         w = Word._make(self.alphabet, tuple(letters))
         raise NotAMemberError(f"{w!r} is not in the subgroup")
 
-    def conjugacy_into(self, w: Word) -> Optional[tuple[Word, Word]]:
-        """Find h in the subgroup and z with ~z * h * z == w, else None.
+    def conjugacy_into(self, w: tuple[int, ...]) -> Optional[tuple[tuple, tuple]]:
+        """Find h in the subgroup and z with ~z * h * z == w, all letter tuples, else None.
 
         h is treePath(s) * rot_r * ~treePath(s) for the least (s, r) such that
         rotation r of the cyclic core of w reads a loop at s; completeness is
@@ -424,13 +425,10 @@ class GeneratingTuple:
         to from s, and then s is where core[:r] leads from t.  So the core is
         traced once from each state, and each loop found is walked once.
         """
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        core, u = w.cyclic_reduce()
+        ls, u = letters_cyclic_reduce(w)
         g = self.graph
-        if not core:
-            return identity(self.alphabet), ~u
-        ls = core.letters
+        if not ls:
+            return (), letters_inverse(u)
         hits = []
         for t in range(g.nstates):
             if g.trace(ls, t) == t:
@@ -440,10 +438,10 @@ class GeneratingTuple:
         if not hits:
             return None
         s, r = min(hits)
-        tp = g.tree_path(s)
-        h = tp * Word._make(self.alphabet, ls[r:] + ls[:r]) * ~tp
-        z = tp * ~Word._make(self.alphabet, ls[:r]) * ~u
-        if ~z * h * z != w:
+        tp = g.tree_path_letters(s)
+        h = letters_product(letters_product(tp, ls[r:] + ls[:r]), letters_inverse(tp))
+        z = letters_product(letters_product(tp, letters_inverse(ls[:r])), letters_inverse(u))
+        if letters_product(letters_product(letters_inverse(z), h), z) != w:
             raise VerificationError("conjugacy_into witness failed verification")
         return h, z
 
@@ -509,38 +507,36 @@ class GeneratingTuple:
     def is_malnormal(self) -> bool:
         return len(self.double_transversal()) == 1
 
-    def z_subgroup(self, t: Word) -> "GeneratingTuple":
-        """Z_t(H) = {h in H : ~t h t in H} = H^{t^-1} meet H."""
-        if t.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        z = letters_inverse(t.letters)
+    def z_subgroup(self, t: tuple[int, ...]) -> "GeneratingTuple":
+        """Z_t(H) = {h in H : ~t h t in H} = H^{t^-1} meet H, for letters t."""
+        z = letters_inverse(t)
         return meet(self, self, (z, ()), (z, ()))[0]
 
-    def z_set_witness(self, c: Word) -> Optional[tuple[Word, Word, Word]]:
-        """If c lies in the Z-set, return (t, target, conjugator_in_H).
+    def z_set_witness(self, c: tuple[int, ...]) -> Optional[tuple[Word, Word, Word]]:
+        """If the letters c lie in the Z-set, return (t, target, conjugator_in_H).
 
         c belongs iff it is conjugate within H into Z_t(H) for some nontrivial
         transversal element t; the test runs in H's `basis_coordinates`.
         """
-        if not self.contains(c):
-            raise NotAMemberError(f"{c!r} is not in the subgroup")
+        if not self.graph.reads_loop(c, self.graph.base):
+            raise NotAMemberError(f"{Word._make(self.alphabet, c)!r} is not in the subgroup")
         ts = self.double_transversal()[1:]
         one = identity(self.alphabet)
         if not ts:
             return None
-        if c.is_identity():
+        if not c:
             return ts[0], one, one
         alphabet, words, basis = basis_coordinates(self)
-        cb = Word._make(alphabet, self.loop_word(c.letters, words))
+        cb = self.loop_word(c, words)
         zgraphs = self._z_graphs = self._z_graphs or {}  # t -> Z_t(H) over the basis alphabet
         for t in ts:
             if t.letters not in zgraphs:
-                loops = self.z_subgroup(t).basis_loops()
+                loops = self.z_subgroup(t.letters).basis_loops()
                 zb = [Word._make(alphabet, self.loop_word(loop, words)) for _, loop in loops]
                 zgraphs[t.letters] = build(zb, alphabet)
             hit = zgraphs[t.letters].conjugacy_into(cb)
             if hit is not None:  # target and conjugator, spelled back over H's alphabet
-                return t, *(substitute(x, basis, self.alphabet) for x in hit)
+                return t, *(substitute(Word._make(alphabet, x), basis, self.alphabet) for x in hit)
         return None
 
 

@@ -116,6 +116,15 @@ def letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(a)))
 
 
+def letters_cyclic_reduce(ls: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(core, conjugator) with ls = conjugator * core * ~conjugator, core cyclically reduced."""
+    i, j = 0, len(ls)
+    while j - i >= 2 and ls[i] == -ls[j - 1]:
+        i += 1
+        j -= 1
+    return ls[i:j], ls[:i]
+
+
 class Word:
     """Freely reduced word; the constructor reduces its input."""
 
@@ -191,17 +200,10 @@ class Word:
             return (~self) ** (-n)
         return Word(self.alphabet, self.letters * n)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * ~conjugator."""
-        ls = self.letters
-        i, j = 0, len(ls)
-        while j - i >= 2 and ls[i] == -ls[j - 1]:
-            i += 1
-            j -= 1
-        return Word._make(self.alphabet, ls[i:j]), Word._make(self.alphabet, ls[:i])
+        core, conj = letters_cyclic_reduce(self.letters)
+        return Word._make(self.alphabet, core), Word._make(self.alphabet, conj)
 
 
 # the slots' own setters, which get past Word.__setattr__

@@ -23,7 +23,8 @@ C-syllable after every transfer; it checks the one-pass `reduced_form`.
 `principal_system_solve_two_pass` is the older principal-system solver,
 which ran the D-recursion from the last syllable and then pulled its coset
 back through the whole chain; it checks the one pass from the first
-syllable.
+syllable.  `form_sides` spells a form's syllable sides for the references
+and tests that compare them; the package compares first sides only.
 `normal_form_unmemoised` is the older sweep, which ran every step; it checks
 the sweep that looks a repeated (side, syllable, carry) step up in
 `ctx.cache`.
@@ -146,6 +147,11 @@ def generated_elements(generators: list[Word], max_factors: int) -> set[Word]:
 
 def coset_members(subgroup_elems: list[Word], rep: Word) -> set[Word]:
     return {h * rep for h in subgroup_elems}
+
+
+def form_sides(nf: NormalForm) -> tuple[str, ...]:
+    """The sides of a normal form's syllables, in order."""
+    return tuple(side for side, _ in nf.syllable_letters)
 
 
 def brute_conjugacy_oracle(
@@ -378,20 +384,22 @@ def coset_intersection_by_copy(
     return pullback_by_steps(K, L), h
 
 
-def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: Word, q: Word) -> Optional[CosetOfC]:
+def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: tuple, q: tuple) -> Optional[CosetOfC]:
     """(p * d * q) meet C through a cached conjugate copy of d's subgroup."""
-    key = ("shift", d.key(), p.letters, q.letters)
+    key = ("shift", d.key(), p, q)
     if key not in ctx.cache:
+        alphabet = d.subgroup.alphabet
+        p, q, rep = Word(alphabet, p), Word(alphabet, q), Word(alphabet, d.rep)
         conj_key = ("conj", d.subgroup.graph.canonical_key(), (~p).letters)
         if conj_key not in ctx.cache:
             ctx.cache[conj_key] = conjugate_by_copy(d.subgroup, ~p)
         hit = coset_intersection_by_copy(
-            ctx.cache[conj_key], p * d.rep * q, ctx.graph_c(d.side), identity(p.alphabet)
+            ctx.cache[conj_key], p * rep * q, ctx.graph_c(d.side), identity(alphabet)
         )
         result = None
         if hit is not None:
             canon, _ = hit[0].graph.coset_rep(hit[1].letters)
-            result = CosetOfC(d.side, hit[0], Word(hit[0].alphabet, canon))
+            result = CosetOfC(d.side, hit[0], canon)
         ctx.cache[key] = result
     return ctx.cache[key]
 
@@ -405,12 +413,12 @@ def _solve_from_regular_permutation(
         return None
     u_prefix, g_star = reg
     for w_j, pi_j in perms_v:
-        if pi_j.sides() != g_star.sides():
+        if form_sides(pi_j) != form_sides(g_star):
             continue
         e = group.principal_system_solve(ctx, g_star, pi_j)
         if e is None:
             continue
-        c = e.rep  # the singleton's element
+        c = Word(ctx.factor_alphabet(e.side), e.rep)  # the singleton's element
         c_k = group._propagate_solution(ctx, g_star, pi_j, c.letters, e.side)
         side1 = g_star.syllables[0].side
         c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
@@ -455,20 +463,20 @@ def principal_system_solve_two_pass(
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
         raise ValueError("principal systems need equal syllable lengths >= 1")
-    if g.sides() != h.sides():
+    if form_sides(g) != form_sides(h):
         return None
     ps = list(zip(g.syllables, h.syllables))
     d = c_coset(ctx, ps[-1][0].side)
     for p, p2 in reversed(ps):
         if d.side != p.side:
             d = transfer(ctx, d)
-        d = shift(ctx, d, p.word, ~p2.word)
+        d = shift(ctx, d, p.word.letters, (~p2.word).letters)
         if d is None:
             return None
     for p, p2 in ps:
         if d.side != p.side:
             d = transfer(ctx, d)
-        d = shift(ctx, d, ~p.word, p2.word)
+        d = shift(ctx, d, (~p.word).letters, p2.word.letters)
         if d is None:
             raise VerificationError("back-substitution left C")
     return d
@@ -600,15 +608,16 @@ def z_set_witness_through_basis(gt: GeneratingTuple, c: Word) -> Optional[tuple[
     one = identity(gt.alphabet)
     if not ts:
         return None
-    if c.is_identity():
+    if not c:
         return ts[0], one, one
     basis, alphabet, _ = basis_words(gt)
     cb = express_in_basis(gt, c)
     for t in ts:
-        zb = [express_in_basis(gt, b) for b in basis_words(gt.z_subgroup(t))[0]]
-        hit = build(zb, alphabet).conjugacy_into(cb)
+        zb = [express_in_basis(gt, b) for b in basis_words(gt.z_subgroup(t.letters))[0]]
+        hit = build(zb, alphabet).conjugacy_into(cb.letters)
         if hit is not None:
-            return t, substitute(hit[0], basis, gt.alphabet), substitute(hit[1], basis, gt.alphabet)
+            target, conj = (Word(alphabet, x) for x in hit)
+            return t, substitute(target, basis, gt.alphabet), substitute(conj, basis, gt.alphabet)
     return None
 
 
@@ -629,7 +638,7 @@ def classify_through_basis(ctx: AmalgamContext, raw: Word, policy: RepPolicy = C
     elif nf.syllable_length == 1:
         side, word = nf.syllable_letters[0]
         w = Word(ctx.factor_alphabet(side), nf.head_letters + word)
-        meet_ = ctx.graph_c(side).z_subgroup(~w)
+        meet_ = ctx.graph_c(side).z_subgroup((~w).letters)
         kind = "normalizer"
         if not meet_.graph.is_trivial():
             found = [("intersection", side, basis_words(meet_)[0][0])]
@@ -668,7 +677,7 @@ def transfer_key_through_basis(ctx: AmalgamContext, d: CosetOfC) -> tuple:
     side2 = ctx.other(d.side)
     gens = [ctx.transfer_word(d.side, b) for b in basis_words(d.subgroup)[0]]
     graph = build(gens, ctx.factor_alphabet(side2)).graph
-    rep, _ = graph.coset_rep(ctx.transfer_letters(d.side, d.rep.letters))
+    rep, _ = graph.coset_rep(ctx.transfer_letters(d.side, d.rep))
     return side2, graph.canonical_key(), rep
 
 
@@ -789,13 +798,14 @@ def free_conjugacy_by_least_rotation(u: Word, v: Word) -> Optional[Word]:
 
 
 def conjugacy_into_by_rotation_scan(
-    g: GeneratingTuple, w: Word
-) -> Optional[tuple[Word, Word]]:
-    """(h, z) for the first state s, then rotation r, reading a loop at s."""
+    g: GeneratingTuple, letters: tuple[int, ...]
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(h, z) as letter tuples for the first state s, then rotation r, reading a loop at s."""
+    w = Word(g.alphabet, letters)
     core, u = w.cyclic_reduce()
     graph = g.graph
     if not core:
-        return identity(g.alphabet), ~u
+        return (), (~u).letters
     for s in range(graph.nstates):
         for r in range(len(core)):
             rot = _rotation(core.letters, r)
@@ -805,7 +815,7 @@ def conjugacy_into_by_rotation_scan(
                 z = tp * ~Word(g.alphabet, core.letters[:r]) * ~u
                 if ~z * h * z != w:
                     raise VerificationError("conjugacy_into witness failed verification")
-                return h, z
+                return h.letters, z.letters
     return None
 
 

@@ -25,7 +25,7 @@ from amalgam.group import (
 )
 from amalgam.words import Word, parse_word
 
-from bruteforce import brute_conjugacy_oracle, reduced_words, subgroup_elements
+from bruteforce import brute_conjugacy_oracle, form_sides, reduced_words, subgroup_elements
 from conftest import random_reduced
 from test_group import insert_relator
 
@@ -140,7 +140,7 @@ def test_criterion_4_principal_system_oracle(ex1):
             h = sample(pattern)
             if g.syllable_length != k or h.syllable_length != k:
                 continue
-            if g.sides() != h.sides():
+            if form_sides(g) != form_sides(h):
                 continue
             checked += 1
             e = principal_system_solve(ex1, g, h)
@@ -150,7 +150,7 @@ def test_criterion_4_principal_system_oracle(ex1):
                     mismatches += 1
                 continue
             e_a = e if e.side == "A" else transfer(ex1, e)
-            got = {c for c in c_elements if e_a.contains(c)}
+            got = {c for c in c_elements if e_a.contains(c.letters)}
             if got != brute:
                 mismatches += 1
         assert mismatches == 0
@@ -187,7 +187,7 @@ def _brute_nstar_factor(ctx, side, w, bound):
 def _brute_z_factor(ctx, side, c, bound):
     """Definition-level: some g' outside C conjugates c back into C."""
     graph = ctx.graph_c(side)
-    if c.is_identity():
+    if not c:
         return any(
             not graph.contains(g) and _brute_nstar_factor(ctx, side, g, bound)
             for g in reduced_words(ctx.factor_alphabet(side), bound)
@@ -293,7 +293,7 @@ def _random_cyclically_reduced_regular(ctx, rng, min_len=2):
         for side in sides:
             w = w * ctx.to_union(side, rng.choice(factor_words[side]))
         nf = normal_form(ctx, w)
-        if nf.syllable_length != k or nf.sides()[0] == nf.sides()[-1]:
+        if nf.syllable_length != k or form_sides(nf)[0] == form_sides(nf)[-1]:
             continue
         if classify(ctx, w).verdict != "regular":
             continue

@@ -23,29 +23,29 @@ def wb(ctx, text):
 
 def members(d, max_len):
     """All elements of the coset of reduced length <= max_len."""
-    alphabet = d.rep.alphabet
-    return {u for u in reduced_words(alphabet, max_len) if d.contains(u)}
+    alphabet = d.subgroup.alphabet
+    return {u for u in reduced_words(alphabet, max_len) if d.contains(u.letters)}
 
 
 def test_shift_examples(ex1):
     d = c_coset(ex1, "A")
-    res = shift(ex1, d, wa(ex1, "a"), wa(ex1, "a^-1"))
+    res = shift(ex1, d, wa(ex1, "a").letters, wa(ex1, "a^-1").letters)
     assert res is not None
-    assert res.contains(wa(ex1, "a^2"))
-    assert not res.contains(wa(ex1, "b"))
-    unchanged = shift(ex1, d, wa(ex1, ""), wa(ex1, ""))
+    assert res.contains(wa(ex1, "a^2").letters)
+    assert not res.contains(wa(ex1, "b").letters)
+    unchanged = shift(ex1, d, (), ())
     assert unchanged is not None
     for u in reduced_words(ex1.alphabet_a, 4):
-        assert unchanged.contains(u) == d.contains(u)
+        assert unchanged.contains(u.letters) == d.contains(u.letters)
 
 
 def test_shift_empty_result(ex1):
-    sub_b = CosetOfC("A", build([wa(ex1, "b")], ex1.alphabet_a), wa(ex1, ""))
+    sub_b = CosetOfC("A", build([wa(ex1, "b")], ex1.alphabet_a), ())
     # d <b> d^-1 meets C only in the identity
-    res = shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "d^-1"))
-    assert res.subgroup.graph.is_trivial() and res.rep == wa(ex1, "")
+    res = shift(ex1, sub_b, wa(ex1, "d").letters, wa(ex1, "d^-1").letters)
+    assert res.subgroup.graph.is_trivial() and res.rep == ()
     # d <b> misses C entirely
-    assert shift(ex1, sub_b, wa(ex1, "d"), wa(ex1, "")) is None
+    assert shift(ex1, sub_b, wa(ex1, "d").letters, ()) is None
 
 
 def test_shift_matches_set_arithmetic(ex1):
@@ -54,7 +54,7 @@ def test_shift_matches_set_arithmetic(ex1):
     for _ in range(12):
         p = random_member(rng, [wa(ex1, "a"), wa(ex1, "b"), wa(ex1, "d")], rng.randint(0, 2))
         q = random_member(rng, [wa(ex1, "a"), wa(ex1, "b"), wa(ex1, "d")], rng.randint(0, 2))
-        res = shift(ex1, d, p, q)
+        res = shift(ex1, d, p.letters, q.letters)
         c_graph = ex1.graph_ca
         brute = {
             p * k * q
@@ -65,7 +65,7 @@ def test_shift_matches_set_arithmetic(ex1):
             assert not brute
         else:
             for u in brute:
-                assert res.contains(u)
+                assert res.contains(u.letters)
             for u in members(res, 4):
                 assert c_graph.contains(u)
                 assert c_graph.contains(~p * u * ~q)
@@ -75,14 +75,15 @@ def test_intersect_examples(ex1):
     # Kc meet Lc' is one meet walk from the basepoints with the accept words c and c'
     X = ex1.alphabet_a
     K, L = build([wa(ex1, "a^2"), wa(ex1, "b")], X), build([wa(ex1, "a^2")], X)
-    d1, d2 = CosetOfC("A", K, wa(ex1, "b")), CosetOfC("A", L, wa(ex1, "b"))
-    M, h = meet(K, L, accepts=(d1.rep.letters, d2.rep.letters))
-    res = CosetOfC("A", M, Word(X, h))
-    for u in reduced_words(X, 5):
+    b = wa(ex1, "b").letters
+    d1, d2 = CosetOfC("A", K, b), CosetOfC("A", L, b)
+    M, h = meet(K, L, accepts=(d1.rep, d2.rep))
+    res = CosetOfC("A", M, h)
+    for u in (u.letters for u in reduced_words(X, 5)):
         assert res.contains(u) == (d1.contains(u) and d2.contains(u))
-    M, h = meet(K, K, accepts=(d1.rep.letters, d1.rep.letters))
-    same = CosetOfC("A", M, Word(X, h))
-    for u in reduced_words(X, 4):
+    M, h = meet(K, K, accepts=(d1.rep, d1.rep))
+    same = CosetOfC("A", M, h)
+    for u in (u.letters for u in reduced_words(X, 4)):
         assert same.contains(u) == d1.contains(u)
     tiny, h = meet(L, build([wa(ex1, "b")], X))
     assert tiny.graph.is_trivial() and h == ()
@@ -98,8 +99,8 @@ def test_cardinality_examples(ex1):
     # a coset K*c is the single element c exactly when K's graph is trivial; an
     # empty meet of cosets is None
     X = ex1.alphabet_a
-    trivial = CosetOfC("A", build([], X), wa(ex1, "a^2 b"))
-    assert trivial.subgroup.graph.is_trivial() and trivial.rep == wa(ex1, "a^2 b")
+    trivial = CosetOfC("A", build([], X), wa(ex1, "a^2 b").letters)
+    assert trivial.subgroup.graph.is_trivial() and trivial.rep == wa(ex1, "a^2 b").letters
     squares = build([wa(ex1, "a^2")], X)
     assert not squares.graph.is_trivial()
     assert meet(squares, squares, accepts=(wa(ex1, "b").letters, wa(ex1, "d").letters)) is None
@@ -108,64 +109,65 @@ def test_cardinality_examples(ex1):
 def test_cardinality_matches_enumeration(ex1):
     X = ex1.alphabet_a
     cosets = [
-        CosetOfC("A", build([], X), wa(ex1, "b^2")),
-        CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b")),
+        CosetOfC("A", build([], X), wa(ex1, "b^2").letters),
+        CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b").letters),
         c_coset(ex1, "A"),
     ]
     for d in cosets:
-        found = {k * d.rep for k in subgroup_elements(d.subgroup, 8)}
+        rep = Word(X, d.rep)
+        found = {k * rep for k in subgroup_elements(d.subgroup, 8)}
         if d.subgroup.graph.is_trivial():
-            assert found == {d.rep}
+            assert found == {rep}
         else:
             assert len(found) > 1
 
 
 def test_transfer_examples(ex1):
     X, Y = ex1.alphabet_a, ex1.alphabet_b
-    d = CosetOfC("A", build([wa(ex1, "b")], X), wa(ex1, ""))
+    d = CosetOfC("A", build([wa(ex1, "b")], X), ())
     out = transfer(ex1, d)
     assert out.side == "B"
-    assert out.contains(wb(ex1, "y^2"))
-    assert not out.contains(wb(ex1, "x"))
+    assert out.contains(wb(ex1, "y^2").letters)
+    assert not out.contains(wb(ex1, "x").letters)
     whole = transfer(ex1, c_coset(ex1, "A"))
     for u in reduced_words(Y, 4):
-        assert whole.contains(u) == ex1.graph_cb.contains(u)
-    d2 = CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b"))
+        assert whole.contains(u.letters) == ex1.graph_cb.contains(u)
+    d2 = CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b").letters)
     out2 = transfer(ex1, d2)
-    assert out2.contains(wb(ex1, "y^2"))
-    assert out2.contains(wb(ex1, "x y^2"))
+    assert out2.contains(wb(ex1, "y^2").letters)
+    assert out2.contains(wb(ex1, "x y^2").letters)
 
 
 def test_transfer_round_trip(ex1):
     X = ex1.alphabet_a
-    d = CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b^2"))
+    d = CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "b^2").letters)
     back = transfer(ex1, transfer(ex1, d))
     assert back.side == "A"
-    for u in reduced_words(X, 5):
+    for u in (u.letters for u in reduced_words(X, 5)):
         assert back.contains(u) == d.contains(u)
 
 
 def test_transfer_preserves_cardinality_and_commutes(ex1):
     X = ex1.alphabet_a
     pairs = [
-        (CosetOfC("A", build([wa(ex1, "a^2")], X), wa(ex1, "")),
-         CosetOfC("A", build([wa(ex1, "a^2"), wa(ex1, "b")], X), wa(ex1, "b"))),
-        (CosetOfC("A", build([], X), wa(ex1, "b")),
-         CosetOfC("A", build([wa(ex1, "b")], X), wa(ex1, ""))),
+        (CosetOfC("A", build([wa(ex1, "a^2")], X), ()),
+         CosetOfC("A", build([wa(ex1, "a^2"), wa(ex1, "b")], X), wa(ex1, "b").letters)),
+        (CosetOfC("A", build([], X), wa(ex1, "b").letters),
+         CosetOfC("A", build([wa(ex1, "b")], X), ())),
     ]
     for d1, d2 in pairs:
         assert transfer(ex1, d1).subgroup.graph.is_trivial() == d1.subgroup.graph.is_trivial()
         hits = [
-            meet(a.subgroup, b.subgroup, accepts=(a.rep.letters, b.rep.letters))
+            meet(a.subgroup, b.subgroup, accepts=(a.rep, b.rep))
             for a, b in ((d1, d2), (transfer(ex1, d1), transfer(ex1, d2)))
         ]
         if None in hits:
             assert hits == [None, None]
             continue
         (m1, h1), (m2, h2) = hits
-        lhs = transfer(ex1, CosetOfC("A", m1, Word(ex1.alphabet_a, h1)))
-        rhs = CosetOfC("B", m2, Word(ex1.alphabet_b, h2))
-        for u in reduced_words(ex1.alphabet_b, 5):
+        lhs = transfer(ex1, CosetOfC("A", m1, h1))
+        rhs = CosetOfC("B", m2, h2)
+        for u in (u.letters for u in reduced_words(ex1.alphabet_b, 5)):
             assert lhs.contains(u) == rhs.contains(u)
 
 
@@ -177,12 +179,12 @@ def test_shift_chain_values_stay_cosets(ex1):
     for _ in range(6):
         p = random_member(rng, gens, 1)
         q = random_member(rng, gens, 1)
-        nxt = shift(ex1, d, p, q)
+        nxt = shift(ex1, d, p.letters, q.letters)
         if nxt is None:
             break
         sub_elems = subgroup_elements(nxt.subgroup, 4)
         for k in sub_elems:
-            assert nxt.contains(k * nxt.rep)
+            assert nxt.contains((k * Word(k.alphabet, nxt.rep)).letters)
         d = nxt
 
 
@@ -200,14 +202,14 @@ def test_transfer_is_memoised_and_round_trips():
         for s in reversed(nf.syllables):
             if d.side != s.side:
                 d = transfer(ctx, d)
-            d = shift(ctx, d, s.word, ~s.word)
+            d = shift(ctx, d, s.word.letters, (~s.word).letters)
             chain.append(d)
     for d in chain:
         moved = transfer(ctx, d)
         assert transfer(ctx, d) is moved
         assert ctx.cache[("transfer", d.key())] is moved
         assert moved.key() == transfer_key_through_basis(ctx, d)
-        basis = [Word(d.rep.alphabet, loop) for _, loop in d.subgroup.basis_loops()]
+        basis = [Word(d.subgroup.alphabet, loop) for _, loop in d.subgroup.basis_loops()]
         twin = CosetOfC(d.side, build(basis, d.subgroup.alphabet), d.rep)
         assert transfer(ctx, twin) is moved
         fresh.cache.clear()

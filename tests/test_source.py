@@ -38,6 +38,36 @@ def test_normal_form_sweep_builds_no_words():
         assert not calls, f"{name} builds Word or Syllable objects at lines {calls}"
 
 
+# the coset algebra, the principal-system path and the C-graph searches hold letter tuples;
+# a Word is built only for a value that leaves the package
+LETTER_LEVEL = (
+    ("group.py", None, "_principal_solution"),
+    ("cosetalg.py", None, "shift"),
+    ("cosetalg.py", None, "c_coset"),
+    ("cosetalg.py", None, "_canonical"),
+    ("stallings.py", "GeneratingTuple", "conjugacy_into"),
+    ("stallings.py", "GeneratingTuple", "z_subgroup"),
+)
+
+
+@pytest.mark.parametrize(
+    "filename, owner, name", LETTER_LEVEL, ids=[f"{o or f[:-3]}.{n}" for f, o, n in LETTER_LEVEL]
+)
+def test_cosets_and_c_graph_searches_build_no_words(filename, owner, name):
+    path = Path(amalgam.__file__).parent / filename
+    tree = ast.parse(path.read_text(), filename=str(path))
+    body = tree.body
+    for key in filter(None, (owner, name)):  # the class, then the function in it
+        (function,) = (n for n in body if getattr(n, "name", None) == key)
+        body = function.body
+    calls = [
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in WORD_BUILDERS + ("identity",)
+    ]
+    assert not calls, f"{name} builds Word or identity values at lines {calls}"
+
+
 def test_adversarial_rep_takes_no_slice():
     # _rep's representatives reach p^(2m) letters, and a slice of one is a copy
     path = Path(amalgam.__file__).parent / "group.py"

@@ -346,7 +346,7 @@ def test_parse_counts_the_running_total_against_the_budget(monkeypatch):
 
 
 def test_identity_helpers():
-    assert identity(F).is_identity()
+    assert not identity(F)
     assert w("a") ** 0 == identity(F)
     assert w("a b") ** -2 == ~(w("a b") * w("a b"))
 

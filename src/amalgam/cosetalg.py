@@ -31,8 +31,7 @@ class CosetOfC:
         return (self.side, self.subgroup.graph.canonical_key(), self.rep)
 
     def contains(self, w: tuple[int, ...]) -> bool:
-        graph = self.subgroup.graph
-        return graph.reads_loop(letters_product(w, letters_inverse(self.rep)), graph.base)
+        return self.subgroup.graph.contains(letters_product(w, letters_inverse(self.rep)))
 
 
 def _canonical(side: str, subgroup: GeneratingTuple, rep: tuple[int, ...]) -> CosetOfC:

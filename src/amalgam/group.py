@@ -326,8 +326,7 @@ def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
     done: list[tuple[str, tuple[int, ...]]] = []
     while todo:
         side, word = todo.pop()
-        graph = ctx.graph_c(side).graph
-        if not graph.reads_loop(word, graph.base):
+        if not ctx.graph_c(side).graph.contains(word):
             done.append((side, word))
             continue
         if not done and not todo:
@@ -455,8 +454,7 @@ def normal_form(
     target = done[-1][0] if done else "A"
     if carry and "AB"[b] != target:
         carry = ctx.transfer_letters("AB"[b], carry)
-    graph = ctx.graph_c(target).graph
-    if not graph.reads_loop(carry, graph.base):
+    if not ctx.graph_c(target).graph.contains(carry):
         raise VerificationError("normal-form head escaped C")
     return _form(ctx, target, carry, reversed(done))
 
@@ -569,8 +567,7 @@ def _cyclic_perms(
         carry_side = side
         if not rep:
             raise VerificationError("cyclic permutation changed the syllable length")
-        graph = ctx.graph_c(side).graph
-        if not graph.reads_loop(carry, graph.base):
+        if not ctx.graph_c(side).graph.contains(carry):
             raise VerificationError("normal-form head escaped C")
         steps.append(((side, rep), carry))
     steps.reverse()
@@ -640,8 +637,7 @@ def _push(ctx: AmalgamContext, chain: Iterable, side: str, c: tuple) -> Optional
         if side != p_side:
             c, side = ctx.transfer_letters(side, c), p_side
         c = letters_product(letters_product(left, c), right)
-        graph = ctx.graph_c(side).graph
-        if not graph.reads_loop(c, graph.base):
+        if not ctx.graph_c(side).graph.contains(c):
             return None
     return c
 

@@ -232,6 +232,10 @@ class SubgroupGraph:
     def reads_loop(self, letters: Sequence[int], at: int) -> bool:
         return self.trace(letters, at) == at
 
+    def contains(self, letters: Sequence[int]) -> bool:
+        """Whether the letters spell a member of the subgroup: a loop at the base."""
+        return self.reads_loop(letters, self.base)
+
     def tree_path_letters(self, state: int) -> tuple[int, ...]:
         cached = self._tree_words[state]
         if cached is None:
@@ -367,7 +371,7 @@ class GeneratingTuple:
     def contains(self, w: Word) -> bool:
         if w.alphabet != self.alphabet:
             raise ValueError("word over wrong alphabet")
-        return self.graph.reads_loop(w.letters, self.graph.base)
+        return self.graph.contains(w.letters)
 
     def basis_loops(self) -> list[tuple[int, tuple[int, ...]]]:
         """Free basis: (eid, treePath(s) lab ~treePath(d)) per non-tree edge, by (s, lab, d)."""
@@ -518,7 +522,7 @@ class GeneratingTuple:
         c belongs iff it is conjugate within H into Z_t(H) for some nontrivial
         transversal element t; the test runs in H's `basis_coordinates`.
         """
-        if not self.graph.reads_loop(c, self.graph.base):
+        if not self.graph.contains(c):
             raise NotAMemberError(f"{Word._make(self.alphabet, c)!r} is not in the subgroup")
         ts = self.double_transversal()[1:]
         one = identity(self.alphabet)
@@ -726,6 +730,6 @@ def meet(
         path.append(slet)
     h = tuple(reversed(path))
     for g, s, f in ((a, starts[0], accepts[0]), (b, starts[1], accepts[1])):
-        if not g.reads_loop(letters_product(letters_product(s, h), letters_inverse(f)), g.base):
+        if not g.contains(letters_product(letters_product(s, h), letters_inverse(f))):
             raise VerificationError("meet witness failed verification")
     return GeneratingTuple(SubgroupGraph(K.alphabet, edges, 0)), h

@@ -1687,7 +1687,8 @@ def test_conjugacy_verdicts_policy_independent(ex1):
 
 def test_brute_oracle_examples(ex1):
     u = up(ex1, "d z")
-    assert not brute_conjugacy_oracle(ex1, u, u, 4)
+    z = brute_conjugacy_oracle(ex1, u, u, 4)
+    assert z is not None and not z
     assert brute_conjugacy_oracle(ex1, up(ex1, "a"), up(ex1, "b"), 4) is None
     z = brute_conjugacy_oracle(ex1, u, up(ex1, "z d"), 4)
     assert z is not None

@@ -17,55 +17,33 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-SWEEP = (
-    "reduced_form", "normal_form", "_form", "_rep", "_cyclic_perms", "_push", "_propagate_solution"
+# the sweeps, the principal-system path, the coset algebra and the C-graph searches run
+# on letter tuples; a Word is built only for a value that leaves the package, and a form
+# builds its Words when a caller reads them
+LETTER_LEVEL = (
+    *(("group.py", None, name) for name in (
+        "reduced_form", "normal_form", "_form", "_rep", "_cyclic_perms", "_push",
+        "_propagate_solution", "_principal_solution",
+    )),
+    *(("cosetalg.py", None, name) for name in ("shift", "c_coset", "_canonical")),
+    *(("stallings.py", "GeneratingTuple", name) for name in ("conjugacy_into", "z_subgroup")),
 )
-WORD_BUILDERS = ("Word", "Word._make", "Syllable")
+WORD_BUILDERS = ("Word", "Word._make", "Syllable", "identity")
 
 
 def test_normal_form_sweep_builds_no_words():
-    # the sweeps and the principal-system pushes run on letter tuples; a form builds its
-    # Words when a caller reads them
-    path = Path(amalgam.__file__).parent / "group.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in SWEEP:
+    for filename, owner, name in LETTER_LEVEL:
+        path = Path(amalgam.__file__).parent / filename
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        for key in filter(None, (owner, name)):  # the class, then the function in it
+            (function,) = (n for n in body if getattr(n, "name", None) == key)
+            body = function.body
         calls = [
             node.lineno
-            for node in ast.walk(functions[name])
+            for node in ast.walk(function)
             if isinstance(node, ast.Call) and ast.unparse(node.func) in WORD_BUILDERS
         ]
-        assert not calls, f"{name} builds Word or Syllable objects at lines {calls}"
-
-
-# the coset algebra, the principal-system path and the C-graph searches hold letter tuples;
-# a Word is built only for a value that leaves the package
-LETTER_LEVEL = (
-    ("group.py", None, "_principal_solution"),
-    ("cosetalg.py", None, "shift"),
-    ("cosetalg.py", None, "c_coset"),
-    ("cosetalg.py", None, "_canonical"),
-    ("stallings.py", "GeneratingTuple", "conjugacy_into"),
-    ("stallings.py", "GeneratingTuple", "z_subgroup"),
-)
-
-
-@pytest.mark.parametrize(
-    "filename, owner, name", LETTER_LEVEL, ids=[f"{o or f[:-3]}.{n}" for f, o, n in LETTER_LEVEL]
-)
-def test_cosets_and_c_graph_searches_build_no_words(filename, owner, name):
-    path = Path(amalgam.__file__).parent / filename
-    tree = ast.parse(path.read_text(), filename=str(path))
-    body = tree.body
-    for key in filter(None, (owner, name)):  # the class, then the function in it
-        (function,) = (n for n in body if getattr(n, "name", None) == key)
-        body = function.body
-    calls = [
-        node.lineno
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in WORD_BUILDERS + ("identity",)
-    ]
-    assert not calls, f"{name} builds Word or identity values at lines {calls}"
+        assert not calls, f"{name} builds Word, Syllable or identity values at lines {calls}"
 
 
 def test_adversarial_rep_takes_no_slice():

@@ -132,7 +132,6 @@ class RepPolicy:
 
 
 CANONICAL = RepPolicy()
-_JOIN_MAX = 8  # longest join (rep and tail letters) the sweep's step memo keeps
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,12 @@ class AmalgamContext:
     the memo dict `cache`; all queries are pure, so they may run concurrently.
     Its "shift" and "transfer" keys hold non-singleton cosets only, and a "ps" key holds
     E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
-    sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from a
-    union block to ((side, rep) or None, next carry, its state, _RUN_MIN - its length),
-    and a join (side, rep, tail) to ((side, rep) or None, head); it grows like "xfer".  It
-    answers 94% of the steps and 48% of the joins of the word-problem benchmark, 87% and
-    38% of conjugacy's, 16% and 5% of cold-cli's and 39% and 91% of blowup's.
+    sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from
+    None to that carry and from a union block to the row ((side, rep) or None, next
+    carry, its state, _RUN_MIN - its length, letters of rep its C graph reads, or None
+    until a join needs them).  Rows share their carries and, through memo[syll] = syll,
+    their syllables.  It grows like "xfer", and answers 94% of the steps of the
+    word-problem benchmark, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -315,33 +315,51 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+def _join(left: list[int], right: Sequence[int]) -> int:
+    """Multiply the reduced letters in `left` by `right` in place; returns how many cancelled."""
+    c = 0
+    while left and c < len(right) and left[-1] == -right[c]:
+        left.pop()
+        c += 1
+    left += right[c:]
+    return c
+
+
 def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
     """Alternating syllables outside C, eliminating the leftmost C-syllable first.
 
-    One pass over the split blocks; `done` holds finished blocks, none in C.  A
-    block in C is transferred into both neighbours, and while their product
-    cancels the blocks beyond them meet; the merged block is tested next.
+    One pass over the split blocks; `done` holds finished blocks, none in C, as
+    lists with the letters their C graph reads.  A block in C is transferred into
+    both neighbours, which grow in place, and while their product cancels the
+    blocks beyond them meet.  The merged block is read again only if the
+    cancellation reached the letter its left part got stuck at.
     """
-    todo = _split(ctx, raw)[::-1]  # blocks still to test, the leftmost last
-    done: list[tuple[str, tuple[int, ...]]] = []
+    todo: list = _split(ctx, raw)[::-1]  # blocks still to test, the leftmost last
+    done: list = []  # (side, letters, letters read from the base)
     while todo:
         side, word = todo.pop()
-        if not ctx.graph_c(side).graph.contains(word):
-            done.append((side, word))
+        graph = ctx.graph_c(side).graph
+        s, k = graph.read(word)
+        if s != graph.base or k < len(word):
+            done.append((side, word if type(word) is list else list(word), k))
             continue
+        word = tuple(word)
         if not done and not todo:
             return _form(ctx, "A", word if side == "A" else ctx.transfer_letters(side, word), ())
-        side, merged = ctx.other(side), ctx.transfer_letters(side, word)
-        if done:
-            merged = letters_product(done.pop()[1], merged)
+        moved, side = ctx.transfer_letters(side, word), ctx.other(side)
+        merged, k = done.pop()[1:] if done else ([], 0)
+        low = len(merged) - _join(merged, moved)  # left letters never cancelled
         if todo:
-            merged = letters_product(merged, todo.pop()[1])
+            low = min(low, len(merged) - _join(merged, todo.pop()[1]))
         while not merged and done and todo:
-            side, left = done.pop()
-            merged = letters_product(left, todo.pop()[1])
+            side, merged, k = done.pop()
+            low = len(merged) - _join(merged, todo.pop()[1])
         if merged:
-            todo.append((side, merged))
-    return _form(ctx, done[0][0] if done else "A", (), done)
+            if k < low:  # still stuck at k: not in C
+                done.append((side, merged, k))
+            else:
+                todo.append((side, merged))
+    return _form(ctx, done[0][0] if done else "A", (), [(side, tuple(w)) for side, w, _ in done])
 
 
 # --- representative policies and normal forms ---------------------------------
@@ -385,6 +403,11 @@ def _rep(
     return (s,) * k + rep, letters_product(head, (-s,) * k)
 
 
+def _state(memo: dict, carry: tuple[int, ...]) -> dict:
+    """A carry's state, made on first use; it holds its key under None for rows to share."""
+    return memo.get(carry) or memo.setdefault(carry, {None: carry})
+
+
 def normal_form(
     ctx: AmalgamContext,
     raw: Word,
@@ -399,6 +422,12 @@ def normal_form(
     letters by one `rfind` on a side-byte map, and put in factor letters on a miss.
     The step memo is walked as a transducer (see AmalgamContext): a known step is one
     `get` on the carry's state, which also yields the next state.
+
+    When a block lies in C, the next rep r joins the syllable after it.  A canonical
+    rep is a tree path and a letter its C graph cannot read there, so r * syllable
+    is its own rep unless what is left of r after the junction reads to its end;
+    only those joins, and every adversarial one, are split again.  A long syllable
+    grows in place as a reversed list, so (b z)^n is swept in linear time.
     """
     if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
@@ -409,9 +438,10 @@ def normal_form(
         memo = ctx.cache[("step", policy.kind, policy.p)] = {}
     letters = raw.letters
     sides = bytes(map(ctx._letter_side.__getitem__, letters))
-    rfind, lookup = sides.rfind, memo.get
+    rfind = sides.rfind
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, the last first
-    state = memo.get(()) or memo.setdefault((), {})  # the empty carry's
+    opened = None  # done[-1]'s letters reversed, once a join keeps it long
+    state = _state(memo, ())  # the empty carry's
     b, carry, room, end = 0, (), _RUN_MIN, len(letters)  # room: block letters under the rule
     while end:
         b = sides[end - 1]
@@ -427,30 +457,49 @@ def normal_form(
             word = tuple(map(ctx._factor_letter.__getitem__, block)) if b else block
             rep, carry = reps["AB"[b]](letters_product(word, carry))  # frees the old carry
             room = _RUN_MIN - len(carry)
-            nxt = (memo.get(carry) or memo.setdefault(carry, {})) if room > 0 else None
-            step = ("AB"[b], rep) if rep else None, carry, nxt, room
+            nxt = _state(memo, carry) if room > 0 else None
+            syll = ("AB"[b], rep) if rep else None
+            if nxt is not None:
+                carry = nxt[None]
+            if short and syll:
+                syll = memo.setdefault(syll, syll)
+            step = syll, carry, nxt, room, None
             if short:
                 state[block] = step
-        syll, carry, state, room = step
+        syll, carry, nxt, room, reads = step
         if syll and done and done[-1][0] == syll[0]:  # the block before was in C: join
-            (side, rep), tail = syll, done.pop()[1]
-            key = (side, rep, tail) if len(rep) + len(tail) <= _JOIN_MAX else None
-            join = lookup(key)
-            if join is None:
+            (side, rep), syll, tail = syll, None, done[-1][1]
+            if opened is None:
+                merged = letters_product(rep, tail)
+                cut = (len(rep) - len(tail) + len(merged)) // 2  # rep[:cut] is left
+            else:
+                cut = len(rep) - _join(opened, rep[::-1])
+            if reads is None:  # the row's first join
+                graph = ctx.graph_c(side).graph
+                reads = graph.read(rep)[1] if policy.kind == "canonical" else len(rep)
+                if short:
+                    state[block] = step[0], carry, nxt, room, reads
+            if reads >= cut:  # what is left of rep reads to its end: split again
                 reps = reps or _coset_reps(ctx, policy)
-                rep, head = reps[side](letters_product(rep, tail))
-                join = (side, rep) if rep else None, head
-                if key:
-                    memo[key] = join
-            syll, head = join
-            if head:
-                carry = letters_product(carry, head)
-                room = _RUN_MIN - len(carry)
-                state = (memo.get(carry) or memo.setdefault(carry, {})) if room > 0 else None
+                rep, head = reps[side](merged if opened is None else tuple(opened[::-1]))
+                done.pop()
+                opened, syll = None, (side, rep) if rep else None
+                if head:
+                    carry = letters_product(carry, head)
+                    room = _RUN_MIN - len(carry)
+                    nxt = _state(memo, carry) if room > 0 else None
+            elif opened is None:  # kept whole
+                done[-1] = side, merged
+                opened = list(merged[::-1]) if len(merged) >= _RUN_MIN else None
         if syll:
+            if opened is not None:
+                done[-1], opened = (done[-1][0], tuple(opened[::-1])), None
             done.append(syll)
         if trace is not None:
             trace.append(len(carry))
+        state = nxt
+    if opened is not None:
+        done[-1] = done[-1][0], tuple(opened[::-1])
     target = done[-1][0] if done else "A"
     if carry and "AB"[b] != target:
         carry = ctx.transfer_letters("AB"[b], carry)

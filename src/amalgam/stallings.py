@@ -216,6 +216,19 @@ class SubgroupGraph:
         hit = self.moves.get((state + 1) * self.width + slet)
         return None if hit is None else hit[0]
 
+    def read(self, letters: Sequence[int], start: int = 0) -> tuple[int, int]:
+        """(state reached, letters read) from `start`, up to the first unreadable letter."""
+        if len(letters) >= _RUN_MIN:
+            return self._walk(letters, start)
+        moves, width = self.moves, self.width
+        s = start
+        for i, lt in enumerate(letters):
+            hit = moves.get((s + 1) * width + lt)
+            if hit is None:
+                return s, i
+            s = hit[0]
+        return s, len(letters)
+
     def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
         if len(letters) >= _RUN_MIN:
             s, i = self._walk(letters, start)

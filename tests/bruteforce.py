@@ -25,9 +25,10 @@ which ran the D-recursion from the last syllable and then pulled its coset
 back through the whole chain; it checks the one pass from the first
 syllable.  `form_sides` spells a form's syllable sides for the references
 and tests that compare them; the package compares first sides only.
-`normal_form_unmemoised` is the older sweep, which ran every step; it checks
-the sweep that looks a repeated (side, syllable, carry) step up in
-`ctx.cache`.
+`normal_form_unmemoised` is the older sweep, which ran every step and split
+every join (a representative landing beside a syllable of its side) whole;
+it checks the sweep that looks a repeated (side, syllable, carry) step up in
+`ctx.cache` and grows a joined syllable in place.
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
 it checks the walk that multiplies the images of the fold's edge words.
@@ -531,8 +532,12 @@ def normal_form_unmemoised(
     raw: Word,
     policy: RepPolicy = CANONICAL,
     trace: Optional[list[int]] = None,
+    joins: Optional[list[tuple]] = None,
 ) -> NormalForm:
-    """The right-to-left sweep with every step run: transfer, multiply, split."""
+    """The right-to-left sweep with every step run: transfer, multiply, split.
+
+    `joins`, when given, records (side, rep, syllable) for every join, in sweep order.
+    """
     reps = group._coset_reps(ctx, policy)
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
     carry_side, carry = "A", ()
@@ -542,7 +547,10 @@ def normal_form_unmemoised(
         rep, head = reps[side](letters_product(word, carry))
         if rep:
             if done and done[-1][0] == side:
-                rep, head2 = reps[side](letters_product(rep, done.pop()[1]))
+                tail = done.pop()[1]
+                if joins is not None:
+                    joins.append((side, rep, tail))
+                rep, head2 = reps[side](letters_product(rep, tail))
                 head = letters_product(head, head2)
             if rep:
                 done.append((side, rep))

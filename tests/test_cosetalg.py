@@ -240,9 +240,23 @@ def _coset_key(value):
 
 
 def _rows(memo):
-    """A step memo with each row but its link to the next state, and every join's value."""
+    """A step memo with each row but its link to the next state, and its stored syllables.
+
+    A state keeps its carry under None.  A row's carry is the key of its next state and
+    its syllable the memo's one copy, and the memo holds nothing else: no join.
+    """
+    for key, value in memo.items():
+        if isinstance(value, tuple):  # a stored syllable, its own value
+            assert value is key and len(key) == 2
+            continue
+        assert value[None] is key
+        for syll, carry, nxt, *_ in (row for block, row in value.items() if block):
+            assert syll is None or memo[syll] is syll
+            assert nxt is None or nxt[None] is carry
     return {
-        key: value if isinstance(value, tuple) else {b: row[:2] + row[3:] for b, row in value.items()}
+        key: value if isinstance(value, tuple) else {
+            b: row[:2] + row[3:] for b, row in value.items() if b
+        }
         for key, value in memo.items()
     }
 

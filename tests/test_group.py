@@ -459,13 +459,13 @@ def test_reduced_form_tests_each_block_at_most_twice(ex1, monkeypatch, name):
     for text, n in ONE_PASS_INPUTS[name]:
         word = word * up(ex1, text) ** n
     calls = []
-    reads_loop = SubgroupGraph.reads_loop
+    read = SubgroupGraph.read
 
-    def counted(graph, letters, at):
+    def counted(graph, letters, start=0):
         calls.append(letters)
-        return reads_loop(graph, letters, at)
+        return read(graph, letters, start)
 
-    monkeypatch.setattr(SubgroupGraph, "reads_loop", counted)
+    monkeypatch.setattr(SubgroupGraph, "read", counted)
     rf = reduced_form(ex1, word)
     monkeypatch.undo()
     assert len(calls) <= 2 * len(group._split(ex1, word))
@@ -711,46 +711,110 @@ STEP_CONTEXTS = {
 }
 
 
-def is_join(key):
-    return bool(key) and isinstance(key[0], str)  # (side, rep, tail); a carry holds letters
+def is_syllable(key):
+    return bool(key) and isinstance(key[0], str)  # (side, rep); a carry holds letters
 
 
 def step_keys(ctx):
-    """Every step and join of the sweep memos in ctx.cache, over all policies: a step
-    is (block, carry), the block in union letters, read off the state of its carry,
-    and a join is its (side, rep, tail) key."""
+    """Every step of the sweep memos in ctx.cache, over all policies, as (block, carry):
+    the block in union letters, read off the state of its carry."""
     keys = []
     for kind, memo in ctx.cache.items():
         for key, value in memo.items() if kind[0] == "step" else ():
-            keys += [key] if is_join(key) else [(block, key) for block in value]
+            keys += [] if is_syllable(key) else [(block, key) for block in value if block]
     return keys
 
 
 def assert_keys_within_the_gates(ctx):
-    # a step is hashed below the 64-letter rule, a join only up to the join gate
+    # a step is hashed below the 64-letter rule, and no join is stored
     off = len(ctx.alphabet_a)
     keys = step_keys(ctx)
     assert keys
-    for key in keys:
-        if len(key) == 2:
-            block, carry = key
-            assert block and len({abs(lt) > off for lt in block}) == 1  # one side's block
-            assert len(block) + len(carry) < _RUN_MIN
-        else:
-            side, rep, tail = key
-            assert side in ("A", "B") and rep and tail
-            assert len(rep) + len(tail) <= group._JOIN_MAX
-    # a state holds the rows of a carry under 64 letters, and a row links to its next
-    # carry's state and the letters left for the next step
+    for block, carry in keys:
+        assert block and len({abs(lt) > off for lt in block}) == 1  # one side's block
+        assert len(block) + len(carry) < _RUN_MIN
+    # a state holds the rows of a carry under 64 letters and, under None, that carry; a
+    # row links to its next carry's state, the letters left for the next step and, once
+    # a join has needed them, the letters of its rep that its C graph reads (all of an
+    # adversarial rep).  A row keeps no copies: its carry is the key of its next state,
+    # and its syllable is the memo's one copy, which the memo keeps only for its rows
     for kind, memo in ctx.cache.items():
-        for carry, state in memo.items() if kind[0] == "step" else ():
-            if is_join(carry):
+        if kind[0] != "step":
+            continue
+        used = set()
+        for carry, state in memo.items():
+            if is_syllable(carry):
+                assert len(carry) == 2 and carry[0] in ("A", "B") and carry[1]
+                assert state is carry
                 continue
-            assert len(carry) < _RUN_MIN
-            for block, (syll, nxt, nxt_state, room) in state.items():
+            assert len(carry) < _RUN_MIN and state[None] is carry
+            rows = ((block, row) for block, row in state.items() if block)
+            for block, (syll, nxt, nxt_state, room, reads) in rows:
                 assert syll is None or syll[0] == "AB"[abs(block[0]) > off]
+                assert syll is None or memo[syll] is syll
                 assert nxt_state is (memo[nxt] if len(nxt) < _RUN_MIN else None)
+                assert nxt_state is None or nxt is nxt_state[None]
                 assert room == _RUN_MIN - len(nxt)
+                if syll and reads is not None:  # kept by the row's first join
+                    graph = ctx.graph_c(syll[0]).graph
+                    canonical = kind[1] == "canonical"
+                    assert reads == (graph.read(syll[1])[1] if canonical else len(syll[1]))
+                used.add(syll)
+        assert {key for key in memo if is_syllable(key)} == used - {None}
+
+
+def cancelled(a, b):
+    """Letters cancelled at the junction of the product a * b."""
+    k = 0
+    while k < min(len(a), len(b)) and a[-1 - k] == -b[k]:
+        k += 1
+    return k
+
+
+def splits_again(ctx, side, rep, tail):
+    """Whether the canonical sweep splits the join rep * tail again: only when what is
+    left of rep after the junction reads to its end from the base of its C graph.
+    Otherwise the merged syllable is its own representative, with an empty head."""
+    return ctx.graph_c(side).graph.read(rep)[1] >= len(rep) - cancelled(rep, tail)
+
+
+def reference_joins(ctx, word, policy):
+    """(merged letters, split again) for every join of the reference sweep, in order.
+
+    A join kept whole is checked to be its own representative."""
+    joins = []
+    normal_form_unmemoised(ctx, word, policy, joins=joins)
+    out = []
+    for side, rep, tail in joins:
+        merged = letters_product(rep, tail)
+        again = splits_again(ctx, side, rep, tail)
+        if policy == CANONICAL and not again:
+            assert ctx.graph_c(side).graph.coset_rep(merged) == (merged, ())
+        out.append((merged, again))
+    return out
+
+
+def short_steps_only(ctx, word, policy):
+    """Whether the memo stores every step of the sweep: each block with its carry under
+    the 64-letter rule, the carry read off the reference's trace."""
+    trace = []
+    normal_form_unmemoised(ctx, word, policy, trace)
+    blocks = group._split(ctx, word)[::-1]
+    return all(len(b) + c < _RUN_MIN for (_, b), c in zip(blocks, [0] + trace))
+
+
+@pytest.fixture
+def coset_rep_calls(monkeypatch):
+    """The letters of every SubgroupGraph.coset_rep call, in order."""
+    calls = []
+    coset_rep = SubgroupGraph.coset_rep
+
+    def counted(graph, letters):
+        calls.append(letters)
+        return coset_rep(graph, letters)
+
+    monkeypatch.setattr(SubgroupGraph, "coset_rep", counted)
+    return calls
 
 
 def xfer_keys(ctx):
@@ -832,26 +896,13 @@ def nielsen_context(seed):
     return build_context(alphabet_a, alphabet_b, pairs)
 
 
-class JoinCountingMemo(dict):
-    """A step memo that records the (side, rep, tail) joins it answers."""
-
-    def __init__(self, memo, hits):
-        super().__init__(memo)
-        self.hits = hits
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is not None and is_join(key):
-            self.hits.append(key)
-        return found
-
-
 @pytest.mark.parametrize("name", [*STEP_CONTEXTS, "nielsen"])
-def test_memoised_joins_match_the_unmemoised_sweep(name):
+def test_memoised_joins_match_the_unmemoised_sweep(name, coset_rep_calls):
     # c_heavy_word puts C-letters between syllables, so a block is absorbed into
-    # the carry and the next rep joins the syllable after it; the cold pass stores
-    # the joins and the warm repeat answers them from the memo
-    join_hits = []
+    # the carry and the next rep joins the syllable after it.  No join is stored: a
+    # warm canonical sweep, whose steps are all in the memo, calls coset_rep for
+    # exactly the joins it splits again, in order, and for no join it keeps whole
+    outcomes = set()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32))
@@ -865,19 +916,23 @@ def test_memoised_joins_match_the_unmemoised_sweep(name):
         rng = random.Random(seed)
         words = [c_heavy_word(rng, ctx) for _ in range(6)]
         for warm in (False, True):
-            if warm:
-                for kind in [kind for kind in ctx.cache if kind[0] == "step"]:
-                    ctx.cache[kind] = JoinCountingMemo(ctx.cache[kind], join_hits)
             for word in words:
                 for policy in policies:
                     trace, ref_trace = [], []
+                    coset_rep_calls.clear()
                     nf = normal_form(ctx, word, policy, trace)
+                    calls = list(coset_rep_calls)
                     assert nf == normal_form_unmemoised(ref, word, policy, ref_trace)
                     assert trace == ref_trace
+                    if warm and policy == CANONICAL and short_steps_only(ref, word, policy):
+                        joins = reference_joins(ref, word, policy)
+                        assert calls == [merged for merged, again in joins if again]
+                        outcomes.update(again for _, again in joins)
             assert xfer_keys(ctx) == xfer_keys(ref)
+        assert_keys_within_the_gates(ctx)
 
     check()
-    assert join_hits
+    assert outcomes == {False, True}
 
 
 SHARED_CONTEXTS = {
@@ -908,31 +963,31 @@ def test_a_shared_state_is_read_by_the_side_of_its_block(name):
     check()
     off = len(ctx.alphabet_a)
     memos = [memo for kind, memo in ctx.cache.items() if kind[0] == "step"]
-    states = [state for memo in memos for key, state in memo.items() if not is_join(key)]
-    assert any(len({abs(block[0]) > off for block in state}) == 2 for state in states)
+    states = [state for memo in memos for key, state in memo.items() if not is_syllable(key)]
+    assert any(len({abs(block[0]) > off for block in state if block}) == 2 for state in states)
     assert_keys_within_the_gates(ctx)
 
 
-def test_a_warm_sweep_splits_nothing(monkeypatch):
-    # every step and join of a short word is in the memo after one sweep
+def test_a_warm_sweep_splits_nothing(coset_rep_calls):
+    # every step of a short word is in the memo after one sweep, and no join is: a
+    # warm canonical sweep splits only the joins it splits again, and a warm
+    # adversarial sweep sends every join through the policy's representative
     ctx = example_one_context(2)
     word = up(ctx, "d x d z y^2 z b d")
-    want = {policy: normal_form_unmemoised(ctx, word, policy) for policy in (CANONICAL, ADVERSARIAL)}
-    calls = []
-    coset_rep = SubgroupGraph.coset_rep
-
-    def counted(graph, letters):
-        calls.append(letters)
-        return coset_rep(graph, letters)
-
-    monkeypatch.setattr(SubgroupGraph, "coset_rep", counted)
-    for policy, form in want.items():
+    for policy in (CANONICAL, ADVERSARIAL):
+        form = normal_form_unmemoised(ctx, word, policy)
+        joins = reference_joins(ctx, word, policy)
+        assert joins and short_steps_only(ctx, word, policy)
+        coset_rep_calls.clear()
         assert normal_form(ctx, word, policy) == form
-        memo = ctx.cache[("step", policy.kind, policy.p)]
-        assert calls and any(is_join(key) for key in memo)
-        calls.clear()
+        assert coset_rep_calls
+        coset_rep_calls.clear()
         assert normal_form(ctx, word, policy) == form
-        assert not calls
+        if policy == CANONICAL:
+            assert coset_rep_calls == [merged for merged, again in joins if again]
+        else:
+            assert coset_rep_calls == [merged for merged, _ in joins]
+    assert_keys_within_the_gates(ctx)
 
 
 def test_a_warm_sweep_calls_no_alphabet_or_policy_dunder(monkeypatch):
@@ -954,9 +1009,11 @@ def test_a_warm_sweep_calls_no_alphabet_or_policy_dunder(monkeypatch):
     assert calls == ["eq"]
 
 
-def test_long_joins_are_split_not_memoised():
-    # on (b z)^n each rep joins the growing syllable after it; only the joins of
-    # at most _JOIN_MAX letters are stored, so the memo does not grow with n
+def test_long_joins_are_split_not_memoised(coset_rep_calls):
+    # on (b z)^n each rep z y^2 joins the growing syllable after it.  z cannot be
+    # read at the base of C_B, so every join keeps the merged syllable whole with no
+    # split and no memo entry: the memo does not grow with n, and a warm sweep calls
+    # coset_rep for none of the n joins
     ctx = example_one_context(2)
     keys = []
     for n in (50, 200):
@@ -964,10 +1021,85 @@ def test_long_joins_are_split_not_memoised():
         word = up(ctx, "b z") ** n
         nf = normal_form(ctx, word)
         assert nf == normal_form_unmemoised(ctx, word) and len(nf.syllable_letters[0][1]) > n
-        assert any(len(key) == 3 for key in step_keys(ctx))
+        joins = reference_joins(ctx, word, CANONICAL)
+        assert len(joins) == n - 1 and not any(again for _, again in joins)
+        coset_rep_calls.clear()
+        assert normal_form(ctx, word) == nf and not coset_rep_calls
         assert_keys_within_the_gates(ctx)
         keys.append((set(step_keys(ctx)), set(ctx.cache[("step", "canonical", 0)])))
     assert keys[0] == keys[1]
+
+
+def astuple(form):
+    return form.head_side, form.head, form.syllables
+
+
+@pytest.mark.parametrize("name", [*STEP_CONTEXTS, "nielsen"])
+def test_in_place_joins_match_the_references(name):
+    # C-heavy words and powers of them, whose reps keep joining the syllable after
+    # them: normal_form grows the joined syllable in place and reduced_form its left
+    # block, and both equal the references that multiply and split whole tuples.
+    # Joins come out both ways: kept whole, and split again
+    outcomes = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def check(seed):
+        if name == "nielsen":
+            ctx, ref, adversarial = nielsen_context(seed), nielsen_context(seed), None
+        else:
+            make, adversarial = STEP_CONTEXTS[name]
+            ctx, ref = make(), make()
+        rng = random.Random(seed)
+        words = [c_heavy_word(rng, ctx) for _ in range(4)]
+        powers = [c_heavy_word(rng, ctx) ** rng.randint(2, 8) for _ in range(2)]
+        for word in words + powers:
+            rf = reduced_form(ctx, word)
+            assert astuple(rf) == astuple(reduced_form_by_rescan(ctx, word))
+            both = adversarial is not None and word not in powers  # powers of p^(2m) heads
+            for policy in (CANONICAL, adversarial) if both else (CANONICAL,):
+                trace, ref_trace = [], []
+                nf = normal_form(ctx, word, policy, trace)
+                assert nf == normal_form_unmemoised(ref, word, policy, ref_trace)
+                assert trace == ref_trace
+                outcomes.update(again for _, again in reference_joins(ref, word, policy))
+
+    check()
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("sweep", [normal_form, reduced_form], ids=["normal", "reduced"])
+def test_c_heavy_sweeps_build_linearly_many_letters(sweep, monkeypatch):
+    # (b z)^n: b is in C_A and transfers to y^2, so each rep lands beside the syllable
+    # (or block) before it.  The letters letters_product returns, and the letters
+    # joined in place, at most about double when n doubles: no join copies what is
+    # already there
+    built, joined = [], []
+    product, join = group.letters_product, group._join
+
+    def counted_product(a, b):
+        out = product(a, b)
+        built.append(len(out))
+        return out
+
+    def counted_join(left, right):
+        joined.append(len(right))
+        return join(left, right)
+
+    monkeypatch.setattr(group, "letters_product", counted_product)
+    monkeypatch.setattr(group, "_join", counted_join)
+    counts = []
+    for n in (2**12, 2**13, 2**14):
+        ctx = example_one_context(2)
+        word = up(ctx, "b z") ** n
+        built.clear()
+        joined.clear()
+        form = sweep(ctx, word)
+        assert len(form.syllable_letters) == 1 and len(form.syllable_letters[0][1]) >= 2 * n
+        counts.append((sum(built), sum(joined)))
+    for (b1, j1), (b2, j2) in zip(counts, counts[1:]):
+        assert b2 <= 2.3 * b1 and j2 <= 2.3 * j1, counts
+    assert counts[-1][1] >= 2**14  # the joins are counted
 
 
 def test_concurrent_sweeps_share_one_step_memo():

@@ -22,9 +22,9 @@ solution is certified by pushing it back.  A conjugacy query sweeps each word on
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from itertools import groupby
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
@@ -153,6 +153,23 @@ class ConjugacyOutcome:
     reason: str = ""
 
 
+MAX_GENERATORS = 557_055  # of both factors: the last union letter's code, 2n + 1, is U+10FFFF
+
+
+@lru_cache(maxsize=32)
+def _codec(na: int, nb: int) -> tuple:
+    """(code, findall, factor, B factor -> union) of contexts of na + nb generators: union
+    letter lt is character na + lt on side A and 2na + 1 + nb + its factor letter on side
+    B, so one pattern finds a word's one-side blocks; the lists take signed letters."""
+    n = na + nb
+    union = [*range(n + 1), *range(-n, 0)]
+    factor = [lt if abs(lt) <= na else lt - na if lt > 0 else lt + na for lt in union]
+    codes = [chr(f + (na if abs(lt) <= na else 2 * na + 1 + nb)) for lt, f in zip(union, factor)]
+    a_codes = f"\\x00-\\U{2 * na:08x}"
+    blocks = re.compile(f"[{a_codes}]+|[^{a_codes}]+")
+    return codes.__getitem__, blocks.findall, factor, [0, *range(na + 1, n + 1), *range(-n, -na)]
+
+
 class AmalgamContext:
     """Validated presentation of G = A *_C B with precomputed transfer data.
 
@@ -162,11 +179,11 @@ class AmalgamContext:
     Its "shift" and "transfer" keys hold non-singleton cosets only, and a "ps" key holds
     E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
     sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from
-    None to that carry and from a union block to the row ((side, rep) or None, next
-    carry, its state, _RUN_MIN - its length, letters of rep its C graph reads, or None
-    until a join needs them).  Rows share their carries and, through memo[syll] = syll,
-    their syllables.  It grows like "xfer", and answers 94% of the steps of the
-    word-problem benchmark, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
+    None to that carry and from a block's characters (see `_codec`) to the row ((side,
+    rep) or None, next carry, its state, _RUN_MIN - its length, letters of rep its C
+    graph reads, or None until a join needs them).  Rows share their carries and, through
+    memo[syll] = syll, their syllables.  It grows like "xfer", and answers 94% of the steps
+    of word-problem, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -193,14 +210,8 @@ class AmalgamContext:
         self.graph_cb = graph_cb
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.cache: dict = {}
-        # union letter -> side (0 for A, 1 for B) and factor letter, for the syllable split
-        off = len(alphabet_a)
-        union = [lt for i in range(1, len(self.union_alphabet) + 1) for lt in (i, -i)]
-        self._letter_side = {lt: int(abs(lt) > off) for lt in union}
-        self._factor_letter = {
-            lt: lt if abs(lt) <= off else lt - off if lt > 0 else lt + off for lt in union
-        }
-        self._b_to_union = {f: lt for lt, f in self._factor_letter.items() if abs(lt) > off}
+        codec = _codec(len(alphabet_a), len(alphabet_b))  # union letter codes, for the sweeps
+        self._code, self._blocks, self._factor_letter, self._b_to_union = codec
 
     # --- sides and alphabets -------------------------------------------------
 
@@ -263,6 +274,8 @@ def build_context(
         alphabet_a = Alphabet(tuple(alphabet_a))
     if not isinstance(alphabet_b, Alphabet):
         alphabet_b = Alphabet(tuple(alphabet_b))
+    if len(alphabet_a) + len(alphabet_b) > MAX_GENERATORS:
+        raise InvalidPresentationError(f"the factors have more than {MAX_GENERATORS} generators")
     overlap = set(alphabet_a.names) & set(alphabet_b.names)
     if overlap:
         shown = ", ".join(map(_quote, sorted(overlap)[:3])) + ", ..." * (len(overlap) > 3)
@@ -308,11 +321,14 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     """Maximal alternating factor blocks of a union word as (side, factor letters)."""
     if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
-    factor_letter = ctx._factor_letter.__getitem__
-    return [
-        ("AB"[b], tuple(map(factor_letter, block)))
-        for b, block in groupby(raw.letters, key=ctx._letter_side.__getitem__)
-    ]
+    letters, out, end = raw.letters, [], 0
+    b = letters and abs(letters[0]) > len(ctx.alphabet_a)  # blocks alternate from there
+    for block in ctx._blocks("".join(map(ctx._code, letters))):
+        start, end = end, end + len(block)
+        word = letters[start:end]
+        out.append(("AB"[b], tuple(map(ctx._factor_letter.__getitem__, word)) if b else word))
+        b = not b
+    return out
 
 
 def _join(left: list[int], right: Sequence[int]) -> int:
@@ -418,10 +434,10 @@ def normal_form(
 
     The carry (the C-element extracted from the current tail) is transferred
     across the amalgamation each time it moves past a syllable; `trace`, when
-    given, records its length after every step.  Each block is read off the union
-    letters by one `rfind` on a side-byte map, and put in factor letters on a miss.
-    The step memo is walked as a transducer (see AmalgamContext): a known step is one
-    `get` on the carry's state, which also yields the next state.
+    given, records its length after every step.  The blocks come from one `findall` over
+    the word's codes (`_codec`), with no `rfind`; a block's letters are sliced out only on
+    a miss.  The step memo is walked as a transducer (see AmalgamContext): a known step is
+    one `get` on the carry's state, keyed by the block's characters, also yielding the next.
 
     When a block lies in C, the next rep r joins the syllable after it.  A canonical
     rep is a tree path and a letter its C graph cannot read there, so r * syllable
@@ -437,24 +453,22 @@ def normal_form(
         reps = _coset_reps(ctx, policy)
         memo = ctx.cache[("step", policy.kind, policy.p)] = {}
     letters = raw.letters
-    sides = bytes(map(ctx._letter_side.__getitem__, letters))
-    rfind = sides.rfind
+    blocks = ctx._blocks("".join(map(ctx._code, letters)))
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, the last first
     opened = None  # done[-1]'s letters reversed, once a join keeps it long
     state = _state(memo, ())  # the empty carry's
-    b, carry, room, end = 0, (), _RUN_MIN, len(letters)  # room: block letters under the rule
-    while end:
-        b = sides[end - 1]
-        start = rfind(1 - b, 0, end) + 1
-        block = letters[start:end]
-        # blocks alternate, so the carry is on the other side: the block's letters name a row
-        short, end = end - start < room, start  # a carry without a state leaves no room
+    carry, room, end = (), _RUN_MIN, len(letters)  # room: block letters under the rule
+    b = letters and abs(letters[-1]) <= len(ctx.alphabet_a)  # flipped before each block
+    for block in reversed(blocks):
+        # blocks alternate, so the carry is on the other side: the block's characters name a row
+        b, short, end = not b, len(block) < room, end - len(block)  # no state leaves no room
         step = state.get(block) if short else None
         if step is None:
             reps = reps or _coset_reps(ctx, policy)
             if carry:
                 carry = ctx.transfer_letters("BA"[b], carry)
-            word = tuple(map(ctx._factor_letter.__getitem__, block)) if b else block
+            word = letters[end : end + len(block)]
+            word = tuple(map(ctx._factor_letter.__getitem__, word)) if b else word
             rep, carry = reps["AB"[b]](letters_product(word, carry))  # frees the old carry
             room = _RUN_MIN - len(carry)
             nxt = _state(memo, carry) if room > 0 else None

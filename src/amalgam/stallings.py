@@ -242,12 +242,9 @@ class SubgroupGraph:
             s = hit[0]
         return s
 
-    def reads_loop(self, letters: Sequence[int], at: int) -> bool:
-        return self.trace(letters, at) == at
-
     def contains(self, letters: Sequence[int]) -> bool:
         """Whether the letters spell a member of the subgroup: a loop at the base."""
-        return self.reads_loop(letters, self.base)
+        return self.trace(letters, self.base) == self.base
 
     def tree_path_letters(self, state: int) -> tuple[int, ...]:
         cached = self._tree_words[state]
@@ -265,18 +262,7 @@ class SubgroupGraph:
         coset, is freely reduced (the geodesic never ends with the inverse of
         the stuck letter), and |rep| <= |letters|.
         """
-        if len(letters) >= _RUN_MIN:
-            s, i = self._walk(letters, self.base)
-        else:
-            moves, width = self.moves, self.width
-            s = self.base
-            i = 0
-            for lt in letters:
-                hit = moves.get((s + 1) * width + lt)
-                if hit is None:
-                    break
-                s = hit[0]
-                i += 1
+        s, i = self.read(letters, self.base)
         path = self.tree_path_letters(s)
         if not path:
             return letters[i:], letters[:i]

@@ -29,6 +29,9 @@ and tests that compare them; the package compares first sides only.
 every join (a representative landing beside a syllable of its side) whole;
 it checks the sweep that looks a repeated (side, syllable, carry) step up in
 `ctx.cache` and grows a joined syllable in place.
+`split_by_groupby` is the older block split, which grouped a word's union
+letters by side with `itertools.groupby`; the two sweep references split with
+it, so they share no splitter with the package's block codec, which it checks.
 `transfer_through_basis` is the older transfer, which spelled a C-element
 over the free basis of C and substituted the basis images letter by letter;
 it checks the walk that multiplies the images of the fold's edge words.
@@ -64,7 +67,7 @@ same order, so every graph, tree and edge word is unchanged.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import groupby, product
 from typing import Optional, Sequence
 
 from amalgam import group
@@ -497,6 +500,15 @@ def _squash(sylls: list[Syllable]) -> list[Syllable]:
     return out
 
 
+def split_by_groupby(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
+    """Maximal one-side blocks of a union word as (side, factor letters), by grouping."""
+    off = len(ctx.alphabet_a)
+    return [
+        ("B", tuple(lt - off if lt > 0 else lt + off for lt in block)) if b else ("A", tuple(block))
+        for b, block in groupby(raw.letters, key=lambda lt: abs(lt) > off)
+    ]
+
+
 def reduced_form_by_rescan(
     ctx: AmalgamContext, raw: Word, lengths: Optional[list[int]] = None
 ) -> NormalForm:
@@ -506,7 +518,7 @@ def reduced_form_by_rescan(
     """
     sylls = _squash([
         Syllable(side, Word(ctx.factor_alphabet(side), letters))
-        for side, letters in group._split(ctx, raw)
+        for side, letters in split_by_groupby(ctx, raw)
     ])
     while True:
         idx = next(
@@ -541,7 +553,7 @@ def normal_form_unmemoised(
     reps = group._coset_reps(ctx, policy)
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, last first
     carry_side, carry = "A", ()
-    for side, word in reversed(group._split(ctx, raw)):
+    for side, word in reversed(split_by_groupby(ctx, raw)):
         if carry and carry_side != side:
             carry = ctx.transfer_letters(carry_side, carry)
         rep, head = reps[side](letters_product(word, carry))
@@ -561,7 +573,7 @@ def normal_form_unmemoised(
     if carry and carry_side != target:
         carry = ctx.transfer_letters(carry_side, carry)
     graph = ctx.graph_c(target).graph
-    if not graph.reads_loop(carry, graph.base):
+    if graph.trace(carry, graph.base) != graph.base:
         raise VerificationError("normal-form head escaped C")
     return group._form(ctx, target, carry, reversed(done))
 

@@ -37,6 +37,7 @@ from amalgam.words import (
     Word,
     format_word,
     identity,
+    letters_inverse,
     letters_product,
     parse_word,
 )
@@ -55,6 +56,7 @@ from bruteforce import (
     normal_form_unmemoised,
     principal_system_solve_two_pass,
     reduced_form_by_rescan,
+    split_by_groupby,
     subgroup_elements,
     transfer_key_through_basis,
     transfer_through_basis,
@@ -715,19 +717,28 @@ def is_syllable(key):
     return bool(key) and isinstance(key[0], str)  # (side, rep); a carry holds letters
 
 
+def block_decoder(ctx):
+    """A row's block (one character per union letter, from the context's codec) -> its
+    union letters."""
+    n = len(ctx.union_alphabet)
+    decode = {ctx._code(lt): lt for lt in [*range(1, n + 1), *range(-n, 0)]}
+    assert len(decode) == 2 * n  # one character per union letter
+    return lambda block: tuple(map(decode.__getitem__, block))
+
+
 def step_keys(ctx):
     """Every step of the sweep memos in ctx.cache, over all policies, as (block, carry):
-    the block in union letters, read off the state of its carry."""
-    keys = []
+    the block decoded to union letters, read off the state of its carry."""
+    keys, decode = [], block_decoder(ctx)
     for kind, memo in ctx.cache.items():
         for key, value in memo.items() if kind[0] == "step" else ():
-            keys += [] if is_syllable(key) else [(block, key) for block in value if block]
+            keys += [] if is_syllable(key) else [(decode(b), key) for b in value if b]
     return keys
 
 
 def assert_keys_within_the_gates(ctx):
     # a step is hashed below the 64-letter rule, and no join is stored
-    off = len(ctx.alphabet_a)
+    off, decode = len(ctx.alphabet_a), block_decoder(ctx)
     keys = step_keys(ctx)
     assert keys
     for block, carry in keys:
@@ -748,7 +759,7 @@ def assert_keys_within_the_gates(ctx):
                 assert state is carry
                 continue
             assert len(carry) < _RUN_MIN and state[None] is carry
-            rows = ((block, row) for block, row in state.items() if block)
+            rows = ((decode(block), row) for block, row in state.items() if block)
             for block, (syll, nxt, nxt_state, room, reads) in rows:
                 assert syll is None or syll[0] == "AB"[abs(block[0]) > off]
                 assert syll is None or memo[syll] is syll
@@ -799,7 +810,7 @@ def short_steps_only(ctx, word, policy):
     the 64-letter rule, the carry read off the reference's trace."""
     trace = []
     normal_form_unmemoised(ctx, word, policy, trace)
-    blocks = group._split(ctx, word)[::-1]
+    blocks = split_by_groupby(ctx, word)[::-1]
     return all(len(b) + c < _RUN_MIN for (_, b), c in zip(blocks, [0] + trace))
 
 
@@ -961,10 +972,11 @@ def test_a_shared_state_is_read_by_the_side_of_its_block(name):
                 assert trace == ref_trace
 
     check()
-    off = len(ctx.alphabet_a)
+    off, decode = len(ctx.alphabet_a), block_decoder(ctx)
     memos = [memo for kind, memo in ctx.cache.items() if kind[0] == "step"]
     states = [state for memo in memos for key, state in memo.items() if not is_syllable(key)]
-    assert any(len({abs(block[0]) > off for block in state if block}) == 2 for state in states)
+    sides = [{abs(decode(block)[0]) > off for block in state if block} for state in states]
+    assert any(len(side) == 2 for side in sides)
     assert_keys_within_the_gates(ctx)
 
 
@@ -1136,6 +1148,122 @@ def test_concurrent_sweeps_share_one_step_memo():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
+
+
+# --- the block codec -------------------------------------------------------------
+
+
+def wide_context(n, pairs=None):
+    """F(a1..an) * F(x1..xn), over a Nielsen pairing unless `pairs` (index pairs, as
+    (u letters, v letters)) is given."""
+    alphabet_a = Alphabet(tuple(f"a{i}" for i in range(1, n + 1)))
+    alphabet_b = Alphabet(tuple(f"x{i}" for i in range(1, n + 1)))
+    if pairs is None:
+        pairs = nielsen_pairs(random.Random(5), alphabet_a, alphabet_b)
+    else:
+        pairs = [(Word(alphabet_a, u), Word(alphabet_b, v)) for u, v in pairs]
+    return build_context(alphabet_a, alphabet_b, pairs)
+
+
+CODEC_CONTEXTS = {
+    **{name: make for name, (make, _) in STEP_CONTEXTS.items()},
+    **{f"nielsen-{seed}": lambda seed=seed: nielsen_context(seed) for seed in (1, 2, 3)},
+    "wide-150": lambda: wide_context(150),  # B's codes run from U+012D to U+0259
+}
+
+
+def block_words(data, ctx, max_blocks=6):
+    """Alternating one-side blocks, one of 64 to 128 pieces and the others of up to 64:
+    a piece is a letter of the block's side, or a u_i or v_i (or an inverse), so some
+    blocks lie in C."""
+    first, count = data.draw(st.integers(0, 1)), data.draw(st.integers(1, max_blocks))
+    long = data.draw(st.integers(0, count - 1))
+    letters = ()
+    for i in range(count):
+        side = "AB"[(first + i) % 2]
+        n = len(ctx.factor_alphabet(side))
+        gens = [(lt,) for j in range(1, n + 1) for lt in (j, -j)]
+        pair_words = [w.letters for pair in ctx.pairs for w in (pair["AB".index(side)],)]
+        pair_words += [letters_inverse(w) for w in pair_words]
+        size = data.draw(st.integers(*(_RUN_MIN, 2 * _RUN_MIN) if i == long else (1, _RUN_MIN)))
+        pieces = st.one_of(st.sampled_from(gens), st.sampled_from(pair_words))
+        block = sum(data.draw(st.lists(pieces, min_size=size, max_size=size)), ())
+        letters += ctx.union_letters(side, block)
+    return Word(ctx.union_alphabet, letters)  # reduced, so blocks may cancel and merge
+
+
+@pytest.mark.parametrize("name", CODEC_CONTEXTS)
+def test_codec_blocks_match_the_grouped_split(name):
+    # the codec's one findall gives the blocks that grouping letters by side gives, and
+    # the sweep that reads them matches the reference, which splits by grouping
+    ctx, ref = CODEC_CONTEXTS[name](), CODEC_CONTEXTS[name]()
+    longest = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        word = block_words(data, ctx) if data.draw(st.booleans()) else data.draw(union_words(ctx))
+        split = split_by_groupby(ctx, word)
+        assert group._split(ctx, word) == split
+        assert ctx._blocks("".join(map(ctx._code, word.letters))) == [
+            "".join(map(ctx._code, ctx.union_letters(side, block))) for side, block in split
+        ]
+        trace, ref_trace = [], []
+        assert normal_form(ctx, word, CANONICAL, trace) == normal_form_unmemoised(
+            ref, word, CANONICAL, ref_trace
+        )
+        assert trace == ref_trace
+        assert astuple(reduced_form(ctx, word)) == astuple(reduced_form_by_rescan(ctx, word))
+        longest.append(max((len(block) for _, block in split), default=0))
+
+    check()
+    assert max(longest) >= _RUN_MIN  # one-side blocks of 64 letters or more were swept
+
+
+def test_codes_past_the_surrogate_block_sweep():
+    # 28,800 generators: A's codes are U+0000-U+7080 and B's U+7081-U+E101, so the
+    # highest letters of B have codes in and past U+D800-U+DFFF, which a Python str
+    # holds and the block pattern reads like any other code point
+    n = 14_400
+    pairs = [((1, 1), (n,)), ((n,), (n - 1, n))]  # a1^2 = x_n, a_n = x_(n-1) x_n
+    ctx, ref = wide_context(n, pairs), wide_context(n, pairs)
+    assert ord(ctx._code(2 * n)) == 4 * n + 1 > 0xDFFF and ord(ctx._code(-2 * n)) == 2 * n + 1
+    edges = [c - 2 * n - 1 for c in (0xD7FF, 0xD800, 0xDFFF, 0xE000)]  # B letters by code
+    assert [ord(ctx._code(lt)) for lt in edges] == [0xD7FF, 0xD800, 0xDFFF, 0xE000]
+    high = range(2 * n - 2400, 2 * n + 1)  # B's highest 2,401 letters
+    rng = random.Random(11)
+    blocks = [
+        (n, rng.choice(high), n - 1, 2 * n),
+        tuple(rng.choice(high) * rng.choice((1, -1)) for _ in range(80)),
+        (1, 1, -n, 2, *edges, -2 * n, n, n - 1, 2 * n, 2 * n - 1),
+        tuple(rng.choice(high) for _ in range(70)) + (2 * n - 1, 2 * n, -n, -n),
+    ]
+    word = Word(ctx.union_alphabet, sum(blocks, ()))
+    split = split_by_groupby(ctx, word)
+    assert group._split(ctx, word) == split and max(len(b) for _, b in split) >= _RUN_MIN
+    for _ in range(2):  # cold, then warm
+        trace, ref_trace = [], []
+        nf = normal_form(ctx, word, CANONICAL, trace)
+        assert nf == normal_form_unmemoised(ref, word, CANONICAL, ref_trace)
+        assert trace == ref_trace
+    spelled = form_to_word(ctx, nf)
+    codes = {ord(ctx._code(lt)) for lt in spelled.letters}
+    assert max(codes) > 0xDFFF and any(0xD800 <= c <= 0xDFFF for c in codes)
+    assert normal_form(ctx, spelled) == nf
+    assert astuple(reduced_form(ctx, word)) == astuple(reduced_form_by_rescan(ctx, word))
+
+
+def test_build_context_rejects_more_generators_than_codes(monkeypatch):
+    # one code point per union letter: past group.MAX_GENERATORS generators the
+    # context is refused before any per-letter work (no codec, no fold)
+    assert 2 * group.MAX_GENERATORS + 1 == sys.maxunicode
+    monkeypatch.setattr(group, "_codec", None)
+    monkeypatch.setattr(group, "build", None)
+    alphabet_a = Alphabet(tuple(f"a{i}" for i in range(group.MAX_GENERATORS)))
+    alphabet_b = Alphabet(("x",))
+    pairs = [(Word(alphabet_a, (1,)), Word(alphabet_b, (1,)))]
+    with pytest.raises(InvalidPresentationError, match="more than 557055 generators"):
+        build_context(alphabet_a, alphabet_b, pairs)
 
 
 # --- cyclic forms ----------------------------------------------------------------
@@ -1342,7 +1470,7 @@ def draw_form(data, ctx, sides):
         block = data.draw(
             st.lists(st.sampled_from(letters), min_size=1, max_size=4)
             .map(lambda b, alphabet=alphabet: Word(alphabet, b))
-            .filter(lambda w, graph=graph: not graph.reads_loop(w.letters, graph.base))
+            .filter(lambda w, graph=graph: graph.trace(w.letters, graph.base) != graph.base)
         )
         word = word * ctx.to_union(side, block)
     nf = normal_form(ctx, word)

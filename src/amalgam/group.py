@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
@@ -132,6 +132,7 @@ class RepPolicy:
 
 
 CANONICAL = RepPolicy()
+MAX_GENERATORS = 557_055  # of both factors: the last union letter's code, 2n + 1, is U+10FFFF
 
 
 @dataclass(frozen=True)
@@ -153,23 +154,6 @@ class ConjugacyOutcome:
     reason: str = ""
 
 
-MAX_GENERATORS = 557_055  # of both factors: the last union letter's code, 2n + 1, is U+10FFFF
-
-
-@lru_cache(maxsize=32)
-def _codec(na: int, nb: int) -> tuple:
-    """(code, findall, factor, B factor -> union) of contexts of na + nb generators: union
-    letter lt is character na + lt on side A and 2na + 1 + nb + its factor letter on side
-    B, so one pattern finds a word's one-side blocks; the lists take signed letters."""
-    n = na + nb
-    union = [*range(n + 1), *range(-n, 0)]
-    factor = [lt if abs(lt) <= na else lt - na if lt > 0 else lt + na for lt in union]
-    codes = [chr(f + (na if abs(lt) <= na else 2 * na + 1 + nb)) for lt, f in zip(union, factor)]
-    a_codes = f"\\x00-\\U{2 * na:08x}"
-    blocks = re.compile(f"[{a_codes}]+|[^{a_codes}]+")
-    return codes.__getitem__, blocks.findall, factor, [0, *range(na + 1, n + 1), *range(-n, -na)]
-
-
 class AmalgamContext:
     """Validated presentation of G = A *_C B with precomputed transfer data.
 
@@ -179,7 +163,7 @@ class AmalgamContext:
     Its "shift" and "transfer" keys hold non-singleton cosets only, and a "ps" key holds
     E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
     sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from
-    None to that carry and from a block's characters (see `_codec`) to the row ((side,
+    None to that carry and from a block's characters (see its codec) to the row ((side,
     rep) or None, next carry, its state, _RUN_MIN - its length, letters of rep its C
     graph reads, or None until a join needs them).  Rows share their carries and, through
     memo[syll] = syll, their syllables.  It grows like "xfer", and answers 94% of the steps
@@ -210,8 +194,16 @@ class AmalgamContext:
         self.graph_cb = graph_cb
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.cache: dict = {}
-        codec = _codec(len(alphabet_a), len(alphabet_b))  # union letter codes, for the sweeps
-        self._code, self._blocks, self._factor_letter, self._b_to_union = codec
+        # block codec: union letter lt is character na + lt on side A and n + na + 1 + its factor
+        # letter on side B, so one pattern (re caches it) finds a word's one-side blocks
+        na, n = len(alphabet_a), len(self.union_alphabet)
+        union = [*range(n + 1), *range(-n, 0)]  # the lists take signed letters
+        factor = [lt if abs(lt) <= na else lt - na if lt > 0 else lt + na for lt in union]
+        codes = [chr(f + (na if abs(lt) <= na else n + na + 1)) for lt, f in zip(union, factor)]
+        a_codes = f"\\x00-\\U{2 * na:08x}"
+        self._code, self._factor_letter = codes.__getitem__, factor
+        self._blocks = re.compile(f"[{a_codes}]+|[^{a_codes}]+").findall
+        self._b_to_union = [0, *range(na + 1, n + 1), *range(-n, -na)]
 
     # --- sides and alphabets -------------------------------------------------
 
@@ -322,12 +314,10 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
     letters, out, end = raw.letters, [], 0
-    b = letters and abs(letters[0]) > len(ctx.alphabet_a)  # blocks alternate from there
+    b = letters and abs(letters[0]) <= len(ctx.alphabet_a)  # flipped before each block
     for block in ctx._blocks("".join(map(ctx._code, letters))):
-        start, end = end, end + len(block)
-        word = letters[start:end]
+        b, word, end = not b, letters[end : end + len(block)], end + len(block)
         out.append(("AB"[b], tuple(map(ctx._factor_letter.__getitem__, word)) if b else word))
-        b = not b
     return out
 
 
@@ -435,9 +425,9 @@ def normal_form(
     The carry (the C-element extracted from the current tail) is transferred
     across the amalgamation each time it moves past a syllable; `trace`, when
     given, records its length after every step.  The blocks come from one `findall` over
-    the word's codes (`_codec`), with no `rfind`; a block's letters are sliced out only on
-    a miss.  The step memo is walked as a transducer (see AmalgamContext): a known step is
-    one `get` on the carry's state, keyed by the block's characters, also yielding the next.
+    the word's codes (the context's block codec), with no `rfind`; a block's letters are
+    sliced out only on a miss.  The step memo is walked as a transducer (see AmalgamContext):
+    a known step is one `get` on the carry's state, keyed by the block's characters.
 
     When a block lies in C, the next rep r joins the syllable after it.  A canonical
     rep is a tree path and a letter its C graph cannot read there, so r * syllable
@@ -453,13 +443,12 @@ def normal_form(
         reps = _coset_reps(ctx, policy)
         memo = ctx.cache[("step", policy.kind, policy.p)] = {}
     letters = raw.letters
-    blocks = ctx._blocks("".join(map(ctx._code, letters)))
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, the last first
     opened = None  # done[-1]'s letters reversed, once a join keeps it long
     state = _state(memo, ())  # the empty carry's
     carry, room, end = (), _RUN_MIN, len(letters)  # room: block letters under the rule
     b = letters and abs(letters[-1]) <= len(ctx.alphabet_a)  # flipped before each block
-    for block in reversed(blocks):
+    for block in reversed(ctx._blocks("".join(map(ctx._code, letters)))):
         # blocks alternate, so the carry is on the other side: the block's characters name a row
         b, short, end = not b, len(block) < room, end - len(block)  # no state leaves no room
         step = state.get(block) if short else None

@@ -262,7 +262,18 @@ class SubgroupGraph:
         coset, is freely reduced (the geodesic never ends with the inverse of
         the stuck letter), and |rep| <= |letters|.
         """
-        s, i = self.read(letters, self.base)
+        if len(letters) >= _RUN_MIN:
+            s, i = self._walk(letters, self.base)
+        else:
+            moves, width = self.moves, self.width
+            s = self.base
+            i = 0
+            for lt in letters:
+                hit = moves.get((s + 1) * width + lt)
+                if hit is None:
+                    break
+                s = hit[0]
+                i += 1
         path = self.tree_path_letters(s)
         if not path:
             return letters[i:], letters[:i]

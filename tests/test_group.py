@@ -1255,10 +1255,10 @@ def test_codes_past_the_surrogate_block_sweep():
 
 def test_build_context_rejects_more_generators_than_codes(monkeypatch):
     # one code point per union letter: past group.MAX_GENERATORS generators the
-    # context is refused before any per-letter work (no codec, no fold)
+    # context is refused before any per-letter work (no fold, no codec)
     assert 2 * group.MAX_GENERATORS + 1 == sys.maxunicode
-    monkeypatch.setattr(group, "_codec", None)
     monkeypatch.setattr(group, "build", None)
+    monkeypatch.setattr(group, "AmalgamContext", None)
     alphabet_a = Alphabet(tuple(f"a{i}" for i in range(group.MAX_GENERATORS)))
     alphabet_b = Alphabet(("x",))
     pairs = [(Word(alphabet_a, (1,)), Word(alphabet_b, (1,)))]

@@ -1,9 +1,9 @@
 """Run alternating pairs of the layered benchmark on two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
-        --pairs N --seed S --name NAME [--seconds 12]
+        --pairs N --seed S --name NAME
 
-Each pair runs `layerbench/run.py --workload NAME --seed SEED --seconds S
+Each pair runs `layerbench/run.py --workload NAME --seed SEED --seconds 12
 --trace 0` once in each checkout, on the same seed, one run after the other;
 pair i uses seed S + i, and the parent runs first on even i and second on
 odd i, so neither side always meets a warmer or a cooler machine.  Each run
@@ -11,8 +11,8 @@ is made from the root of its checkout, so it imports that checkout's `src/`
 and writes its record under that checkout's `layerbench/out/`.
 
 The result goes to BENCH_pairs_<NAME>.json in this checkout (or --out): the
-machine, the Python version, and per workload the seeds,
-every run (side, order, exit code, end-to-end metrics and the worker's output
+machine, the Python version, and per workload each checkout's git commit, the
+seeds, every run (side, order, exit code, end-to-end metrics and the worker's output
 digest), and per metric the medians and quartiles of each side and the number
 of pairs in which the change is strictly better (the direction of each metric
 comes from BENCHMARK.json).  Quartiles are `statistics.quantiles(n=4,
@@ -32,6 +32,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 12  # every run's length, the same on both sides
 
 
 def cpu_model() -> str:
@@ -45,10 +46,17 @@ def cpu_model() -> str:
     return "unknown"
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def commit(checkout: str) -> str | None:
+    """The checkout's HEAD commit, or None when it is not a git checkout."""
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One `layerbench/run.py` run in `checkout`: its exit code, metrics and digest."""
     cmd = [sys.executable, "layerbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.monotonic() - t0
@@ -110,7 +118,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=12.0)
     ap.add_argument("--name", required=True, help="the file is BENCH_pairs_<name>.json")
     ap.add_argument("--out", default="", help="write here instead of this checkout's root")
     args = ap.parse_args()
@@ -123,7 +130,7 @@ def main() -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
             run = {"pair": i, "seed": seed, "side": side, "first": position == 0}
-            run.update(run_once(checkouts[side], args.workload, seed, args.seconds))
+            run.update(run_once(checkouts[side], args.workload, seed))
             runs.append(run)
             shown = run.get("metrics", {}).get("throughput_qps")
             print(f"{args.workload} pair {i} seed {seed} {side:6s} exit {run['exit']} "
@@ -135,7 +142,7 @@ def main() -> int:
             result = json.load(fh)
     result.update({
         "command": "python3 layerbench/run.py --workload WORKLOAD --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
                     "python": platform.python_version(),
                     "implementation": platform.python_implementation()},
@@ -144,6 +151,7 @@ def main() -> int:
                   "change_better_in counts pairs where the change is strictly better",
     })
     result.setdefault("workloads", {})[args.workload] = {
+        "commits": {side: commit(path) for side, path in checkouts.items()},
         "seeds": [args.seed + i for i in range(args.pairs)],
         "summary": summarise(runs, better),
         "runs": runs,

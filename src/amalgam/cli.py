@@ -181,7 +181,7 @@ def _emit_form(args, form, lines: list[str], extra: dict) -> int:
 
 def _cmd_validate(args) -> int:
     ctx = _load_context(args.group)
-    rank, mal_a, mal_b = ctx.graph_ca.graph.rank, ctx.malnormal_a, ctx.malnormal_b
+    rank, mal_a, mal_b = ctx.graph_ca.rank, ctx.malnormal_a, ctx.malnormal_b
     lines = [
         "valid presentation",
         f"rank of C: {rank}",
@@ -311,7 +311,7 @@ def bench_paper_ex1(p: int, m: int) -> list[BenchReport]:
     d = Word(ctx.union_alphabet, (3,))
     x = Word(ctx.union_alphabet, (4,))
     w = (z * d) ** m * x
-    head_bound = len(w) + 2 * max(diameter(ctx.graph_ca.graph), diameter(ctx.graph_cb.graph))
+    head_bound = len(w) + 2 * max(diameter(ctx.graph_ca), diameter(ctx.graph_cb))
     reports = []
     for policy in (RepPolicy.paper_example_one(p), CANONICAL):
         trace: list[int] = []

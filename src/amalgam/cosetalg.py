@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .stallings import GeneratingTuple, build, meet
+from .stallings import SubgroupGraph, build, meet
 from .words import Word, letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,18 +24,18 @@ class CosetOfC:
     """Right coset subgroup * rep inside the factor named by side, rep in its letters."""
 
     side: str  # "A" | "B"
-    subgroup: GeneratingTuple
+    subgroup: SubgroupGraph
     rep: tuple[int, ...]
 
     def key(self) -> tuple:
-        return (self.side, self.subgroup.graph.canonical_key(), self.rep)
+        return (self.side, self.subgroup.canonical_key(), self.rep)
 
     def contains(self, w: tuple[int, ...]) -> bool:
-        return self.subgroup.graph.contains(letters_product(w, letters_inverse(self.rep)))
+        return self.subgroup.contains(letters_product(w, letters_inverse(self.rep)))
 
 
-def _canonical(side: str, subgroup: GeneratingTuple, rep: tuple[int, ...]) -> CosetOfC:
-    return CosetOfC(side, subgroup, subgroup.graph.coset_rep(rep)[0])
+def _canonical(side: str, subgroup: SubgroupGraph, rep: tuple[int, ...]) -> CosetOfC:
+    return CosetOfC(side, subgroup, subgroup.coset_rep(rep)[0])
 
 
 def c_coset(ctx: "AmalgamContext", side: str) -> CosetOfC:

@@ -28,7 +28,7 @@ from functools import cached_property, partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
-from .stallings import _RUN_MIN, GeneratingTuple, basis_coordinates, build
+from .stallings import _RUN_MIN, SubgroupGraph, basis_coordinates, build
 from .words import (
     Alphabet,
     VerificationError,
@@ -181,8 +181,8 @@ class AmalgamContext:
         alphabet_a: Alphabet,
         alphabet_b: Alphabet,
         pairs: tuple[tuple[Word, Word], ...],
-        graph_ca: GeneratingTuple,
-        graph_cb: GeneratingTuple,
+        graph_ca: SubgroupGraph,
+        graph_cb: SubgroupGraph,
         edge_images: tuple[dict, dict],
     ):
         self.alphabet_a = alphabet_a
@@ -210,7 +210,7 @@ class AmalgamContext:
     def factor_alphabet(self, side: str) -> Alphabet:
         return self.alphabet_a if side == "A" else self.alphabet_b
 
-    def graph_c(self, side: str) -> GeneratingTuple:
+    def graph_c(self, side: str) -> SubgroupGraph:
         return self.graph_ca if side == "A" else self.graph_cb
 
     @staticmethod
@@ -344,7 +344,7 @@ def reduced_form(ctx: AmalgamContext, raw: Word) -> NormalForm:
     done: list = []  # (side, letters, letters read from the base)
     while todo:
         side, word = todo.pop()
-        graph = ctx.graph_c(side).graph
+        graph = ctx.graph_c(side)
         s, k = graph.read(word)
         if s != graph.base or k < len(word):
             done.append((side, word if type(word) is list else list(word), k))
@@ -384,7 +384,7 @@ def _is_example_one_fixture(ctx: AmalgamContext, p: int) -> bool:
 def _coset_reps(ctx: AmalgamContext, policy: RepPolicy) -> dict:
     """Side -> split w -> (rep, head) with w = head * rep, bound once per sweep."""
     if policy.kind == "canonical":
-        return {"A": ctx.graph_ca.graph.coset_rep, "B": ctx.graph_cb.graph.coset_rep}
+        return {"A": ctx.graph_ca.coset_rep, "B": ctx.graph_cb.coset_rep}
     if not _is_example_one_fixture(ctx, policy.p):
         raise ValueError("the adversarial policy is only defined for the worst-case fixture")
     return {side: partial(_rep, ctx, side, p=policy.p) for side in "AB"}
@@ -399,7 +399,7 @@ def _rep(
     B side: canonical rep z y^(pm) gets representative x^(-pm) z y^(pm).
     The canonical rep's shape is tested in place: one count, no slice.
     """
-    rep, head = ctx.graph_c(side).graph.coset_rep(w)
+    rep, head = ctx.graph_c(side).coset_rep(w)
     run, swap = (1, 2) if side == "A" else (2, 1)
     k = len(rep) - 1
     if k < 1 or k % p or rep[0] != 3 or abs(rep[1]) != run or rep.count(rep[1]) != k:
@@ -478,7 +478,7 @@ def normal_form(
             else:
                 cut = len(rep) - _join(opened, rep[::-1])
             if reads is None:  # the row's first join
-                graph = ctx.graph_c(side).graph
+                graph = ctx.graph_c(side)
                 reads = graph.read(rep)[1] if policy.kind == "canonical" else len(rep)
                 if short:
                     state[block] = step[0], carry, nxt, room, reads
@@ -506,7 +506,7 @@ def normal_form(
     target = done[-1][0] if done else "A"
     if carry and "AB"[b] != target:
         carry = ctx.transfer_letters("AB"[b], carry)
-    if not ctx.graph_c(target).graph.contains(carry):
+    if not ctx.graph_c(target).contains(carry):
         raise VerificationError("normal-form head escaped C")
     return _form(ctx, target, carry, reversed(done))
 
@@ -619,7 +619,7 @@ def _cyclic_perms(
         carry_side = side
         if not rep:
             raise VerificationError("cyclic permutation changed the syllable length")
-        if not ctx.graph_c(side).graph.contains(carry):
+        if not ctx.graph_c(side).contains(carry):
             raise VerificationError("normal-form head escaped C")
         steps.append(((side, rep), carry))
     steps.reverse()
@@ -672,9 +672,9 @@ def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tu
         if e.side != side:
             e = transfer(ctx, e)
         e = shift(ctx, e, letters_inverse(p), p2)
-        if e is None or e.subgroup.graph.is_trivial():
+        if e is None or e.subgroup.is_trivial():
             break
-    if e is not None and e.subgroup.graph.is_trivial():  # e_i = {c}: push c on
+    if e is not None and e.subgroup.is_trivial():  # e_i = {c}: push c on
         rest = ((s, letters_inverse(p), p2) for (s, p), (_, p2) in chain)
         c, side = _push(ctx, rest, e.side, e.rep), g.syllable_letters[-1][0]
         e = None if c is None else CosetOfC(side, ctx._trivial[side], c)
@@ -689,7 +689,7 @@ def _push(ctx: AmalgamContext, chain: Iterable, side: str, c: tuple) -> Optional
         if side != p_side:
             c, side = ctx.transfer_letters(side, c), p_side
         c = letters_product(letters_product(left, c), right)
-        if not ctx.graph_c(side).graph.contains(c):
+        if not ctx.graph_c(side).contains(c):
             return None
     return c
 
@@ -721,7 +721,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         e = principal_system_solve(ctx, nf, nf)
         if e is None or not e.contains(()):
             raise VerificationError("principal system of a form with itself lost the identity")
-        if e.subgroup.graph.is_trivial():
+        if e.subgroup.is_trivial():
             return RegularityReport("regular")
         loop = e.subgroup.basis_loops()[0][1]
         return RegularityReport(
@@ -737,7 +737,7 @@ def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
         if hit is not None:
             return hit
         meet = ctx.graph_c(side).z_subgroup(letters_inverse(key[2]))
-        if meet.graph.is_trivial():
+        if meet.is_trivial():
             report = RegularityReport("regular")
         else:
             report = RegularityReport(
@@ -851,7 +851,7 @@ def _solve_with_regular(
         e, c_k = _principal_solution(ctx, g_star, pi_j)
         if e is None:
             continue
-        if not e.subgroup.graph.is_trivial():
+        if not e.subgroup.is_trivial():
             raise VerificationError("regular element with non-unique solution")
         c = e.rep  # the singleton's element
         c_on_1 = c if e.side == g_star.head_side else ctx.transfer_letters(e.side, c)

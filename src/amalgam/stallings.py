@@ -28,15 +28,16 @@ t_i on the closing edge of loop i of the subdivided rose and keeps the edge
 words consistent while it folds (Kapovich-Myasnikov): before a vertex is
 merged away, a gauge at it makes the two folded edges' words equal, and a
 dropped parallel edge differs from the kept one only by a relation among the
-generators.  So `gt.loop_word(w.letters, gt.edge_words)` multiplies the
+generators.  So `g.loop_word(w.letters, g.edge_words)` multiplies the
 words along the basepoint loop of w to a word over the generators that
 substitutes to w.  Substituting other targets for the t_i edge by edge
 gives the image of every loop under u_i -> target_i; the group layer's
 transfers walk those images.  The graph does not depend on the order of the
 folds, but the edge words do, and they reach the text of invalid-pairing
-errors, so `build` states its fold order as part of its contract.  A tuple
-made directly from a graph has no edge words.  Edge words that put b_j on
-the j-th non-tree edge spell a member over the basis (`basis_coordinates`).
+errors, so `build` states its fold order as part of its contract.  A graph
+that `meet` returns, or one made from an edge map with no words, has no edge
+words.  Edge words that put b_j on the j-th non-tree edge spell a member
+over the basis (`basis_coordinates`).
 
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
@@ -159,11 +160,18 @@ class SubgroupGraph:
     reached, eid), or to (state reached, ~eid) on a backward move.  Int keys
     hash faster than (s, slet) tuples, and the offset keeps them positive:
     CPython hashes -1 like -2.  Only `edges()` decodes a key.
+
+    `edge_words` maps an edge id to the fold's word over the generators' t-alphabet
+    (absent means empty) and ~eid to its inverse (see `loop_word`); `meet` leaves none.
     """
 
-    def __init__(self, alphabet: Alphabet, edges: Edges, base: int):
+    # the graph itself, for the `.graph` reads in layerbench/; ROADMAP item 7 removes it
+    graph = property(lambda self: self)
+
+    def __init__(self, alphabet: Alphabet, edges: Edges, base: int, edge_words: Optional[dict] = None):
         """Trim a folded, connected edge map at `base` and renumber it along the tree."""
         self.alphabet = alphabet
+        self.edge_words = edge_words or {}
         self.width = width = 2 * len(alphabet) + 1
         live = _trim(edges, base)
         raw = _moves(live, width)
@@ -193,6 +201,8 @@ class SubgroupGraph:
         self._tree_words[0] = ()
         self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
         self._key: Optional[tuple] = None
+        self._transversal: Optional[tuple[Word, ...]] = None
+        self._z_graphs: Optional[dict[tuple[int, ...], SubgroupGraph]] = None  # t -> Z_t(H)
 
     @property
     def nedges(self) -> int:
@@ -248,10 +258,12 @@ class SubgroupGraph:
 
     def tree_path_letters(self, state: int) -> tuple[int, ...]:
         cached = self._tree_words[state]
-        if cached is None:
-            parent, slet = self.tree[state]
-            cached = self.tree_path_letters(parent) + (slet,)
-            self._tree_words[state] = cached
+        if cached is None:  # up to the nearest cached ancestor, then fill the paths down
+            words, tree, up = self._tree_words, self.tree, [state]
+            while words[tree[up[-1]][0]] is None:  # a loop: a circle's tree is n/2 levels deep
+                up.append(tree[up[-1]][0])
+            for s in reversed(up):
+                words[s] = cached = words[tree[s][0]] + (tree[s][1],)
         return cached
 
     def coset_rep(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -356,40 +368,12 @@ class SubgroupGraph:
             )
         return self._key
 
-
-class GeneratingTuple:
-    """A folded subgroup graph with the words its fold left on the edges.
-
-    `edge_words` maps edge ids to words over the t-alphabet of the folded
-    generators (absent means empty), and ~eid to the inverse of the word of
-    eid, which a loop reads when it crosses the edge backwards.  Multiplied
-    along a basepoint loop, they give a word whose substitution by the
-    generators is the loop's label.  A tuple made directly from a graph has
-    none.
-    """
-
-    def __init__(self, graph: SubgroupGraph, edge_words: Optional[dict] = None):
-        self.graph = graph
-        self.edge_words = edge_words or {}
-        self._transversal: Optional[tuple[Word, ...]] = None
-        self._z_graphs: Optional[dict[tuple[int, ...], GeneratingTuple]] = None
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.graph.alphabet
-
-    def contains(self, w: Word) -> bool:
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over wrong alphabet")
-        return self.graph.contains(w.letters)
-
     def basis_loops(self) -> list[tuple[int, tuple[int, ...]]]:
         """Free basis: (eid, treePath(s) lab ~treePath(d)) per non-tree edge, by (s, lab, d)."""
-        g = self.graph
         return [  # reduced: the tree edge into s or d never shares the slot of a non-tree edge
-            (eid, g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d)))
-            for s, lab, d, eid in sorted(g.edges())
-            if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)  # neither end's tree edge
+            (eid, self.tree_path_letters(s) + (lab,) + letters_inverse(self.tree_path_letters(d)))
+            for s, lab, d, eid in sorted(self.edges())
+            if self.tree[d] != (s, lab) and self.tree[s] != (d, -lab)  # neither end's tree edge
         ]
 
     def loop_word(self, letters: Sequence[int], words: dict) -> tuple[int, ...]:
@@ -399,15 +383,14 @@ class GeneratingTuple:
         words[eid], and an edge absent from `words` reads nothing.  The product
         and each edge word are reduced, so they cancel only where they meet.
         """
-        g = self.graph
         out: list = []  # letters on the short path, tuple parts on the long one
         if len(letters) >= _RUN_MIN:
-            s, i = g._walk(letters, g.base, words, out)
-            if i == len(letters) and s == g.base:  # a lone tuple part is returned as it is
+            s, i = self._walk(letters, self.base, words, out)
+            if i == len(letters) and s == self.base:  # a lone tuple part is returned as it is
                 return tuple(out[0]) if len(out) == 1 else tuple(chain.from_iterable(out))
         else:
-            moves, width, get = g.moves, g.width, words.get
-            s = g.base
+            moves, width, get = self.moves, self.width, words.get
+            s = self.base
             for lt in letters:
                 hit = moves.get((s + 1) * width + lt)
                 if hit is None:
@@ -424,7 +407,7 @@ class GeneratingTuple:
                         word = word[k:]
                     out.extend(word)
             else:
-                if s == g.base:
+                if s == self.base:
                     return tuple(out)
         w = Word._make(self.alphabet, tuple(letters))
         raise NotAMemberError(f"{w!r} is not in the subgroup")
@@ -440,19 +423,18 @@ class GeneratingTuple:
         traced once from each state, and each loop found is walked once.
         """
         ls, u = letters_cyclic_reduce(w)
-        g = self.graph
         if not ls:
             return (), letters_inverse(u)
         hits = []
-        for t in range(g.nstates):
-            if g.trace(ls, t) == t:
-                states = list(accumulate(ls[:-1], g.step, initial=t))
+        for t in range(self.nstates):
+            if self.trace(ls, t) == t:
+                states = list(accumulate(ls[:-1], self.step, initial=t))
                 s = min(states)
                 hits.append((s, states.index(s)))
         if not hits:
             return None
         s, r = min(hits)
-        tp = g.tree_path_letters(s)
+        tp = self.tree_path_letters(s)
         h = letters_product(letters_product(tp, ls[r:] + ls[:r]), letters_inverse(tp))
         z = letters_product(letters_product(tp, letters_inverse(ls[:r])), letters_inverse(u))
         if letters_product(letters_product(letters_inverse(z), h), z) != w:
@@ -477,15 +459,14 @@ class GeneratingTuple:
         """
         if self._transversal is not None:
             return self._transversal
-        g = self.graph
         one = identity(self.alphabet)
-        if g.is_trivial():
+        if self.is_trivial():
             self._transversal = (one,)
             return self._transversal
         # the product's edges pair equally labeled edges of the two factors
-        n = g.nstates
+        n = self.nstates
         by_letter: dict[int, list[tuple[int, int]]] = {}
-        for s, lab, d, _ in g.edges():
+        for s, lab, d, _ in self.edges():
             by_letter.setdefault(lab, []).append((s, d))
         edges = [
             (p * n + q, tp_ * n + tq)
@@ -513,7 +494,7 @@ class GeneratingTuple:
             if root == diag or ne - nverts[root] + 1 < 1:
                 continue
             p, q = divmod(root, n)
-            reps.append(g.tree_path(p) * ~g.tree_path(q))
+            reps.append(self.tree_path(p) * ~self.tree_path(q))
         reps.sort(key=lambda w: (len(w), w.letters))
         self._transversal = (one, *reps)
         return self._transversal
@@ -521,7 +502,7 @@ class GeneratingTuple:
     def is_malnormal(self) -> bool:
         return len(self.double_transversal()) == 1
 
-    def z_subgroup(self, t: tuple[int, ...]) -> "GeneratingTuple":
+    def z_subgroup(self, t: tuple[int, ...]) -> "SubgroupGraph":
         """Z_t(H) = {h in H : ~t h t in H} = H^{t^-1} meet H, for letters t."""
         z = letters_inverse(t)
         return meet(self, self, (z, ()), (z, ()))[0]
@@ -532,7 +513,7 @@ class GeneratingTuple:
         c belongs iff it is conjugate within H into Z_t(H) for some nontrivial
         transversal element t; the test runs in H's `basis_coordinates`.
         """
-        if not self.graph.contains(c):
+        if not self.contains(c):
             raise NotAMemberError(f"{Word._make(self.alphabet, c)!r} is not in the subgroup")
         ts = self.double_transversal()[1:]
         one = identity(self.alphabet)
@@ -554,19 +535,19 @@ class GeneratingTuple:
         return None
 
 
-def basis_coordinates(gt: GeneratingTuple) -> tuple[Alphabet, dict, tuple[Word, ...]]:
+def basis_coordinates(g: SubgroupGraph) -> tuple[Alphabet, dict, tuple[Word, ...]]:
     """A subgroup as a free group in its own coordinates: (alphabet, edge words, basis).
 
-    `gt.loop_word(w.letters, words)` spells a member w over b1, b2, ...; substituting
+    `g.loop_word(w.letters, words)` spells a member w over b1, b2, ...; substituting
     the basis (the loops as Words) spells it back.
     """
-    loops = gt.basis_loops()
+    loops = g.basis_loops()
     words = {k: (j if k >= 0 else -j,) for j, (eid, _) in enumerate(loops, 1) for k in (eid, ~eid)}
     alphabet = Alphabet(tuple(f"b{j}" for j in range(1, len(loops) + 1)) or ("b1",))
-    return alphabet, words, tuple(Word._make(gt.alphabet, loop) for _, loop in loops)
+    return alphabet, words, tuple(Word._make(g.alphabet, loop) for _, loop in loops)
 
 
-def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> GeneratingTuple:
+def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> SubgroupGraph:
     """Fold the rose on the given generators into the core automaton.
 
     Trivial generators are dropped; an explicit alphabet is required when the
@@ -664,7 +645,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Ge
             edges[e] = (src[e], lab, dst[e])
             if words[e]:
                 edge_words[e], edge_words[~e] = words[e], letters_inverse(words[e])
-    return GeneratingTuple(SubgroupGraph(alphabet, edges, 0), edge_words)
+    return SubgroupGraph(alphabet, edges, 0, edge_words)
 
 
 def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]]:
@@ -689,11 +670,11 @@ def _overlay(g: SubgroupGraph, *words: tuple[int, ...]) -> tuple[dict, list[int]
 
 
 def meet(
-    K: GeneratingTuple,
-    L: GeneratingTuple,
+    K: SubgroupGraph,
+    L: SubgroupGraph,
     starts: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
     accepts: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
-) -> Optional[tuple[GeneratingTuple, tuple[int, ...]]]:
+) -> Optional[tuple[SubgroupGraph, tuple[int, ...]]]:
     """Walk the product of two graphs: (the meet, a witness h), or None.
 
     Each graph carries the paths of its start word s and accept word f (see
@@ -705,14 +686,13 @@ def meet(
     """
     if K.alphabet != L.alphabet:
         raise ValueError("meet over mixed alphabets")
-    a, b = K.graph, L.graph
-    xa, (start_a, acc_a) = _overlay(a, starts[0], accepts[0])
-    xb, (start_b, acc_b) = _overlay(b, starts[1], accepts[1])
+    xa, (start_a, acc_a) = _overlay(K, starts[0], accepts[0])
+    xb, (start_b, acc_b) = _overlay(L, starts[1], accepts[1])
     order = [(start_a, start_b)]
     ids = {order[0]: 0}
     via = [(0, 0)]  # (parent id, letter) where each pair was first reached
     edges: Edges = {}
-    ma, mb, width = a.moves, b.moves, a.width
+    ma, mb, width = K.moves, L.moves, K.width
     slets = [slet for lab in range(1, len(K.alphabet) + 1) for slet in (lab, -lab)]
     for pid, (p, q) in enumerate(order):  # order grows while it is scanned
         kp, kq = (p + 1) * width, (q + 1) * width
@@ -739,7 +719,7 @@ def meet(
         node, slet = via[node]
         path.append(slet)
     h = tuple(reversed(path))
-    for g, s, f in ((a, starts[0], accepts[0]), (b, starts[1], accepts[1])):
+    for g, s, f in ((K, starts[0], accepts[0]), (L, starts[1], accepts[1])):
         if not g.contains(letters_product(letters_product(s, h), letters_inverse(f))):
             raise VerificationError("meet witness failed verification")
-    return GeneratingTuple(SubgroupGraph(K.alphabet, edges, 0)), h
+    return SubgroupGraph(K.alphabet, edges, 0), h

@@ -83,7 +83,7 @@ from amalgam.group import (
     cyclic_form,
     normal_form,
 )
-from amalgam.stallings import GeneratingTuple, NotAMemberError, SubgroupGraph, build, meet
+from amalgam.stallings import NotAMemberError, SubgroupGraph, build, meet
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -114,12 +114,11 @@ def reduced_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     return out
 
 
-def subgroup_elements(g: GeneratingTuple, max_len: int) -> list[Word]:
+def subgroup_elements(g: SubgroupGraph, max_len: int) -> list[Word]:
     """All subgroup elements of reduced length at most max_len (loop words)."""
-    graph = g.graph
     letters = [s * i for i in range(1, len(g.alphabet) + 1) for s in (1, -1)]
     found = {(): True}
-    stack = [(graph.base, ())]
+    stack = [(g.base, ())]
     while stack:
         state, ls = stack.pop()
         if len(ls) == max_len:
@@ -127,11 +126,11 @@ def subgroup_elements(g: GeneratingTuple, max_len: int) -> list[Word]:
         for lt in letters:
             if ls and ls[-1] == -lt:
                 continue
-            t = graph.step(state, lt)
+            t = g.step(state, lt)
             if t is None:
                 continue
             ext = ls + (lt,)
-            if t == graph.base:
+            if t == g.base:
                 found[ext] = True
             stack.append((t, ext))
     return [Word(g.alphabet, ls) for ls in sorted(found, key=lambda x: (len(x), x))]
@@ -233,7 +232,7 @@ def check_folded(graph: SubgroupGraph) -> None:
         assert degree[v] >= 2, f"state {v} not in core"
 
 
-def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
+def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:
     """Double-coset representatives, candidates pruned pairwise.
 
     Components of the product of the graph with itself carrying a
@@ -241,14 +240,13 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
     diagonal component is the empty word, listed first.  Duplicates are
     pruned with the pairwise test H t H = H t' H iff Ht meets t'H.
     """
-    graph = g.graph
     one = identity(g.alphabet)
-    if graph.is_trivial():
+    if g.is_trivial():
         return (one,)
     # the product's edges pair equally labeled edges of the two factors
-    n = graph.nstates
+    n = g.nstates
     by_letter: dict[int, list[tuple[int, int]]] = {}
-    for s, lab, d, _ in graph.edges():
+    for s, lab, d, _ in g.edges():
         by_letter.setdefault(lab, []).append((s, d))
     edges = [
         (p * n + q, tp_ * n + tq)
@@ -282,7 +280,7 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
         if root == diag or ne - nverts[root] + 1 < 1:
             continue
         p, q = divmod(root, n)
-        reps.append(graph.tree_path(p) * ~graph.tree_path(q))
+        reps.append(g.tree_path(p) * ~g.tree_path(q))
     reps.sort(key=lambda w: (len(w), w.letters))
     kept: list[Word] = [one]
     for t in reps:
@@ -292,42 +290,40 @@ def double_transversal_with_pruning(g: GeneratingTuple) -> tuple[Word, ...]:
     return tuple(kept)
 
 
-def _same_double_coset(g: GeneratingTuple, t: Word, t2: Word) -> bool:
+def _same_double_coset(g: SubgroupGraph, t: Word, t2: Word) -> bool:
     """H t H = H t' H iff Ht meets t'H (t'H as a coset of the conjugate subgroup)."""
     shifted = conjugate_by_copy(g, ~t2)
     return meet(g, shifted, accepts=(t.letters, t2.letters)) is not None
 
 
-def conjugate_by_copy(g: GeneratingTuple, z: Word) -> GeneratingTuple:
+def conjugate_by_copy(g: SubgroupGraph, z: Word) -> SubgroupGraph:
     """Automaton of ~z * H * z: a copy of H's graph with a fresh path for z.
 
     z is read from the basepoint as far as the graph allows and a fresh path
     spells the rest; the basepoint moves to its end, and the copy is trimmed
     and renumbered.
     """
-    graph = g.graph
-    edges = {eid: (s, lab, d) for s, lab, d, eid in graph.edges()}
-    s, i = graph.base, 0
+    edges = {eid: (s, lab, d) for s, lab, d, eid in g.edges()}
+    s, i = g.base, 0
     for lt in z.letters:
-        t = graph.step(s, lt)
+        t = g.step(s, lt)
         if t is None:
             break
         s, i = t, i + 1
-    v, eid = graph.nstates, max(edges, default=-1) + 1
+    v, eid = g.nstates, max(edges, default=-1) + 1
     for lt in z.letters[i:]:
         edges[eid] = (s, lt, v) if lt > 0 else (v, -lt, s)
         s, v, eid = v, v + 1, eid + 1
-    return GeneratingTuple(SubgroupGraph(g.alphabet, edges, s))
+    return SubgroupGraph(g.alphabet, edges, s)
 
 
-def pullback_by_steps(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTuple:
+def pullback_by_steps(a: SubgroupGraph, b: SubgroupGraph) -> SubgroupGraph:
     """The (base, base) product component, one `step` per letter and factor."""
-    a, b = g1.graph, g2.graph
     order = [(a.base, b.base)]
     ids = {order[0]: 0}
     edges = {}
     for pid, (p, q) in enumerate(order):
-        for lab in range(1, len(g1.alphabet) + 1):
+        for lab in range(1, len(a.alphabet) + 1):
             for slet in (lab, -lab):
                 tp_, tq = a.step(p, slet), b.step(q, slet)
                 if tp_ is None or tq is None:
@@ -337,17 +333,16 @@ def pullback_by_steps(g1: GeneratingTuple, g2: GeneratingTuple) -> GeneratingTup
                     order.append((tp_, tq))
                 if slet > 0:
                     edges[len(edges)] = (pid, lab, tid)
-    return GeneratingTuple(SubgroupGraph(g1.alphabet, edges, 0))
+    return SubgroupGraph(a.alphabet, edges, 0)
 
 
-def _coset_automaton(g: GeneratingTuple, rep: Word) -> tuple[dict, int]:
+def _coset_automaton(g: SubgroupGraph, rep: Word) -> tuple[dict, int]:
     """Transitions of the subgroup graph with a tail spelling rep; returns accept state."""
-    graph = g.graph
     trans: dict[tuple[int, int], int] = {}
-    for s, lab, d, _ in graph.edges():
+    for s, lab, d, _ in g.edges():
         trans[(s, lab)] = d
         trans[(d, -lab)] = s
-    cur, fresh = graph.base, graph.nstates
+    cur, fresh = g.base, g.nstates
     for lt in rep.letters:
         nxt = trans.get((cur, lt))
         if nxt is None:
@@ -359,12 +354,12 @@ def _coset_automaton(g: GeneratingTuple, rep: Word) -> tuple[dict, int]:
 
 
 def coset_intersection_by_copy(
-    K: GeneratingTuple, a: Word, L: GeneratingTuple, b: Word
-) -> Optional[tuple[GeneratingTuple, Word]]:
+    K: SubgroupGraph, a: Word, L: SubgroupGraph, b: Word
+) -> Optional[tuple[SubgroupGraph, Word]]:
     """Ka meet Lb: breadth first through the product of the two coset automata."""
     ta, acc_a = _coset_automaton(K, a)
     tb, acc_b = _coset_automaton(L, b)
-    start, target = (K.graph.base, L.graph.base), (acc_a, acc_b)
+    start, target = (K.base, L.base), (acc_a, acc_b)
     parents = {start: (start, 0)}
     queue = deque([start])
     while queue and target not in parents:
@@ -383,7 +378,7 @@ def coset_intersection_by_copy(
         node, slet = parents[node]
         letters.append(slet)
     h = Word(K.alphabet, tuple(reversed(letters)))
-    if not (K.contains(h * ~a) and L.contains(h * ~b)):
+    if not (K.contains((h * ~a).letters) and L.contains((h * ~b).letters)):
         raise VerificationError("coset intersection witness failed verification")
     return pullback_by_steps(K, L), h
 
@@ -394,7 +389,7 @@ def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: tuple, q: tuple) -> Optio
     if key not in ctx.cache:
         alphabet = d.subgroup.alphabet
         p, q, rep = Word(alphabet, p), Word(alphabet, q), Word(alphabet, d.rep)
-        conj_key = ("conj", d.subgroup.graph.canonical_key(), (~p).letters)
+        conj_key = ("conj", d.subgroup.canonical_key(), (~p).letters)
         if conj_key not in ctx.cache:
             ctx.cache[conj_key] = conjugate_by_copy(d.subgroup, ~p)
         hit = coset_intersection_by_copy(
@@ -402,7 +397,7 @@ def shift_by_copy(ctx: AmalgamContext, d: CosetOfC, p: tuple, q: tuple) -> Optio
         )
         result = None
         if hit is not None:
-            canon, _ = hit[0].graph.coset_rep(hit[1].letters)
+            canon, _ = hit[0].coset_rep(hit[1].letters)
             result = CosetOfC(d.side, hit[0], canon)
         ctx.cache[key] = result
     return ctx.cache[key]
@@ -522,7 +517,7 @@ def reduced_form_by_rescan(
     ])
     while True:
         idx = next(
-            (i for i, s in enumerate(sylls) if ctx.graph_c(s.side).contains(s.word)), None
+            (i for i, s in enumerate(sylls) if ctx.graph_c(s.side).contains(s.word.letters)), None
         )
         if idx is None:
             break
@@ -572,26 +567,25 @@ def normal_form_unmemoised(
     target = done[-1][0] if done else "A"
     if carry and carry_side != target:
         carry = ctx.transfer_letters(carry_side, carry)
-    graph = ctx.graph_c(target).graph
+    graph = ctx.graph_c(target)
     if graph.trace(carry, graph.base) != graph.base:
         raise VerificationError("normal-form head escaped C")
     return group._form(ctx, target, carry, reversed(done))
 
 
-def express_in_generators(gt: GeneratingTuple, w: Word, ngens: int) -> Word:
+def express_in_generators(g: SubgroupGraph, w: Word, ngens: int) -> Word:
     """Word over t1..t_ngens whose substitution by the folded generators is w."""
     t_alphabet = Alphabet(tuple(f"t{i + 1}" for i in range(ngens)))
-    return Word(t_alphabet, gt.loop_word(w.letters, gt.edge_words))
+    return Word(t_alphabet, g.loop_word(w.letters, g.edge_words))
 
 
-def basis_words(gt: GeneratingTuple) -> tuple[tuple[Word, ...], Alphabet, dict]:
+def basis_words(g: SubgroupGraph) -> tuple[tuple[Word, ...], Alphabet, dict]:
     """The older cached free basis: (its Words, the alphabet b1, b2, ..., the edge words).
 
     Basis word j is treePath(s) lab ~treePath(d) for the j-th least non-tree
     edge (s, lab, d, eid), built with the reducing `Word` constructor, and the
     edge words put (j,) on eid and (-j,) on ~eid.
     """
-    g = gt.graph
     non_tree = sorted(
         (s, lab, d, eid) for s, lab, d, eid in g.edges()
         if g.tree[d] != (s, lab) and g.tree[s] != (d, -lab)
@@ -599,45 +593,45 @@ def basis_words(gt: GeneratingTuple) -> tuple[tuple[Word, ...], Alphabet, dict]:
     basis, words = [], {}
     for j, (s, lab, d, eid) in enumerate(non_tree, 1):
         loop = g.tree_path_letters(s) + (lab,) + letters_inverse(g.tree_path_letters(d))
-        basis.append(Word(gt.alphabet, loop))
+        basis.append(Word(g.alphabet, loop))
         words[eid], words[~eid] = (j,), (-j,)
     alphabet = Alphabet(tuple(f"b{j}" for j in range(1, len(basis) + 1)) or ("b1",))
     return tuple(basis), alphabet, words
 
 
-def express_in_basis(gt: GeneratingTuple, w: Word) -> Word:
+def express_in_basis(g: SubgroupGraph, w: Word) -> Word:
     """Word over the basis alphabet whose substitution by `basis_words` reduces to w."""
-    if w.alphabet != gt.alphabet:
+    if w.alphabet != g.alphabet:
         raise ValueError("word over wrong alphabet")
-    _, alphabet, words = basis_words(gt)
-    return Word(alphabet, gt.loop_word(w.letters, words))
+    _, alphabet, words = basis_words(g)
+    return Word(alphabet, g.loop_word(w.letters, words))
 
 
 def cr0_conjugator_through_basis(ctx: AmalgamContext, hu: Word, hv: Word) -> Optional[Word]:
     """The cyclic-length-0 conjugator in A: free_conjugacy over C's basis words, substituted."""
-    gt = ctx.graph_ca
-    z_b = free_conjugacy(express_in_basis(gt, hu), express_in_basis(gt, hv))
-    return None if z_b is None else substitute(z_b, basis_words(gt)[0], ctx.alphabet_a)
+    g = ctx.graph_ca
+    z_b = free_conjugacy(express_in_basis(g, hu), express_in_basis(g, hv))
+    return None if z_b is None else substitute(z_b, basis_words(g)[0], ctx.alphabet_a)
 
 
-def z_set_witness_through_basis(gt: GeneratingTuple, c: Word) -> Optional[tuple[Word, Word, Word]]:
+def z_set_witness_through_basis(g: SubgroupGraph, c: Word) -> Optional[tuple[Word, Word, Word]]:
     """The older z_set_witness: c and every Z_t(H) over H's basis words, nothing memoised."""
-    if not gt.contains(c):
+    if not g.contains(c.letters):
         raise NotAMemberError(f"{c!r} is not in the subgroup")
-    ts = gt.double_transversal()[1:]
-    one = identity(gt.alphabet)
+    ts = g.double_transversal()[1:]
+    one = identity(g.alphabet)
     if not ts:
         return None
     if not c:
         return ts[0], one, one
-    basis, alphabet, _ = basis_words(gt)
-    cb = express_in_basis(gt, c)
+    basis, alphabet, _ = basis_words(g)
+    cb = express_in_basis(g, c)
     for t in ts:
-        zb = [express_in_basis(gt, b) for b in basis_words(gt.z_subgroup(t.letters))[0]]
+        zb = [express_in_basis(g, b) for b in basis_words(g.z_subgroup(t.letters))[0]]
         hit = build(zb, alphabet).conjugacy_into(cb.letters)
         if hit is not None:
             target, conj = (Word(alphabet, x) for x in hit)
-            return t, substitute(target, basis, gt.alphabet), substitute(conj, basis, gt.alphabet)
+            return t, substitute(target, basis, g.alphabet), substitute(conj, basis, g.alphabet)
     return None
 
 
@@ -653,14 +647,14 @@ def classify_through_basis(ctx: AmalgamContext, raw: Word, policy: RepPolicy = C
     if nf.syllable_length >= 2:
         e = group.principal_system_solve(ctx, nf, nf)
         kind = "bad-pair"
-        if not e.subgroup.graph.is_trivial():
+        if not e.subgroup.is_trivial():
             found = [("solution", e.side, basis_words(e.subgroup)[0][0])]
     elif nf.syllable_length == 1:
         side, word = nf.syllable_letters[0]
         w = Word(ctx.factor_alphabet(side), nf.head_letters + word)
         meet_ = ctx.graph_c(side).z_subgroup((~w).letters)
         kind = "normalizer"
-        if not meet_.graph.is_trivial():
+        if not meet_.is_trivial():
             found = [("intersection", side, basis_words(meet_)[0][0])]
     else:
         kind = "z-set"
@@ -696,27 +690,27 @@ def transfer_key_through_basis(ctx: AmalgamContext, d: CosetOfC) -> tuple:
     """The older coset transfer's key: the basis words' images folded again, rep canonical."""
     side2 = ctx.other(d.side)
     gens = [ctx.transfer_word(d.side, b) for b in basis_words(d.subgroup)[0]]
-    graph = build(gens, ctx.factor_alphabet(side2)).graph
+    graph = build(gens, ctx.factor_alphabet(side2))
     rep, _ = graph.coset_rep(ctx.transfer_letters(d.side, d.rep))
     return side2, graph.canonical_key(), rep
 
 
 def basis_images_by_generators(ctx: AmalgamContext, side: str) -> tuple[Word, ...]:
     """Images of the basis of C: each over the generators, then the targets substituted."""
-    gt = ctx.graph_c(side)
+    g = ctx.graph_c(side)
     targets = [pair["BA".index(side)] for pair in ctx.pairs]
     alphabet = ctx.factor_alphabet(ctx.other(side))
     return tuple(
-        substitute(express_in_generators(gt, b, len(targets)), targets, alphabet)
-        for b in basis_words(gt)[0]
+        substitute(express_in_generators(g, b, len(targets)), targets, alphabet)
+        for b in basis_words(g)[0]
     )
 
 
-def basis_edge_words(gt: GeneratingTuple, images) -> dict[int, tuple[int, ...]]:
+def basis_edge_words(g: SubgroupGraph, images) -> dict[int, tuple[int, ...]]:
     """Edge words for loop_word that send each basis element b_j to images[j]."""
     return {
         eid: images[j - 1] if j > 0 else letters_inverse(images[-j - 1])
-        for eid, (j,) in basis_words(gt)[2].items()
+        for eid, (j,) in basis_words(g)[2].items()
     }
 
 
@@ -759,7 +753,7 @@ def adversarial_rep_by_cancellation(
     ctx: AmalgamContext, side: str, w: tuple[int, ...], p: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(rep, head) of the adversarial policy, with head = w * ~rep freely reduced."""
-    rep, head = ctx.graph_c(side).graph.coset_rep(w)
+    rep, head = ctx.graph_c(side).coset_rep(w)
     run, swap = (1, 2) if side == "A" else (2, 1)
     tail = rep[1:]
     if rep[:1] != (3,) or not tail or abs(tail[0]) != run:
@@ -818,19 +812,18 @@ def free_conjugacy_by_least_rotation(u: Word, v: Word) -> Optional[Word]:
 
 
 def conjugacy_into_by_rotation_scan(
-    g: GeneratingTuple, letters: tuple[int, ...]
+    g: SubgroupGraph, letters: tuple[int, ...]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(h, z) as letter tuples for the first state s, then rotation r, reading a loop at s."""
     w = Word(g.alphabet, letters)
     core, u = w.cyclic_reduce()
-    graph = g.graph
     if not core:
         return (), (~u).letters
-    for s in range(graph.nstates):
+    for s in range(g.nstates):
         for r in range(len(core)):
             rot = _rotation(core.letters, r)
-            if graph.trace(rot, s) == s:
-                tp = graph.tree_path(s)
+            if g.trace(rot, s) == s:
+                tp = g.tree_path(s)
                 h = tp * Word(g.alphabet, rot) * ~tp
                 z = tp * ~Word(g.alphabet, core.letters[:r]) * ~u
                 if ~z * h * z != w:
@@ -958,7 +951,7 @@ class _RoseFolding:
 
 def build_by_rose_folding(
     generators: Sequence[Word], alphabet: Optional[Alphabet] = None
-) -> GeneratingTuple:
+) -> SubgroupGraph:
     """`build` through the older dict-based fold of the subdivided rose."""
     gens = tuple(g for g in generators if len(g))
     if alphabet is None:
@@ -972,4 +965,4 @@ def build_by_rose_folding(
     for eid, word in folding.words.items():
         if word:
             words[eid], words[~eid] = word, letters_inverse(word)
-    return GeneratingTuple(SubgroupGraph(alphabet, edges, folding.base), words)
+    return SubgroupGraph(alphabet, edges, folding.base, words)

@@ -23,7 +23,7 @@ from amalgam.group import (
     normal_form,
     principal_system_solve,
 )
-from amalgam.words import Word, parse_word
+from amalgam.words import Word, letters_inverse, letters_product, parse_word
 
 from bruteforce import brute_conjugacy_oracle, form_sides, reduced_words, subgroup_elements
 from conftest import random_reduced
@@ -107,7 +107,7 @@ def _brute_ps_solutions(ctx, g, h, c_elements):
                 cur = ctx.transfer_word(side, cur)
                 side = p.side
             cur = p.word * cur * ~p2.word
-            if not ctx.graph_c(side).contains(cur):
+            if not ctx.graph_c(side).contains(cur.letters):
                 ok = False
                 break
         if ok:
@@ -179,7 +179,7 @@ def _brute_nstar_factor(ctx, side, w, bound):
     """Definition-level: some nontrivial u in C with w u w^-1 back in C."""
     graph = ctx.graph_c(side)
     for u in subgroup_elements(graph, bound):
-        if u and graph.contains(w * u * ~w):
+        if u and graph.contains((w * u * ~w).letters):
             return True
     return False
 
@@ -189,7 +189,7 @@ def _brute_z_factor(ctx, side, c, bound):
     graph = ctx.graph_c(side)
     if not c:
         return any(
-            not graph.contains(g) and _brute_nstar_factor(ctx, side, g, bound)
+            not graph.contains(g.letters) and _brute_nstar_factor(ctx, side, g, bound)
             for g in reduced_words(ctx.factor_alphabet(side), bound)
         )
     for g in reduced_words(ctx.factor_alphabet(side), bound):
@@ -203,11 +203,14 @@ def _brute_z_factor(ctx, side, c, bound):
 def _brute_singular(ctx, nf, witnesses):
     k = nf.syllable_length
     if k >= 2:
-        g_word = Word(ctx.union_alphabet, ())
-        for s in nf.syllables:
-            g_word = g_word * ctx.to_union(s.side, s.word)
+        # g and ~g once per class as letter tuples, and one Word per sweep of g u ~g
+        g = ()
+        for side, letters in nf.syllable_letters:
+            g = letters_product(g, ctx.union_letters(side, letters))
+        g_inverse = letters_inverse(g)
         for u in witnesses:
-            if normal_form(ctx, g_word * u * ~g_word).syllable_length == 0:
+            gug = letters_product(letters_product(g, u.letters), g_inverse)
+            if normal_form(ctx, Word._make(ctx.union_alphabet, gug)).syllable_length == 0:
                 return True
         return False
     if k == 1:
@@ -227,12 +230,12 @@ def test_criterion_5_regularity_classifier(ex1):
         words_a = [
             ex1.to_union("A", w).letters
             for w in _factor_words_upto2(ex1, "A")
-            if not ex1.graph_c("A").contains(w)
+            if not ex1.graph_c("A").contains(w.letters)
         ]
         words_b = [
             ex1.to_union("B", w).letters
             for w in _factor_words_upto2(ex1, "B")
-            if not ex1.graph_c("B").contains(w)
+            if not ex1.graph_c("B").contains(w.letters)
         ]
         elements = [()]
         for first, second in ((words_a, words_b), (words_b, words_a)):

@@ -20,8 +20,9 @@ from amalgam.cli import (
     main,
     parse_presentation,
 )
-from amalgam.stallings import GeneratingTuple
-from amalgam.words import format_word
+from amalgam.stallings import SubgroupGraph
+from amalgam.words import format_word, parse_word
+from bruteforce import normal_form_unmemoised
 
 EX1 = """\
 # worst-case fixture
@@ -110,7 +111,7 @@ def test_validate_command(capsys, group_file, monkeypatch):
     def no_basis(self):
         raise AssertionError("validate spelled the basis")
 
-    monkeypatch.setattr(GeneratingTuple, "basis_loops", no_basis)
+    monkeypatch.setattr(SubgroupGraph, "basis_loops", no_basis)
     code, out, _ = run(capsys, "validate", "-g", group_file)
     assert code == 0
     assert "valid presentation" in out and "rank of C: 2" in out
@@ -153,6 +154,22 @@ def test_nf_command_json_golden(capsys, group_file):
         "trace": [1, 0, 0],
         "verdict": "ok",
     }
+
+
+def test_nf_on_a_deep_c_graph(capsys, tmp_path):
+    # C = <a^2000> is a circle whose tree is 1,000 levels deep, and a^1000 stops at its
+    # deepest state: the split fills the tree paths in a loop, not one call per level
+    path = tmp_path / "circle.group"
+    path.write_text("A: a b\nB: x y\nC: a^2000 = x^2000\n")
+    code, out, err = run(capsys, "nf", "-g", str(path), "-w", "a^1000 b", "--json")
+    assert code == 0, err
+    ctx = parse_presentation(path.read_text()).context()
+    form = normal_form_unmemoised(ctx, parse_word("a^1000 b", ctx.union_alphabet))
+    payload = json.loads(out)
+    assert payload["head"] == {"side": form.head_side, "word": format_word(form.head)}
+    assert payload["normal_form"] == [
+        {"side": s.side, "word": format_word(s.word)} for s in form.syllables
+    ]
 
 
 def test_nf_adversarial_policy(capsys, group_file):
@@ -473,7 +490,7 @@ def fuzz_calls(draw):
 
     names_a = draw(st.lists(st.sampled_from(FUZZ_NAMES), max_size=4))
     names_b = draw(st.lists(st.sampled_from(FUZZ_NAMES), max_size=4))
-    # C words stay a few letters long: the presentation size has no bound yet (ROADMAP item 6)
+    # C words stay a few letters long: the presentation size has no bound yet (ROADMAP item 9)
     lines = [f"A: {' '.join(names_a)}", f"B: {' '.join(names_b)}"]
     lines += [f"C: {word(names_a)} = {word(names_b)}" for _ in range(draw(st.integers(0, 3)))]
     if draw(st.booleans()):

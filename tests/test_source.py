@@ -26,7 +26,7 @@ LETTER_LEVEL = (
         "_propagate_solution", "_principal_solution",
     )),
     *(("cosetalg.py", None, name) for name in ("shift", "c_coset", "_canonical")),
-    *(("stallings.py", "GeneratingTuple", name) for name in ("conjugacy_into", "z_subgroup")),
+    *(("stallings.py", "SubgroupGraph", name) for name in ("conjugacy_into", "z_subgroup")),
 )
 WORD_BUILDERS = ("Word", "Word._make", "Syllable", "identity")
 
@@ -44,6 +44,19 @@ def test_normal_form_sweep_builds_no_words():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in WORD_BUILDERS
         ]
         assert not calls, f"{name} builds Word, Syllable or identity values at lines {calls}"
+
+
+def test_no_graph_attribute_is_read_outside_the_benchmark():
+    # a subgroup is one SubgroupGraph; its `graph` property returns the graph itself and
+    # serves only the benchmark's older `.graph` reads (ROADMAP item 7 removes both)
+    paths = [*SOURCES, *sorted(Path(__file__).parent.glob("*.py"))]
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "graph"
+    ]
+    assert not reads, f"`.graph` reads: {reads}"
 
 
 def test_adversarial_rep_takes_no_slice():
@@ -187,7 +200,7 @@ def test_classes_have_no_test_only_members():
 
 # module-level names that nothing in the package or the benchmark calls yet, and why they stay
 UNCALLED = {
-    # the paper's stratum classifier (CR>1/CR0/CR1); ROADMAP item 8's census will call it
+    # the paper's stratum classifier (CR>1/CR0/CR1); ROADMAP item 11's census will call it
     "cr_membership",
     # a normal form spelled back as one word over the union alphabet: the inverse of
     # normal_form for library callers

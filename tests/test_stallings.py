@@ -52,31 +52,31 @@ def C():
 
 def test_build_examples():
     g = C()
-    assert g.graph.nstates == 2
-    assert g.graph.nedges == 3
-    assert build([w("a")]).graph.nstates == 1
-    assert build([w("a"), w("a^-1")]).graph.nstates == 1
-    assert build([w("a"), w("a^-1")]).graph.nedges == 1
+    assert g.nstates == 2
+    assert g.nedges == 3
+    assert build([w("a")]).nstates == 1
+    assert build([w("a"), w("a^-1")]).nstates == 1
+    assert build([w("a"), w("a^-1")]).nedges == 1
 
 
 def test_build_drops_trivial_generators():
     g = build([w(""), w("a")])
     assert {abs(t) for word in g.edge_words.values() for t in word} == {1}
     trivial = build([], F)
-    assert trivial.graph.nstates == 1 and trivial.graph.nedges == 0
+    assert trivial.nstates == 1 and trivial.nedges == 0
 
 
 def test_graphs_are_folded_cores():
     for gens in ([w("a^2"), w("b")], [w("a b a^-1")], [w("a b"), w("b d")],
                  [w("a b a b^-1"), w("d^2"), w("a^3")]):
-        check_folded(build(gens).graph)
+        check_folded(build(gens))
 
 
 def test_contains_examples():
     g = C()
-    assert g.contains(w("a^2 b"))
-    assert not g.contains(w("a"))
-    assert g.contains(w(""))
+    assert g.contains(w("a^2 b").letters)
+    assert not g.contains(w("a").letters)
+    assert g.contains(w("").letters)
 
 
 def test_contains_matches_generated_products():
@@ -85,32 +85,46 @@ def test_contains_matches_generated_products():
         g = build(gens)
         elems = generated_elements(gens, 3)
         for e in elems:
-            assert g.contains(e)
+            assert g.contains(e.letters)
         for cand in reduced_words(F, 3):
             if cand in elems:
-                assert g.contains(cand)
+                assert g.contains(cand.letters)
 
 
 def test_coset_rep_examples():
     g = C()
     for text, rep, head in (("b^3", "", "b^3"), ("d a^4", "d a^4", ""), ("b^2 d", "d", "b^2")):
-        assert g.graph.coset_rep(w(text).letters) == (w(rep).letters, w(head).letters)
+        assert g.coset_rep(w(text).letters) == (w(rep).letters, w(head).letters)
+
+
+def test_coset_rep_at_the_deepest_states_of_a_long_circle():
+    # <a^(2^14)> is a circle of 2^14 states whose tree is 2^13 levels deep; a split fills
+    # the tree paths up to the nearest cached ancestor in a loop, not one call per level
+    n = 2**14
+    g = build([w(f"a^{n}")])
+    assert g.nstates == n
+    deepest = (1,) * (n // 2) + (2,)  # a^(2^13) b stops at the deepest state
+    assert g.coset_rep(deepest) == (deepest, ())
+    # a^(2^13 + 1) b stops one level up on the other branch, whose paths are not cached
+    rep, head = g.coset_rep((1,) * (n // 2 + 1) + (2,))
+    assert rep == (-1,) * (n // 2 - 1) + (2,) and head == (1,) * n
+    assert [len(g.tree_path_letters(s)) for s in range(n)] == [(s + 1) // 2 for s in range(n)]
 
 
 def test_coset_rep_contract():
     rng = random.Random(11)
     gens = [w("a^2"), w("b")]
     g = build(gens)
-    diam = diameter(g.graph)
+    diam = diameter(g)
     for _ in range(300):
         word = random_reduced(rng, F, rng.randint(0, 9))
-        rep, head = g.graph.coset_rep(word.letters)
+        rep, head = g.coset_rep(word.letters)
         assert letters_product(head, rep) == word.letters
-        assert g.graph.contains(head)
+        assert g.contains(head)
         assert len(rep) <= len(word)
         assert len(head) <= len(word) + 2 * diam
         c = random_member(rng, gens, rng.randint(0, 3))
-        rep2, _ = g.graph.coset_rep((c * word).letters)
+        rep2, _ = g.coset_rep((c * word).letters)
         assert rep2 == rep
 
 
@@ -119,13 +133,13 @@ def test_coset_rep_minimality():
     members = subgroup_elements(g, 6)
     for text in ("d a", "b a", "a b d", "a^3"):
         word = w(text)
-        rep, _ = g.graph.coset_rep(word.letters)
+        rep, _ = g.coset_rep(word.letters)
         shortest = min(len(h * word) for h in members)
         assert len(rep) == shortest
 
 
-def loops(gt):
-    return [Word(gt.alphabet, loop) for _, loop in gt.basis_loops()]
+def loops(g):
+    return [Word(g.alphabet, loop) for _, loop in g.basis_loops()]
 
 
 def test_basis_examples():
@@ -134,12 +148,12 @@ def test_basis_examples():
     assert loops(build([w("a")])) == [w("a")]
     assert loops(build([w("a"), w("a^-1")])) == [w("a")]
     sub = build([w("a b a b^-1"), w("d^2")])
-    assert len(sub.basis_loops()) == sub.graph.rank
-    for gt in (g, sub, build([], F), build([w("a b"), w("b a"), w("d b d^-1")])):
+    assert len(sub.basis_loops()) == sub.rank
+    for graph in (g, sub, build([], F), build([w("a b"), w("b a"), w("d b d^-1")])):
         # the loops are the reference's basis words, reduced and in the same order
-        basis, alphabet, words = basis_words(gt)
-        assert [loop for _, loop in gt.basis_loops()] == [b.letters for b in basis]
-        assert basis_coordinates(gt) == (alphabet, words, basis)
+        basis, alphabet, words = basis_words(graph)
+        assert [loop for _, loop in graph.basis_loops()] == [b.letters for b in basis]
+        assert basis_coordinates(graph) == (alphabet, words, basis)
 
 
 def test_express_roundtrips():
@@ -164,7 +178,7 @@ def test_express_roundtrip_stress():
         for _ in range(rng.randint(1, 4)):
             gens.append(random_reduced(rng, F, rng.randint(1, 6)))
         g = build(gens)
-        check_folded(g.graph)
+        check_folded(g)
         for _ in range(25):
             member = random_member(rng, gens, rng.randint(0, 6))
             assert substitute(express_in_generators(g, member, len(gens)), gens, F) == member
@@ -201,14 +215,14 @@ def test_pullback_examples():
     # the (base, base) component of the product graph is the meet of the subgroups
     p, h = meet(C(), build([w("a^3")]))
     assert h == ()
-    assert p.contains(w("a^6"))
-    assert not p.contains(w("a^2"))
-    assert not p.contains(w("a^3"))
+    assert p.contains(w("a^6").letters)
+    assert not p.contains(w("a^2").letters)
+    assert not p.contains(w("a^3").letters)
     g = C()
     same, _ = meet(g, g)
     for cand in reduced_words(F, 5):
-        assert same.contains(cand) == g.contains(cand)
-    assert meet(build([w("a")]), build([w("b")]))[0].graph.is_trivial()
+        assert same.contains(cand.letters) == g.contains(cand.letters)
+    assert meet(build([w("a")]), build([w("b")]))[0].is_trivial()
 
 
 def test_pullback_random_agreement():
@@ -217,24 +231,24 @@ def test_pullback_random_agreement():
     g2 = build([w("a^2"), w("d")])
     p, _ = meet(g1, g2)
     for word in reduced_words(F, 6):
-        assert p.contains(word) == (g1.contains(word) and g2.contains(word))
+        assert p.contains(word.letters) == (g1.contains(word.letters) and g2.contains(word.letters))
     for _ in range(400):
         word = random_reduced(rng, F, rng.randint(7, 8))
-        assert p.contains(word) == (g1.contains(word) and g2.contains(word))
+        assert p.contains(word.letters) == (g1.contains(word.letters) and g2.contains(word.letters))
 
 
 def test_conjugate_graph_examples():
     g = build([w("b")])
     conj = conjugate_by_copy(g, w("a"))
-    assert conj.contains(w("a^-1 b a"))
-    assert not conj.contains(w("b"))
+    assert conj.contains(w("a^-1 b a").letters)
+    assert not conj.contains(w("b").letters)
     g2 = C()
     conj2 = conjugate_by_copy(g2, w("a^2 b"))  # z inside the subgroup
     for word in reduced_words(F, 5):
-        assert conj2.contains(word) == g2.contains(word)
+        assert conj2.contains(word.letters) == g2.contains(word.letters)
     both, _ = meet(conjugate_by_copy(g2, w("a")), g2)
-    assert both.contains(w("a^2"))
-    assert not both.contains(w("a^-1 b a"))
+    assert both.contains(w("a^2").letters)
+    assert not both.contains(w("a^-1 b a").letters)
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(bool)
@@ -250,25 +264,25 @@ def test_graph_operations_equal_their_folded_definitions(gens1, gens2, z_letters
     g2 = build([Word(F, ls) for ls in gens2], F)
     z = Word(F, z_letters)
     conj = conjugate_by_copy(g1, z)
-    check_folded(conj.graph)
+    check_folded(conj)
     folded = build([~z * Word(F, ls) * z for ls in gens1], F)
-    assert conj.graph.canonical_key() == folded.graph.canonical_key()
+    assert conj.canonical_key() == folded.canonical_key()
     both, _ = meet(g1, g2)
-    check_folded(both.graph)
-    assert all(g1.contains(b) and g2.contains(b) for b in loops(both))
-    assert both.graph.canonical_key() == build(loops(both), F).graph.canonical_key()
+    check_folded(both)
+    assert all(g1.contains(b.letters) and g2.contains(b.letters) for b in loops(both))
+    assert both.canonical_key() == build(loops(both), F).canonical_key()
 
 
 def assert_same_fold(gens, alphabet):
     """build and the older rose fold give one graph, tree and t-word on every edge."""
     got, ref = build(gens, alphabet), build_by_rose_folding(gens, alphabet)
-    check_folded(got.graph)
-    check_folded(ref.graph)
-    assert got.graph.canonical_key() == ref.graph.canonical_key()
-    assert got.graph.tree == ref.graph.tree
+    check_folded(got)
+    check_folded(ref)
+    assert got.canonical_key() == ref.canonical_key()
+    assert got.tree == ref.tree
 
-    def edge_words(gt):
-        return {(s, lab, d): gt.edge_words.get(eid, ()) for s, lab, d, eid in gt.graph.edges()}
+    def edge_words(g):
+        return {(s, lab, d): g.edge_words.get(eid, ()) for s, lab, d, eid in g.edges()}
 
     assert edge_words(got) == edge_words(ref)
 
@@ -354,9 +368,9 @@ def test_meet_walk_matches_the_copy_path(fixture, gens1, gens2, same, words):
     if hit is None:
         return
     sub, h = hit
-    assert sub.graph.canonical_key() == ref[0].graph.canonical_key()
+    assert sub.canonical_key() == ref[0].canonical_key()
     h = Word(alphabet, h)
-    assert K.contains(s1 * h * ~f1) and L.contains(s2 * h * ~f2)
+    assert K.contains((s1 * h * ~f1).letters) and L.contains((s2 * h * ~f2).letters)
     # same letter order and the same essential automata: the same shortest word
     assert h == ref[1]
 
@@ -369,8 +383,8 @@ def test_coset_intersection_examples():
     assert hit is not None
     M, h = hit
     h = Word(F, h)
-    assert K.contains(h * ~w("d")) and L.contains(h * ~w("d"))
-    assert M.contains(w("a^2")) and not M.contains(w("b"))
+    assert K.contains((h * ~w("d")).letters) and L.contains((h * ~w("d")).letters)
+    assert M.contains(w("a^2").letters) and not M.contains(w("b").letters)
     da = w("d a").letters
     assert meet(K, K, accepts=(da, da)) is not None
     only_a = build([w("a")])
@@ -389,9 +403,9 @@ def test_coset_intersection_against_enumeration():
             assert not brute
         else:
             M, h = hit[0], Word(F, hit[1])
-            assert K.contains(h * ~a) and L.contains(h * ~b)
+            assert K.contains((h * ~a).letters) and L.contains((h * ~b).letters)
             for cand in brute:
-                assert M.contains(cand * ~h)
+                assert M.contains((cand * ~h).letters)
 
 
 def test_conjugacy_into_examples():
@@ -399,7 +413,7 @@ def test_conjugacy_into_examples():
     hit = g.conjugacy_into(w("a^-1 b a").letters)
     assert hit is not None
     h, z = (Word(F, x) for x in hit)
-    assert g.contains(h) and ~z * h * z == w("a^-1 b a")
+    assert g.contains(h.letters) and ~z * h * z == w("a^-1 b a")
     assert g.conjugacy_into(w("d").letters) is None
     Y = Alphabet(("x", "y", "z"))
     cb = build([parse_word("x", Y), parse_word("y^2", Y)])
@@ -418,7 +432,7 @@ def test_conjugacy_into_completeness_small():
         hit = g.conjugacy_into(word.letters)
         if hit is not None:
             h, z = (Word(F, x) for x in hit)
-            assert g.contains(h) and ~z * h * z == word
+            assert g.contains(h.letters) and ~z * h * z == word
         if word in conjugates:
             assert hit is not None
 
@@ -471,7 +485,7 @@ def test_double_transversal_examples():
     assert len(ts) == 2
     # soundness: H meets H^t for the nontrivial representative
     t = ts[1]
-    assert not meet(conjugate_by_copy(g, t), g)[0].graph.is_trivial()
+    assert not meet(conjugate_by_copy(g, t), g)[0].is_trivial()
     assert build([w("b")]).double_transversal() == (w(""),)
     whole = build([w("a"), w("b"), w("d")])
     assert whole.double_transversal() == (w(""),)
@@ -481,7 +495,7 @@ def test_double_transversal_completeness_small():
     g = C()
     ts = g.double_transversal()
     for word in reduced_words(F, 5):
-        meets = not meet(conjugate_by_copy(g, word), g)[0].graph.is_trivial()
+        meets = not meet(conjugate_by_copy(g, word), g)[0].is_trivial()
         if not meets:
             continue
         in_some = any(
@@ -520,12 +534,12 @@ def test_malnormality_flags():
 def test_z_subgroup_examples():
     g = C()
     z = g.z_subgroup(w("a").letters)
-    assert z.contains(w("a^2"))
-    assert not z.contains(w("b"))
+    assert z.contains(w("a^2").letters)
+    assert not z.contains(w("b").letters)
     z_id = g.z_subgroup(())
     for word in reduced_words(F, 4):
-        assert z_id.contains(word) == g.contains(word)
-    assert build([w("b")]).z_subgroup(w("a").letters).graph.is_trivial()
+        assert z_id.contains(word.letters) == g.contains(word.letters)
+    assert build([w("b")]).z_subgroup(w("a").letters).is_trivial()
 
 
 def test_z_subgroup_matches_definition():
@@ -533,16 +547,16 @@ def test_z_subgroup_matches_definition():
     t = w("a")
     z = g.z_subgroup(t.letters)
     for word in reduced_words(F, 4):
-        expected = g.contains(word) and g.contains(~t * word * t)
-        assert z.contains(word) == expected
+        expected = g.contains(word.letters) and g.contains((~t * word * t).letters)
+        assert z.contains(word.letters) == expected
 
 
 def test_generalized_normalizer_membership():
     # w in N*(H) iff H meets H^w nontrivially
     g = C()
-    assert not meet(conjugate_by_copy(g, w("a")), g)[0].graph.is_trivial()
-    assert meet(conjugate_by_copy(g, w("d")), g)[0].graph.is_trivial()
-    assert not meet(conjugate_by_copy(g, w("a^2 b")), g)[0].graph.is_trivial()
+    assert not meet(conjugate_by_copy(g, w("a")), g)[0].is_trivial()
+    assert meet(conjugate_by_copy(g, w("d")), g)[0].is_trivial()
+    assert not meet(conjugate_by_copy(g, w("a^2 b")), g)[0].is_trivial()
 
 
 def test_z_set_examples():
@@ -554,8 +568,8 @@ def test_z_set_examples():
     assert build([w("b")]).z_set_witness(w("b").letters) is None
     hit = g.z_set_witness(w("a^2").letters)
     t, target, conj = hit
-    assert g.contains(target) and g.contains(conj)
-    assert g.contains(~t * target * t)  # target really lies in Z_t
+    assert g.contains(target.letters) and g.contains(conj.letters)
+    assert g.contains((~t * target * t).letters)  # target really lies in Z_t
     assert ~conj * target * conj == w("a^2")
 
 
@@ -567,11 +581,11 @@ RUN_CONTEXTS = (
 )
 
 
-def run_words(rng, gt, count):
+def run_words(rng, g, count):
     """Runs x^k (k up to 300) among single letters; every other word is a basepoint loop."""
-    n = len(gt.alphabet)
+    n = len(g.alphabet)
     options = [s * i for i in range(1, n + 1) for s in (1, -1)]
-    basis = [loop for _, loop in gt.basis_loops()]
+    basis = [loop for _, loop in g.basis_loops()]
     out = []
     for i in range(count):
         letters, size = (), rng.choice((8, 70, 300, 700))
@@ -592,15 +606,14 @@ def test_run_walker_matches_the_letter_by_letter_walk():
     rng = random.Random(11)
     long_walks = stuck_in_runs = skipped_cycles = loops = 0
     for ctx, side in ((make(), side) for make in RUN_CONTEXTS for side in "AB"):
-        gt = ctx.graph_c(side)
-        g = gt.graph
+        g = ctx.graph_c(side)
         images = basis_images_by_generators(ctx, side)
         word_maps = (
-            basis_coordinates(gt)[1],
-            basis_edge_words(gt, [img.letters for img in images]),
-            gt.edge_words,
+            basis_coordinates(g)[1],
+            basis_edge_words(g, [img.letters for img in images]),
+            g.edge_words,
         )
-        for letters in run_words(rng, gt, 40):
+        for letters in run_words(rng, g, 40):
             long_walks += len(letters) >= 64
             run = max(len(list(r)) for _, r in groupby(letters))
             for s in range(g.nstates):
@@ -621,11 +634,11 @@ def test_run_walker_matches_the_letter_by_letter_walk():
             for words in word_maps:
                 end, read, product = walk_letter_by_letter(g, letters, g.base, words)
                 if read == len(letters) and end == g.base:
-                    assert gt.loop_word(letters, words) == product
+                    assert g.loop_word(letters, words) == product
                     loops += len(letters) >= 64
                 else:
                     with pytest.raises(NotAMemberError) as err:
-                        gt.loop_word(letters, words)
+                        g.loop_word(letters, words)
                     text = f"{Word(g.alphabet, letters)!r} is not in the subgroup"
                     assert str(err.value) == text
     assert long_walks and stuck_in_runs and skipped_cycles and loops
@@ -635,14 +648,13 @@ def test_run_walker_matches_the_letter_by_letter_walk_on_whole_input_runs():
     # runs filling the input in both signs, or all of it but the last letter, on every
     # fixture, against edge images whose cycle blocks c W0 ~c cancel into earlier output
     for ctx, side in ((make(), side) for make in RUN_CONTEXTS for side in "AB"):
-        gt = ctx.graph_c(side)
-        g = gt.graph
-        n = len(gt.alphabet)
-        rank = len(gt.basis_loops())
+        g = ctx.graph_c(side)
+        n = len(g.alphabet)
+        rank = len(g.basis_loops())
         word_maps = (
-            basis_coordinates(gt)[1],
-            basis_edge_words(gt, [(9, j + 1, -9) for j in range(rank)]),
-            gt.edge_words,
+            basis_coordinates(g)[1],
+            basis_edge_words(g, [(9, j + 1, -9) for j in range(rank)]),
+            g.edge_words,
         )
         inputs = []
         for x in (s * i for i in range(1, n + 1) for s in (1, -1)):
@@ -663,20 +675,20 @@ def test_run_walker_matches_the_letter_by_letter_walk_on_whole_input_runs():
             for words in word_maps:
                 end, read, product = walk_letter_by_letter(g, letters, g.base, words)
                 if read == len(letters) and end == g.base:
-                    assert gt.loop_word(letters, words) == product
+                    assert g.loop_word(letters, words) == product
                 else:
                     with pytest.raises(NotAMemberError):
-                        gt.loop_word(letters, words)
+                        g.loop_word(letters, words)
 
 
 def test_loop_word_cancels_deep_into_a_cycle_block():
     # F(a,b,d) itself: a^q gives the block 5^(2q), and each b d then cancels one 5 of it
-    gt = build([w("a"), w("b"), w("d")])
-    words = basis_edge_words(gt, [(5, 5), (-5, 7), (-7,)])
+    g = build([w("a"), w("b"), w("d")])
+    words = basis_edge_words(g, [(5, 5), (-5, 7), (-7,)])
     for q, r in ((40, 0), (40, 30), (40, 80), (40, 81), (3000, 2999), (3000, 6000)):
         letters = (1,) * q + (2, 3) * r + (1, 2, 1)
-        _, _, product = walk_letter_by_letter(gt.graph, letters, 0, words)
-        assert gt.loop_word(letters, words) == product
+        _, _, product = walk_letter_by_letter(g, letters, 0, words)
+        assert g.loop_word(letters, words) == product
         if r <= 2 * q:  # 5^(2q - r) * 5^2 (-5 7) 5^2
             assert len(product) == 2 * q - r + 4
 
@@ -693,15 +705,14 @@ class SliceRecordingTuple(tuple):
 def test_a_run_filling_the_input_is_read_without_slicing_it():
     # deterministic: records the letters sliced out of a 10^6-letter run, in both signs
     ctx = example_one_context(2)
-    gt = ctx.graph_ca
-    g = gt.graph
-    words = basis_edge_words(gt, [img.letters for img in basis_images_by_generators(ctx, "A")])
+    g = ctx.graph_ca
+    words = basis_edge_words(g, [img.letters for img in basis_images_by_generators(ctx, "A")])
     for x in (1, 2, -1, -2):
         letters = SliceRecordingTuple((x,) * 10**6)
         SliceRecordingTuple.sliced = []
         assert g.trace(letters, g.base) == g.base
         assert g.contains(letters)
-        image = gt.loop_word(letters, words)
+        image = g.loop_word(letters, words)
         assert len(image) == (5 * 10**5 if abs(x) == 1 else 2 * 10**6)
         assert sum(SliceRecordingTuple.sliced) == 0
 
@@ -717,7 +728,7 @@ class CountingDict(dict):
 def test_a_run_costs_lookups_per_cycle_not_per_letter():
     # deterministic: counts table lookups, so a fall back to one lookup per letter fails
     ctx = example_one_context(2)
-    g = ctx.graph_ca.graph
+    g = ctx.graph_ca
     g.moves = CountingDict(g.moves)
     assert g.trace((2,) * 10**6, 0) == 0
     assert g.moves.gets <= 100

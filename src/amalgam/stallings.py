@@ -35,9 +35,9 @@ gives the image of every loop under u_i -> target_i; the group layer's
 transfers walk those images.  The graph does not depend on the order of the
 folds, but the edge words do, and they reach the text of invalid-pairing
 errors, so `build` states its fold order as part of its contract.  A graph
-that `meet` returns, or one made from an edge map with no words, has no edge
-words.  Edge words that put b_j on the j-th non-tree edge spell a member
-over the basis (`basis_coordinates`).
+that `meet` returns, or one made from an edge map alone, has no edge words.
+Edge words that put b_j on the j-th non-tree edge spell a member over the
+basis (`basis_coordinates`).
 
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading

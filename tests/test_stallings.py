@@ -98,17 +98,20 @@ def test_coset_rep_examples():
 
 
 def test_coset_rep_at_the_deepest_states_of_a_long_circle():
-    # <a^(2^14)> is a circle of 2^14 states whose tree is 2^13 levels deep; a split fills
-    # the tree paths up to the nearest cached ancestor in a loop, not one call per level
+    # <a^n> is a circle of n states whose tree is n/2 levels deep; a split fills the tree
+    # paths up to the nearest cached ancestor in a loop, not one call per level
     n = 2**14
+    deepest = (1,) * (n // 2) + (2,)  # a^(n/2) b stops at the deepest state
+    assert build([w(f"a^{n}")]).coset_rep(deepest) == (deepest, ())
+    n = 2**12  # smaller, so that every state's path can be checked
     g = build([w(f"a^{n}")])
-    assert g.nstates == n
-    deepest = (1,) * (n // 2) + (2,)  # a^(2^13) b stops at the deepest state
-    assert g.coset_rep(deepest) == (deepest, ())
-    # a^(2^13 + 1) b stops one level up on the other branch, whose paths are not cached
+    assert g.coset_rep((-1,) * 10 + (2,)) == ((-1,) * 10 + (2,), ())
+    # a^(n/2 + 1) b stops one level above the deepest state, on the a^-1 side, whose
+    # paths are cached down to a^-10 only
     rep, head = g.coset_rep((1,) * (n // 2 + 1) + (2,))
     assert rep == (-1,) * (n // 2 - 1) + (2,) and head == (1,) * n
-    assert [len(g.tree_path_letters(s)) for s in range(n)] == [(s + 1) // 2 for s in range(n)]
+    paths = [g.tree_path_letters(s) for s in range(n)]
+    assert paths == [(1 if s % 2 else -1,) * ((s + 1) // 2) for s in range(n)]
 
 
 def test_coset_rep_contract():

@@ -8,20 +8,21 @@ letter index, sign + before -), so coset representatives and the free basis,
 the loops through the non-tree edges (`basis_loops`), are stable across runs.
 
 `SubgroupGraph` has one constructor: a folded edge map and a basepoint,
-trimmed to core-plus-base by `_trim` and renumbered along the tree.  Its one
-table of moves holds each edge both ways, so no walk branches on a letter's
-sign.  Two constructions feed it.  `build` folds the subdivided rose on the
-given generators, on flat lists indexed by edge id (source, target, positive
-letter, t-word) with one incidence set per vertex.  `meet` walks the product
-of two graphs breadth first from a pair of start states and passes on the
-component it reaches, which is folded because both factors are.  Beside each
-graph it keeps the paths of a start word and an accept word in a small
-overlay, so `z_subgroup` and the coset algebra's `shift` read conjugates and
-cosets off the graphs they already have and copy none; every meet in the
-package is this walk.  The Stallings graph of a subgroup is unique as a
-pointed graph (Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives
-exactly the graph that folding any generating set of the same subgroup would
-give.
+trimmed to core-plus-base by `_trim` and renumbered breadth first from each
+state's own edges in the tie-break order, which builds the tree.  Its one
+table of moves, built once on the new numbers, holds each edge both ways, so
+no walk branches on a letter's sign.  Two constructions feed it.  `build`
+folds the subdivided rose on the given generators, on flat lists indexed by
+edge id (source, target, positive letter, t-word) with one incidence set per
+vertex.  `meet` walks the product of two graphs breadth first from a pair of
+start states and passes on the component it reaches, which is folded because
+both factors are.  Beside each graph it keeps the paths of a start word and
+an accept word in a small overlay, so `z_subgroup` and the coset algebra's
+`shift` read conjugates and cosets off the graphs they already have and copy
+none; every meet in the package is this walk.  The Stallings graph of a
+subgroup is unique as a pointed graph (Kapovich-Myasnikov, J. Algebra 248,
+2002), so the walk gives exactly the graph that folding any generating set
+of the same subgroup would give.
 
 Words over the generators are read off the graph itself.  `build` writes
 t_i on the closing edge of loop i of the subdivided rose and keeps the edge
@@ -80,34 +81,30 @@ class NotAMemberError(ValueError):
 Edges = dict[int, tuple[int, int, int]]  # eid -> (src, positive letter, dst)
 
 
-def _trim(edges: Edges, base: int) -> Edges:
-    """Core-plus-base: drop hanging trees away from the basepoint."""
-    inc: dict[int, list[int]] = {}
-    for eid, (s, _, d) in edges.items():
-        inc.setdefault(s, []).append(eid)
-        inc.setdefault(d, []).append(eid)
+def _trim(edges: Edges, base: int) -> tuple[Edges, dict[int, list[tuple[int, int, int, int]]]]:
+    """Core-plus-base: drop hanging trees away from the basepoint.
+
+    Also returns each vertex's moves as (2 * lab, +lab, target, eid) and
+    (2 * lab + 1, -lab, source, ~eid), so they sort in the tree's tie-break
+    order; the dropped edges' moves stay in these lists.
+    """
+    inc: dict[int, list[tuple[int, int, int, int]]] = {}
+    for eid, (s, lab, d) in edges.items():
+        inc.setdefault(s, []).append((2 * lab, lab, d, eid))
+        inc.setdefault(d, []).append((2 * lab + 1, -lab, s, ~eid))
     degree = {v: len(es) for v, es in inc.items()}
     live = dict(edges)
     leaves = [v for v, k in degree.items() if k <= 1 and v != base]
     while leaves:
-        for eid in inc[leaves.pop()]:
-            hit = live.pop(eid, None)
+        for *_, key in inc[leaves.pop()]:
+            hit = live.pop(max(key, ~key), None)  # the eid, whichever way the move goes
             if hit is None:
                 continue
             for w in (hit[0], hit[2]):
                 degree[w] -= 1
                 if degree[w] == 1 and w != base:
                     leaves.append(w)
-    return live
-
-
-def _moves(edges: Edges, width: int) -> dict[int, tuple[int, int]]:
-    """An edge map's transition table (see `SubgroupGraph`): each edge moves both ways."""
-    moves = {}
-    for eid, (s, lab, d) in edges.items():
-        moves[(s + 1) * width + lab] = (d, eid)
-        moves[(d + 1) * width - lab] = (s, ~eid)
-    return moves
+    return live, inc
 
 
 def _run_end(letters: Sequence[int], i: int, n: int) -> int:
@@ -155,11 +152,12 @@ def _push(parts: list, word: tuple[int, ...]) -> None:
 class SubgroupGraph:
     """Immutable folded core-plus-base automaton with its geodesic tree.
 
-    Its one transition table `moves` maps the int (s + 1) * width + slet, for
-    signed letter slet at state s and width = 2 * |alphabet| + 1, to (state
-    reached, eid), or to (state reached, ~eid) on a backward move.  Int keys
-    hash faster than (s, slet) tuples, and the offset keeps them positive:
-    CPython hashes -1 like -2.  Only `edges()` decodes a key.
+    Its one transition table `moves`, built once as the states are renumbered,
+    maps the int (s + 1) * width + slet, for signed letter slet at state s and
+    width = 2 * |alphabet| + 1, to (state reached, eid), or to (state reached,
+    ~eid) on a backward move.  Int keys hash faster than (s, slet) tuples, and
+    the offset keeps them positive: CPython hashes -1 like -2.  Only `edges()`
+    decodes a key; fewer keys than two per edge reject the edge map as unfolded.
 
     `edge_words` maps an edge id to the fold's word over the generators' t-alphabet
     (absent means empty) and ~eid to its inverse (see `loop_word`); `meet` leaves none.
@@ -173,30 +171,25 @@ class SubgroupGraph:
         self.alphabet = alphabet
         self.edge_words = edge_words or {}
         self.width = width = 2 * len(alphabet) + 1
-        live = _trim(edges, base)
-        raw = _moves(live, width)
-        if len(raw) != 2 * len(live):
-            raise VerificationError("graph is not folded")
-        # breadth-first renumbering doubles as geodesic tree construction
+        live, inc = _trim(edges, base)
+        # renumbering breadth first along each state's own moves builds the geodesic tree
         old_of = [base]
         new_of = {base: 0}
         tree: list[Optional[tuple[int, int]]] = [None]  # (parent, slet)
+        self.moves = moves = {}
         for i, v in enumerate(old_of):  # old_of grows while it is scanned
-            for lab in range(1, len(alphabet) + 1):
-                for slet in (lab, -lab):
-                    hit = raw.get((v + 1) * width + slet)
-                    if hit is not None and hit[0] not in new_of:
-                        new_of[hit[0]] = len(old_of)
-                        old_of.append(hit[0])
+            for _, slet, w, key in sorted(inc.get(v, ())):
+                if max(key, ~key) in live:  # an edge the trim kept
+                    j = new_of.setdefault(w, len(old_of))
+                    if j == len(old_of):
+                        old_of.append(w)
                         tree.append((i, slet))
+                    moves[(i + 1) * width + slet] = (j, key)
+        if len(moves) != 2 * len(live):  # two edges share a move, or one is out of reach
+            raise VerificationError("graph is not folded")
         self.nstates = len(old_of)
         self.base = 0
         self.tree = tuple(tree)
-        self.moves = moves = {}
-        for eid, (s, lab, d) in live.items():
-            s, d = new_of[s], new_of[d]
-            moves[(s + 1) * width + lab] = (d, eid)
-            moves[(d + 1) * width - lab] = (s, ~eid)
         self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
         self._tree_words[0] = ()
         self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
@@ -566,7 +559,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Su
             raise ValueError("alphabet required for an empty generating set")
         alphabet = generators[0].alphabet
     for g in gens:
-        if g.alphabet is not alphabet and g.alphabet != alphabet:
+        if g.alphabet != alphabet:
             raise ValueError("generators over mixed alphabets")
     src: list[int] = []  # per edge id: source, target, positive letter (0 once folded away)
     dst: list[int] = []

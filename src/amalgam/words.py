@@ -62,7 +62,7 @@ class Alphabet:
             raise ValueError(f"unknown generator {_quote(name)}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or isinstance(other, Alphabet) and self.names == other.names
 
     def __hash__(self) -> int:
         return hash(self.names)

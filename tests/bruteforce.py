@@ -62,6 +62,11 @@ one from every state; they check the searches that trace the core once.
 dicts of ends, labels and words and re-sorted a vertex's edges before every
 fold; it checks that the fold on flat edge lists makes the same folds in the
 same order, so every graph, tree and edge word is unchanged.
+`renumber_by_alphabet_scan` is the older graph constructor's renumbering,
+which tabled the trimmed edge map's moves, numbered the states breadth first
+by looking up every signed letter of the alphabet at each state, and tabled
+the moves again on the new numbers; it checks the constructor that walks each
+state's own edges in the tie-break order and tables the moves once.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from amalgam.group import (
     cyclic_form,
     normal_form,
 )
-from amalgam.stallings import NotAMemberError, SubgroupGraph, build, meet
+from amalgam.stallings import Edges, NotAMemberError, SubgroupGraph, _trim, build, meet
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -230,6 +235,42 @@ def check_folded(graph: SubgroupGraph) -> None:
         degree[d] += 1
     for v in range(1, graph.nstates):
         assert degree[v] >= 2, f"state {v} not in core"
+
+
+def renumber_by_alphabet_scan(
+    alphabet: Alphabet, edges: Edges, base: int
+) -> tuple[tuple[Optional[tuple[int, int]], ...], dict[int, tuple[int, int]]]:
+    """(tree, moves) of the edge map trimmed at `base`, by a scan of the alphabet per state.
+
+    From each state in breadth-first order, the signed letters 1, -1, 2, -2,
+    ... are looked up in the old numbering's table, and a state first reached
+    becomes the next number with (parent, signed letter) as its tree edge.
+    """
+    width = 2 * len(alphabet) + 1
+    live = _trim(edges, base)[0]
+    raw = {}
+    for eid, (s, lab, d) in live.items():
+        raw[(s + 1) * width + lab] = (d, eid)
+        raw[(d + 1) * width - lab] = (s, ~eid)
+    if len(raw) != 2 * len(live):
+        raise VerificationError("graph is not folded")
+    old_of = [base]
+    new_of = {base: 0}
+    tree: list[Optional[tuple[int, int]]] = [None]
+    for i, v in enumerate(old_of):
+        for lab in range(1, len(alphabet) + 1):
+            for slet in (lab, -lab):
+                hit = raw.get((v + 1) * width + slet)
+                if hit is not None and hit[0] not in new_of:
+                    new_of[hit[0]] = len(old_of)
+                    old_of.append(hit[0])
+                    tree.append((i, slet))
+    moves = {}
+    for eid, (s, lab, d) in live.items():
+        s, d = new_of[s], new_of[d]
+        moves[(s + 1) * width + lab] = (d, eid)
+        moves[(d + 1) * width - lab] = (s, ~eid)
+    return tuple(tree), moves
 
 
 def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,29 @@ def test_build_context_leaves_the_normalizer_data_for_first_use(monkeypatch):
     assert contexts["malnormal"].malnormal_a is True
     assert contexts["malnormal"].malnormal_b is True
     assert len(contexts["ex1"].transversal_a) > 1
+
+
+def test_build_context_grows_linearly_with_the_number_of_pairs():
+    # C: a_i^2 = x_i^2 for i < n makes each C graph a rose of n petals over n letters;
+    # a graph constructor that looks up every letter at every state, or an alphabet
+    # comparison that reads every name per pair, makes quadrupling n cost about 16x.
+    # A ratio of the best of 3, the sizes taken in turn, because the host's speed
+    # swings by up to 1.7x
+    def wide(n):
+        alphabet_a = Alphabet(tuple(f"a{i}" for i in range(n)))
+        alphabet_b = Alphabet(tuple(f"x{i}" for i in range(n)))
+        pairs = [(Word(alphabet_a, (i, i)), Word(alphabet_b, (i, i))) for i in range(1, n + 1)]
+        return alphabet_a, alphabet_b, pairs
+
+    sizes = {2000: wide(2000), 8000: wide(8000)}
+    times = {n: [] for n in sizes}
+    for _ in range(3):
+        for n, args in sizes.items():
+            start = time.perf_counter()
+            build_context(*args)
+            times[n].append(time.perf_counter() - start)
+    small, large = min(times[2000]), min(times[8000])
+    assert large < 9 * small, (small, large)
 
 
 # --- transfer through the amalgamation -------------------------------------------

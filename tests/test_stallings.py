@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, groupby
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from amalgam.cli import diameter
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
-from amalgam.stallings import NotAMemberError, basis_coordinates, build, meet
+from amalgam import stallings
+from amalgam.stallings import NotAMemberError, SubgroupGraph, basis_coordinates, build, meet
 from amalgam.words import (
     Alphabet,
+    VerificationError,
     Word,
     free_conjugacy,
     identity,
@@ -34,6 +37,7 @@ from bruteforce import (
     free_conjugacy_by_least_rotation,
     generated_elements,
     reduced_words,
+    renumber_by_alphabet_scan,
     subgroup_elements,
     walk_letter_by_letter,
 )
@@ -333,6 +337,59 @@ def test_fold_matches_the_rose_folding_on_fixtures_and_nielsen_pairs():
         assert_same_fold(gens, alphabet)
 
 
+class RecordedGraph(SubgroupGraph):
+    """A subgroup graph that keeps the edge map and the base it was made from."""
+
+    def __init__(self, alphabet, edges, base, edge_words=None):
+        super().__init__(alphabet, edges, base, edge_words)
+        self.made_from = (dict(edges), base)
+
+
+def assert_renumbered_as_by_alphabet_scan(g, rng):
+    """g's tree and moves are the alphabet scan's on its own edge map and on a renamed one."""
+    edges, base = g.made_from
+    assert (g.tree, g.moves) == renumber_by_alphabet_scan(g.alphabet, edges, base)
+    # the numbering follows the graph alone: other names for the states, and a
+    # hanging path at the base for the trim to drop, give the same tree and moves
+    states = sorted({base} | {v for s, _, d in edges.values() for v in (s, d)})
+    names = dict(zip(states, rng.sample(range(3 * len(states)), len(states))))
+    renamed = {eid: (names[s], lab, names[d]) for eid, (s, lab, d) in edges.items()}
+    eid, fresh = max(edges, default=-1) + 1, 3 * len(states)
+    renamed[eid], renamed[eid + 1] = (names[base], 1, fresh), (fresh + 1, 1, fresh)
+    other = SubgroupGraph(g.alphabet, renamed, names[base])
+    assert (other.tree, other.moves) == (g.tree, g.moves)
+    assert renumber_by_alphabet_scan(g.alphabet, renamed, names[base]) == (g.tree, g.moves)
+    check_folded(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_generating_sets(), st.randoms(use_true_random=False))
+def test_renumbering_matches_the_alphabet_scan_on_folds(case, rng):
+    with patch.object(stallings, "SubgroupGraph", RecordedGraph):
+        g = build(*case)
+    assert_renumbered_as_by_alphabet_scan(g, rng)
+
+
+def test_renumbering_matches_the_alphabet_scan_on_loops_and_a_deep_circle():
+    # a loop at the base, a loop at another state (listed twice among its moves),
+    # a circle whose tree is 512 levels deep, and the lone base
+    rng = random.Random(5)
+    for gens in ([w("a")], [w("a b a^-1")], [w("a b^-1 a^-1"), w("b^2")], [w("a^1024")], []):
+        with patch.object(stallings, "SubgroupGraph", RecordedGraph):
+            g = build(gens, F)
+        assert_renumbered_as_by_alphabet_scan(g, rng)
+
+
+def test_an_unfolded_edge_map_is_rejected():
+    # two a-edges leave state 0: to state 1, and to state 2 on a cycle with it,
+    # so the trim keeps both; then two a-loops at the base
+    for edges in ({0: (0, 1, 1), 1: (0, 1, 2), 2: (1, 2, 2)}, {0: (0, 1, 0), 1: (0, 1, 0)}):
+        with pytest.raises(VerificationError, match="graph is not folded"):
+            SubgroupGraph(F, edges, 0)
+        with pytest.raises(VerificationError, match="graph is not folded"):
+            renumber_by_alphabet_scan(F, edges, 0)
+
+
 FIXTURE_C_GRAPHS = tuple(
     ctx.graph_c(side)
     for ctx in (example_one_context(2), example_two_context(2), malnormal_context())
@@ -376,6 +433,28 @@ def test_meet_walk_matches_the_copy_path(fixture, gens1, gens2, same, words):
     assert K.contains((s1 * h * ~f1).letters) and L.contains((s2 * h * ~f2).letters)
     # same letter order and the same essential automata: the same shortest word
     assert h == ref[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((None, *range(len(FIXTURE_C_GRAPHS)))),
+    generating_lists,
+    st.lists(st.lists(letters, max_size=6), min_size=4, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_renumbering_matches_the_alphabet_scan_on_meets(fixture, gens, words, rng):
+    # a meet's product states are numbered as the walk reaches them, overlay states
+    # included; the second meet pairs each word with itself, so its accept pair is reached
+    alphabet = F if fixture is None else FIXTURE_C_GRAPHS[fixture].alphabet
+    K = build([_over(alphabet, ls) for ls in gens], alphabet)
+    if fixture is not None:
+        K = FIXTURE_C_GRAPHS[fixture]
+    s1, f1, s2, f2 = (_over(alphabet, ls).letters for ls in words)
+    with patch.object(stallings, "SubgroupGraph", RecordedGraph):
+        hits = [meet(K, K, (s1, s2), (f1, f2)), meet(K, K, (s1, s1), (f1, f1))]
+    assert hits[1] is not None
+    for hit in filter(None, hits):
+        assert_renumbered_as_by_alphabet_scan(hit[0], rng)
 
 
 def test_coset_intersection_examples():

@@ -371,8 +371,8 @@ def test_renumbering_matches_the_alphabet_scan_on_folds(case, rng):
 
 
 def test_renumbering_matches_the_alphabet_scan_on_loops_and_a_deep_circle():
-    # a loop at the base, a loop at another state (listed twice among its moves),
-    # a circle whose tree is 512 levels deep, and the lone base
+    # a loop at the base, a loop at another state (both of its moves leave that
+    # state), a circle whose tree is 512 levels deep, and the lone base
     rng = random.Random(5)
     for gens in ([w("a")], [w("a b a^-1")], [w("a b^-1 a^-1"), w("b^2")], [w("a^1024")], []):
         with patch.object(stallings, "SubgroupGraph", RecordedGraph):
@@ -445,11 +445,11 @@ def test_meet_walk_matches_the_copy_path(fixture, gens1, gens2, same, words):
 def test_renumbering_matches_the_alphabet_scan_on_meets(fixture, gens, words, rng):
     # a meet's product states are numbered as the walk reaches them, overlay states
     # included; the second meet pairs each word with itself, so its accept pair is reached
-    alphabet = F if fixture is None else FIXTURE_C_GRAPHS[fixture].alphabet
-    K = build([_over(alphabet, ls) for ls in gens], alphabet)
-    if fixture is not None:
+    if fixture is None:
+        K = build([_over(F, ls) for ls in gens], F)
+    else:
         K = FIXTURE_C_GRAPHS[fixture]
-    s1, f1, s2, f2 = (_over(alphabet, ls).letters for ls in words)
+    s1, f1, s2, f2 = (_over(K.alphabet, ls).letters for ls in words)
     with patch.object(stallings, "SubgroupGraph", RecordedGraph):
         hits = [meet(K, K, (s1, s2), (f1, f2)), meet(K, K, (s1, s1), (f1, f1))]
     assert hits[1] is not None

@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
@@ -164,10 +166,10 @@ class AmalgamContext:
     E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
     sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from
     None to that carry and from a block's characters (see its codec) to the row ((side,
-    rep) or None, next carry, its state, _RUN_MIN - its length, letters of rep its C
-    graph reads, or None until a join needs them).  Rows share their carries and, through
-    memo[syll] = syll, their syllables.  It grows like "xfer", and answers 94% of the steps
-    of word-problem, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
+    rep) or None, next carry, its state, letters of rep its C graph reads, or None until a
+    join needs them); longer carries share one empty state.  Rows share their carries and,
+    through memo[syll] = syll, their syllables.  It grows like "xfer", and answers 94% of
+    the steps of word-problem, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -195,14 +197,13 @@ class AmalgamContext:
         self._edge_images = dict(zip("AB", edge_images))  # side -> C graph's edge images
         self.cache: dict = {}
         # block codec: union letter lt is character na + lt on side A and n + na + 1 + its factor
-        # letter on side B, so one pattern (re caches it) finds a word's one-side blocks
+        # letter on side B, so one split (re caches the pattern) finds a word's one-side blocks
         na, n = len(alphabet_a), len(self.union_alphabet)
         union = [*range(n + 1), *range(-n, 0)]  # the lists take signed letters
         factor = [lt if abs(lt) <= na else lt - na if lt > 0 else lt + na for lt in union]
         codes = [chr(f + (na if abs(lt) <= na else n + na + 1)) for lt, f in zip(union, factor)]
-        a_codes = f"\\x00-\\U{2 * na:08x}"
-        self._code, self._factor_letter = codes.__getitem__, factor
-        self._blocks = re.compile(f"[{a_codes}]+|[^{a_codes}]+").findall
+        self._codes, self._factor_letter, self._b_code = codes, factor, chr(2 * na + 1)
+        self._split_codes = re.compile(f"([\\x00-\\U{2 * na:08x}]+)").split
         self._b_to_union = [0, *range(na + 1, n + 1), *range(-n, -na)]
 
     # --- sides and alphabets -------------------------------------------------
@@ -216,6 +217,10 @@ class AmalgamContext:
     @staticmethod
     def other(side: str) -> str:
         return "B" if side == "A" else "A"
+
+    def _blocks(self, letters: tuple[int, ...]) -> list[str]:
+        """A word's blocks in the codec: B's, A's, B's, ... from 0; only the ends can be empty."""
+        return self._split_codes("".join(itemgetter(*letters)(self._codes)) if letters else "")
 
     def union_letters(self, side: str, letters: tuple[int, ...]) -> tuple[int, ...]:
         return letters if side == "A" else tuple(map(self._b_to_union.__getitem__, letters))
@@ -314,10 +319,12 @@ def _split(ctx: AmalgamContext, raw: Word) -> list[tuple[str, tuple[int, ...]]]:
     if raw.alphabet is not ctx.union_alphabet and raw.alphabet != ctx.union_alphabet:
         raise ValueError("word is not over the union alphabet")
     letters, out, end = raw.letters, [], 0
-    b = letters and abs(letters[0]) <= len(ctx.alphabet_a)  # flipped before each block
-    for block in ctx._blocks("".join(map(ctx._code, letters))):
-        b, word, end = not b, letters[end : end + len(block)], end + len(block)
-        out.append(("AB"[b], tuple(map(ctx._factor_letter.__getitem__, word)) if b else word))
+    for i, block in enumerate(ctx._blocks(letters)):
+        word, end = letters[end : end + len(block)], end + len(block)
+        if i % 2:
+            out.append(("A", word))
+        elif block:
+            out.append(("B", tuple(map(ctx._factor_letter.__getitem__, word))))
     return out
 
 
@@ -414,6 +421,9 @@ def _state(memo: dict, carry: tuple[int, ...]) -> dict:
     return memo.get(carry) or memo.setdefault(carry, {None: carry})
 
 
+_LONG_STATE = MappingProxyType({})  # the state of every carry of _RUN_MIN letters or more
+
+
 def normal_form(
     ctx: AmalgamContext,
     raw: Word,
@@ -424,10 +434,10 @@ def normal_form(
 
     The carry (the C-element extracted from the current tail) is transferred
     across the amalgamation each time it moves past a syllable; `trace`, when
-    given, records its length after every step.  The blocks come from one `findall` over
-    the word's codes (the context's block codec), with no `rfind`; a block's letters are
-    sliced out only on a miss.  The step memo is walked as a transducer (see AmalgamContext):
-    a known step is one `get` on the carry's state, keyed by the block's characters.
+    given, records its length after every step.  One `split` of the word's codes (the block
+    codec) gives the blocks, and the step memo is a transducer (see AmalgamContext): a known
+    step is one `get` on the carry's state, keyed by the block's characters.  A miss reads the
+    block's side and letters, and stores its row if block and carry hold under _RUN_MIN letters.
 
     When a block lies in C, the next rep r joins the syllable after it.  A canonical
     rep is a tree path and a letter its C graph cannot read there, so r * syllable
@@ -442,34 +452,32 @@ def normal_form(
     if memo is None:
         reps = _coset_reps(ctx, policy)
         memo = ctx.cache[("step", policy.kind, policy.p)] = {}
-    letters = raw.letters
+    letters, blocks = raw.letters, ctx._blocks(raw.letters)
     done: list[tuple[str, tuple[int, ...]]] = []  # output syllables, the last first
     opened = None  # done[-1]'s letters reversed, once a join keeps it long
     state = _state(memo, ())  # the empty carry's
-    carry, room, end = (), _RUN_MIN, len(letters)  # room: block letters under the rule
-    b = letters and abs(letters[-1]) <= len(ctx.alphabet_a)  # flipped before each block
-    for block in reversed(ctx._blocks("".join(map(ctx._code, letters)))):
+    carry, end = (), len(letters)
+    for block in reversed(blocks[not blocks[0] : len(blocks) - (not blocks[-1])]):
         # blocks alternate, so the carry is on the other side: the block's characters name a row
-        b, short, end = not b, len(block) < room, end - len(block)  # no state leaves no room
-        step = state.get(block) if short else None
+        end -= len(block)
+        step = state.get(block)
         if step is None:
             reps = reps or _coset_reps(ctx, policy)
+            b, short = block >= ctx._b_code, len(block) + len(carry) < _RUN_MIN
             if carry:
                 carry = ctx.transfer_letters("BA"[b], carry)
             word = letters[end : end + len(block)]
             word = tuple(map(ctx._factor_letter.__getitem__, word)) if b else word
             rep, carry = reps["AB"[b]](letters_product(word, carry))  # frees the old carry
-            room = _RUN_MIN - len(carry)
-            nxt = _state(memo, carry) if room > 0 else None
+            nxt = _state(memo, carry) if len(carry) < _RUN_MIN else _LONG_STATE
+            carry = nxt.get(None, carry)
             syll = ("AB"[b], rep) if rep else None
-            if nxt is not None:
-                carry = nxt[None]
             if short and syll:
                 syll = memo.setdefault(syll, syll)
-            step = syll, carry, nxt, room, None
+            step = syll, carry, nxt, None
             if short:
                 state[block] = step
-        syll, carry, nxt, room, reads = step
+        syll, carry, nxt, reads = step
         if syll and done and done[-1][0] == syll[0]:  # the block before was in C: join
             (side, rep), syll, tail = syll, None, done[-1][1]
             if opened is None:
@@ -480,8 +488,8 @@ def normal_form(
             if reads is None:  # the row's first join
                 graph = ctx.graph_c(side)
                 reads = graph.read(rep)[1] if policy.kind == "canonical" else len(rep)
-                if short:
-                    state[block] = step[0], carry, nxt, room, reads
+                if block in state:
+                    state[block] = step[0], carry, nxt, reads
             if reads >= cut:  # what is left of rep reads to its end: split again
                 reps = reps or _coset_reps(ctx, policy)
                 rep, head = reps[side](merged if opened is None else tuple(opened[::-1]))
@@ -489,8 +497,7 @@ def normal_form(
                 opened, syll = None, (side, rep) if rep else None
                 if head:
                     carry = letters_product(carry, head)
-                    room = _RUN_MIN - len(carry)
-                    nxt = _state(memo, carry) if room > 0 else None
+                    nxt = _state(memo, carry) if len(carry) < _RUN_MIN else _LONG_STATE
             elif opened is None:  # kept whole
                 done[-1] = side, merged
                 opened = list(merged[::-1]) if len(merged) >= _RUN_MIN else None
@@ -504,8 +511,8 @@ def normal_form(
     if opened is not None:
         done[-1] = done[-1][0], tuple(opened[::-1])
     target = done[-1][0] if done else "A"
-    if carry and "AB"[b] != target:
-        carry = ctx.transfer_letters("AB"[b], carry)
+    if carry and "BA"[not blocks[0]] != target:  # the carry lies on the first block's side
+        carry = ctx.transfer_letters("BA"[not blocks[0]], carry)
     if not ctx.graph_c(target).contains(carry):
         raise VerificationError("normal-form head escaped C")
     return _form(ctx, target, carry, reversed(done))

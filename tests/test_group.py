@@ -745,7 +745,7 @@ def block_decoder(ctx):
     """A row's block (one character per union letter, from the context's codec) -> its
     union letters."""
     n = len(ctx.union_alphabet)
-    decode = {ctx._code(lt): lt for lt in [*range(1, n + 1), *range(-n, 0)]}
+    decode = {ctx._codes[lt]: lt for lt in [*range(1, n + 1), *range(-n, 0)]}
     assert len(decode) == 2 * n  # one character per union letter
     return lambda block: tuple(map(decode.__getitem__, block))
 
@@ -769,10 +769,11 @@ def assert_keys_within_the_gates(ctx):
         assert block and len({abs(lt) > off for lt in block}) == 1  # one side's block
         assert len(block) + len(carry) < _RUN_MIN
     # a state holds the rows of a carry under 64 letters and, under None, that carry; a
-    # row links to its next carry's state, the letters left for the next step and, once
-    # a join has needed them, the letters of its rep that its C graph reads (all of an
-    # adversarial rep).  A row keeps no copies: its carry is the key of its next state,
-    # and its syllable is the memo's one copy, which the memo keeps only for its rows
+    # row links to its next carry's state (the one shared state of the long carries, which
+    # holds no row) and, once a join has needed them, the letters of its rep that its C
+    # graph reads (all of an adversarial rep).  A row keeps no copies: its carry is the key
+    # of its next state, and its syllable is the memo's one copy, which the memo keeps only
+    # for its rows
     for kind, memo in ctx.cache.items():
         if kind[0] != "step":
             continue
@@ -784,18 +785,18 @@ def assert_keys_within_the_gates(ctx):
                 continue
             assert len(carry) < _RUN_MIN and state[None] is carry
             rows = ((decode(block), row) for block, row in state.items() if block)
-            for block, (syll, nxt, nxt_state, room, reads) in rows:
+            for block, (syll, nxt, nxt_state, reads) in rows:
                 assert syll is None or syll[0] == "AB"[abs(block[0]) > off]
                 assert syll is None or memo[syll] is syll
-                assert nxt_state is (memo[nxt] if len(nxt) < _RUN_MIN else None)
-                assert nxt_state is None or nxt is nxt_state[None]
-                assert room == _RUN_MIN - len(nxt)
+                assert nxt_state is (memo[nxt] if len(nxt) < _RUN_MIN else group._LONG_STATE)
+                assert nxt_state is group._LONG_STATE or nxt is nxt_state[None]
                 if syll and reads is not None:  # kept by the row's first join
                     graph = ctx.graph_c(syll[0])
                     canonical = kind[1] == "canonical"
                     assert reads == (graph.read(syll[1])[1] if canonical else len(syll[1]))
                 used.add(syll)
         assert {key for key in memo if is_syllable(key)} == used - {None}
+    assert not group._LONG_STATE  # probed, never written
 
 
 def cancelled(a, b):
@@ -893,6 +894,7 @@ def test_long_transfers_are_walked_not_memoised():
     assert xfer_keys(ctx)
     assert all(len(letters) < _RUN_MIN for _, _, letters in xfer_keys(ctx))
     assert normal_form(ctx, form_to_word(ctx, rf)) == nf
+    assert_keys_within_the_gates(ctx)
 
 
 BLOWUP_CASES = [(2, 8), (3, 5)]  # (p, m) of the blowup workload's (z d)^m x
@@ -1216,10 +1218,25 @@ def block_words(data, ctx, max_blocks=6):
     return Word(ctx.union_alphabet, letters)  # reduced, so blocks may cancel and merge
 
 
+def spelt(ctx, side, letters):
+    """A side's factor letters in the codec's characters."""
+    return "".join(ctx._codes[lt] for lt in ctx.union_letters(side, letters))
+
+
+def assert_runs_alternate(ctx, word):
+    # the codec's one split: runs of B, A, B, ... from index 0, of which only the first
+    # and the last can be empty, and the nonempty runs are the grouped split's blocks
+    runs, split = ctx._blocks(word.letters), split_by_groupby(ctx, word)
+    assert len(runs) % 2 == 1 and all(runs[1:-1])
+    assert [i % 2 for i, run in enumerate(runs) if run] == ["BA".index(s) for s, _ in split]
+    assert [run for run in runs if run] == [spelt(ctx, side, block) for side, block in split]
+    assert group._split(ctx, word) == split
+
+
 @pytest.mark.parametrize("name", CODEC_CONTEXTS)
 def test_codec_blocks_match_the_grouped_split(name):
-    # the codec's one findall gives the blocks that grouping letters by side gives, and
-    # the sweep that reads them matches the reference, which splits by grouping
+    # the codec's blocks are the ones that grouping letters by side gives, and the sweep
+    # that reads them matches the reference, which splits by grouping
     ctx, ref = CODEC_CONTEXTS[name](), CODEC_CONTEXTS[name]()
     longest = []
 
@@ -1228,10 +1245,7 @@ def test_codec_blocks_match_the_grouped_split(name):
     def check(data):
         word = block_words(data, ctx) if data.draw(st.booleans()) else data.draw(union_words(ctx))
         split = split_by_groupby(ctx, word)
-        assert group._split(ctx, word) == split
-        assert ctx._blocks("".join(map(ctx._code, word.letters))) == [
-            "".join(map(ctx._code, ctx.union_letters(side, block))) for side, block in split
-        ]
+        assert_runs_alternate(ctx, word)
         trace, ref_trace = [], []
         assert normal_form(ctx, word, CANONICAL, trace) == normal_form_unmemoised(
             ref, word, CANONICAL, ref_trace
@@ -1244,6 +1258,28 @@ def test_codec_blocks_match_the_grouped_split(name):
     assert max(longest) >= _RUN_MIN  # one-side blocks of 64 letters or more were swept
 
 
+@pytest.mark.parametrize("name", CODEC_CONTEXTS)
+def test_codec_ends_sweep_cold_then_warm(name):
+    # the split's ends: the empty word is one empty run, a one-letter word of A sits
+    # between two, and a word may start and end with a block in C
+    ctx, ref = CODEC_CONTEXTS[name](), CODEC_CONTEXTS[name]()
+    union, n = ctx.union_alphabet, len(ctx.union_alphabet)
+    u, v = ctx.pairs[0][0].letters, ctx.pairs[0][1].letters
+    assert ctx.graph_ca.contains(u) and ctx.graph_cb.contains(v)
+    u, v = ctx.union_letters("A", u), ctx.union_letters("B", v)
+    words = [(), *((lt,) for lt in [*range(1, n + 1), *range(-n, 0)]), u + v[:1] + u,
+             v + u[:1] + v]
+    for word in (Word(union, letters) for letters in words):
+        assert_runs_alternate(ctx, word)
+        ctx.cache.clear()
+        ref_trace = []
+        expect = normal_form_unmemoised(ref, word, CANONICAL, ref_trace)
+        for _ in range(2):  # cold, then warm
+            trace = []
+            assert normal_form(ctx, word, CANONICAL, trace) == expect and trace == ref_trace
+        assert astuple(reduced_form(ctx, word)) == astuple(reduced_form_by_rescan(ctx, word))
+
+
 def test_codes_past_the_surrogate_block_sweep():
     # 28,800 generators: A's codes are U+0000-U+7080 and B's U+7081-U+E101, so the
     # highest letters of B have codes in and past U+D800-U+DFFF, which a Python str
@@ -1251,9 +1287,9 @@ def test_codes_past_the_surrogate_block_sweep():
     n = 14_400
     pairs = [((1, 1), (n,)), ((n,), (n - 1, n))]  # a1^2 = x_n, a_n = x_(n-1) x_n
     ctx, ref = wide_context(n, pairs), wide_context(n, pairs)
-    assert ord(ctx._code(2 * n)) == 4 * n + 1 > 0xDFFF and ord(ctx._code(-2 * n)) == 2 * n + 1
+    assert ord(ctx._codes[2 * n]) == 4 * n + 1 > 0xDFFF and ord(ctx._codes[-2 * n]) == 2 * n + 1
     edges = [c - 2 * n - 1 for c in (0xD7FF, 0xD800, 0xDFFF, 0xE000)]  # B letters by code
-    assert [ord(ctx._code(lt)) for lt in edges] == [0xD7FF, 0xD800, 0xDFFF, 0xE000]
+    assert [ord(ctx._codes[lt]) for lt in edges] == [0xD7FF, 0xD800, 0xDFFF, 0xE000]
     high = range(2 * n - 2400, 2 * n + 1)  # B's highest 2,401 letters
     rng = random.Random(11)
     blocks = [
@@ -1271,7 +1307,7 @@ def test_codes_past_the_surrogate_block_sweep():
         assert nf == normal_form_unmemoised(ref, word, CANONICAL, ref_trace)
         assert trace == ref_trace
     spelled = form_to_word(ctx, nf)
-    codes = {ord(ctx._code(lt)) for lt in spelled.letters}
+    codes = {ord(ctx._codes[lt]) for lt in spelled.letters}
     assert max(codes) > 0xDFFF and any(0xD800 <= c <= 0xDFFF for c in codes)
     assert normal_form(ctx, spelled) == nf
     assert astuple(reduced_form(ctx, word)) == astuple(reduced_form_by_rescan(ctx, word))

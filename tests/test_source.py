@@ -59,6 +59,33 @@ def test_no_graph_attribute_is_read_outside_the_benchmark():
     assert not reads, f"`.graph` reads: {reads}"
 
 
+# the sweep's hit path: a known step is one probe of the carry's state.  Its branches
+# are a miss, a join and the closing of a syllable a join left open
+SWEEP_BRANCHES = ("step is None", "syll and done and (done[-1][0] == syll[0])",
+                  "opened is not None")
+HIT_PATH_CALLS = {"state.get", "len", "done.append", "trace.append"}
+
+
+def test_known_sweep_step_is_one_probe():
+    path = Path(amalgam.__file__).parent / "group.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (function,) = (n for n in tree.body if getattr(n, "name", None) == "normal_form")
+    (loop,) = (n for n in ast.walk(function) if isinstance(n, ast.For)
+               and ast.unparse(n.target) == "block")
+    branches, calls, todo = set(), [], list(loop.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) in SWEEP_BRANCHES:
+            branches.add(ast.unparse(node.test))
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func) not in HIT_PATH_CALLS:
+            calls.append((node.lineno, ast.unparse(node.func)))
+        todo += ast.iter_child_nodes(node)
+    assert branches == set(SWEEP_BRANCHES)
+    assert not calls, f"the sweep's hit path calls {calls}"
+
+
 def test_adversarial_rep_takes_no_slice():
     # _rep's representatives reach p^(2m) letters, and a slice of one is a copy
     path = Path(amalgam.__file__).parent / "group.py"

@@ -12,10 +12,11 @@ and writes its record under that checkout's `layerbench/out/`.
 
 The result goes to BENCH_pairs_<NAME>.json in this checkout (or --out): the
 machine, the Python version, and per workload each checkout's git commit, the
-seeds, every run (side, order, exit code, end-to-end metrics and the worker's output
-digest), and per metric the medians and quartiles of each side and the number
-of pairs in which the change is strictly better (the direction of each metric
-comes from BENCHMARK.json).  Quartiles are `statistics.quantiles(n=4,
+seeds, every run (side, order, exit code, end-to-end metrics, the worker's output
+digest and its speed factor: the nominal over the measured time of the worker's
+reference routine, below 1 while the host runs slow), and per metric the
+medians and quartiles of each side and the number of pairs in which the change
+is strictly better (the direction of each metric comes from BENCHMARK.json).  Quartiles are `statistics.quantiles(n=4,
 method="inclusive")`.  A workload already in the file is replaced, and the
 other workloads are kept, so one file can collect several invocations.
 """
@@ -54,7 +55,8 @@ def commit(checkout: str) -> str | None:
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """One `layerbench/run.py` run in `checkout`: its exit code, metrics and digest."""
+    """One `layerbench/run.py` run in `checkout`: its exit code, metrics, digest and speed
+    factor."""
     cmd = [sys.executable, "layerbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     t0 = time.monotonic()
@@ -70,7 +72,8 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
                metrics={k: v["value"] for k, v in last["metrics"].items()})
     record = os.path.join(checkout, "layerbench", "out", f"{workload}-seed{seed}-trace0.json")
     with open(record, encoding="utf-8") as fh:
-        out["digest"] = json.load(fh)["untraced"].get("digest")
+        untraced = json.load(fh)["untraced"]
+    out.update(digest=untraced.get("digest"), speed_factor=untraced.get("speed_factor"))
     return out
 
 

@@ -1261,7 +1261,7 @@ def test_codec_blocks_match_the_grouped_split(name):
 @pytest.mark.parametrize("name", CODEC_CONTEXTS)
 def test_codec_ends_sweep_cold_then_warm(name):
     # the split's ends: the empty word is one empty run, a one-letter word of A sits
-    # between two, and a word may start and end with a block in C
+    # between two empty runs, and a word may start and end with a block in C
     ctx, ref = CODEC_CONTEXTS[name](), CODEC_CONTEXTS[name]()
     union, n = ctx.union_alphabet, len(ctx.union_alphabet)
     u, v = ctx.pairs[0][0].letters, ctx.pairs[0][1].letters

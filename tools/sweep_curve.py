@@ -1,11 +1,11 @@
 """Time `normal_form` per word, warm and cold, on short to mid-length words.
 
-    python3 tools/sweep_curve.py [--src DIR ...] [--words N] [--rounds R] [--out FILE]
+    python3 tools/sweep_curve.py [--src DIR ...] [--out FILE]
 
 Two contexts: the paper's first example at p = 2 (`ex1-p2`) and the
 word-problem workload's rank-3 random presentation (`random-rank3`, the
 benchmark's set-up seed).  For each length of 2, 4, 8, 40 and 256 letters,
-N seeded random reduced words over the union alphabet are swept under the
+200 seeded random reduced words over the union alphabet are swept under the
 canonical policy.  Warm: the words are swept once, so the step memo knows
 every step, and then each pass over them is timed as a whole.  Cold:
 `ctx.cache` is cleared before every word, and only the sweep is timed.
@@ -14,7 +14,7 @@ Each --src (this checkout's by default; give it twice to compare two
 commits) is timed in a fresh interpreter, which imports DIR/src and the
 workload's presentation from DIR/layerbench, once per round; the rounds
 alternate which checkout runs first.  A point is the best of 7 passes in
-each of R rounds, in microseconds per word, so a host whose speed swings
+each of 5 rounds, in microseconds per word, so a host whose speed swings
 over seconds still shows each checkout at its fastest.  The result is one
 JSON object: the machine, the Python version, the method, and per checkout
 its directory's name, its git commit, its points and a digest of every form
@@ -33,7 +33,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LENGTHS = (2, 4, 8, 40, 256)
+WORDS = 200
 REPEATS = 7
+ROUNDS = 5
 
 CHILD = """
 import hashlib, json, random, sys, time
@@ -100,17 +102,15 @@ def commit(checkout: str) -> str | None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", help="checkout to time (repeatable)")
-    ap.add_argument("--words", type=int, default=200, help="words per context and length")
-    ap.add_argument("--rounds", type=int, default=3, help="fresh interpreters per checkout")
     ap.add_argument("--out", default="", help="write the JSON here as well as to stdout")
     args = ap.parse_args()
     checkouts = [os.path.abspath(src) for src in args.src or [ROOT]]
     runs = {src: {"checkout": os.path.basename(src), "commit": commit(src), "points": None,
                   "digest": None} for src in checkouts}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for src in checkouts if r % 2 == 0 else checkouts[::-1]:
             proc = subprocess.run(
-                [sys.executable, "-c", CHILD, src, str(args.words), json.dumps(LENGTHS),
+                [sys.executable, "-c", CHILD, src, str(WORDS), json.dumps(LENGTHS),
                  str(REPEATS)], capture_output=True, text=True, check=True)
             child, run = json.loads(proc.stdout.strip().splitlines()[-1]), runs[src]
             if run["digest"] not in (None, child["digest"]):
@@ -126,8 +126,8 @@ def main() -> int:
             shown = "  ".join(f"{n}: {p['warm_us']}/{p['cold_us']}" for n, p in points.items())
             print(f"  {name} warm/cold us per word  {shown}", file=sys.stderr)
     result = {
-        "method": f"normal_form, canonical policy, {args.words} seeded random reduced words per "
-                  f"context and length; best of {REPEATS} passes in each of {args.rounds} "
+        "method": f"normal_form, canonical policy, {WORDS} seeded random reduced words per "
+                  f"context and length; best of {REPEATS} passes in each of {ROUNDS} "
                   "rounds, in us per word; warm: the step memo holds every step; cold: "
                   "ctx.cache cleared before each word, the clear untimed; one fresh interpreter "
                   "per checkout and round, the rounds alternating which checkout runs first",

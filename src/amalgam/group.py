@@ -807,10 +807,9 @@ def cr_membership(
 
 
 def _assemble_and_verify(
-    ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy, forms: Optional[dict] = None
+    ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy, forms: dict
 ) -> ConjugacyOutcome:
     """The conjugate outcome for z, once ~z u z and v have the same normal form (`_swept`)."""
-    forms = {} if forms is None else forms
     if _swept(ctx, ~z * u * z, policy, forms) != _swept(ctx, v, policy, forms):
         raise VerificationError("conjugator failed verification")
     return ConjugacyOutcome("conjugate", z)

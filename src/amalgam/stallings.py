@@ -40,6 +40,11 @@ that `meet` returns, or one made from an edge map alone, has no edge words.
 Edge words that put b_j on the j-th non-tree edge spell a member over the
 basis (`basis_coordinates`).
 
+Each question about a word has one walk: `read` (where does it stop?),
+`contains` (is it a loop at the base?) and `loop_word` (what does the loop
+spell?).  `coset_rep` splits where `read` stops; a state's tree path and its
+inverse are cached for that state alone, by one walk up the tree.
+
 Inputs of `_RUN_MIN` letters or more are read a run `x^k` at a time.  In a
 folded graph each letter is a partial injection on the states, so reading
 x repeatedly from a state s either gets stuck or comes back to s after a
@@ -190,9 +195,7 @@ class SubgroupGraph:
         self.nstates = len(old_of)
         self.base = 0
         self.tree = tuple(tree)
-        self._tree_words: list[Optional[tuple[int, ...]]] = [None] * self.nstates
-        self._tree_words[0] = ()
-        self._tree_inverses: Optional[dict[int, tuple[int, ...]]] = None  # made by coset_rep
+        self._paths = {0: ((), ())}  # state -> (tree path, its inverse), filled state by state
         self._key: Optional[tuple] = None
         self._transversal: Optional[tuple[Word, ...]] = None
         self._z_graphs: Optional[dict[tuple[int, ...], SubgroupGraph]] = None  # t -> Z_t(H)
@@ -232,60 +235,43 @@ class SubgroupGraph:
             s = hit[0]
         return s, len(letters)
 
-    def trace(self, letters: Sequence[int], start: int = 0) -> Optional[int]:
+    def contains(self, letters: Sequence[int]) -> bool:
+        """Whether the letters spell a member of the subgroup: a loop at the base."""
         if len(letters) >= _RUN_MIN:
-            s, i = self._walk(letters, start)
-            return s if i == len(letters) else None
+            return self._walk(letters, self.base) == (self.base, len(letters))
         moves, width = self.moves, self.width
-        s = start
+        s = self.base
         for lt in letters:
             hit = moves.get((s + 1) * width + lt)
             if hit is None:
-                return None
+                return False
             s = hit[0]
-        return s
+        return s == self.base
 
-    def contains(self, letters: Sequence[int]) -> bool:
-        """Whether the letters spell a member of the subgroup: a loop at the base."""
-        return self.trace(letters, self.base) == self.base
+    def _tree_pair(self, state: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(treePath(state), its inverse) by one walk up the tree, cached for this state alone."""
+        pair = self._paths.get(state)
+        if pair is None:
+            up, s = [], state
+            while s:  # up to the base, state 0
+                s, slet = self.tree[s]
+                up.append(slet)
+            pair = self._paths[state] = (tuple(reversed(up)), tuple(-slet for slet in up))
+        return pair
 
     def tree_path_letters(self, state: int) -> tuple[int, ...]:
-        cached = self._tree_words[state]
-        if cached is None:  # up to the nearest cached ancestor, then fill the paths down
-            words, tree, up = self._tree_words, self.tree, [state]
-            while words[tree[up[-1]][0]] is None:  # a loop: a circle's tree is n/2 levels deep
-                up.append(tree[up[-1]][0])
-            for s in reversed(up):
-                words[s] = cached = words[tree[s][0]] + (tree[s][1],)
-        return cached
+        return self._tree_pair(state)[0]
 
     def coset_rep(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Split a reduced letter tuple as head * rep, head in the subgroup.
 
         rep is treePath(p) * s for p the state reached by the longest
-        traceable prefix and s the untraceable suffix; it depends only on the
+        readable prefix and s the unreadable suffix; it depends only on the
         coset, is freely reduced (the geodesic never ends with the inverse of
         the stuck letter), and |rep| <= |letters|.
         """
-        if len(letters) >= _RUN_MIN:
-            s, i = self._walk(letters, self.base)
-        else:
-            moves, width = self.moves, self.width
-            s = self.base
-            i = 0
-            for lt in letters:
-                hit = moves.get((s + 1) * width + lt)
-                if hit is None:
-                    break
-                s = hit[0]
-                i += 1
-        path = self.tree_path_letters(s)
-        if not path:
-            return letters[i:], letters[:i]
-        inverses = self._tree_inverses = self._tree_inverses or {}
-        inverse = inverses.get(s)
-        if inverse is None:
-            inverse = inverses[s] = letters_inverse(path)
+        s, i = self.read(letters)
+        path, inverse = self._paths.get(s) or self._tree_pair(s)
         return path + letters[i:], letters_product(letters[:i], inverse)
 
     def _walk(
@@ -413,14 +399,14 @@ class SubgroupGraph:
         the standard core-graph criterion.  Rotation r reads a loop at s
         exactly when the core reads a loop at the state t that core[r:] leads
         to from s, and then s is where core[:r] leads from t.  So the core is
-        traced once from each state, and each loop found is walked once.
+        read once from each state, and each loop found is walked once.
         """
         ls, u = letters_cyclic_reduce(w)
         if not ls:
             return (), letters_inverse(u)
         hits = []
         for t in range(self.nstates):
-            if self.trace(ls, t) == t:
+            if self.read(ls, t) == (t, len(ls)):
                 states = list(accumulate(ls[:-1], self.step, initial=t))
                 s = min(states)
                 hits.append((s, states.index(s)))

@@ -466,7 +466,7 @@ def _solve_from_regular_permutation(
             continue
         z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
         z = Word(ctx.union_alphabet, letters_product(z, letters_inverse(w_j)))
-        return group._assemble_and_verify(ctx, u, v, z, policy)
+        return group._assemble_and_verify(ctx, u, v, z, policy, {})
     reason = "a regular cyclic permutation admits no conjugating C-element"
     return ConjugacyOutcome("not-conjugate", None, reason)
 
@@ -487,7 +487,7 @@ def conjugacy_search_two_calls(
         return out
     out = _solve_from_regular_permutation(ctx, v, u, perms_v, perms_u, policy)
     if out is not None and out.tag == "conjugate":
-        return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy)
+        return group._assemble_and_verify(ctx, u, v, ~out.conjugator, policy, {})
     reason = "every cyclic permutation of both forms is singular"
     return out or ConjugacyOutcome("undecided", None, reason)
 
@@ -609,7 +609,7 @@ def normal_form_unmemoised(
     if carry and carry_side != target:
         carry = ctx.transfer_letters(carry_side, carry)
     graph = ctx.graph_c(target)
-    if graph.trace(carry, graph.base) != graph.base:
+    if not graph.contains(carry):
         raise VerificationError("normal-form head escaped C")
     return group._form(ctx, target, carry, reversed(done))
 
@@ -863,7 +863,7 @@ def conjugacy_into_by_rotation_scan(
     for s in range(g.nstates):
         for r in range(len(core)):
             rot = _rotation(core.letters, r)
-            if g.trace(rot, s) == s:
+            if g.read(rot, s) == (s, len(rot)):
                 tp = g.tree_path(s)
                 h = tp * Word(g.alphabet, rot) * ~tp
                 z = tp * ~Word(g.alphabet, core.letters[:r]) * ~u

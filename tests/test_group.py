@@ -1530,7 +1530,7 @@ def draw_form(data, ctx, sides):
         block = data.draw(
             st.lists(st.sampled_from(letters), min_size=1, max_size=4)
             .map(lambda b, alphabet=alphabet: Word(alphabet, b))
-            .filter(lambda w, graph=graph: graph.trace(w.letters, graph.base) != graph.base)
+            .filter(lambda w, graph=graph: not graph.contains(w.letters))
         )
         word = word * ctx.to_union(side, block)
     nf = normal_form(ctx, word)
@@ -1760,7 +1760,7 @@ def test_wrong_conjugator_fails_verification_under_optimize():
         "ctx = example_one_context(2)",
         "a, b = (parse_word(t, ctx.union_alphabet) for t in ('a', 'b'))",
         "try:",
-        "    _assemble_and_verify(ctx, a, a, b, CANONICAL)",
+        "    _assemble_and_verify(ctx, a, a, b, CANONICAL, {})",
         "except VerificationError:",
         "    raise SystemExit(0)",
         "raise SystemExit('a wrong conjugator passed verification')",

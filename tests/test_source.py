@@ -86,6 +86,17 @@ def test_known_sweep_step_is_one_probe():
     assert not calls, f"the sweep's hit path calls {calls}"
 
 
+def test_coset_rep_reads_through_read():
+    # one walk per question: coset_rep splits where read stops, and trace is gone
+    path = Path(amalgam.__file__).parent / "stallings.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (graph_class,) = (n for n in tree.body if getattr(n, "name", None) == "SubgroupGraph")
+    methods = {n.name: n for n in graph_class.body if isinstance(n, ast.FunctionDef)}
+    assert "trace" not in methods
+    loops = [n.lineno for n in ast.walk(methods["coset_rep"]) if isinstance(n, (ast.For, ast.While))]
+    assert not loops, f"coset_rep loops at lines {loops}"
+
+
 def test_adversarial_rep_takes_no_slice():
     # _rep's representatives reach p^(2m) letters, and a slice of one is a copy
     path = Path(amalgam.__file__).parent / "group.py"

@@ -102,20 +102,24 @@ def test_coset_rep_examples():
 
 
 def test_coset_rep_at_the_deepest_states_of_a_long_circle():
-    # <a^n> is a circle of n states whose tree is n/2 levels deep; a split fills the tree
-    # paths up to the nearest cached ancestor in a loop, not one call per level
+    # <a^n> is a circle of n states whose tree is n/2 levels deep; a split walks up the
+    # tree in a loop, not one call per level, and caches the split state's path alone
     n = 2**14
-    deepest = (1,) * (n // 2) + (2,)  # a^(n/2) b stops at the deepest state
-    assert build([w(f"a^{n}")]).coset_rep(deepest) == (deepest, ())
+    g = build([w(f"a^{n}")])
+    deepest = (1,) * (n // 2) + (2,)  # a^(n/2) b stops at the deepest state, n - 1
+    assert g.coset_rep(deepest) == (deepest, ())
+    assert g._paths.keys() == {g.base, n - 1}
+    assert sum(len(path) + len(inverse) for path, inverse in g._paths.values()) <= 2 * (n // 2)
     n = 2**12  # smaller, so that every state's path can be checked
     g = build([w(f"a^{n}")])
     assert g.coset_rep((-1,) * 10 + (2,)) == ((-1,) * 10 + (2,), ())
-    # a^(n/2 + 1) b stops one level above the deepest state, on the a^-1 side, whose
-    # paths are cached down to a^-10 only
+    # a^(n/2 + 1) b stops one level above the deepest state, on the a^-1 side, after
+    # a split on that side that cached a^-10 alone
     rep, head = g.coset_rep((1,) * (n // 2 + 1) + (2,))
     assert rep == (-1,) * (n // 2 - 1) + (2,) and head == (1,) * n
     paths = [g.tree_path_letters(s) for s in range(n)]
     assert paths == [(1 if s % 2 else -1,) * ((s + 1) // 2) for s in range(n)]
+    assert all(inverse == letters_inverse(path) for path, inverse in g._paths.values())
 
 
 def test_coset_rep_contract():
@@ -684,7 +688,7 @@ def run_words(rng, g, count):
 
 
 def test_run_walker_matches_the_letter_by_letter_walk():
-    # trace, coset_rep and loop_word on both sides of each fixture, from every state
+    # read, contains, coset_rep and loop_word on both sides of each fixture, from every state
     rng = random.Random(11)
     long_walks = stuck_in_runs = skipped_cycles = loops = 0
     for ctx, side in ((make(), side) for make in RUN_CONTEXTS for side in "AB"):
@@ -701,8 +705,8 @@ def test_run_walker_matches_the_letter_by_letter_walk():
             for s in range(g.nstates):
                 end, read, _ = walk_letter_by_letter(g, letters, s)
                 want = end if read == len(letters) else None
-                assert g.trace(letters, s) == want
-                assert g.trace(list(letters), s) == want
+                assert g.read(letters, s) == (end, read)
+                assert g.read(list(letters), s) == (end, read)
                 assert s != g.base or g.contains(letters) == (want == s)
                 if 0 < read < len(letters) and letters[read] == letters[read - 1]:
                     stuck_in_runs += 1
@@ -747,7 +751,7 @@ def test_run_walker_matches_the_letter_by_letter_walk_on_whole_input_runs():
         for letters in inputs:
             for s in range(g.nstates):
                 end, read, _ = walk_letter_by_letter(g, letters, s)
-                assert g.trace(letters, s) == (end if read == len(letters) else None)
+                assert g.read(letters, s) == (end, read)
             end, read, _ = walk_letter_by_letter(g, letters, g.base)
             path = g.tree_path_letters(end)
             assert g.coset_rep(letters) == (
@@ -792,7 +796,7 @@ def test_a_run_filling_the_input_is_read_without_slicing_it():
     for x in (1, 2, -1, -2):
         letters = SliceRecordingTuple((x,) * 10**6)
         SliceRecordingTuple.sliced = []
-        assert g.trace(letters, g.base) == g.base
+        assert g.read(letters, g.base) == (g.base, 10**6)
         assert g.contains(letters)
         image = g.loop_word(letters, words)
         assert len(image) == (5 * 10**5 if abs(x) == 1 else 2 * 10**6)
@@ -812,7 +816,10 @@ def test_a_run_costs_lookups_per_cycle_not_per_letter():
     ctx = example_one_context(2)
     g = ctx.graph_ca
     g.moves = CountingDict(g.moves)
-    assert g.trace((2,) * 10**6, 0) == 0
+    assert g.read((2,) * 10**6, 0) == (0, 10**6)
+    assert g.moves.gets <= 100
+    g.moves.gets = 0
+    assert g.contains((2,) * 10**6)
     assert g.moves.gets <= 100
     g.moves.gets = 0
     assert ctx.transfer_letters("A", (1,) * 200_000) == (1,) * 100_000

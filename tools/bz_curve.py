@@ -10,9 +10,10 @@ runs once in a fresh interpreter on an empty cache.  The package is imported
 from DIR/src, this checkout's by default, so one copy of the script times any
 commit.  Once a sweep takes longer than --cap seconds, its longer lengths are
 skipped.  The result is one JSON object: the machine, the Python version, the
-package's directory, the lengths, and per sweep and length the seconds of the
-call alone, the child's peak RSS, the syllable count and a digest of the
-form (sha256 over its head side, head and syllables).
+package's directory, the timed checkout's git commit, the lengths, and per
+sweep and length the seconds of the call alone, the child's peak RSS, the
+syllable count and a digest of the form (sha256 over its head side, head and
+syllables).
 """
 
 from __future__ import annotations
@@ -61,13 +62,21 @@ def cpu_model() -> str:
     return "unknown"
 
 
+def commit(checkout: str) -> str | None:
+    """The checkout's HEAD commit, or None when it is not a git checkout."""
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=ROOT, help="checkout whose src/ is timed")
     ap.add_argument("--cap", type=float, default=10.0, help="seconds after which a sweep stops")
     ap.add_argument("--out", default="", help="write the JSON here as well as to stdout")
     args = ap.parse_args()
-    src = os.path.join(os.path.abspath(args.src), "src")
+    checkout = os.path.abspath(args.src)
+    src = os.path.join(checkout, "src")
     curves: dict[str, dict[str, object]] = {}
     for sweep in SWEEPS:
         points: dict[str, object] = {}
@@ -88,6 +97,7 @@ def main() -> int:
         "machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
         "python": platform.python_version(),
         "src": src,
+        "commit": commit(checkout),
         "cap_s": args.cap,
         "lengths": LENGTHS,
         "curves": curves,

@@ -87,13 +87,17 @@ def test_known_sweep_step_is_one_probe():
 
 
 def test_coset_rep_reads_through_read():
-    # one walk per question: coset_rep splits where read stops, and trace is gone
+    # one walk per question: coset_rep splits where read stops, trace is gone, and one
+    # dict of (tree path, inverse) pairs replaced the tree-word list and the inverse dict
     path = Path(amalgam.__file__).parent / "stallings.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     (graph_class,) = (n for n in tree.body if getattr(n, "name", None) == "SubgroupGraph")
     methods = {n.name: n for n in graph_class.body if isinstance(n, ast.FunctionDef)}
     assert "trace" not in methods
-    loops = [n.lineno for n in ast.walk(methods["coset_rep"]) if isinstance(n, (ast.For, ast.While))]
+    attributes = {n.attr for n in ast.walk(graph_class) if isinstance(n, ast.Attribute)}
+    assert not attributes & {"_tree_words", "_tree_inverses"}
+    loops = [n.lineno for n in ast.walk(methods["coset_rep"])
+             if isinstance(n, (ast.For, ast.While))]
     assert not loops, f"coset_rep loops at lines {loops}"
 
 

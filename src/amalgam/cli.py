@@ -120,22 +120,22 @@ def parse_presentation(text: str) -> PresentationFile:
 
 def _load_context(path: str) -> AmalgamContext:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise PresentationSyntaxError(str(exc), 0)
-    return parse_presentation(text).context()
+    # splitlines ends a line at \r\n and \r as the text mode's newline translation did
+    return parse_presentation(data.decode("utf-8")).context()
 
 
 def _parse_policy(text: str) -> RepPolicy:
     if text == "canonical":
         return CANONICAL
     if text.startswith("paper-ex1:"):
-        try:
-            p = int(text.split(":", 1)[1])
+        try:  # a p that is not an int, or below 2
+            return RepPolicy.paper_example_one(int(text.split(":", 1)[1]))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad policy {_quote(text)}")
-        return RepPolicy.paper_example_one(p)
+            pass
     raise argparse.ArgumentTypeError(f"bad policy {_quote(text)}")
 
 

@@ -176,7 +176,8 @@ class AmalgamContext:
     transversal_b = property(lambda self: self.graph_cb.double_transversal())
     malnormal_a = property(lambda self: self.graph_ca.is_malnormal())
     malnormal_b = property(lambda self: self.graph_cb.is_malnormal())
-    _trivial = cached_property(lambda self: {s: build([], self.factor_alphabet(s)) for s in "AB"})
+    _trivial = cached_property(
+        lambda self: {s: SubgroupGraph(self.factor_alphabet(s), {}, 0) for s in "AB"})
 
     def __init__(
         self,
@@ -190,7 +191,7 @@ class AmalgamContext:
         self.alphabet_a = alphabet_a
         self.alphabet_b = alphabet_b
         self.factor_alphabets = (alphabet_a, alphabet_b)
-        self.union_alphabet = Alphabet(alphabet_a.names + alphabet_b.names)
+        self.union_alphabet = Alphabet._make(alphabet_a.names + alphabet_b.names)
         self.pairs = pairs
         self.graph_ca = graph_ca
         self.graph_cb = graph_cb
@@ -301,8 +302,9 @@ def build_context(
     # both checks walk the edge images that transfer_letters walks, forward first
     for this, that, pairing in ((0, 1, "pairing"), (1, 0, "reverse pairing")):
         for i, (w, target) in enumerate(zip(words[this], words[that]), 1):
-            img = Word._make(alphabets[that], graphs[this].loop_word(w.letters, edges[this]))
-            if img != target:
+            img = graphs[this].loop_word(w.letters, edges[this])
+            if img != target.letters:
+                img = Word._make(alphabets[that], img)
                 raise InvalidPresentationError(
                     f"pair {i}: the {pairing} is not an isomorphism of C"
                     f" ({'uv'[this]}_{i} maps to {img!r}, expected {target!r})",

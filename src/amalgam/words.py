@@ -15,7 +15,8 @@ from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+# `name` or `name^k` (name, sign, digits), else a bad token; disjoint repeats keep it linear
+_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?)(\d+))?(?!\S)|\S+")
 MAX_LETTERS = 1 << 22  # longest word parse_word spells out, and the bench budget
 _SHOWN = 40  # longest token, name or word a message quotes in full
 
@@ -42,6 +43,17 @@ class Alphabet:
             seen.add(name)
         _set_names(self, names)
         _set_index(self, {n: i for i, n in enumerate(names)})
+
+    @classmethod
+    def _make(cls, names: tuple[str, ...]) -> "Alphabet":
+        # trusted constructor: every name already passed the name check; a repeat still raises
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) < len(names):
+            return cls(names)
+        a = object.__new__(cls)
+        _set_names(a, names)
+        _set_index(a, index)
+        return a
 
     def __setattr__(self, *args):
         raise AttributeError("Alphabet is immutable")
@@ -78,13 +90,6 @@ class Alphabet:
 # the slots' own setters, which get past Alphabet.__setattr__
 _set_names = Alphabet.names.__set__
 _set_index = Alphabet._index.__set__
-
-
-def letter(index: int, sign: int) -> int:
-    """Encode (index, sign) as a signed letter."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * (index + 1)
 
 
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
@@ -284,31 +289,32 @@ def _quote(s: str) -> str:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse whitespace-separated `name` / `name^k` tokens; empty text is the identity.
 
+    One scan of the text; every letter comes from the alphabet's own index.
     A token that would take the word past MAX_LETTERS letters is rejected
     before its exponent is converted or spelled out.
     """
+    index, budget = alphabet._index, MAX_LETTERS
     letters: list[int] = []
-    pos = 0
-    for token in text.split():
-        column = text.index(token, pos) + 1
-        pos = column - 1 + len(token)
-        m = _TOKEN_RE.match(token)
-        if not m:
-            raise WordSyntaxError(f"bad token {_quote(token)}", column)
-        name, exp = m.group(1), m.group(2)
-        if name not in alphabet:
-            raise WordSyntaxError(f"unknown generator {_quote(name)}", column)
-        digits = "1" if exp is None else exp.lstrip("-").lstrip("0")
-        if not digits:
-            raise WordSyntaxError(f"zero exponent in {_quote(token)}", column)
-        # int() refuses a long digit string, so one past the budget's length is not converted
-        n = int(digits) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
-        if len(letters) + n > MAX_LETTERS:
-            past = f"takes the word past {MAX_LETTERS} letters"
-            raise WordSyntaxError(f"{_quote(token)} {past}", column)
-        lt = letter(alphabet.index(name), -1 if exp and exp[0] == "-" else 1)
-        letters.extend([lt] * n)
-    return Word(alphabet, letters)
+    for m in _TOKEN_RE.finditer(text):
+        name, sign, digits = m.groups()
+        if name is None:
+            raise WordSyntaxError(f"bad token {_quote(m[0])}", m.start() + 1)
+        i = index.get(name)
+        if i is None:
+            raise WordSyntaxError(f"unknown generator {_quote(name)}", m.start() + 1)
+        if digits is None:
+            n = 1
+        else:
+            digits = digits.lstrip("0")
+            if not digits:
+                raise WordSyntaxError(f"zero exponent in {_quote(m[0])}", m.start() + 1)
+            # int() refuses a long digit string, so one past the budget's length is not converted
+            n = int(digits) if len(digits) <= len(str(budget)) else budget + 1
+        if len(letters) + n > budget:
+            past = f"takes the word past {budget} letters"
+            raise WordSyntaxError(f"{_quote(m[0])} {past}", m.start() + 1)
+        letters += [~i if sign else i + 1] * n
+    return Word._make(alphabet, _reduced(letters))
 
 
 def format_word(w: Word) -> str:

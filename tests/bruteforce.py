@@ -67,15 +67,20 @@ which tabled the trimmed edge map's moves, numbered the states breadth first
 by looking up every signed letter of the alphabet at each state, and tabled
 the moves again on the new numbers; it checks the constructor that walks each
 state's own edges in the tie-break order and tables the moves once.
+`parse_word_by_tokens` is the older word parser, which split the text on
+whitespace, found each token's column with `str.index`, matched the token
+against the grammar and built the word through the checking `Word`
+constructor; it checks the one compiled scan of `parse_word`.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import groupby, product
 from typing import Optional, Sequence
 
-from amalgam import group
+from amalgam import group, words
 from amalgam.cosetalg import CosetOfC, c_coset, shift, transfer
 from amalgam.group import (
     CANONICAL,
@@ -93,6 +98,8 @@ from amalgam.words import (
     Alphabet,
     VerificationError,
     Word,
+    WordSyntaxError,
+    _quote,
     free_conjugacy,
     identity,
     letters_inverse,
@@ -271,6 +278,37 @@ def renumber_by_alphabet_scan(
         moves[(s + 1) * width + lab] = (d, eid)
         moves[(d + 1) * width - lab] = (s, ~eid)
     return tuple(tree), moves
+
+
+_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+
+def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
+    """`parse_word` by one grammar match per whitespace-separated token.
+
+    It reads `words.MAX_LETTERS` at call time, as `parse_word` does.
+    """
+    letters: list[int] = []
+    pos = 0
+    for token in text.split():
+        column = text.index(token, pos) + 1
+        pos = column - 1 + len(token)
+        m = _TOKEN_RE.match(token)
+        if not m:
+            raise WordSyntaxError(f"bad token {_quote(token)}", column)
+        name, exp = m.group(1), m.group(2)
+        if name not in alphabet:
+            raise WordSyntaxError(f"unknown generator {_quote(name)}", column)
+        digits = "1" if exp is None else exp.lstrip("-").lstrip("0")
+        if not digits:
+            raise WordSyntaxError(f"zero exponent in {_quote(token)}", column)
+        n = int(digits) if len(digits) <= len(str(words.MAX_LETTERS)) else words.MAX_LETTERS + 1
+        if len(letters) + n > words.MAX_LETTERS:
+            past = f"takes the word past {words.MAX_LETTERS} letters"
+            raise WordSyntaxError(f"{_quote(token)} {past}", column)
+        sign = -1 if exp and exp[0] == "-" else 1
+        letters.extend([sign * (alphabet.index(name) + 1)] * n)
+    return Word(alphabet, letters)
 
 
 def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:

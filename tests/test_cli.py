@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,9 @@ from amalgam.cli import (
     parse_presentation,
 )
 from amalgam.stallings import SubgroupGraph
-from amalgam.words import format_word, parse_word
+from amalgam.words import Alphabet, Word, format_word, parse_word
 from bruteforce import normal_form_unmemoised
+from test_cli_golden import GROUPS
 
 EX1 = """\
 # worst-case fixture
@@ -330,6 +332,11 @@ def test_bench_budget_rejects_before_the_sweep(capsys, monkeypatch, argv, accept
 def test_bad_policy_is_syntax_error(capsys, group_file):
     code, _, _ = run(capsys, "nf", "-g", group_file, "-w", "a", "--policy", "bogus")
     assert code == 2
+    # a p below 2 is a bad policy too, named as such and not by the private parser
+    for policy in ("paper-ex1:1", "paper-ex1:0", "paper-ex1:-3"):
+        code, out, err = run(capsys, "nf", "-g", group_file, "-w", "a", "--policy", policy)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --policy: bad policy {policy!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -399,6 +406,65 @@ def test_reduce_takes_no_policy(capsys, group_file):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "-g", "/nonexistent/nope.group")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "malnormal", "half"])
+def test_loading_a_context_checks_each_word_and_name_once(tmp_path, name):
+    # the file is read once: parse_word builds each C word from the alphabet's own index,
+    # and the union alphabet trusts the names its factors checked, so only the A: and B:
+    # lines run the checking constructors
+    path = tmp_path / f"{name}.group"
+    path.write_text(GROUPS[name])
+    calls = {"Word": 0, "Alphabet": 0}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args):
+            calls[cls.__name__] += 1
+            init(self, *args)
+        return mock.patch.object(cls, "__init__", counting_init)
+
+    with counted(Word), counted(Alphabet):
+        ctx = cli._load_context(str(path))
+    assert calls == {"Word": 0, "Alphabet": 2}
+    assert ctx.union_alphabet.names == ctx.alphabet_a.names + ctx.alphabet_b.names
+
+
+def _load_context_in_text_mode(path):
+    """The context through a text-mode read with universal newlines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PresentationSyntaxError(str(exc), 0)
+    return parse_presentation(text).context()
+
+
+PADDING = "# padding\n" * (io.DEFAULT_BUFFER_SIZE // 10 + 1)  # past one buffer of the file
+
+
+@pytest.mark.parametrize("data", [
+    EX1.replace("\n", "\r\n").encode(),
+    EX1.replace("\n", "\r").encode(),
+    EX1.replace("\n", "\r\r\n").encode(),
+    b"\xef\xbb\xbf" + EX1.encode(),
+    b"\xef\xbb\xbf#\n" + EX1.encode(),
+    EX1.encode() + b"# \xff\n",
+    (PADDING + EX1).encode() + b"# \xff\n",
+    (PADDING + EX1).encode() + b"# \xe2\x82",
+    ("# \u00e9\u2028" + EX1).encode(),
+], ids=["crlf", "cr", "cr-crlf", "bom", "bom-comment", "bad-byte", "bad-byte-past-buffer",
+        "cut-sequence-past-buffer", "non-ascii"])
+def test_presentation_file_reads_as_in_text_mode(capsys, tmp_path, monkeypatch, data):
+    # reading the bytes and decoding them once gives what the text-mode read gave:
+    # the same lines, and the same decode error
+    path = tmp_path / "g.group"
+    path.write_bytes(data)
+    argvs = (["validate", "-g", str(path), "--json"], ["nf", "-g", str(path), "-w", "z d x"])
+    read = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_load_context", _load_context_in_text_mode)
+    assert read == [run(capsys, *argv) for argv in argvs]
 
 
 def cli_corpus(group_file, missing_file):

@@ -1,7 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from amalgam import words
 from amalgam.words import (
@@ -15,7 +16,7 @@ from amalgam.words import (
     substitute,
 )
 
-from bruteforce import free_conjugacy_by_least_rotation
+from bruteforce import free_conjugacy_by_least_rotation, parse_word_by_tokens
 from conftest import random_reduced
 
 F = Alphabet(("a", "b", "d"))
@@ -334,6 +335,16 @@ def test_parse_strips_leading_zeros_before_the_budget():
     assert err.value.column == 3 and "zero exponent" in str(err.value)
 
 
+def test_parse_rejects_a_long_bad_token_in_one_pass():
+    # a digit run that fails the grammar only at its end: a scan that retried each split of
+    # leading zeros and digits would take 10^12 steps here
+    text = f"b a^{'0' * 10**6}5x"
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text, F)
+    assert (err.value.column, str(err.value)) == (3, f"column 3: bad token {text[2:42]!r}... "
+                                                     f"(1,000,004 characters)")
+
+
 def test_parse_counts_the_running_total_against_the_budget(monkeypatch):
     monkeypatch.setattr(words, "MAX_LETTERS", 10)
     assert len(parse_word("a^6 b^-4", F)) == 10
@@ -343,6 +354,40 @@ def test_parse_counts_the_running_total_against_the_budget(monkeypatch):
     with pytest.raises(WordSyntaxError) as err:
         parse_word("a^6 b^5", F)
     assert err.value.column == 5
+
+
+# pieces of word text, joined with no separator of their own: known and unknown names,
+# exponent fragments, leading zeros, zero exponents, exponents past the budget and past
+# int()'s 4,300 digits, and whitespace
+TEXT_PIECES = (
+    "a", "b", "d", "q", "ab", "a_1", "A", "\xe9", "^", "^^", "a^", "-", "^-", "0", "00", "3",
+    "a^2", "b^-1", "d^007", "a^-0", "a^0", "b^-000", "a^6", "b^-4", "d^11", "a^-06",
+    "a^\u0663",  # a decimal digit that is not ASCII, which int() reads
+    f"a^{words.MAX_LETTERS + 1}", "b^-99999999", f"d^{'9' * 4301}", f"a^{'0' * 4400}5",
+    " ", "   ", "\t", "\n", "\r\n", "\x0b", "\xa0",
+)
+
+
+def _parsed(parse, text):
+    """The word, or the error's text and column."""
+    try:
+        return parse(text, F)
+    except WordSyntaxError as exc:
+        return str(exc), exc.column
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join))
+def _check_parse_matches_the_token_loop(text):
+    assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
+
+
+def test_parse_matches_the_token_loop():
+    # the one scan gives the older token loop's word, or its error text and column,
+    # under the real budget and under a budget of 10 letters that the pieces cross
+    for budget in (words.MAX_LETTERS, 10):
+        with mock.patch.object(words, "MAX_LETTERS", budget):
+            _check_parse_matches_the_token_loop()
 
 
 def test_identity_helpers():

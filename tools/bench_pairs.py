@@ -14,7 +14,9 @@ The result goes to BENCH_pairs_<NAME>.json in this checkout (or --out): the
 machine, the Python version, and per workload each checkout's git commit, the
 seeds, every run (side, order, exit code, end-to-end metrics, the worker's output
 digest and its speed factor: the nominal over the measured time of the worker's
-reference routine, below 1 while the host runs slow), and per metric the
+reference routine, below 1 while the host runs slow), whether the digests
+of the two sides match on every seed (null, with the reason, on cold-cli,
+whose records name each run's own work directory), and per metric the
 medians and quartiles of each side and the number of pairs in which the change
 is strictly better (the direction of each metric comes from BENCHMARK.json).  Quartiles are `statistics.quantiles(n=4,
 method="inclusive")`.  A workload already in the file is replaced, and the
@@ -77,7 +79,15 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     return out
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+# why a workload's run digests cannot be compared between two runs
+NO_DIGEST = {
+    "cold-cli": "each record holds its argv, which names the run's own work directory "
+                "(layerbench/out/files-<pid>), so two runs never share a digest; "
+                "tools/ab_inproc.py compares cold-cli outputs with that directory masked",
+}
+
+
+def summarise(runs: list[dict], better: dict[str, str], workload: str = "") -> dict:
     """Per metric: medians, quartiles and wins of the change over its pairs."""
     pairs = {}
     for run in runs:
@@ -88,10 +98,12 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         "pairs": len(complete),
         "all_exit_0": all(r["exit"] == 0 for r in runs),
         "failed_runs": sum(1 for r in runs if r.get("failed")),
-        "digests_equal_per_seed": all(
+        "digests_equal_per_seed": None if workload in NO_DIGEST else all(
             p["parent"]["digest"] == p["change"]["digest"] for p in complete
         ),
     }
+    if workload in NO_DIGEST:
+        summary["digests_not_compared"] = NO_DIGEST[workload]
     for name, direction in better.items():
         values = {side: [p[side]["metrics"][name] for p in complete] for side in
                   ("parent", "change")}
@@ -156,7 +168,7 @@ def main() -> int:
     result.setdefault("workloads", {})[args.workload] = {
         "commits": {side: commit(path) for side, path in checkouts.items()},
         "seeds": [args.seed + i for i in range(args.pairs)],
-        "summary": summarise(runs, better),
+        "summary": summarise(runs, better, args.workload),
         "runs": runs,
     }
     with open(path, "w", encoding="utf-8") as fh:

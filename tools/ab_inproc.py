@@ -1,7 +1,7 @@
 """In-process A/B of one benchmark workload's fixed query list, with an A/A control.
 
     python3 tools/ab_inproc.py --src A --src B --workload NAME [--rounds R] \
-        [--queries N] [--seed S] [--name NAME] [--out FILE]
+        [--queries N] [--seed S] [--out FILE]
 
 A and B are checkouts; each side imports its own `src/`.  The queries come
 from this checkout's `layerbench/workloads.py`, imported as it is: a process
@@ -23,8 +23,8 @@ One more untimed process per side counts calls of a few package functions
 and of the checking constructors of `Word` and `Alphabet`; counts do not
 move with the host.
 
-The result goes to BENCH_ab_<NAME>.json in this checkout (or --out): the
-machine, the Python version, each side's path and git commit, every process
+The result goes to BENCH_ab_<workload>.json in this checkout (or --out): the
+machine, the Python version, each side's git commit, every process
 (round, seed, side, position, busy seconds per kind, queries per kind,
 digest, failed checks), per kind the median and quartiles of the B/A and A/A
 ratios and the rounds in which B was faster than both A's, whether the
@@ -181,7 +181,6 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--queries", type=int, default=0, help="default: a 12-second run's count")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first round")
-    ap.add_argument("--name", default="", help="the file is BENCH_ab_<name>.json")
     ap.add_argument("--out", default="", help="write here instead of this checkout's root")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
@@ -216,12 +215,12 @@ def main() -> int:
                   "directory; calls count the queries of one more process per side",
         "workload": args.workload,
         "queries": args.queries,
-        "sides": {side: {"path": path, "commit": commit(path)} for side, path in sides.items()},
+        "commits": {side: commit(path) for side, path in sides.items()},
         "summary": summarise(processes, args.rounds),
         "calls": calls,
         "processes": processes,
     }
-    path = args.out or os.path.join(ROOT, f"BENCH_ab_{args.name or args.workload}.json")
+    path = args.out or os.path.join(ROOT, f"BENCH_ab_{args.workload}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

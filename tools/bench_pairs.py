@@ -87,7 +87,7 @@ NO_DIGEST = {
 }
 
 
-def summarise(runs: list[dict], better: dict[str, str], workload: str = "") -> dict:
+def summarise(runs: list[dict], better: dict[str, str], workload: str) -> dict:
     """Per metric: medians, quartiles and wins of the change over its pairs."""
     pairs = {}
     for run in runs:

@@ -165,14 +165,14 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 def _emit_form(args, form, lines: list[str], extra: dict) -> int:
     """Print the form's line and the command's `lines`, or its JSON plus `extra` keys."""
-    head = format_word(form.head) or "1"
-    sylls = "".join(f"  [{s.side}] {format_word(s.word)}" for s in form.syllables)
-    payload = {
-        "verdict": "ok",
-        "normal_form": [_side_word(s.side, s.word) for s in form.syllables],
-        "head": _side_word(form.head_side, form.head),
-    }
-    _emit(args, payload | extra, [f"head[{form.head_side}] {head}{sylls}", *lines])
+    if args.json:
+        sylls = [_side_word(s.side, s.word) for s in form.syllables]
+        payload = {"verdict": "ok", "normal_form": sylls, "head": _side_word(form.head_side, form.head)}
+        _emit(args, payload | extra, [])
+    else:
+        head = format_word(form.head) or "1"
+        sylls = "".join(f"  [{s.side}] {format_word(s.word)}" for s in form.syllables)
+        _emit(args, {}, [f"head[{form.head_side}] {head}{sylls}", *lines])
     return EXIT_OK
 
 
@@ -196,12 +196,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_nf(args) -> int:
     ctx = _load_context(args.group)
-    trace: list[int] = []
+    trace: Optional[list[int]] = [] if args.trace else None
     nf = normal_form(ctx, parse_word(args.word, ctx.union_alphabet), args.policy, trace=trace)
     lines = [f"syllable length: {nf.syllable_length}"]
-    if args.trace:
+    if trace is not None:
         lines.append("head lengths: " + " ".join(map(str, trace)))
-    return _emit_form(args, nf, lines, {"trace": trace if args.trace else None})
+    return _emit_form(args, nf, lines, {"trace": trace})
 
 
 def _cmd_reduce(args) -> int:
@@ -445,7 +445,14 @@ class _Parser(argparse.ArgumentParser):
     """argparse with every argument its errors echo shortened by `_quote`."""
 
     def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
+        argv = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(argv[0]) if argv and namespace is None else None
+        if sub is None:  # no arguments, -h or an unknown command: through the main parser
+            args, extras = self.parse_known_args(argv, namespace)
+        else:  # what _SubParsersAction.__call__ does for a known command, whose
+            # arguments are all its own while the main parser has no option but -h/--help
+            args, extras = sub.parse_known_args(argv[1:])
+            args.command = argv[0]
         if extras:
             shown = (arg if len(arg) <= _SHOWN else _quote(arg) for arg in extras)
             self.error("unrecognized arguments: " + " ".join(shown))
@@ -519,6 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_bench)
+    parser.commands = sub.choices  # `_Parser.parse_args` hands a known command straight on
     return parser
 
 

@@ -295,10 +295,12 @@ def build_context(
     for graph, targets in zip(graphs, words[::-1]):
         image = {i: v.letters for i, v in enumerate(targets, 1)}
         image.update({-i: letters_inverse(v) for i, v in image.items()})
-        edges.append({
-            eid: reduce(letters_product, map(image.__getitem__, word), ())
-            for eid, word in graph.edge_words.items()
-        })
+        side: dict[int, tuple[int, ...]] = {}
+        for eid, word in graph.edge_words.items():
+            if eid >= 0:  # reduction commutes with inversion, so ~eid's image is the inverse
+                side[eid] = reduce(letters_product, map(image.__getitem__, word), ())
+                side[~eid] = letters_inverse(side[eid])
+        edges.append(side)
     # both checks walk the edge images that transfer_letters walks, forward first
     for this, that, pairing in ((0, 1, "pairing"), (1, 0, "reverse pairing")):
         for i, (w, target) in enumerate(zip(words[this], words[that]), 1):

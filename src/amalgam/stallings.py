@@ -60,7 +60,7 @@ letter-at-a-time loops, which are cheaper when there is little to skip.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
@@ -89,7 +89,8 @@ Edges = dict[int, tuple[int, int, int]]  # eid -> (src, positive letter, dst)
 def _trim(edges: Edges, base: int) -> tuple[Edges, dict[int, list[tuple[int, int, int, int]]]]:
     """Core-plus-base: drop hanging trees away from the basepoint.
 
-    Also returns each vertex's moves as (2 * lab, +lab, target, eid) and
+    Returns the caller's edge map itself when no vertex hangs, else a trimmed
+    copy, and each vertex's moves as (2 * lab, +lab, target, eid) and
     (2 * lab + 1, -lab, source, ~eid), so they sort in the tree's tie-break
     order; the dropped edges' moves stay in these lists.
     """
@@ -98,8 +99,10 @@ def _trim(edges: Edges, base: int) -> tuple[Edges, dict[int, list[tuple[int, int
         inc.setdefault(s, []).append((2 * lab, lab, d, eid))
         inc.setdefault(d, []).append((2 * lab + 1, -lab, s, ~eid))
     degree = {v: len(es) for v, es in inc.items()}
-    live = dict(edges)
     leaves = [v for v, k in degree.items() if k <= 1 and v != base]
+    if not leaves:
+        return edges, inc
+    live = dict(edges)
     while leaves:
         for *_, key in inc[leaves.pop()]:
             hit = live.pop(max(key, ~key), None)  # the eid, whichever way the move goes
@@ -177,6 +180,7 @@ class SubgroupGraph:
         self.edge_words = edge_words or {}
         self.width = width = 2 * len(alphabet) + 1
         live, inc = _trim(edges, base)
+        trimmed = live is not edges
         # renumbering breadth first along each state's own moves builds the geodesic tree
         old_of = [base]
         new_of = {base: 0}
@@ -184,7 +188,7 @@ class SubgroupGraph:
         self.moves = moves = {}
         for i, v in enumerate(old_of):  # old_of grows while it is scanned
             for _, slet, w, key in sorted(inc.get(v, ())):
-                if max(key, ~key) in live:  # an edge the trim kept
+                if not trimmed or max(key, ~key) in live:  # an edge the trim kept
                     j = new_of.setdefault(w, len(old_of))
                     if j == len(old_of):
                         old_of.append(w)
@@ -271,6 +275,8 @@ class SubgroupGraph:
         the stuck letter), and |rep| <= |letters|.
         """
         s, i = self.read(letters)
+        if not s:  # split at the base
+            return letters[i:], letters[:i]
         path, inverse = self._paths.get(s) or self._tree_pair(s)
         return path + letters[i:], letters_product(letters[:i], inverse)
 
@@ -461,17 +467,15 @@ class SubgroupGraph:
                 x = parent[x]
             return x
 
+        cyclic = []  # a root of each edge whose ends are already joined: it closes a cycle
         for a, b in edges:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        nverts = Counter(map(find, parent))
-        nedges = Counter(find(a) for a, _ in edges)
-        diag = find(0)
+            else:
+                cyclic.append(ra)
         reps = []
-        for root, ne in sorted(nedges.items()):
-            if root == diag or ne - nverts[root] + 1 < 1:
-                continue
+        for root in sorted({find(r) for r in cyclic} - {find(0)}):  # but the diagonal's
             p, q = divmod(root, n)
             reps.append(self.tree_path(p) * ~self.tree_path(q))
         reps.sort(key=lambda w: (len(w), w.letters))

@@ -67,6 +67,14 @@ which tabled the trimmed edge map's moves, numbered the states breadth first
 by looking up every signed letter of the alphabet at each state, and tabled
 the moves again on the new numbers; it checks the constructor that walks each
 state's own edges in the tie-break order and tables the moves once.
+`double_transversal_by_count` is the older double transversal, which
+counted the vertices and edges of every component of the product
+(`product_components_by_count`) and kept those with a cycle; it checks the
+rule that a product edge whose ends already share a root closes a cycle.
+`parse_args_through_main` is the older `_Parser.parse_args`, which sent
+every command line through the main parser and its subparsers action; it
+checks the parser that hands a known command's arguments straight to that
+command's subparser.
 `parse_word_by_tokens` is the older word parser, which split the text on
 whitespace, found each token's column with `str.index`, matched the token
 against the grammar and built the word through the checking `Word`
@@ -75,8 +83,9 @@ constructor; it checks the one compiled scan of `parse_word`.
 
 from __future__ import annotations
 
+import argparse
 import re
-from collections import deque
+from collections import Counter, deque
 from itertools import groupby, product
 from typing import Optional, Sequence
 
@@ -99,6 +108,7 @@ from amalgam.words import (
     VerificationError,
     Word,
     WordSyntaxError,
+    _SHOWN,
     _quote,
     free_conjugacy,
     identity,
@@ -280,6 +290,15 @@ def renumber_by_alphabet_scan(
     return tuple(tree), moves
 
 
+def parse_args_through_main(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """`cli._Parser.parse_args` as argparse routes it: the main parser, then a subparser."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        shown = (arg if len(arg) <= _SHOWN else _quote(arg) for arg in extras)
+        parser.error("unrecognized arguments: " + " ".join(shown))
+    return args
+
+
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 
@@ -311,28 +330,24 @@ def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
-def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:
-    """Double-coset representatives, candidates pruned pairwise.
-
-    Components of the product of the graph with itself carrying a
-    nontrivial loop each contribute treePath(p) * ~treePath(q); the
-    diagonal component is the empty word, listed first.  Duplicates are
-    pruned with the pairwise test H t H = H t' H iff Ht meets t'H.
-    """
-    one = identity(g.alphabet)
-    if g.is_trivial():
-        return (one,)
-    # the product's edges pair equally labeled edges of the two factors
+def product_edges(g: SubgroupGraph) -> list[tuple[int, int]]:
+    """Edges (p * n + q, p' * n + q') of the product of g with itself, one per pair of
+    equally labelled edges p -> p' and q -> q' of g (n states)."""
     n = g.nstates
     by_letter: dict[int, list[tuple[int, int]]] = {}
     for s, lab, d, _ in g.edges():
         by_letter.setdefault(lab, []).append((s, d))
-    edges = [
+    return [
         (p * n + q, tp_ * n + tq)
         for pairs in by_letter.values()
         for p, tp_ in pairs
         for q, tq in pairs
     ]
+
+
+def product_components_by_count(g: SubgroupGraph) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(the diagonal's root, {min root: (vertices, edges)}) of the product's components."""
+    edges = product_edges(g)
     parent = {x: x for edge in edges for x in edge}
 
     def find(x: int) -> int:
@@ -345,22 +360,37 @@ def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    nverts: dict[int, int] = {}
-    for x in parent:
-        r = find(x)
-        nverts[r] = nverts.get(r, 0) + 1
-    nedges: dict[int, int] = {}
-    for a, _ in edges:
-        r = find(a)
-        nedges[r] = nedges.get(r, 0) + 1
-    diag = find(0)
+    nverts = Counter(map(find, parent))
+    nedges = Counter(find(a) for a, _ in edges)
+    return find(0), {root: (nverts[root], nedges[root]) for root in sorted(nverts)}
+
+
+def double_transversal_by_count(g: SubgroupGraph) -> tuple[Word, ...]:
+    """`SubgroupGraph.double_transversal` by counting: a component carries a cycle
+    when its edges outnumber its vertices less one."""
+    one = identity(g.alphabet)
+    if g.is_trivial():
+        return (one,)
+    diag, components = product_components_by_count(g)
     reps = []
-    for root, ne in sorted(nedges.items()):
-        if root == diag or ne - nverts[root] + 1 < 1:
+    for root, (nv, ne) in components.items():
+        if root == diag or ne - nv + 1 < 1:
             continue
-        p, q = divmod(root, n)
+        p, q = divmod(root, g.nstates)
         reps.append(g.tree_path(p) * ~g.tree_path(q))
     reps.sort(key=lambda w: (len(w), w.letters))
+    return (one, *reps)
+
+
+def double_transversal_with_pruning(g: SubgroupGraph) -> tuple[Word, ...]:
+    """Double-coset representatives, candidates pruned pairwise.
+
+    Components of the product of the graph with itself carrying a
+    nontrivial loop each contribute treePath(p) * ~treePath(q); the
+    diagonal component is the empty word, listed first.  Duplicates are
+    pruned with the pairwise test H t H = H t' H iff Ht meets t'H.
+    """
+    one, *reps = double_transversal_by_count(g)
     kept: list[Word] = [one]
     for t in reps:
         if any(_same_double_coset(g, t, t2) for t2 in kept):

@@ -23,8 +23,8 @@ from amalgam.cli import (
 )
 from amalgam.stallings import SubgroupGraph
 from amalgam.words import Alphabet, Word, format_word, parse_word
-from bruteforce import normal_form_unmemoised
-from test_cli_golden import GROUPS
+from bruteforce import normal_form_unmemoised, parse_args_through_main
+from test_cli_golden import GOLDEN, GROUPS
 
 EX1 = """\
 # worst-case fixture
@@ -527,6 +527,42 @@ def test_repeated_calls_in_one_process_match_a_fresh_process(
 
 def test_main_builds_one_parser():
     assert cli._build_parser() is cli._build_parser()
+
+
+def _parsed(parse, argv):
+    """vars() of the namespace, or the exit code, stdout and stderr of a SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+DISPATCH_ERRORS = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["f" * 100_000],
+    ["nf", "-h"], ["nf", "--h"], ["validate", "-g", "f", "--js"],
+    ["validate", "-g", "f", "extra"], ["transversal", "-g", "f", "-x", "y"],
+    ["nf", "-g", "f", "-w", "a", "e" * 100_000],
+    ["reduce", "-g", "f", "-w", "a", "--policy=paper-ex1:2"],
+    ["bench", "paper-ex1", "-p", "-3"], ["nf", "-g", "f", "-w", "a", "--", "b"],
+]
+
+
+def test_a_known_command_parses_as_through_the_main_parser(monkeypatch):
+    # the subparser alone gives what the main parser and its subparsers action
+    # give, on every golden command line and on the errors around the dispatch
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    assert set(parser._option_string_actions) == {"-h", "--help"}  # what the dispatch relies on
+    golden = [[arg.replace("{dir}", "d") for arg in entry["argv"]]
+              for entry in json.loads(GOLDEN.read_text())]
+    assert len(golden) == 329
+    for argv in golden + DISPATCH_ERRORS:
+        want = _parsed(lambda a: parse_args_through_main(parser, a), argv)
+        assert _parsed(parser.parse_args, argv) == want, [arg[:40] for arg in argv]
+    assert _parsed(parser.parse_args, ["nf", "-h"])[0] == 0
+    assert _parsed(parser.parse_args, ["frobnicate"])[0] == 2
 
 
 # --- fuzz net: main on grammar-built and raw inputs -------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, groupby
 from unittest.mock import patch
 
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 from amalgam.cli import diameter
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam import stallings
-from amalgam.stallings import NotAMemberError, SubgroupGraph, basis_coordinates, build, meet
+from amalgam.stallings import (
+    NotAMemberError,
+    SubgroupGraph,
+    _trim,
+    basis_coordinates,
+    build,
+    meet,
+)
 from amalgam.words import (
     Alphabet,
     VerificationError,
@@ -31,11 +39,14 @@ from bruteforce import (
     conjugate_by_copy,
     coset_intersection_by_copy,
     conjugacy_into_by_rotation_scan,
+    double_transversal_by_count,
     double_transversal_with_pruning,
     express_in_basis,
     express_in_generators,
     free_conjugacy_by_least_rotation,
     generated_elements,
+    product_components_by_count,
+    product_edges,
     reduced_words,
     renumber_by_alphabet_scan,
     subgroup_elements,
@@ -99,6 +110,16 @@ def test_coset_rep_examples():
     g = C()
     for text, rep, head in (("b^3", "", "b^3"), ("d a^4", "d a^4", ""), ("b^2 d", "d", "b^2")):
         assert g.coset_rep(w(text).letters) == (w(rep).letters, w(head).letters)
+
+
+def test_coset_rep_at_the_base_multiplies_nothing():
+    # a^2 d reads a^2 back to the base and stops at d: the split needs no tree
+    # path and no product
+    g = C()
+    with patch.object(stallings, "letters_product", side_effect=AssertionError):
+        assert g.coset_rep(w("a^2 d").letters) == (w("d").letters, w("a^2").letters)
+        assert g.coset_rep(w("d a").letters) == (w("d a").letters, ())
+    assert g._paths.keys() == {g.base}
 
 
 def test_coset_rep_at_the_deepest_states_of_a_long_circle():
@@ -606,6 +627,55 @@ def test_double_transversal_matches_pairwise_pruning(gens):
     assert ts == double_transversal_with_pruning(g)
     for t, t2 in combinations(ts, 2):
         assert meet(g, conjugate_by_copy(g, ~t2), accepts=(t.letters, t2.letters)) is None
+
+
+@pytest.mark.parametrize(
+    "gens, shape, size",
+    [
+        (["a", "b a b^-1"], "self-loop", 3),
+        (["a b^-1", "d a b^-1 d^-1"], "parallel", 3),
+        (["a b a", "b^2"], "tree", 2),
+    ],
+)
+def test_transversal_cycle_rule_on_its_edge_cases(gens, shape, size):
+    # a product edge whose ends already share a root closes a cycle: a self-loop
+    # at once, the second of two parallel edges, and no edge of a tree
+    g = build([w(text) for text in gens])
+    diag, components = product_components_by_count(g)
+    counts = Counter(product_edges(g))
+    if shape == "self-loop":  # a lone product state (p, q), p != q, with a loop
+        assert any(a == b and a != diag and components.get(a) == (1, 1) for a, b in counts)
+    elif shape == "parallel":  # two states joined by two edges and nothing else
+        assert any(k == 2 and components.get(a) == (2, 2) for (a, _), k in counts.items())
+    else:  # a component off the diagonal with one edge fewer than its states
+        assert any(r != diag and 0 < ne == nv - 1 for r, (nv, ne) in components.items())
+    ts = g.double_transversal()
+    assert len(ts) == size
+    assert ts == double_transversal_by_count(g) == double_transversal_with_pruning(g)
+
+
+def test_constructor_takes_an_untrimmed_edge_map_as_it_is():
+    # with no hanging vertex the trim hands back the caller's map and the graph is
+    # the one a copy gives; a hanging tree is still trimmed; the map never changes
+    g = build([w("a b a^-1 d"), w("b^2")])
+    edges = {eid: (s, lab, d) for s, lab, d, eid in g.edges()}
+    before = dict(edges)
+    assert _trim(edges, g.base)[0] is edges
+    same, copy = SubgroupGraph(F, edges, g.base), SubgroupGraph(F, dict(edges), g.base)
+    assert (same.nstates, same.tree, same.moves) == (copy.nstates, copy.tree, copy.moves)
+    assert (same.nstates, same.tree, same.moves) == (g.nstates, g.tree, g.moves)
+    assert edges == before
+    lab = next(lab for lab in (1, 2, 3) if g.step(g.base, lab) is None)
+    top, other = g.nstates, lab % 3 + 1
+    hanging = dict(edges)  # a path of lab out of the base, with a branch of another letter
+    hanging[100], hanging[101] = (g.base, lab, top), (top, lab, top + 1)
+    hanging[102], hanging[103] = (top + 1, lab, top + 2), (top, other, top + 3)
+    before = dict(hanging)
+    live = _trim(hanging, g.base)[0]
+    assert live is not hanging and live == edges
+    trimmed = SubgroupGraph(F, hanging, g.base)
+    assert (trimmed.nstates, trimmed.tree, trimmed.moves) == (g.nstates, g.tree, g.moves)
+    assert hanging == before
 
 
 def test_malnormality_flags():

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .stallings import SubgroupGraph, build, meet
-from .words import Word, letters_inverse, letters_product
+from .stallings import SubgroupGraph, fold, meet
+from .words import letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import AmalgamContext
@@ -70,8 +70,7 @@ def transfer(ctx: "AmalgamContext", d: CosetOfC) -> CosetOfC:
     cache = ctx.cache
     if key not in cache:
         alphabet = ctx.factor_alphabet(side2 := ctx.other(d.side))
-        loops = d.subgroup.basis_loops()
-        gens = [Word._make(alphabet, ctx.transfer_letters(d.side, loop)) for _, loop in loops]
+        gens = [ctx.transfer_letters(d.side, loop) for _, loop in d.subgroup.basis_loops()]
         rep = ctx.transfer_letters(d.side, d.rep)
-        cache[key] = _canonical(side2, build(gens, alphabet), rep)
+        cache[key] = _canonical(side2, fold(gens, alphabet), rep)
     return cache[key]

@@ -30,15 +30,15 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
-from .stallings import _RUN_MIN, SubgroupGraph, basis_coordinates, build
+from .stallings import _RUN_MIN, SubgroupGraph, basis_coordinates, fold
 from .words import (
     Alphabet,
     VerificationError,
     Word,
-    free_conjugacy,
+    letters_conjugator,
     letters_inverse,
     letters_product,
-    substitute,
+    letters_substitute,
     _quote,
 )
 
@@ -247,14 +247,6 @@ class AmalgamContext:
                 self.cache[key] = hit
         return hit
 
-    def transfer_word(self, side: str, w: Word) -> Word:
-        """transfer_letters on a Word over the factor alphabet of `side`."""
-        if w.alphabet is not (alphabet := self.factor_alphabet(side)) and w.alphabet != alphabet:
-            raise ValueError("word over wrong alphabet")
-        return Word._make(
-            self.factor_alphabet(self.other(side)), self.transfer_letters(side, w.letters)
-        )
-
 
 def build_context(
     alphabet_a: Alphabet | Iterable[str],
@@ -290,7 +282,7 @@ def build_context(
             raise InvalidPresentationError(f"pair {i} has a trivial side", index=i)
     words = ([u for u, _ in pairs], [v for _, v in pairs])
     alphabets = (alphabet_a, alphabet_b)
-    graphs = [build(w, alphabet) for w, alphabet in zip(words, alphabets)]
+    graphs = [fold([w.letters for w in ws], alphabet) for ws, alphabet in zip(words, alphabets)]
     edges = []  # per side: the images of the C graph's edge words
     for graph, targets in zip(graphs, words[::-1]):
         image = {i: v.letters for i, v in enumerate(targets, 1)}
@@ -535,12 +527,17 @@ def _form(
     return nf
 
 
-def _spell(ctx: AmalgamContext, head_side: str, head: tuple, sylls: Iterable[tuple]) -> tuple:
-    """Union letters of head * s_1 * ... * s_n, the s_i as (side, factor letters)."""
+def _spell(ctx: AmalgamContext, head_side: str, head: tuple, sylls: Sequence[tuple]) -> tuple:
+    """Union letters of head * s_1 * ... * s_n, the s_i as (side, factor letters).
+
+    The s_i are nonempty and consecutive ones lie in different factors, so
+    only the head and s_1 can cancel: one product, then one concatenation.
+    """
     out = ctx.union_letters(head_side, head)
-    for side, w in sylls:
-        out = letters_product(out, ctx.union_letters(side, w))
-    return out
+    if not sylls:
+        return out
+    out = letters_product(out, ctx.union_letters(*sylls[0]))
+    return out + tuple(lt for side, w in sylls[1:] for lt in ctx.union_letters(side, w))
 
 
 def form_to_word(ctx: AmalgamContext, nf: NormalForm) -> Word:
@@ -886,28 +883,29 @@ def conjugacy_search(
     cf_u = cyclic_form(ctx, u, policy, forms)
     cf_v = cyclic_form(ctx, v, policy, forms)
 
-    def in_factor(side: str, z_f: Word) -> ConjugacyOutcome:
-        # the cyclic forms are conjugate by z_f inside the factor of `side`
-        z = cf_u.conjugator * ctx.to_union(side, z_f) * ~cf_v.conjugator
-        return _assemble_and_verify(ctx, u, v, z, policy, forms)
+    def in_factor(side: str, z_f: tuple[int, ...]) -> ConjugacyOutcome:
+        # the cyclic forms are conjugate by the factor letters z_f of `side`
+        z = letters_product(cf_u.conjugator.letters, ctx.union_letters(side, z_f))
+        z = letters_product(z, letters_inverse(cf_v.conjugator.letters))
+        return _assemble_and_verify(ctx, u, v, Word._make(ctx.union_alphabet, z), policy, forms)
 
     k = cf_u.cyclic_length
     if k != cf_v.cyclic_length:
         return ConjugacyOutcome("not-conjugate", None, "cyclic lengths differ")
     if k == 1:
-        su, sv = cf_u.form.syllables[0], cf_v.form.syllables[0]
-        if su.side != sv.side:
+        (su, wu), (sv, wv) = cf_u.form.syllable_letters[0], cf_v.form.syllable_letters[0]
+        if su != sv:
             return ConjugacyOutcome(
                 "not-conjugate", None, "cyclically reduced forms lie in different factors"
             )
-        wu = cf_u.form.head * su.word
-        wv = cf_v.form.head * sv.word
-        z_f = free_conjugacy(wu, wv)
+        wu = letters_product(cf_u.form.head_letters, wu)
+        wv = letters_product(cf_v.form.head_letters, wv)
+        z_f = letters_conjugator(wu, wv)
         if z_f is None:
             return ConjugacyOutcome(
                 "not-conjugate", None, "not conjugate inside the common factor"
             )
-        return in_factor(su.side, z_f)
+        return in_factor(su, z_f)
     if k >= 2:
         # each form's permutations, with its conjugator, once per query
         perms_u, perms_v = (_cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
@@ -916,24 +914,23 @@ def conjugacy_search(
             "undecided", None, "every cyclic permutation of both forms is singular"
         )
     # cyclic length 0: both conjugate into C
-    hu, hv = cf_u.form.head, cf_v.form.head
+    hu, hv = cf_u.form.head_letters, cf_v.form.head_letters  # on side A
     reg_u = _classify_nf(ctx, cf_u.form).is_regular
     reg_v = _classify_nf(ctx, cf_v.form).is_regular
     if reg_u or reg_v:
-        alphabet, words, basis = basis_coordinates(ctx.graph_ca)
-        bu, bv = (Word._make(alphabet, ctx.graph_ca.loop_word(h.letters, words)) for h in (hu, hv))
-        z_b = free_conjugacy(bu, bv)
+        _, words, basis = basis_coordinates(ctx.graph_ca)
+        z_b = letters_conjugator(*(ctx.graph_ca.loop_word(h, words) for h in (hu, hv)))
         if z_b is None:
             return ConjugacyOutcome(
                 "not-conjugate", None, "not conjugate within the amalgamated subgroup"
             )
-        return in_factor("A", substitute(z_b, basis, ctx.alphabet_a))
+        return in_factor("A", letters_substitute(z_b, basis))
     for malnormal, side in ((ctx.malnormal_a, "B"), (ctx.malnormal_b, "A")):
         if not malnormal:
             continue
-        w1 = hu if side == "A" else ctx.transfer_word("A", hu)
-        w2 = hv if side == "A" else ctx.transfer_word("A", hv)
-        z_f = free_conjugacy(w1, w2)
+        w1 = hu if side == "A" else ctx.transfer_letters("A", hu)
+        w2 = hv if side == "A" else ctx.transfer_letters("A", hv)
+        z_f = letters_conjugator(w1, w2)
         if z_f is None:
             return ConjugacyOutcome(
                 "not-conjugate",

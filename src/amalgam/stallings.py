@@ -11,20 +11,21 @@ the loops through the non-tree edges (`basis_loops`), are stable across runs.
 trimmed to core-plus-base by `_trim` and renumbered breadth first from each
 state's own edges in the tie-break order, which builds the tree.  Its one
 table of moves, built once on the new numbers, holds each edge both ways, so
-no walk branches on a letter's sign.  Two constructions feed it.  `build`
-folds the subdivided rose on the given generators, on flat lists indexed by
-edge id (source, target, positive letter, t-word) with one incidence set per
-vertex.  `meet` walks the product of two graphs breadth first from a pair of
-start states and passes on the component it reaches, which is folded because
-both factors are.  Beside each graph it keeps the paths of a start word and
-an accept word in a small overlay, so `z_subgroup` and the coset algebra's
-`shift` read conjugates and cosets off the graphs they already have and copy
-none; every meet in the package is this walk.  The Stallings graph of a
-subgroup is unique as a pointed graph (Kapovich-Myasnikov, J. Algebra 248,
-2002), so the walk gives exactly the graph that folding any generating set
-of the same subgroup would give.
+no walk branches on a letter's sign.  Two constructions feed it.  `fold`
+folds the subdivided rose on the generators' letter tuples (`build` takes
+them as Words), on flat lists indexed by edge id (source, target, positive
+letter, t-word) with one incidence set per vertex.  `meet` walks the product
+of two graphs breadth first from a pair of start states and passes on the
+component it reaches, which is folded because both factors are.  Beside
+each graph it keeps the paths of a start word and an accept word in a small
+overlay, so `z_subgroup` and the coset algebra's `shift` read conjugates and
+cosets off the graphs they already have and copy none; every meet in the
+package is this walk.  The Stallings graph of a subgroup is unique as a
+pointed graph (Kapovich-Myasnikov, J. Algebra 248, 2002), so the walk gives
+exactly the graph that folding any generating set of the same subgroup
+would give.
 
-Words over the generators are read off the graph itself.  `build` writes
+Words over the generators are read off the graph itself.  `fold` writes
 t_i on the closing edge of loop i of the subdivided rose and keeps the edge
 words consistent while it folds (Kapovich-Myasnikov): before a vertex is
 merged away, a gauge at it makes the two folded edges' words equal, and a
@@ -35,7 +36,7 @@ substitutes to w.  Substituting other targets for the t_i edge by edge
 gives the image of every loop under u_i -> target_i; the group layer's
 transfers walk those images.  The graph does not depend on the order of the
 folds, but the edge words do, and they reach the text of invalid-pairing
-errors, so `build` states its fold order as part of its contract.  A graph
+errors, so `fold` states its fold order as part of its contract.  A graph
 that `meet` returns, or one made from an edge map alone, has no edge words.
 Edge words that put b_j on the j-th non-tree edge spell a member over the
 basis (`basis_coordinates`).
@@ -72,7 +73,7 @@ from .words import (
     letters_cyclic_reduce,
     letters_inverse,
     letters_product,
-    substitute,
+    letters_substitute,
 )
 
 
@@ -341,9 +342,6 @@ class SubgroupGraph:
             i += k
         return s, n
 
-    def tree_path(self, state: int) -> Word:
-        return Word._make(self.alphabet, self.tree_path_letters(state))
-
     def canonical_key(self) -> tuple:
         if self._key is None:
             self._key = (
@@ -477,9 +475,9 @@ class SubgroupGraph:
         reps = []
         for root in sorted({find(r) for r in cyclic} - {find(0)}):  # but the diagonal's
             p, q = divmod(root, n)
-            reps.append(self.tree_path(p) * ~self.tree_path(q))
-        reps.sort(key=lambda w: (len(w), w.letters))
-        self._transversal = (one, *reps)
+            reps.append(letters_product(self._tree_pair(p)[0], self._tree_pair(q)[1]))
+        reps.sort(key=lambda t: (len(t), t))
+        self._transversal = (one, *(Word._make(self.alphabet, t) for t in reps))
         return self._transversal
 
     def is_malnormal(self) -> bool:
@@ -510,31 +508,39 @@ class SubgroupGraph:
         for t in ts:
             if t.letters not in zgraphs:
                 loops = self.z_subgroup(t.letters).basis_loops()
-                zb = [Word._make(alphabet, self.loop_word(loop, words)) for _, loop in loops]
-                zgraphs[t.letters] = build(zb, alphabet)
+                zgraphs[t.letters] = fold([self.loop_word(x, words) for _, x in loops], alphabet)
             hit = zgraphs[t.letters].conjugacy_into(cb)
             if hit is not None:  # target and conjugator, spelled back over H's alphabet
-                return t, *(substitute(Word._make(alphabet, x), basis, self.alphabet) for x in hit)
+                return t, *(Word._make(self.alphabet, letters_substitute(x, basis)) for x in hit)
         return None
 
 
-def basis_coordinates(g: SubgroupGraph) -> tuple[Alphabet, dict, tuple[Word, ...]]:
+def basis_coordinates(g: SubgroupGraph) -> tuple[Alphabet, dict, tuple[tuple[int, ...], ...]]:
     """A subgroup as a free group in its own coordinates: (alphabet, edge words, basis).
 
     `g.loop_word(w.letters, words)` spells a member w over b1, b2, ...; substituting
-    the basis (the loops as Words) spells it back.
+    the basis (the loops as letter tuples) spells it back.
     """
     loops = g.basis_loops()
     words = {k: (j if k >= 0 else -j,) for j, (eid, _) in enumerate(loops, 1) for k in (eid, ~eid)}
     alphabet = Alphabet(tuple(f"b{j}" for j in range(1, len(loops) + 1)) or ("b1",))
-    return alphabet, words, tuple(Word._make(g.alphabet, loop) for _, loop in loops)
+    return alphabet, words, tuple(loop for _, loop in loops)
 
 
 def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> SubgroupGraph:
-    """Fold the rose on the given generators into the core automaton.
+    """`fold` on Words over one alphabet; an empty list needs an explicit alphabet."""
+    if alphabet is None and not generators:
+        raise ValueError("alphabet required for an empty generating set")
+    alphabet = alphabet or generators[0].alphabet
+    if any(g.alphabet != alphabet for g in generators if g):
+        raise ValueError("generators over mixed alphabets")
+    return fold([g.letters for g in generators], alphabet)
 
-    Trivial generators are dropped; an explicit alphabet is required when the
-    generator list is empty (the trivial subgroup is a lone basepoint).
+
+def fold(generators: Sequence[tuple[int, ...]], alphabet: Alphabet) -> SubgroupGraph:
+    """Fold the rose on the given reduced letter tuples into the core automaton.
+
+    Trivial generators are dropped; with none left it is a lone basepoint.
 
     The rose's edges are numbered loop by loop.  The fold order fixes the
     edge words, so it is part of the contract: vertices come off a queue that
@@ -543,14 +549,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Su
     whose signed letter was seen folds with the first edge that had it; the
     smaller id is kept, and the base is never merged away.
     """
-    gens = tuple(g for g in generators if len(g))
-    if alphabet is None:
-        if not generators:
-            raise ValueError("alphabet required for an empty generating set")
-        alphabet = generators[0].alphabet
-    for g in gens:
-        if g.alphabet != alphabet:
-            raise ValueError("generators over mixed alphabets")
+    gens = tuple(g for g in generators if g)
     src: list[int] = []  # per edge id: source, target, positive letter (0 once folded away)
     dst: list[int] = []
     labs: list[int] = []
@@ -558,7 +557,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Su
     inc: list[Optional[set[int]]] = [set()]  # per vertex: its edges, None once merged away
     for t, g in enumerate(gens, 1):  # loop t of the subdivided rose, edge ids in order
         cur, last = 0, len(g) - 1
-        for j, lt in enumerate(g.letters):
+        for j, lt in enumerate(g):
             nxt = len(inc) if j < last else 0
             if nxt:
                 inc.append(set())
@@ -569,7 +568,7 @@ def build(generators: Sequence[Word], alphabet: Optional[Alphabet] = None) -> Su
             labs.append(abs(lt))
             cur = nxt
         words += [()] * last
-        words.append((t,) if g.letters[-1] > 0 else (-t,))
+        words.append((t,) if g[-1] > 0 else (-t,))
     # a rose vertex inside a loop sits between two letters of a reduced word, so
     # only the base and the vertices that gained edges by a merge can fold
     grown = [False] * len(inc)

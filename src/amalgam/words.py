@@ -205,11 +205,6 @@ class Word:
             return (~self) ** (-n)
         return Word(self.alphabet, self.letters * n)
 
-    def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """Return (core, conjugator) with self = conjugator * core * ~conjugator."""
-        core, conj = letters_cyclic_reduce(self.letters)
-        return Word._make(self.alphabet, core), Word._make(self.alphabet, conj)
-
 
 # the slots' own setters, which get past Word.__setattr__
 _set_alphabet = Word.alphabet.__set__
@@ -241,25 +236,36 @@ def _rotation(ls: Sequence[int], target: Sequence[int]) -> Optional[int]:
     return 0 if not n else None
 
 
-def free_conjugacy(u: Word, v: Word) -> Optional[Word]:
-    """Find z with ~z * u * z == v in the free group, or None.
+def letters_conjugator(u: tuple[int, ...], v: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Find z with ~z * u * z == v for reduced letter tuples, or None.
 
     The cores of u and v are conjugate iff one is a rotation of the other;
     the first rotation i of u's core that equals v's core gives
     z = zu * core[:i] * ~zv.
     """
-    u._require_same_alphabet(v)
-    cu, zu = u.cyclic_reduce()
-    cv, zv = v.cyclic_reduce()
-    ls = cu.letters
-    i = _rotation(ls, cv.letters) if len(ls) == len(cv) else None
+    cu, zu = letters_cyclic_reduce(u)
+    cv, zv = letters_cyclic_reduce(v)
+    i = _rotation(cu, cv) if len(cu) == len(cv) else None
     if i is None:
         return None
-    z = letters_product(letters_product(zu.letters, ls[:i]), letters_inverse(zv.letters))
-    z = Word._make(u.alphabet, z)
-    if ~z * u * z != v:
+    z = letters_product(letters_product(zu, cu[:i]), letters_inverse(zv))
+    if letters_product(letters_product(letters_inverse(z), u), z) != v:
         raise VerificationError("free conjugator failed verification")
     return z
+
+
+def free_conjugacy(u: Word, v: Word) -> Optional[Word]:
+    """Find z with ~z * u * z == v in the free group, or None (see `letters_conjugator`)."""
+    u._require_same_alphabet(v)
+    z = letters_conjugator(u.letters, v.letters)
+    return None if z is None else Word._make(u.alphabet, z)
+
+
+def letters_substitute(letters: tuple[int, ...], images: Sequence[tuple]) -> tuple[int, ...]:
+    """Reduced image of letters under the homomorphism sending letter i to images[i - 1]."""
+    inverse = [letters_inverse(img) for img in images]
+    seqs = [images[lt - 1] if lt > 0 else inverse[-lt - 1] for lt in letters]
+    return _reduced(chain.from_iterable(seqs))
 
 
 def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
@@ -268,9 +274,7 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
         raise ValueError("substitution table must cover the whole alphabet")
     if any(img.alphabet != target for img in images):
         raise ValueError("substitution image over wrong alphabet")
-    inverse = [letters_inverse(img.letters) for img in images]
-    seqs = [images[lt - 1].letters if lt > 0 else inverse[-lt - 1] for lt in w.letters]
-    return Word._make(target, _reduced(chain.from_iterable(seqs)))
+    return Word._make(target, letters_substitute(w.letters, [img.letters for img in images]))
 
 
 class WordSyntaxError(ValueError):

@@ -79,6 +79,8 @@ command's subparser.
 whitespace, found each token's column with `str.index`, matched the token
 against the grammar and built the word through the checking `Word`
 constructor; it checks the one compiled scan of `parse_word`.
+`transfer_word` is `AmalgamContext.transfer_letters` on a Word, for the
+references that transfer Words.
 """
 
 from __future__ import annotations
@@ -112,10 +114,16 @@ from amalgam.words import (
     _quote,
     free_conjugacy,
     identity,
+    letters_cyclic_reduce,
     letters_inverse,
     letters_product,
     substitute,
 )
+
+
+def transfer_word(ctx: AmalgamContext, side: str, w: Word) -> Word:
+    """`ctx.transfer_letters` on a Word over the factor alphabet of `side`."""
+    return Word(ctx.factor_alphabet(ctx.other(side)), ctx.transfer_letters(side, w.letters))
 
 
 def reduced_words(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -377,7 +385,8 @@ def double_transversal_by_count(g: SubgroupGraph) -> tuple[Word, ...]:
         if root == diag or ne - nv + 1 < 1:
             continue
         p, q = divmod(root, g.nstates)
-        reps.append(g.tree_path(p) * ~g.tree_path(q))
+        tp, tq = (Word(g.alphabet, g.tree_path_letters(x)) for x in (p, q))
+        reps.append(tp * ~tq)
     reps.sort(key=lambda w: (len(w), w.letters))
     return (one, *reps)
 
@@ -529,7 +538,7 @@ def _solve_from_regular_permutation(
         c = Word(ctx.factor_alphabet(e.side), e.rep)  # the singleton's element
         c_k = group._propagate_solution(ctx, g_star, pi_j, c.letters, e.side)
         side1 = g_star.syllables[0].side
-        c_on_1 = c if e.side == side1 else ctx.transfer_word(e.side, c)
+        c_on_1 = c if e.side == side1 else transfer_word(ctx, e.side, c)
         if g_star.head * Word(g_star.head.alphabet, c_k) != c_on_1 * pi_j.head:
             continue
         z = letters_product(u_prefix, ctx.union_letters(e.side, c.letters))
@@ -632,9 +641,9 @@ def reduced_form_by_rescan(
             break
         s = sylls[idx]
         if len(sylls) == 1:
-            head = s.word if s.side == "A" else ctx.transfer_word("B", s.word)
+            head = s.word if s.side == "A" else transfer_word(ctx, "B", s.word)
             return NormalForm("A", head, ())
-        moved = ctx.transfer_word(s.side, s.word)
+        moved = transfer_word(ctx, s.side, s.word)
         repl = [Syllable(ctx.other(s.side), moved)] if moved else []
         sylls = _squash(sylls[:idx] + repl + sylls[idx + 1 :])
         if lengths is not None:
@@ -767,7 +776,7 @@ def classify_through_basis(ctx: AmalgamContext, raw: Word, policy: RepPolicy = C
             found = [("intersection", side, basis_words(meet_)[0][0])]
     else:
         kind = "z-set"
-        for side, w in (("A", nf.head), ("B", ctx.transfer_word("A", nf.head))):
+        for side, w in (("A", nf.head), ("B", transfer_word(ctx, "A", nf.head))):
             hit = z_set_witness_through_basis(ctx.graph_c(side), w)
             if hit is not None:
                 names = ("transversal", "target", "conjugator")
@@ -798,7 +807,7 @@ def cr0_outcome_through_basis(
 def transfer_key_through_basis(ctx: AmalgamContext, d: CosetOfC) -> tuple:
     """The older coset transfer's key: the basis words' images folded again, rep canonical."""
     side2 = ctx.other(d.side)
-    gens = [ctx.transfer_word(d.side, b) for b in basis_words(d.subgroup)[0]]
+    gens = [transfer_word(ctx, d.side, b) for b in basis_words(d.subgroup)[0]]
     graph = build(gens, ctx.factor_alphabet(side2))
     rep, _ = graph.coset_rep(ctx.transfer_letters(d.side, d.rep))
     return side2, graph.canonical_key(), rep
@@ -905,8 +914,8 @@ def _least_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
 
 def free_conjugacy_by_least_rotation(u: Word, v: Word) -> Optional[Word]:
     """z with ~z * u * z == v: compare least rotations, then scan rotations of u's core."""
-    cu, zu = u.cyclic_reduce()
-    cv, zv = v.cyclic_reduce()
+    cu, zu = (Word(u.alphabet, x) for x in letters_cyclic_reduce(u.letters))
+    cv, zv = (Word(v.alphabet, x) for x in letters_cyclic_reduce(v.letters))
     if len(cu) != len(cv):
         return None
     if _least_rotation(cu.letters) != _least_rotation(cv.letters):
@@ -925,14 +934,14 @@ def conjugacy_into_by_rotation_scan(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(h, z) as letter tuples for the first state s, then rotation r, reading a loop at s."""
     w = Word(g.alphabet, letters)
-    core, u = w.cyclic_reduce()
+    core, u = (Word(g.alphabet, x) for x in letters_cyclic_reduce(w.letters))
     if not core:
         return (), (~u).letters
     for s in range(g.nstates):
         for r in range(len(core)):
             rot = _rotation(core.letters, r)
             if g.read(rot, s) == (s, len(rot)):
-                tp = g.tree_path(s)
+                tp = Word(g.alphabet, g.tree_path_letters(s))
                 h = tp * Word(g.alphabet, rot) * ~tp
                 z = tp * ~Word(g.alphabet, core.letters[:r]) * ~u
                 if ~z * h * z != w:

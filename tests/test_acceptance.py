@@ -25,7 +25,13 @@ from amalgam.group import (
 )
 from amalgam.words import Word, letters_inverse, letters_product, parse_word
 
-from bruteforce import brute_conjugacy_oracle, form_sides, reduced_words, subgroup_elements
+from bruteforce import (
+    brute_conjugacy_oracle,
+    form_sides,
+    reduced_words,
+    subgroup_elements,
+    transfer_word,
+)
 from conftest import random_reduced
 from test_group import insert_relator
 
@@ -104,7 +110,7 @@ def _brute_ps_solutions(ctx, g, h, c_elements):
         ok = True
         for p, p2 in reversed(list(zip(g.syllables, h.syllables))):
             if side != p.side:
-                cur = ctx.transfer_word(side, cur)
+                cur = transfer_word(ctx, side, cur)
                 side = p.side
             cur = p.word * cur * ~p2.word
             if not ctx.graph_c(side).contains(cur.letters):
@@ -218,7 +224,7 @@ def _brute_singular(ctx, nf, witnesses):
         return _brute_nstar_factor(ctx, side, nf.syllables[0].word, 5)
     if _brute_z_factor(ctx, "A", nf.head, 5):
         return True
-    return _brute_z_factor(ctx, "B", ctx.transfer_word("A", nf.head), 5)
+    return _brute_z_factor(ctx, "B", transfer_word(ctx, "A", nf.head), 5)
 
 
 def test_criterion_5_regularity_classifier(ex1):

@@ -61,6 +61,7 @@ from bruteforce import (
     subgroup_elements,
     transfer_key_through_basis,
     transfer_through_basis,
+    transfer_word,
 )
 from conftest import nielsen_pairs, random_member, random_reduced
 
@@ -106,8 +107,8 @@ def insert_relator(rng, ctx, word):
 
 def test_build_context_examples(ex1):
     assert ex1.graph_ca.contains(wa(ex1, "a^2 b").letters)
-    assert ex1.transfer_word("A", wa(ex1, "a^2")) == wb(ex1, "x")
-    assert ex1.transfer_word("B", wb(ex1, "y^2")) == wa(ex1, "b")
+    assert ex1.transfer_letters("A", wa(ex1, "a^2").letters) == wb(ex1, "x").letters
+    assert ex1.transfer_letters("B", wb(ex1, "y^2").letters) == wa(ex1, "b").letters
 
 
 def test_build_context_rejects_bad_pairing():
@@ -157,8 +158,8 @@ def test_build_context_accepts_a_redundant_generator():
                                (parse_word("b", x), parse_word("y", y))])
     for u_text, v_text in (("a", "x"), ("b", "y"), ("a^-2 b a", "x^-2 y x")):
         u, v = parse_word(u_text, x), parse_word(v_text, y)
-        assert ctx.transfer_word("A", u) == v
-        assert ctx.transfer_word("B", v) == u
+        assert ctx.transfer_letters("A", u.letters) == v.letters
+        assert ctx.transfer_letters("B", v.letters) == u.letters
 
 
 def test_build_context_accepts_non_basis_generators():
@@ -167,8 +168,8 @@ def test_build_context_accepts_non_basis_generators():
     ctx = build_context(
         x, y, [(parse_word("a b", x), Word(y, (1,))), (Word(x, (2,)), Word(y, (2,)))]
     )
-    assert ctx.transfer_word("A", parse_word("a b", x)) == Word(y, (1,))
-    assert ctx.transfer_word("A", Word(x, (1,))) == parse_word("x y^-1", y)
+    assert ctx.transfer_letters("A", parse_word("a b", x).letters) == Word(y, (1,)).letters
+    assert ctx.transfer_letters("A", Word(x, (1,)).letters) == parse_word("x y^-1", y).letters
 
 
 def test_build_context_rejects_overlapping_names():
@@ -1317,7 +1318,7 @@ def test_build_context_rejects_more_generators_than_codes(monkeypatch):
     # one code point per union letter: past group.MAX_GENERATORS generators the
     # context is refused before any per-letter work (no fold, no codec)
     assert 2 * group.MAX_GENERATORS + 1 == sys.maxunicode
-    monkeypatch.setattr(group, "build", None)
+    monkeypatch.setattr(group, "fold", None)
     monkeypatch.setattr(group, "AmalgamContext", None)
     alphabet_a = Alphabet(tuple(f"a{i}" for i in range(group.MAX_GENERATORS)))
     alphabet_b = Alphabet(("x",))
@@ -1493,7 +1494,7 @@ def test_principal_system_against_brute_force(ex1):
             ok = True
             for p, p2 in reversed(list(zip(g.syllables, h.syllables))):
                 if side != p.side:
-                    cur = ex1.transfer_word(side, cur)
+                    cur = transfer_word(ex1, side, cur)
                     side = p.side
                 cur = p.word * cur * ~p2.word
                 if not ex1.graph_c(side).contains(cur.letters):
@@ -1958,13 +1959,34 @@ def test_conjugacy_search_sweeps_each_word_once(monkeypatch):
         assert swept == [(word.letters, CANONICAL)], text
 
 
+def test_spell_grows_linearly_in_the_syllables(monkeypatch, ex1):
+    # consecutive syllables lie in different factors, so only the head and s_1 can
+    # cancel: the letters _spell returns, and those its products return, about double
+    # when the syllable count doubles; a product per syllable made them quadruple
+    forms = [normal_form(ex1, up(ex1, " ".join(("d", "z", "d^-1", "z^-1") * (k // 4))))
+             for k in (2**10, 2**11, 2**12)]
+    product, made = group.letters_product, []
+
+    def counted(a, b):
+        made.append(len(out := product(a, b)))
+        return out
+    monkeypatch.setattr(group, "letters_product", counted)
+    counts = []
+    for nf in forms:
+        made.clear()
+        spelled = group._spell(ex1, nf.head_side, nf.head_letters, nf.syllable_letters)
+        counts.append(len(spelled) + sum(made))
+    assert [nf.syllable_length for nf in forms] == [2**10, 2**11, 2**12]
+    assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
 def test_query_checks_still_compare_the_swept_forms(monkeypatch, ex1):
     # the cyclic-form and conjugator checks read forms from the query's dict, and
     # still fail on a wrong spelling or a wrong conjugator
     u, v = up(ex1, "a d a^-1"), up(ex1, "b^-1 d b")
     assert conjugacy_search(ex1, u, v).tag == "conjugate"
     with monkeypatch.context() as patch:
-        patch.setattr(group, "free_conjugacy", lambda a, b: Word(a.alphabet, (2,)))
+        patch.setattr(group, "letters_conjugator", lambda a, b: (2,))
         with pytest.raises(VerificationError, match="conjugator failed verification"):
             conjugacy_search(ex1, u, v)
     spell = group._spell
@@ -2117,7 +2139,7 @@ def test_basis_readers_match_the_basis_word_reference():
 
 def test_cr0_keeps_the_basis_coordinates_conjugator(ex2):
     # u and v conjugate into C = <a, b^-1 a b>, and both b^-1 a b and a b^-1 a^2 b
-    # conjugate u to v.  The cyclic-length-0 branch runs free_conjugacy over C's own
+    # conjugate u to v.  The cyclic-length-0 branch runs letters_conjugator over C's own
     # basis and returns b^-1 a b; the least rotation of the cyclic core whose start
     # state matches, read on C's graph, would return a b^-1 a^2 b.  Both decide
     # alike, but they pick different conjugators, so the branch keeps coordinates.

@@ -17,16 +17,19 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-# the sweeps, the principal-system path, the coset algebra and the C-graph searches run
-# on letter tuples; a Word is built only for a value that leaves the package, and a form
-# builds its Words when a caller reads them
+# the sweeps, the principal-system path, the coset algebra, the fold, the free-group
+# conjugacy and substitution kernels and the C-graph searches run on letter tuples; a Word
+# is built only for a value that leaves the package, and a form builds its Words when a
+# caller reads them
 LETTER_LEVEL = (
     *(("group.py", None, name) for name in (
         "reduced_form", "normal_form", "_form", "_rep", "_cyclic_perms", "_push",
-        "_propagate_solution", "_principal_solution",
+        "_propagate_solution", "_principal_solution", "_spell",
     )),
-    *(("cosetalg.py", None, name) for name in ("shift", "c_coset", "_canonical")),
+    *(("cosetalg.py", None, name) for name in ("shift", "c_coset", "_canonical", "transfer")),
+    ("stallings.py", None, "fold"),
     *(("stallings.py", "SubgroupGraph", name) for name in ("conjugacy_into", "z_subgroup")),
+    *(("words.py", None, name) for name in ("letters_conjugator", "letters_substitute")),
 )
 WORD_BUILDERS = ("Word", "Word._make", "Syllable", "identity")
 
@@ -247,6 +250,8 @@ UNCALLED = {
     # a normal form spelled back as one word over the union alphabet: the inverse of
     # normal_form for library callers
     "form_to_word",
+    # the public Word form of words.letters_conjugator, which the package calls
+    "free_conjugacy",
 }
 
 

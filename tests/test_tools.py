@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -44,3 +46,12 @@ def test_bench_pairs_leaves_cold_cli_digests_uncompared():
     assert summary["digests_equal_per_seed"] is None
     assert "work directory" in summary["digests_not_compared"]
     assert bench_pairs.summarise(runs, {}, "blowup")["digests_equal_per_seed"] is False
+
+
+@pytest.mark.parametrize("tool", ["bz_curve", "sweep_curve", "wide_curve"])
+def test_curve_tool_prints_its_help(tool):
+    # each curve tool imports its machine and commit helpers from bench_pairs
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / f"{tool}.py"), "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")

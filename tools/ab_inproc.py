@@ -57,7 +57,7 @@ MASK = "{workdir}"
 # (module, class or None, attribute) whose calls the counting process counts
 COUNTED = (
     ("words", None, "parse_word"), ("words", "Word", "__init__"),
-    ("words", "Alphabet", "__init__"), ("stallings", None, "build"),
+    ("words", "Alphabet", "__init__"), ("stallings", None, "build"), ("stallings", None, "fold"),
     ("stallings", "SubgroupGraph", "coset_rep"), ("stallings", "SubgroupGraph", "loop_word"),
     ("group", None, "build_context"), ("group", None, "normal_form"),
     ("group", "AmalgamContext", "transfer_letters"),
@@ -73,13 +73,15 @@ def kind(workload: str, q) -> str:
 
 
 def _install_counters(calls: Counter) -> None:
-    """Count COUNTED calls at every binding in the package's modules."""
+    """Count COUNTED calls at every binding in the package's modules; a name it lacks reads 0."""
     import amalgam
     from amalgam import cli, cosetalg, fixtures, group, stallings, words
     modules = {"words": words, "stallings": stallings, "group": group}
     for module, owner, name in COUNTED:
         holder = getattr(modules[module], owner) if owner else modules[module]
-        original = getattr(holder, name)
+        original = getattr(holder, name, None)
+        if original is None:
+            continue
         label = ".".join(filter(None, (module, owner, name)))
 
         def counting(*args, _original=original, _label=label, **kwargs):

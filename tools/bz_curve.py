@@ -26,6 +26,9 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from bench_pairs import commit, cpu_model  # noqa: E402
+
 LENGTHS = [4000 * 2**k for k in range(10)] + [2**21]
 SWEEPS = ("normal_form", "reduced_form")
 
@@ -49,24 +52,6 @@ print(json.dumps({
     "digest": hashlib.sha256(spelled).hexdigest(),
 }))
 """
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def commit(checkout: str) -> str | None:
-    """The checkout's HEAD commit, or None when it is not a git checkout."""
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main() -> int:

@@ -32,6 +32,9 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from bench_pairs import commit, cpu_model  # noqa: E402
+
 LENGTHS = (2, 4, 8, 40, 256)
 WORDS = 200
 REPEATS = 7
@@ -79,24 +82,6 @@ for name, ctx in contexts.items():
         }
 print(json.dumps({"points": points, "digest": digest.hexdigest()}))
 """
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def commit(checkout: str) -> str | None:
-    """The checkout's HEAD commit, or None when it is not a git checkout."""
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main() -> int:

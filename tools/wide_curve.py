@@ -29,6 +29,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from bench_pairs import commit, cpu_model  # noqa: E402
+
 SIZES = sorted([1000 * 2**k for k in range(7)] + [10_000, 20_000, 40_000])
 
 CHILD = """
@@ -55,24 +58,6 @@ def wide_file(n: int) -> str:
     lines += ["B: " + " ".join(f"x{i}" for i in range(n))]
     lines += [f"C: a{i}^2 = x{i}^2" for i in range(n)]
     return "\n".join(lines) + "\n"
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def commit(checkout: str) -> str | None:
-    """The checkout's HEAD commit, or None when it is not a git checkout."""
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main() -> int:

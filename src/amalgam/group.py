@@ -541,9 +541,9 @@ def _spell(ctx: AmalgamContext, head_side: str, head: tuple, sylls: Sequence[tup
 
 
 def form_to_word(ctx: AmalgamContext, nf: NormalForm) -> Word:
-    """The form as a plain word over the union alphabet."""
+    """The form as one reduced word over the union alphabet, also for a hand-built form."""
     letters = _spell(ctx, nf.head_side, nf.head_letters, nf.syllable_letters)
-    return Word._make(ctx.union_alphabet, letters)
+    return Word(ctx.union_alphabet, letters)
 
 
 # --- cyclically reduced forms --------------------------------------------------

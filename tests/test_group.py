@@ -1980,6 +1980,14 @@ def test_spell_grows_linearly_in_the_syllables(monkeypatch, ex1):
     assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
+def test_form_to_word_reduces_a_hand_built_form(ex1):
+    # _spell concatenates past s_1, which is exact only for alternating syllables;
+    # form_to_word is public, so a hand-built form with two A syllables still reduces
+    sylls = [Syllable("A", wa(ex1, "d a")), Syllable("A", wa(ex1, "a^-1 d"))]
+    nf = NormalForm("A", wa(ex1, ""), sylls)
+    assert form_to_word(ex1, nf) == up(ex1, "d^2")
+
+
 def test_query_checks_still_compare_the_swept_forms(monkeypatch, ex1):
     # the cyclic-form and conjugator checks read forms from the query's dict, and
     # still fail on a wrong spelling or a wrong conjugator

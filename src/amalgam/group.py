@@ -14,7 +14,7 @@ representatives come from tracing the folded C graph, and C-elements cross
 the amalgamation through one letter-tuple memo.  `Word` is the API boundary:
 both forms are `NormalForm`s, which build their `Word`s only when a caller
 reads `.head` or `.syllables`.  Cyclic forms run on the same tuples, and one
-pass of the carry yields every cyclic permutation without normalising again.
+pass of the carry streams every cyclic permutation without normalising again.
 A principal system is solved in one pass of coset shifts from its first
 syllable, on letter tuples, pushing the element of a singleton coset on; the
 solution is certified by pushing it back.  A conjugacy query sweeps each word once.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cosetalg import CosetOfC, c_coset, shift, transfer
 from .stallings import _RUN_MIN, SubgroupGraph, basis_coordinates, fold
@@ -162,14 +162,14 @@ class AmalgamContext:
     The double transversals and malnormality flags are read off the C graphs
     on first use and memoised there.  Immutable after construction apart from
     the memo dict `cache`; all queries are pure, so they may run concurrently.
-    Its "shift" and "transfer" keys hold non-singleton cosets only, and a "ps" key holds
-    E with the c_k that certified it.  Its ("step", policy.kind, policy.p) kind is the
-    sweep's transducer: a carry under _RUN_MIN letters maps to its state, a dict from
-    None to that carry and from a block's characters (see its codec) to the row ((side,
-    rep) or None, next carry, its state, letters of rep its C graph reads, or None until a
-    join needs them); longer carries share one empty state.  Rows share their carries and,
-    through memo[syll] = syll, their syllables.  It grows like "xfer", and answers 94% of
-    the steps of word-problem, 87% of conjugacy's, 16% of cold-cli's and 39% of blowup's.
+    Its "shift" and "transfer" keys hold non-singleton cosets only.  Its ("step",
+    policy.kind, policy.p) kind is the sweep's transducer: a carry under _RUN_MIN letters
+    maps to its state, a dict from None to that carry and from a block's characters (see
+    its codec) to the row ((side, rep) or None, next carry, its state, letters of rep its
+    C graph reads, or None until a join needs them); longer carries share one empty state.
+    Rows share their carries and, through memo[syll] = syll, their syllables.  It grows
+    like "xfer", and answers 94% of the steps of word-problem, 87% of conjugacy's, 16% of
+    cold-cli's and 39% of blowup's.
     """
 
     transversal_a = property(lambda self: self.graph_ca.double_transversal())
@@ -569,18 +569,22 @@ def cyclic_form(
     forms = {} if forms is None else forms
     nf = _swept(ctx, raw, policy, forms)
     reps = _coset_reps(ctx, policy)
-    conj = ()  # union letters until the form is built
     head_side, head = nf.head_side, nf.head_letters
     sylls = list(nf.syllable_letters)
+    lo, hi = 0, len(sylls)  # the live syllables are sylls[lo:hi]
     # while the outer syllables share a side, fold the last one into the head
-    while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
-        (side, first), last = sylls[0], sylls[-1][1]
+    while hi - lo >= 2 and sylls[lo][0] == sylls[hi - 1][0]:
+        (side, first), last = sylls[lo], sylls[hi - 1][1]
         if head and head_side != side:
             head = ctx.transfer_letters(head_side, head)
-        conj = letters_product(conj, ctx.union_letters(side, letters_inverse(last)))
         rep, head = reps[side](letters_product(letters_product(last, head), first))
-        head_side = side
-        sylls = ([(side, rep)] if rep else []) + sylls[1:-1]
+        head_side, hi, sylls[lo] = side, hi - 1, (side, rep)
+        lo += not rep  # an empty rep leaves no first syllable
+    # the peeled syllables are consecutive, so alternate factors: their inverses
+    # concatenate to a reduced word, the conjugator in union letters
+    peeled = reversed(nf.syllable_letters[hi:])
+    conj = tuple(lt for s, w in peeled for lt in ctx.union_letters(s, letters_inverse(w)))
+    sylls = sylls[lo:hi]
     if sylls and head_side != sylls[0][0]:
         head = ctx.transfer_letters(head_side, head) if head else ()
         head_side = sylls[0][0]
@@ -604,16 +608,17 @@ def cyclic_form(
 
 def _cyclic_perms(
     ctx: AmalgamContext, cf: CyclicForm, policy: RepPolicy
-) -> list[tuple[tuple[int, ...], NormalForm]]:
-    """All cyclic permutations pi_j of a cyclic form's normal form.
+) -> Iterator[tuple[tuple[int, ...], NormalForm]]:
+    """The cyclic permutations pi_j of a cyclic form's normal form, j = 0, ..., k - 1, lazily.
 
-    Each entry is (w_j, pi_j) with original = w_j * pi_j * ~w_j, where w_j
+    Each item is (w_j, pi_j) with original = w_j * pi_j * ~w_j, where w_j
     (in union letters) is cf.conjugator followed by the form's head and its
     first j syllables.  For form = h s_1 ... s_k the normal form of
     s_{j+1} ... s_k h s_1 ... s_j keeps s_1 ... s_j and has syllables
     r_{j+1} ... r_k before them and head c_{j+1}, where
     (r_i, c_i) = split(s_i * c_{i+1}) and c_{k+1} = h: one right-to-left
-    sweep of the carry yields every permutation.
+    sweep of the carry, on the first read, yields every permutation.  Each is
+    spelled when read and kept by no memo, so the stream holds O(k) syllables.
     """
     reps = _coset_reps(ctx, policy)
     form = cf.form
@@ -632,15 +637,12 @@ def _cyclic_perms(
         steps.append(((side, rep), carry))
     steps.reverse()
     rotated = tuple(r for r, _ in steps)
-    out = []
     prefix = letters_product(
         cf.conjugator.letters, ctx.union_letters(form.head_side, form.head_letters)
     )
     for j, (side, word) in enumerate(sylls):
-        pi = _form(ctx, side, steps[j][1], rotated[j:] + sylls[:j])
-        out.append((prefix, pi))
+        yield prefix, _form(ctx, side, steps[j][1], rotated[j:] + sylls[:j])
         prefix = letters_product(prefix, ctx.union_letters(side, word))
-    return out
 
 
 # --- principal systems ----------------------------------------------------------
@@ -664,16 +666,12 @@ def principal_system_solve(
 
 
 def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tuple:
-    """(E_{g,h}, c_k of its certifying push or None), memoised under ("ps", g, h)."""
+    """(E_{g,h}, c_k of its certifying push) or (None, None); unmemoised (see README)."""
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
         raise ValueError("principal systems need equal syllable lengths >= 1")
     if g.syllable_letters[0][0] != h.syllable_letters[0][0]:  # forms alternate: all sides differ
         return None, None
-    key = ("ps", g.syllable_letters, h.syllable_letters)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
     chain = zip(g.syllable_letters, h.syllable_letters)
     e = c_coset(ctx, g.syllable_letters[0][0])
     for (side, p), (_, p2) in chain:
@@ -686,9 +684,7 @@ def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tu
         rest = ((s, letters_inverse(p), p2) for (s, p), (_, p2) in chain)
         c, side = _push(ctx, rest, e.side, e.rep), g.syllable_letters[-1][0]
         e = None if c is None else CosetOfC(side, ctx._trivial[side], c)
-    c_k = None if e is None else _propagate_solution(ctx, g, h, e.rep, e.side)
-    ctx.cache[key] = e, c_k
-    return e, c_k
+    return (None, None) if e is None else (e, _propagate_solution(ctx, g, h, e.rep, e.side))
 
 
 def _push(ctx: AmalgamContext, chain: Iterable, side: str, c: tuple) -> Optional[tuple]:
@@ -787,8 +783,8 @@ def cr_membership(
 ) -> tuple[str, Optional[CyclicForm]]:
     """Class of the element among CR>1 / CR0 / CR1 / not cyclically regular.
 
-    For cyclic length above 1 every cyclic permutation is classified and the
-    first regular one is returned together with its accumulated conjugator.
+    For cyclic length above 1 the streamed cyclic permutations are classified in
+    turn, and the first regular one is returned with its accumulated conjugator.
     """
     cf = cyclic_form(ctx, raw, policy)
     k = cf.cyclic_length
@@ -823,18 +819,18 @@ def _solve_with_regular(
     ctx: AmalgamContext,
     u: Word,
     v: Word,
-    perms_u: list[tuple[tuple[int, ...], NormalForm]],
-    perms_v: list[tuple[tuple[int, ...], NormalForm]],
+    perms_u: Iterable[tuple[tuple[int, ...], NormalForm]],
+    perms_v: Iterable[tuple[tuple[int, ...], NormalForm]],
     policy: RepPolicy,
     forms: dict,
 ) -> Optional[ConjugacyOutcome]:
     """Decide conjugacy when some cyclic permutation of either form is regular.
 
-    perms_u and perms_v list (conjugator * w_j, pi_j), in union letters, for
-    the cyclically reduced forms of u and v.  Returns None when no pi_j of
-    either form is regular; otherwise a definite outcome.  A regular
-    permutation of u admits at most one principal solution, which must also
-    satisfy c_g c_k = c c_g'.
+    perms_u and perms_v stream (conjugator * w_j, pi_j), in union letters, for
+    the cyclically reduced forms of u and v; each is read once, u's up to its
+    first regular pi_j.  Returns None when no pi_j of either form is regular;
+    otherwise a definite outcome.  A regular permutation of u admits at most
+    one principal solution, which must also satisfy c_g c_k = c c_g'.
 
     Having a regular cyclic permutation is a conjugacy invariant at cyclic
     length >= 2: cyclically reduced conjugates are C-conjugates of each
@@ -907,7 +903,7 @@ def conjugacy_search(
             )
         return in_factor(su, z_f)
     if k >= 2:
-        # each form's permutations, with its conjugator, once per query
+        # each form's permutations, with its conjugator, streamed once per query
         perms_u, perms_v = (_cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
         out = _solve_with_regular(ctx, u, v, perms_u, perms_v, policy, forms)
         return out or ConjugacyOutcome(

@@ -558,7 +558,8 @@ def conjugacy_search_two_calls(
     cf_u, cf_v = cyclic_form(ctx, u, policy), cyclic_form(ctx, v, policy)
     if not cf_u.cyclic_length == cf_v.cyclic_length >= 2:
         return group.conjugacy_search(ctx, u, v, policy)
-    perms_u, perms_v = (group._cyclic_perms(ctx, cf, policy) for cf in (cf_u, cf_v))
+    # each list is read twice, once per direction
+    perms_u, perms_v = (list(group._cyclic_perms(ctx, cf, policy)) for cf in (cf_u, cf_v))
     out = _solve_from_regular_permutation(ctx, u, v, perms_u, perms_v, policy)
     if out is not None:
         return out
@@ -575,7 +576,7 @@ def principal_system_solve_two_pass(
     """E_{g,h} by the D-recursion from the last syllable, then a back-substitution.
 
     D_0 = C on the side of p_k and D_i = (p_{k-i+1} D_{i-1} ~p'_{k-i+1}) meet C;
-    D_k is pulled back through the chain from p_1.  Uses no ("ps", ...) memo.
+    D_k is pulled back through the chain from p_1.
     """
     k = g.syllable_length
     if k != h.syllable_length or k < 1:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -1891,9 +1892,10 @@ def alternating_word(rng, ctx, blocks):
     return word
 
 
-def test_one_certifying_push_per_principal_system_miss(monkeypatch):
-    # the "ps" memo holds E with the c_k of its certifying push, so solving from a
-    # regular permutation pushes nothing again, whether the principal system missed or hit
+def test_one_certifying_push_per_nonempty_principal_solution(monkeypatch):
+    # a principal system is solved afresh each time, with no memo: each nonempty E
+    # carries the c_k of its one certifying push, so solving from a regular
+    # permutation pushes nothing again
     makes = (lambda: example_one_context(2), lambda: example_two_context(2),
              malnormal_context, powers_context)
     rng = random.Random(23)
@@ -1912,19 +1914,15 @@ def test_one_certifying_push_per_principal_system_miss(monkeypatch):
     monkeypatch.setattr(
         group, "_principal_solution", lambda *a: solved.append(solve(*a)) or solved[-1]
     )
-    tags, certified = set(), 0
+    tags = set()
     for ctx, queries, want in runs:
-        pushes.clear()
         got = [conjugacy_search(ctx, u, v) for u, v in queries]
         assert got == want
         tags |= {out.tag for out in got}
-        entries = [value for key, value in ctx.cache.items() if key[0] == "ps"]
-        assert len(pushes) == len([e for e, _ in entries if e is not None])
-        certified += len(pushes)
+        assert not [key for key in ctx.cache if key[0] == "ps"]
     assert tags == {"conjugate", "not-conjugate", "undecided"}
-    # each solution carries its c_k, and most of them come from the memo
     assert all((e is None) == (c_k is None) for e, c_k in solved)
-    assert len([e for e, _ in solved if e is not None]) > 2 * certified
+    assert 0 < len(pushes) == len([e for e, _ in solved if e is not None])
 
 
 def test_conjugacy_search_sweeps_each_word_once(monkeypatch):
@@ -1978,6 +1976,52 @@ def test_spell_grows_linearly_in_the_syllables(monkeypatch, ex1):
         counts.append(len(spelled) + sum(made))
     assert [nf.syllable_length for nf in forms] == [2**10, 2**11, 2**12]
     assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_cyclic_form_peels_in_linear_letters(monkeypatch, ex1):
+    # X d y ~X peels |X| syllable pairs; the conjugator is built once from the peeled
+    # syllables, so the letters products return about double when |X| doubles, where
+    # multiplying into a growing conjugator made them quadruple
+    rng, words = random.Random(5), []
+    for n in (2**10, 2**11, 2**12):
+        x = up(ex1, " ".join("dz"[i % 2] + rng.choice(("", "^-1")) for i in range(n)))
+        words.append(x * up(ex1, "d y") * ~x)
+    product, made = group.letters_product, []
+
+    def counted(a, b):
+        made.append(len(out := product(a, b)))
+        return out
+    monkeypatch.setattr(group, "letters_product", counted)
+    counts = []
+    for w in words:
+        made.clear()
+        assert cyclic_form(ex1, w).form.syllable_length == 2
+        counts.append(sum(made))
+    assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_conjugacy_search_on_a_long_word_keeps_no_rotation():
+    # the cyclic permutations are streamed and no principal system is memoised, so
+    # a 2^11-letter search holds O(k) syllables, not k rotations of k syllables each
+    ctx, rng = example_one_context(2), random.Random(11)
+
+    def generic(n):
+        return up(ctx, " ".join("dz"[i % 2] + rng.choice(("", "^-1")) for i in range(n)))
+    u, other = generic(2**11), generic(2**11)
+    half = Word(ctx.union_alphabet, u.letters[2**10:] + u.letters[:2**10])
+    calls = [(lambda: conjugacy_search(ctx, u, half).tag, "conjugate"),
+             (lambda: conjugacy_search(ctx, u, other).tag, "not-conjugate"),
+             (lambda: cr_membership(ctx, u)[0], "cr>1")]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call, want in calls:
+            tracemalloc.reset_peak()
+            assert call() == want
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20, peaks
 
 
 def test_form_to_word_reduces_a_hand_built_form(ex1):

@@ -48,7 +48,7 @@ def test_bench_pairs_leaves_cold_cli_digests_uncompared():
     assert bench_pairs.summarise(runs, {}, "blowup")["digests_equal_per_seed"] is False
 
 
-@pytest.mark.parametrize("tool", ["bz_curve", "sweep_curve", "wide_curve"])
+@pytest.mark.parametrize("tool", ["bz_curve", "long_curve", "sweep_curve", "wide_curve"])
 def test_curve_tool_prints_its_help(tool):
     # each curve tool imports its machine and commit helpers from bench_pairs
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / f"{tool}.py"), "--help"],

@@ -1978,13 +1978,18 @@ def test_spell_grows_linearly_in_the_syllables(monkeypatch, ex1):
     assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
+def generic_word(rng, ctx, n):
+    """n letters alternating d^±1 and z^±1 over paper-ex1: each letter is a syllable."""
+    return up(ctx, " ".join("dz"[i % 2] + rng.choice(("", "^-1")) for i in range(n)))
+
+
 def test_cyclic_form_peels_in_linear_letters(monkeypatch, ex1):
     # X d y ~X peels |X| syllable pairs; the conjugator is built once from the peeled
     # syllables, so the letters products return about double when |X| doubles, where
     # multiplying into a growing conjugator made them quadruple
     rng, words = random.Random(5), []
     for n in (2**10, 2**11, 2**12):
-        x = up(ex1, " ".join("dz"[i % 2] + rng.choice(("", "^-1")) for i in range(n)))
+        x = generic_word(rng, ex1, n)
         words.append(x * up(ex1, "d y") * ~x)
     product, made = group.letters_product, []
 
@@ -2004,10 +2009,7 @@ def test_conjugacy_search_on_a_long_word_keeps_no_rotation():
     # the cyclic permutations are streamed and no principal system is memoised, so
     # a 2^11-letter search holds O(k) syllables, not k rotations of k syllables each
     ctx, rng = example_one_context(2), random.Random(11)
-
-    def generic(n):
-        return up(ctx, " ".join("dz"[i % 2] + rng.choice(("", "^-1")) for i in range(n)))
-    u, other = generic(2**11), generic(2**11)
+    u, other = generic_word(rng, ctx, 2**11), generic_word(rng, ctx, 2**11)
     half = Word(ctx.union_alphabet, u.letters[2**10:] + u.letters[:2**10])
     calls = [(lambda: conjugacy_search(ctx, u, half).tag, "conjugate"),
              (lambda: conjugacy_search(ctx, u, other).tag, "not-conjugate"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .stallings import SubgroupGraph, fold, meet
-from .words import letters_inverse, letters_product
+from .words import VerificationError, letters_inverse, letters_product
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import AmalgamContext
@@ -44,23 +44,30 @@ def c_coset(ctx: "AmalgamContext", side: str) -> CosetOfC:
 
 
 def shift(ctx: "AmalgamContext", d: CosetOfC, p: tuple, q: tuple) -> Optional[CosetOfC]:
-    """(p * d * q) meet C, or None when empty.
+    """(p * d * q) meet C for d inside C, or None when empty; cached on the context.
 
-    p(Kc)q is ~s K f for the start word s = ~p and the accept word f = cq,
-    a coset of ~s K s = pK~p.  So one `meet` walk of K's graph, with the
-    paths of s and f beside it, against C's graph gives pK~p meet C and a
-    word of the intersection; no graph is copied.  Results are cached on the
-    context.
+    If s = ~p = alpha m beta has a middle, ~s C s meet C = 1, and ~s C q meet C is {c}, c =
+    ~beta beta', if q = alpha' m beta' reads the same (P, m, Q) (`SubgroupGraph.middle`), else
+    empty: {c} if s c ~q, checked to read a loop, is in d.  Else p(Kc)q = ~s K f, f = cq, is a
+    coset of pK~p: a `meet` walk of K's graph, beside the paths of s and f, and C's gives its
+    meet with C and a word of it; no graph is copied.
     """
     key = ("shift", d.key(), p, q)
-    cache = ctx.cache
-    if key in cache:
-        return cache[key]
-    starts = (letters_inverse(p), ())
-    accepts = (letters_product(d.rep, q), ())
-    hit = meet(d.subgroup, ctx.graph_c(d.side), starts, accepts)
-    result = None if hit is None else _canonical(d.side, hit[0], hit[1])
-    cache[key] = result
+    if key in ctx.cache:
+        return ctx.cache[key]
+    graph, s = ctx.graph_c(d.side), letters_inverse(p)
+    if (mid := graph.middle(s)) is None:
+        hit = meet(d.subgroup, graph, (s, ()), (letters_product(d.rep, q), ()))
+        result = None if hit is None else _canonical(d.side, hit[0], hit[1])
+    else:
+        (at, i, to, j), mq, result = mid, graph.middle(q), None
+        if mq and mq[::2] == (at, to) and q[mq[1] : len(q) - mq[3]] == s[i : len(s) - j]:
+            c = letters_product(p[:j], q[len(q) - mq[3] :])  # ~beta beta'
+            loop = letters_product(letters_product(s, c), letters_inverse(q))
+            if not graph.contains(loop):
+                raise VerificationError("shift by reads failed verification")
+            result = CosetOfC(d.side, ctx._trivial[d.side], c) if d.contains(loop) else None
+    ctx.cache[key] = result
     return result
 
 

@@ -666,7 +666,11 @@ def principal_system_solve(
 
 
 def _principal_solution(ctx: AmalgamContext, g: NormalForm, h: NormalForm) -> tuple:
-    """(E_{g,h}, c_k of its certifying push) or (None, None); unmemoised (see README)."""
+    """(E_{g,h}, c_k of its certifying push) or (None, None); unmemoised (see README).
+
+    At a syllable p_i with a middle, ~p_i C p_i meet C = 1, and `shift` reads e_i off the C
+    graph: {~beta beta'} or None by (P, m, Q), with no `meet` (`SubgroupGraph.middle`).
+    """
     k = g.syllable_length
     if k != h.syllable_length or k < 1:
         raise ValueError("principal systems need equal syllable lengths >= 1")
@@ -720,7 +724,11 @@ def classify(
 
 
 def _classify_nf(ctx: AmalgamContext, nf: NormalForm) -> RegularityReport:
+    """At syllable length >= 2, a syllable p_i with a middle (`SubgroupGraph.middle`)
+    makes nf regular with no principal system: e_i lies in ~p_i C p_i meet C = 1."""
     k = nf.syllable_length
+    if k >= 2 and any(ctx.graph_c(side).middle(p) for side, p in nf.syllable_letters):
+        return RegularityReport("regular")
     if k >= 2:
         e = principal_system_solve(ctx, nf, nf)
         if e is None or not e.contains(()):
@@ -807,7 +815,9 @@ def _assemble_and_verify(
     ctx: AmalgamContext, u: Word, v: Word, z: Word, policy: RepPolicy, forms: dict
 ) -> ConjugacyOutcome:
     """The conjugate outcome for z, once ~z u z and v have the same normal form (`_swept`)."""
-    if _swept(ctx, ~z * u * z, policy, forms) != _swept(ctx, v, policy, forms):
+    zuz = letters_product(letters_product(letters_inverse(z.letters), u.letters), z.letters)
+    zuz = Word._make(ctx.union_alphabet, zuz)
+    if _swept(ctx, zuz, policy, forms) != _swept(ctx, v, policy, forms):
         raise VerificationError("conjugator failed verification")
     return ConjugacyOutcome("conjugate", z)
 

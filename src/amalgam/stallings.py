@@ -281,6 +281,19 @@ class SubgroupGraph:
         path, inverse = self._paths.get(s) or self._tree_pair(s)
         return path + letters[i:], letters_product(letters[:i], inverse)
 
+    def middle(self, letters: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
+        """(P, i, Q, j) when s = alpha m beta has a middle m, else None (i + j >= |s|).
+
+        From the base the graph reads alpha (i letters) to P and ~beta (j letters of ~s)
+        to Q, and stops.  Then ~s H s meet H = 1 (Kapovich-Myasnikov, J. Algebra 248, 2002,
+        section 9): a nontrivial h in it is a reduced loop at the coset H s, which hangs off
+        the core at P along m beta, so h = ~(m beta) gamma (m beta) for a loop gamma at P;
+        read from the base, h stops at Q.  Every word of H s H reads the same (P, m, Q), and
+        q = alpha' m beta' is (alpha' ~alpha) s (~beta beta'), so ~s H q meet H = {~beta beta'}.
+        """
+        (p, i), (q, j) = self.read(letters), self.read(letters_inverse(letters))
+        return (p, i, q, j) if i + j < len(letters) else None
+
     def _walk(
         self,
         letters: Sequence[int],

@@ -59,7 +59,9 @@ COUNTED = (
     ("words", None, "parse_word"), ("words", "Word", "__init__"),
     ("words", "Alphabet", "__init__"), ("stallings", None, "build"), ("stallings", None, "fold"),
     ("stallings", "SubgroupGraph", "coset_rep"), ("stallings", "SubgroupGraph", "loop_word"),
+    ("stallings", None, "meet"), ("cosetalg", None, "shift"),
     ("group", None, "build_context"), ("group", None, "normal_form"),
+    ("group", None, "_principal_solution"), ("group", None, "_propagate_solution"),
     ("group", "AmalgamContext", "transfer_letters"),
 )
 
@@ -76,7 +78,7 @@ def _install_counters(calls: Counter) -> None:
     """Count COUNTED calls at every binding in the package's modules; a name it lacks reads 0."""
     import amalgam
     from amalgam import cli, cosetalg, fixtures, group, stallings, words
-    modules = {"words": words, "stallings": stallings, "group": group}
+    modules = {"words": words, "stallings": stallings, "cosetalg": cosetalg, "group": group}
     for module, owner, name in COUNTED:
         holder = getattr(modules[module], owner) if owner else modules[module]
         original = getattr(holder, name, None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
-from amalgam import cosetalg, group
+from amalgam import cosetalg, group, stallings
 from amalgam.fixtures import example_one_context, example_two_context, malnormal_context
 from amalgam.cosetalg import c_coset
 from amalgam.group import (
@@ -58,6 +58,7 @@ from bruteforce import (
     normal_form_unmemoised,
     principal_system_solve_two_pass,
     reduced_form_by_rescan,
+    shift_by_copy,
     split_by_groupby,
     subgroup_elements,
     transfer_key_through_basis,
@@ -1634,7 +1635,132 @@ def test_singleton_chains_make_no_walk(monkeypatch):
     assert pushed
 
 
+def factor_letters(data, ctx, side, generic=False):
+    """A reduced word over the side's factor; with `generic`, one with a middle in C's graph."""
+    alphabet, graph = ctx.factor_alphabet(side), ctx.graph_c(side)
+    letters = [lt for j in range(1, len(alphabet) + 1) for lt in (j, -j)]
+    words = st.lists(st.sampled_from(letters), min_size=int(generic), max_size=6)
+    words = words.map(lambda b: Word(alphabet, b).letters)
+    return data.draw(words.filter(graph.middle) if generic else words)
+
+
+def c_letters(data, ctx, side):
+    """A product of up to three basis loops of the side's C graph, or their inverses."""
+    loops = [loop for _, loop in ctx.graph_c(side).basis_loops()]
+    c = ()
+    for i, inverse in data.draw(
+        st.lists(st.tuples(st.integers(0, len(loops) - 1), st.booleans()), max_size=3)
+    ):
+        c = letters_product(c, letters_inverse(loops[i]) if inverse else loops[i])
+    return c
+
+
+def test_shift_by_reads_matches_the_copy_path(monkeypatch):
+    # for s with a middle, (~s d q) meet C is read off the C graph with no meet; it equals
+    # the conjugate-copy reference for d drawn from principal-system chains and q in C s C
+    # (the same (P, m, Q)) half the time, when the membership test passes and when it fails
+    meets, seen = [], set()
+    monkeypatch.setattr(cosetalg, "meet", lambda *args: meets.append(args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(PS_CONTEXTS)), data=st.data(), seed=st.integers(0, 2**32))
+    def check(name, data, seed):
+        ctx = PS_CONTEXTS[name]
+        k, first = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 1))
+        nf = draw_form(data, ctx, ["AB"[(first + i) % 2] for i in range(k)])
+        with monkeypatch.context() as m:  # the chains' non-generic steps walk the meet
+            m.setattr(cosetalg, "meet", stallings.meet)
+            chain = coset_chain(random.Random(seed), ctx, nf)
+        d = data.draw(st.sampled_from([c_coset(ctx, "A"), c_coset(ctx, "B"), *chain]))
+        s = factor_letters(data, ctx, d.side, generic=True)
+        same = data.draw(st.booleans())
+        if same:
+            q = letters_product(c_letters(data, ctx, d.side), s)
+            q = letters_product(q, c_letters(data, ctx, d.side))
+        else:
+            q = factor_letters(data, ctx, d.side)
+        ctx.cache.clear()
+        meets.clear()
+        got = cosetalg.shift(ctx, d, letters_inverse(s), q)
+        assert meets == []
+        ctx.cache.clear()
+        want = shift_by_copy(ctx, d, letters_inverse(s), q)
+        ctx.cache.clear()
+        assert (got and got.key()) == (want and want.key())
+        assert got is None or got.subgroup.is_trivial()
+        seen.add((same, got is not None))
+
+    check()
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
 # --- regularity -------------------------------------------------------------------
+
+
+def test_middle_on_fixture_words(ex1, ex2):
+    # (P, i, Q, j): alpha reads i letters to P, ~beta j letters to Q, and m is left between
+    cases = [
+        (ex1, "A", "a^2 b", None),  # a member of C
+        (ex1, "A", "a", None),  # read to its end
+        (ex1, "A", "d", (0, 0, 0, 0)),
+        (ex1, "A", "a d a", (1, 1, 1, 1)),
+        (ex1, "A", "b d^-1 b a", (0, 1, 1, 1)),
+        (ex1, "B", "x z y", (0, 1, 1, 1)),
+        (ex2, "A", "b", None),  # i + j = 1: b^-1 reads to the state b comes from
+        (ex2, "A", "b^2", (0, 0, 1, 1)),
+        (ex2, "A", "b a b", (0, 0, 1, 2)),
+    ]
+    for ctx, side, text, want in cases:
+        assert ctx.graph_c(side).middle(parse_word(text, ctx.factor_alphabet(side)).letters) == want
+
+
+def principal_system_solve_by_copy(ctx, nf):
+    """E_{nf,nf} with every shift through conjugate copies, on a cleared cache."""
+    real, group.shift = group.shift, shift_by_copy
+    try:
+        return principal_system_solve(ctx, nf, nf)
+    finally:
+        group.shift = real
+        ctx.cache.clear()
+
+
+@pytest.mark.parametrize("name", PS_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generic_rule_matches_the_principal_system(name, data):
+    # a syllable with a middle makes ~p C p meet C = 1, so E_{nf,nf} = {1}: the verdict
+    # read off the C graph equals the one of the system solved through conjugate copies
+    ctx = PS_CONTEXTS[name]
+    k, first = data.draw(st.integers(2, 6)), data.draw(st.integers(0, 1))
+    nf = draw_form(data, ctx, ["AB"[(first + i) % 2] for i in range(k)])
+    ctx.cache.clear()
+    solved = principal_system_solve_by_copy(ctx, nf)
+    assert group._classify_nf(ctx, nf).is_regular == solved.subgroup.is_trivial()
+    if any(ctx.graph_c(side).middle(p) for side, p in nf.syllable_letters):
+        assert solved.subgroup.is_trivial()
+
+
+def test_generic_forms_classify_and_search_without_a_meet(monkeypatch):
+    # a form with a syllable that has a middle is regular by two reads a syllable: its
+    # classification solves no principal system, and a conjugacy search shifts by reads
+    calls = []
+    for module, name in ((group, "shift"), (group, "_principal_solution"),
+                         (cosetalg, "meet"), (stallings, "meet")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    ex1, n1, n3 = example_one_context(2), nielsen_context(1), nielsen_context(3)
+    for ctx, text in ((ex1, "d z"), (ex1, "z d^-1 z d"), (n1, "a x"), (n3, "a y b x")):
+        calls.clear()
+        assert classify(ctx, up(ctx, text)).verdict == "regular"
+        assert calls == [], text
+    for ctx, u, z in ((ex1, "d z", "z"), (ex1, "z d^-1 z d", "a d"), (n1, "a x", "b y")):
+        u, z = up(ctx, u), up(ctx, z)
+        calls.clear()
+        assert conjugacy_search(ctx, u, ~z * u * z).tag == "conjugate"
+        assert "meet" not in calls and "_principal_solution" in calls
 
 
 def test_classify_spot_checks(ex1):

@@ -28,7 +28,8 @@ LETTER_LEVEL = (
     )),
     *(("cosetalg.py", None, name) for name in ("shift", "c_coset", "_canonical", "transfer")),
     ("stallings.py", None, "fold"),
-    *(("stallings.py", "SubgroupGraph", name) for name in ("conjugacy_into", "z_subgroup")),
+    *(("stallings.py", "SubgroupGraph", name) for name in ("conjugacy_into", "z_subgroup",
+                                                            "middle")),
     *(("words.py", None, name) for name in ("letters_conjugator", "letters_substitute")),
 )
 WORD_BUILDERS = ("Word", "Word._make", "Syllable", "identity")

@@ -11,6 +11,7 @@ ROOT = Path(__file__).parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+import curve  # noqa: E402
 
 
 def test_ab_inproc_writes_an_aa_file(tmp_path):
@@ -48,10 +49,52 @@ def test_bench_pairs_leaves_cold_cli_digests_uncompared():
     assert bench_pairs.summarise(runs, {}, "blowup")["digests_equal_per_seed"] is False
 
 
-@pytest.mark.parametrize("tool", ["bz_curve", "long_curve", "sweep_curve", "wide_curve"])
+@pytest.mark.parametrize("tool", sorted((ROOT / "tools").glob("*.py")), ids=lambda p: p.stem)
+def test_tool_prints_its_help(tool):
+    # each tool imports its helpers from bench_pairs, which must load as a script too
+    proc = subprocess.run([sys.executable, str(tool), "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+
+
+LONG = ("conj-conjugate", "conj-not-conjugate", "cr-membership", "cyclic-form", "cli-conj")
+# where each series' committed record keeps its points, or (sweep) its one aggregate digest
+COMMITTED = {
+    "bz-normal-form": ("BENCH_pairs_joins.json", "curve", "change", "curves", "normal_form"),
+    "bz-reduced-form": ("BENCH_pairs_joins.json", "curve", "change", "curves", "reduced_form"),
+    "wide-validate": ("BENCH_wide.json", "change", "points"),
+    "wide-meet": ("BENCH_wide_meet.json", "change", "wide-meet", "runs", 0, "points"),
+    "circle-transversal": ("BENCH_circle.json", "change", "circle-transversal", "runs", 0,
+                           "points"),
+    "sweep": ("BENCH_sweep.json", "runs", 1),
+    **{name: ("BENCH_long.json", "change", "points", name) for name in LONG},
+}
+
+# the series of curve.py that took over the work of each deleted curve tool
+OLD_TOOLS = {"bz_curve": ("bz-normal-form", "bz-reduced-form"), "long_curve": LONG,
+             "sweep_curve": ("sweep",), "wide_curve": ("wide-validate",)}
+
+
+@pytest.mark.parametrize("tool", sorted(OLD_TOOLS))
 def test_curve_tool_prints_its_help(tool):
-    # each curve tool imports its machine and commit helpers from bench_pairs
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / f"{tool}.py"), "--help"],
+    # curve.py's help offers, as --series choices, every series the old tool timed
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "curve.py"), "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+    choices = proc.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert set(OLD_TOOLS[tool]) <= set(choices)
+
+
+@pytest.mark.parametrize("name", sorted(curve.SERIES))
+def test_each_series_reproduces_its_committed_digest(name, tmp_path):
+    # the smallest point, through the tool's own runner, against the committed curve
+    series = curve.SERIES[name]
+    if name == "sweep":  # the forms, and so the digest, do not depend on the repeats
+        series = series._replace(data={**series.data, "repeats": 1})
+    point = curve.run_point(str(ROOT), series, series.sizes[0], 1024, str(tmp_path))
+    assert point["exit_code"] == 0, point
+    node = json.loads((ROOT / COMMITTED[name][0]).read_text(encoding="utf-8"))
+    for key in COMMITTED[name][1:]:
+        node = node[key]
+    assert point["digest"] == (node if "digest" in node else node[str(series.sizes[0])])["digest"]

@@ -37,9 +37,7 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,8 +46,7 @@ from collections import Counter
 from itertools import islice
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "tools"))
-from bench_pairs import commit, cpu_model  # noqa: E402
+from bench_pairs import commit, machine, spread  # noqa: E402
 
 SECONDS = 12  # the default query count is the workload's for a run of this length
 MASK = "{workdir}"
@@ -149,12 +146,6 @@ def spawn(src: str, workload: str, seed: int, queries: int, count: bool = False)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def spread(values: list[float]) -> dict:
-    quartiles = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
-                 else [values[0]] * 3)
-    return {"median": statistics.median(values), "quartiles": [quartiles[0], quartiles[2]]}
-
-
 def summarise(processes: list[dict], rounds: int) -> dict:
     """Per kind and in total: the B/A and A/A ratios' medians and quartiles."""
     by_round = [[p for p in processes if p["round"] == i] for i in range(rounds)]
@@ -209,9 +200,7 @@ def main() -> int:
     result = {
         "command": f"python3 tools/ab_inproc.py --src A --src B --workload {args.workload} "
                    f"--rounds {args.rounds} --queries {args.queries} --seed {args.seed}",
-        "machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
-                    "python": platform.python_version(),
-                    "implementation": platform.python_implementation()},
+        "machine": machine(),
         "method": "each round runs A, B, A in fresh processes on seed S + round; b_over_a is "
                   "B's busy time over the two A's mean, a_over_a the later A over the earlier "
                   "on even rounds and the earlier over the later on odd ones; quartiles are "

@@ -38,15 +38,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 12  # every run's length, the same on both sides
 
 
-def cpu_model() -> str:
+def machine() -> dict:
+    """The host and the interpreter, as every benchmark record names them."""
+    model = "unknown"
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
+            model = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")),
+                         model)
     except OSError:
         pass
-    return "unknown"
+    return {"nproc": os.cpu_count(), "cpu_model": model, "python": platform.python_version(),
+            "implementation": platform.python_implementation()}
 
 
 def commit(checkout: str) -> str | None:
@@ -87,6 +89,13 @@ NO_DIGEST = {
 }
 
 
+def spread(values: list[float]) -> dict:
+    """The median and the quartiles, `statistics.quantiles(n=4, method="inclusive")`."""
+    quartiles = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else [values[0]] * 3)
+    return {"median": statistics.median(values), "quartiles": [quartiles[0], quartiles[2]]}
+
+
 def summarise(runs: list[dict], better: dict[str, str], workload: str) -> dict:
     """Per metric: medians, quartiles and wins of the change over its pairs."""
     pairs = {}
@@ -112,10 +121,7 @@ def summarise(runs: list[dict], better: dict[str, str], workload: str) -> dict:
         sign = 1 if direction == "higher" else -1
         row = {}
         for side, vs in values.items():
-            row[f"{side}_median"] = statistics.median(vs)
-            row[f"{side}_quartiles"] = (
-                statistics.quantiles(vs, n=4, method="inclusive") if len(vs) > 1 else [vs[0]] * 3
-            )[::2]
+            row[f"{side}_median"], row[f"{side}_quartiles"] = spread(vs).values()
         row["change_over_parent"] = (
             row["change_median"] / row["parent_median"] if row["parent_median"] else None
         )
@@ -158,9 +164,7 @@ def main() -> int:
     result.update({
         "command": "python3 layerbench/run.py --workload WORKLOAD --seed N "
                    f"--seconds {SECONDS} --trace 0",
-        "machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
-                    "python": platform.python_version(),
-                    "implementation": platform.python_implementation()},
+        "machine": machine(),
         "method": "pairs alternate which side runs first (the parent first on even pairs); "
                   "quartiles are statistics.quantiles(n=4, method='inclusive'); "
                   "change_better_in counts pairs where the change is strictly better",
